@@ -1,11 +1,12 @@
 """Rayleigh block-fading samplers with counter-based, partition-independent RNG.
 
 Every random draw is a pure function of (master_seed, trial, slot, band):
-each (master_seed, slot, band) triple keys its own Philox stream and the
-trial index selects a fixed-size block of counter space inside it. Two runs
-with the same master seed therefore produce bit-identical draws no matter
-how trials are partitioned across workers, and paired-seed experiments see
-literally the same channel realizations.
+each (master_seed, slot, band) triple keys its own Philox stream, and a
+draw of w words per trial gives trial t the words [t*w, (t+1)*w) of that
+stream, packed with no padding. Two runs with the same master seed
+therefore produce bit-identical draws no matter how trials are partitioned
+across workers, and paired-seed experiments see literally the same channel
+realizations.
 """
 
 from dataclasses import dataclass, field
@@ -14,8 +15,8 @@ import numpy as np
 from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
-# Philox advances its counter in blocks of four 64-bit outputs; per-trial
-# strides are padded up to whole blocks so trial offsets stay aligned.
+# Philox advances its counter in blocks of four 64-bit outputs; a draw that
+# starts inside a block skips that block's leading words.
 _WORDS_PER_BLOCK = 4
 
 # Band index reserved for policy (non-fading) randomness.
@@ -82,35 +83,51 @@ def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
                   n_trials: int, words: int = 1) -> np.ndarray:
     """Uniform(0,1) draws for trials [start_trial, start_trial + n_trials).
 
-    Returns shape (n_trials, words). The result depends only on
-    (master_seed, slot, band, trial), never on how calls are chunked.
+    Returns shape (n_trials, words): row t - start_trial holds words
+    [t*words, (t+1)*words) of the (master_seed, slot, band) Philox stream,
+    so the result depends only on (master_seed, slot, band, trial), never
+    on how calls are chunked.
     """
-    blocks = -(-words // _WORDS_PER_BLOCK)
+    first = start_trial * words
+    blocks, skip = divmod(first, _WORDS_PER_BLOCK)
     bg = Philox(key=_philox_key(master_seed, slot, band))
-    if start_trial:
-        bg.advance(start_trial * blocks)
-    u = Generator(bg).random(n_trials * blocks * _WORDS_PER_BLOCK)
-    return u.reshape(n_trials, blocks * _WORDS_PER_BLOCK)[:, :words]
+    if blocks:
+        bg.advance(blocks)
+    u = Generator(bg).random(skip + n_trials * words)
+    return u[skip:].reshape(n_trials, words)
 
 
 def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
-               start_trial: int, n_trials: int) -> np.ndarray:
-    """Channel gains (|h|^2) for a range of trials on one (slot, band)."""
+               start_trial: int, n_trials: int, rows=None) -> np.ndarray:
+    """Channel gains (|h|^2) for a range of trials on one (slot, band).
+
+    `rows`, if given, selects trial offsets in [0, n_trials): the result
+    equals the full block indexed by `rows`, but only those rows are
+    transformed.
+    """
     profile.check_band(band)
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=1)[:, 0]
+    u = uniform_block(master_seed, slot, band, start_trial, n_trials)[:, 0]
+    if rows is not None:
+        u = u[rows]
     return -np.log1p(-u) / profile.lambdas[band]
 
 
 def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
-                 start_trial: int, n_trials: int) -> np.ndarray:
-    """Channel matrices, shape (n_trials, rx, tx), entries CN(0, 1/lambda)."""
+                 start_trial: int, n_trials: int, rows=None) -> np.ndarray:
+    """Channel matrices, shape (n_trials, rx, tx), entries CN(0, 1/lambda).
+
+    `rows` selects trial offsets as in gain_block; the result then has
+    len(rows) matrices.
+    """
     profile.check_band(band)
     v, u_tx = profile.rx_antennas, profile.tx_antennas
     words = 2 * v * u_tx
     u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=words)
+    if rows is not None:
+        u = u[rows]
     z = ndtri(u) * np.sqrt(0.5 / profile.lambdas[band])
-    re = z[:, : v * u_tx].reshape(n_trials, v, u_tx)
-    im = z[:, v * u_tx:].reshape(n_trials, v, u_tx)
+    re = z[:, : v * u_tx].reshape(-1, v, u_tx)
+    im = z[:, v * u_tx:].reshape(-1, v, u_tx)
     return re + 1j * im
 
 

@@ -4,7 +4,8 @@ Runs many independent packets with the protocol vectorized over trials,
 estimates outage / throughput / fairness / event probabilities with
 confidence intervals, and fits diversity slopes. Results are bit-identical
 for a given master seed regardless of chunking or worker count, because all
-randomness is keyed by (master_seed, trial, slot, band).
+randomness is keyed by (master_seed, trial, slot, band) and the statistics
+merged across chunks are integer counts.
 
 Conventions: event frequencies are per packet (they sum to one exactly);
 outage and throughput are additionally reported per slot (multiplied by the
@@ -14,7 +15,7 @@ closed-form expressions.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,56 +39,59 @@ class RangeError(RuntimeError):
 # vectorized protocol engine
 
 
-def _assignment_matrix(active: np.ndarray, policy: AllocationPolicy, slot: int,
-                       master_seed: int, start_trial: int) -> np.ndarray:
-    """Band -> user map per trial, shape (n, K); -1 marks an idle band.
+def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
+                       slot: int, master_seed: int, start_trial: int,
+                       n_trials: int) -> np.ndarray:
+    """Band -> user map, shape (K, len(rows)); -1 marks an idle band.
 
-    Mirrors protocol.policy_allocate exactly: active users always keep their
-    own bands, free bands are donated per policy. `slot` is the slot being
-    entered; the random K=3 split consumes the policy substream of the slot
-    in which the ACK/NACKs were observed (slot - 1).
+    `active` is (K, len(rows)): user u is still active in column j, which
+    is trial offset rows[j] in [0, n_trials). Mirrors
+    protocol.policy_allocate exactly: active users always keep their own
+    bands, free bands are donated per policy. `slot` >= 1 is the slot being
+    entered; the random K=3 split consumes the policy uniform of each
+    column's own trial in the slot in which the ACK/NACKs were observed
+    (slot - 1).
     """
-    n, k = active.shape
+    k, n = active.shape
     bands = np.arange(k, dtype=np.int64)
-    assign = np.where(active, bands[None, :], -1)
-    if policy.kind is PolicyKind.NON_COORDINATED or slot == 0:
+    assign = np.where(active, bands[:, None], -1)
+    if policy.kind is PolicyKind.NON_COORDINATED:
         return assign
-    n_active = active.sum(axis=1)
+    n_active = active.sum(axis=0)
     if policy.kind is PolicyKind.FULL_COORDINATION_K2:
         if k != 2:
             raise ProtocolError("full-coordination policy is defined for exactly 2 users")
         solo = n_active == 1
-        winner = np.argmax(active, axis=1)
-        assign[solo, :] = winner[solo, None]
+        winner = np.argmax(active, axis=0)
+        assign[:, solo] = winner[solo]
         return assign
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
         if k != 3:
             raise ProtocolError("random-split policy is defined for exactly 3 users")
         solo = n_active == 1
-        winner = np.argmax(active, axis=1)
-        assign[solo, :] = winner[solo, None]
-        pair = n_active == 2
-        if pair.any():
-            u = uniform_block(master_seed, slot - 1, POLICY_BAND, start_trial, n)[:, 0]
-            lo = np.argmax(active, axis=1)                    # lowest-index active
-            hi = k - 1 - np.argmax(active[:, ::-1], axis=1)   # highest-index active
-            lucky = np.where(u < 0.5, lo, hi)
-            free_band = np.argmin(active, axis=1)             # the single inactive user
-            rows = np.flatnonzero(pair)
-            assign[rows, free_band[rows]] = lucky[rows]
+        winner = np.argmax(active, axis=0)
+        assign[:, solo] = winner[solo]
+        pairs = np.flatnonzero(n_active == 2)
+        if pairs.size:
+            u = uniform_block(master_seed, slot - 1, POLICY_BAND, start_trial,
+                              n_trials)[rows[pairs], 0]
+            pair_active = active[:, pairs]
+            lo = np.argmax(pair_active, axis=0)                    # lowest-index active
+            hi = k - 1 - np.argmax(pair_active[::-1], axis=0)      # highest-index active
+            free_band = np.argmin(pair_active, axis=0)             # the single inactive user
+            assign[free_band, pairs] = np.where(u < 0.5, lo, hi)
         return assign
     # round-robin general K: deal free bands cyclically over the active
-    # users; patterns are few (2^K), so group trials by pattern
+    # users; distinct activity patterns are few, so group trials by pattern
     from .protocol import policy_allocate
-    codes = active @ (1 << bands)
-    for code in np.unique(codes):
-        failed = {u for u in range(k) if code & (1 << u)}
-        if not failed:
-            continue
+    patterns, which = np.unique(active, axis=1, return_inverse=True)
+    which = which.ravel()
+    for j, pattern in enumerate(patterns.T):
+        failed = set(np.flatnonzero(pattern).tolist())
         mapping = policy_allocate(failed, set(range(k)) - failed, policy, k)
-        rows = codes == code
+        match = which == j
         for band, user in mapping.items():
-            assign[rows, band] = user
+            assign[band, match] = user
     return assign
 
 
@@ -98,113 +102,125 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     Returns shape (n_trials, K): round in 1..M, or 0 for outage. One trial is
     one packet; randomness is keyed so the same trial index always sees the
     same channel, under any policy or chunking.
+
+    Slot 0 runs on every trial. From slot 1 on, the engine keeps only the
+    trials in which some user is still active, and transforms, assigns,
+    accumulates and checks copies for those trials alone.
     """
     profile = config.profile
     k, m_max, power = config.n_users, config.max_rounds, config.power
     rtd = config.scheme is Scheme.RTD
     siso = profile.is_siso
     u_tx = profile.tx_antennas
-    rates = np.asarray(config.rates)
+    rates = np.asarray(config.rates)[:, None]
+    users = np.arange(k)
 
-    rounds = np.zeros((n_trials, k), dtype=np.int16)
+    # user-major layout: one contiguous row per user, one column per trial
+    rounds = np.zeros((k, n_trials), dtype=np.int16)
+    active = np.ones((k, n_trials), dtype=bool)
     if siso or not rtd:
-        acc = np.zeros((n_trials, k))
+        acc = np.zeros((k, n_trials))
     else:
-        acc = np.zeros((n_trials, k, u_tx, u_tx), dtype=complex)
+        acc = np.zeros((k, n_trials, u_tx, u_tx), dtype=complex)
+    rows = None  # trial offsets of the columns still in play; None while all are
 
     for s in range(m_max):
-        active = rounds == 0
-        if not active.any():
-            break
-        assign = _assignment_matrix(active, policy, s, master_seed, start_trial)
+        if s:
+            keep = np.flatnonzero(active.any(axis=0))
+            if keep.size == 0:
+                break
+            rows = keep if rows is None else rows[keep]
+            active, acc = active[:, keep], acc[:, keep]
+            assign = _assignment_matrix(active, rows, policy, s, master_seed,
+                                        start_trial, n_trials)
         for b in range(k):
-            tgt = assign[:, b]
-            if (tgt < 0).all():
+            if s and (assign[b] < 0).all():
                 continue
             if siso:
-                g = gain_block(profile, b, s, master_seed, start_trial, n_trials)
+                g = gain_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
                 contrib = g * power if rtd else np.log1p(g * power)
             else:
-                h = matrix_block(profile, b, s, master_seed, start_trial, n_trials)
+                h = matrix_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
                 if rtd:
                     contrib = np.einsum("nvi,nvj->nij", h.conj(), h)
                 else:
                     v_rx = profile.rx_antennas
                     hh = np.einsum("nvi,nwi->nvw", h, h.conj())
                     _, contrib = np.linalg.slogdet(np.eye(v_rx) + (power / u_tx) * hh)
-            for u in range(k):
-                mask = tgt == u
-                if mask.any():
-                    acc[mask, u] += contrib[mask]
-        for u in range(k):
-            act = np.flatnonzero(active[:, u])
-            if act.size == 0:
-                continue
-            if siso:
-                nats = np.log1p(acc[act, u]) if rtd else acc[act, u]
-            elif rtd:
-                _, nats = np.linalg.slogdet(np.eye(u_tx) + (power / u_tx) * acc[act, u])
+            if s == 0:
+                # first copy: every user transmits on its own band
+                acc[b] = contrib
             else:
-                nats = acc[act, u]
-            rounds[act[nats >= rates[u]], u] = s + 1
-    return rounds
+                gets = users[:, None] == assign[b]
+                gets = gets.reshape(gets.shape + (1,) * (acc.ndim - 2))
+                acc += np.where(gets, contrib, 0.0)
+        if siso or not rtd:
+            nats = np.log1p(acc) if siso and rtd else acc
+            won = active & (nats >= rates)
+        else:
+            won = np.zeros_like(active)
+            for u in range(k):
+                act = np.flatnonzero(active[u])
+                if act.size:
+                    _, nats = np.linalg.slogdet(np.eye(u_tx) + (power / u_tx) * acc[u, act])
+                    won[u, act] = nats >= rates[u]
+        for u in range(k):
+            hit = np.flatnonzero(won[u])
+            rounds[u, hit if rows is None else rows[hit]] = s + 1
+        active &= ~won
+    return rounds.T
 
 
 @dataclass
 class BatchStats:
-    """Sufficient statistics aggregated over simulated packets."""
+    """Sufficient statistics aggregated over simulated packets.
+
+    Every field is an integer count, so merging chunks is exact: any chunk
+    size or worker count gives identical statistics.
+    """
 
     n_trials: int = 0
-    total_slots: int = 0
+    total_slots: int = 0                # slots summed over packets
+    slots_sq_sum: int = 0               # squared slots summed over packets
     decoded: np.ndarray = None          # (K,) decode counts
     round_hist: np.ndarray = None       # (K, M+1): index 0 = outage
     joint_counts: np.ndarray = None     # (M+1, M+1) for K = 2, else None
-    nats_sum: float = 0.0
-    nats_sq_sum: float = 0.0
-    slots_sq_sum: float = 0.0
-    nats_slots_sum: float = 0.0
+    co_decoded: np.ndarray = None       # (K, K) packets in which both users decoded
+    decoded_slots: np.ndarray = None    # (K,) slots summed over each user's decoded packets
 
     def merge(self, other: "BatchStats") -> "BatchStats":
         if self.n_trials == 0:
             return other
-        out = BatchStats(
-            n_trials=self.n_trials + other.n_trials,
-            total_slots=self.total_slots + other.total_slots,
-            decoded=self.decoded + other.decoded,
-            round_hist=self.round_hist + other.round_hist,
-            joint_counts=(None if self.joint_counts is None
-                          else self.joint_counts + other.joint_counts),
-            nats_sum=self.nats_sum + other.nats_sum,
-            nats_sq_sum=self.nats_sq_sum + other.nats_sq_sum,
-            slots_sq_sum=self.slots_sq_sum + other.slots_sq_sum,
-            nats_slots_sum=self.nats_slots_sum + other.nats_slots_sum,
-        )
-        return out
+        return BatchStats(**{
+            f.name: None if getattr(self, f.name) is None
+            else getattr(self, f.name) + getattr(other, f.name)
+            for f in fields(self)})
 
 
 def _stats_from_rounds(rounds: np.ndarray, config: ProtocolConfig) -> BatchStats:
     n, k = rounds.shape
     m_max = config.max_rounds
-    rates = np.asarray(config.rates)
-    decoded = (rounds > 0).sum(axis=0)
-    resolution = np.where(rounds > 0, rounds, m_max)
-    slots = resolution.max(axis=1)
-    nats = (rounds > 0) @ rates
-    hist = np.stack([np.bincount(rounds[:, u], minlength=m_max + 1) for u in range(k)])
+    # simulate_rounds returns a view of a user-major array: no copy there
+    by_user = np.ascontiguousarray(rounds.T)
+    dec = by_user > 0
+    # a packet holds the channel until its last user resolves: M slots if
+    # some user ends in outage
+    slots = np.where(dec.all(axis=0), by_user.max(axis=0), m_max).astype(np.int64)
+    hist = np.array([[np.count_nonzero(r == m) for m in range(m_max + 1)] for r in by_user])
     joint = None
     if k == 2:
-        joint = np.bincount(rounds[:, 0] * (m_max + 1) + rounds[:, 1],
-                            minlength=(m_max + 1) ** 2).reshape(m_max + 1, m_max + 1)
+        cells = by_user[0].astype(np.int64) * (m_max + 1) + by_user[1]
+        joint = np.bincount(cells, minlength=(m_max + 1) ** 2).reshape(m_max + 1, m_max + 1)
     return BatchStats(
         n_trials=n,
         total_slots=int(slots.sum()),
-        decoded=decoded.astype(np.int64),
-        round_hist=hist.astype(np.int64),
+        slots_sq_sum=int(slots @ slots),
+        decoded=n - hist[:, 0],
+        round_hist=hist,
         joint_counts=joint,
-        nats_sum=float(nats.sum()),
-        nats_sq_sum=float((nats * nats).sum()),
-        slots_sq_sum=float((slots * slots).astype(np.float64).sum()),
-        nats_slots_sum=float((nats * slots).sum()),
+        co_decoded=np.array([[np.count_nonzero(dec[u] & dec[v]) for v in range(k)]
+                             for u in range(k)]),
+        decoded_slots=dec @ slots,
     )
 
 
@@ -224,6 +240,9 @@ def _batch_worker(args):
 def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
                    master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> BatchStats:
     """Run n_trials independent packets and aggregate sufficient statistics."""
+    for name, value in (("n_trials", n_trials), ("chunk", chunk), ("n_jobs", n_jobs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     tasks = [(config, policy, start, count, master_seed)
              for start, count in _chunk_ranges(n_trials, chunk)]
     stats = BatchStats()
@@ -295,9 +314,13 @@ def estimates_from_stats(stats: BatchStats, config: ProtocolConfig) -> dict:
         out[f"outage_user{u}"] = EstimateWithCI(gamma_hat * p_pkt, n, gamma_hat * half,
                                                 f"outage_user{u}")
     # throughput: delivered nats per slot, CI via renewal-reward linearization
-    eta = stats.nats_sum / stats.total_slots
+    r = np.asarray(rates)
+    nats_sum = float(r @ stats.decoded)
+    nats_sq_sum = float(r @ stats.co_decoded @ r)
+    nats_slots_sum = float(r @ stats.decoded_slots)
+    eta = nats_sum / stats.total_slots
     mean_slots = stats.total_slots / n
-    resid_var = (stats.nats_sq_sum - 2 * eta * stats.nats_slots_sum
+    resid_var = (nats_sq_sum - 2 * eta * nats_slots_sum
                  + eta * eta * stats.slots_sq_sum) / n
     eta_half = 1.96 * math.sqrt(max(resid_var, 0.0) / n) / mean_slots
     out["throughput"] = EstimateWithCI(eta, n, eta_half, "throughput")

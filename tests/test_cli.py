@@ -135,6 +135,12 @@ def test_main_config_error_exit_2(capsys):
     assert main(["sweep", "--snr-db", "10:0:20"]) == 2
 
 
+def test_main_zero_trials_exit_2(capsys):
+    assert main(["sweep", "--trials", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_trials must be at least 1" in err
+
+
 def test_main_sweep_and_rerun_identical(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sweep", "--scheme", "inr", "--snr-db", "0:5:10",

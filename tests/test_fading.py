@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from scipy import stats
 
 from coharq.fading import (ChannelMatrixDraw, ConfigurationError, FadingProfile,
@@ -112,3 +113,36 @@ def test_uniform_block_is_pure_function_of_key():
     assert (u1 == u2).all()
     assert u1.shape == (5, 3)
     assert ((u1 >= 0) & (u1 < 1)).all()
+
+
+@pytest.mark.parametrize("words", [1, 3, 8])
+def test_packed_layout_matches_monolithic_draw(words):
+    whole = uniform_block(SEED, 4, 1, 0, 40, words=words)
+    # for odd `words` these starts put the first word 0, 1, 2 and 3 words
+    # into a Philox block; 8-word draws stay block-aligned
+    for t in range(1, 12):
+        assert np.array_equal(uniform_block(SEED, 4, 1, t, 9, words=words), whole[t:t + 9])
+
+
+def test_packed_layout_is_the_philox_stream():
+    slot, band = 3, 2
+    key = (SEED << 64) | (slot << 16) | band
+    expect = Generator(Philox(key=key)).random(8)
+    assert np.array_equal(uniform_block(SEED, slot, band, 0, 8)[:, 0], expect)
+    assert np.array_equal(uniform_block(SEED, slot, band, 0, 1, words=8)[0], expect)
+
+
+def test_compacted_gain_path_matches_dense():
+    prof = FadingProfile(lambdas=(1.0, 0.5), tx_antennas=2, rx_antennas=2)
+    rows = np.array([0, 3, 4, 9, 97, 98])
+    dense_g = gain_block(prof, 1, 2, SEED, 13, 100)
+    assert np.array_equal(gain_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_g[rows])
+    dense_h = matrix_block(prof, 1, 2, SEED, 13, 100)
+    assert np.array_equal(matrix_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_h[rows])
+
+
+def test_scalar_matches_block_at_odd_trials():
+    prof = FadingProfile(lambdas=(1.0, 0.5))
+    block = gain_block(prof, 0, 1, SEED, 0, 16)
+    for trial in range(1, 16, 2):
+        assert sample_gain(prof, 0, Substream(SEED, trial=trial, slot=1)).value == block[trial]

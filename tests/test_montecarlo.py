@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -59,14 +60,74 @@ def test_vectorized_matches_scalar_k3_split():
         assert list(rounds[trial]) == expect
 
 
+def test_vectorized_matches_scalar_round_robin_many_users():
+    # more users than bits in a 64-bit activity code
+    k = 66
+    cfg = make_config(rates=(1.0,) * k, lambdas=(1.0,) * k, power=3.0, max_rounds=3)
+    n = 40
+    rounds = simulate_rounds(cfg, ROBIN, n, SEED)
+    for trial in range(n):
+        out = run_packet(cfg, ROBIN, Substream(SEED, trial=trial))
+        expect = [0 if r < 0 else r for r in out.decode_round]
+        assert list(rounds[trial]) == expect
+
+
+def assert_same_stats(a, b):
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        assert (x is None and y is None) or np.array_equal(x, y), f.name
+
+
 def test_chunking_is_invisible():
     cfg = make_config(scheme=Scheme.INR, max_rounds=3)
     whole = simulate_batch(cfg, COORD, 5000, SEED, chunk=5000)
     parts = simulate_batch(cfg, COORD, 5000, SEED, chunk=700)
-    assert whole.n_trials == parts.n_trials
-    assert whole.total_slots == parts.total_slots
-    assert np.array_equal(whole.joint_counts, parts.joint_counts)
-    assert whole.nats_sum == pytest.approx(parts.nats_sum, rel=1e-12)
+    assert_same_stats(whole, parts)
+
+
+@pytest.mark.parametrize("policy,cfg", [
+    (COORD, make_config(scheme=Scheme.RTD, power=2.0)),
+    (SPLIT, ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0, 0.5)),
+                           rates=(1.0, 0.7, 1.3), power=1.5, scheme=Scheme.INR,
+                           max_rounds=2)),
+    (COORD, ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 1.0), tx_antennas=2,
+                                                 rx_antennas=2),
+                           rates=(3.0, 3.0), power=3.0, scheme=Scheme.RTD,
+                           max_rounds=2)),
+], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord"])
+def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
+    n = 5000
+    whole = simulate_batch(cfg, policy, n, SEED, chunk=n)
+    for chunk in (1, 7):
+        assert_same_stats(whole, simulate_batch(cfg, policy, n, SEED, chunk=chunk))
+    serial = simulate_batch(cfg, policy, n, SEED, chunk=700)
+    assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, chunk=700, n_jobs=2))
+    assert_same_stats(whole, serial)
+
+
+@pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(chunk=0), dict(n_jobs=0)])
+def test_simulate_batch_rejects_bad_counts(kwargs):
+    args = dict(n_trials=100, chunk=DEFAULT_CHUNK, n_jobs=1) | kwargs
+    with pytest.raises(ValueError):
+        simulate_batch(make_config(), COORD, master_seed=SEED, **args)
+
+
+def test_stats_match_per_packet_reference():
+    """The integer statistics reproduce per-packet slots and delivered nats."""
+    cfg = make_config(rates=(0.8, 1.4), scheme=Scheme.INR, max_rounds=3)
+    n = 2000
+    stats = simulate_batch(cfg, COORD, n, SEED)
+    slots, nats = [], []
+    for trial in range(n):
+        out = run_packet(cfg, COORD, Substream(SEED, trial=trial))
+        slots.append(out.slots_consumed)
+        nats.append(sum(out.nats_delivered))
+    slots, nats = np.array(slots), np.array(nats)
+    assert stats.total_slots == slots.sum()
+    assert stats.slots_sq_sum == (slots * slots).sum()
+    r = np.asarray(cfg.rates)
+    assert r @ stats.co_decoded @ r == pytest.approx((nats * nats).sum(), rel=1e-12)
+    assert r @ stats.decoded_slots == pytest.approx((nats * slots).sum(), rel=1e-12)
 
 
 def test_start_trial_offsets_partition_the_stream():
