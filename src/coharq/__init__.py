@@ -2,7 +2,7 @@
 Monte Carlo simulation that cross-validate each other."""
 
 from .fading import FadingProfile, GainDraw, ChannelMatrixDraw, Substream
-from .rates import Scheme, u_rtd, u_inr, decode_success, AccumulationState
+from .rates import Scheme, u_rtd, u_inr
 from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                        PacketOutcome, run_packet)
 from .analytic import (ThresholdPair, alpha_beta, gamma_norm, phi_coordinated,

@@ -242,137 +242,70 @@ def accumulation_cdf(scheme: Scheme, n_band1: int, n_band2: int, lambdas,
 # two-user event algebra
 
 
-OUTAGE = "out"
-
-
-def _band_cdfs(scheme, lambdas, power, rate, own_band):
-    # CDF of the own-band-only accumulation at the user's rate, by copy count
-    lam_pair = lambdas if own_band == 0 else (lambdas[1], lambdas[0])
-
-    def f_own(copies):
-        return accumulation_cdf(scheme, copies, 0, lam_pair, power, rate)
-
-    def f_mix(own_copies, donated_copies):
-        return accumulation_cdf(scheme, own_copies, donated_copies, lam_pair, power, rate)
-
-    return f_own, f_mix
-
-
-def event_probability_general(n, m, scheme: Scheme, max_rounds: int, lambdas,
-                              power: float, rate_a: float, rate_b: float) -> float:
-    """Per-packet probability that user A resolves at round n and user B at
-    round m, either an integer round in 1..M or OUTAGE.
-
-    The A-side stopping condition involves only band-1 gains up to A's stop
-    round, and the B-side condition only band-2 gains plus band-1 gains from
-    later slots (the donated copies), so the two conditions are independent
-    and the joint probability factors.
+def _resolve_given(scheme: Scheme, donated, lambdas, power: float,
+                   rate: float) -> np.ndarray:
+    """Q[i, j]: probability that the user resolves at round i when the other
+    user resolves at round j, index 0 meaning outage; lambdas[0] is the
+    user's own band. After round c the user holds c own-band copies and
+    donated[c][j] copies from the other band.
     """
-    M = max_rounds
-    fa_own, fa_mix = _band_cdfs(scheme, lambdas, power, rate_a, own_band=0)
-    fb_own, fb_mix = _band_cdfs(scheme, lambdas, power, rate_b, own_band=1)
-
-    def stop_first(f_own, r):
-        # user finishes at round r using only its own band (no help arrived)
-        return f_own(r - 1) - f_own(r)
-
-    def stop_helped(f_mix, r, helper_round):
-        # user finishes at round r > helper_round with donated copies from
-        # rounds helper_round+1 .. r
-        lo = f_mix(r - 1, max(r - 1 - helper_round, 0))
-        hi = f_mix(r, r - helper_round)
-        return lo - hi
-
-    if n == OUTAGE and m == OUTAGE:
-        return fa_own(M) * fb_own(M)
-    if n == OUTAGE:
-        if not 1 <= m <= M:
-            raise ValueError(f"round {m} out of range")
-        return stop_first(fb_own, m) * fa_mix(M, max(M - m, 0))
-    if m == OUTAGE:
-        if not 1 <= n <= M:
-            raise ValueError(f"round {n} out of range")
-        return stop_first(fa_own, n) * fb_mix(M, max(M - n, 0))
-    if not (1 <= n <= M and 1 <= m <= M):
-        raise ValueError(f"rounds ({n}, {m}) out of range for M={M}")
-    if n == m:
-        return stop_first(fa_own, n) * stop_first(fb_own, m)
-    if n < m:
-        return stop_first(fa_own, n) * stop_helped(fb_mix, m, n)
-    return stop_first(fb_own, m) * stop_helped(fa_mix, n, m)
-
-
-@dataclass
-class EventProbabilities:
-    """Per-packet terminal-event distribution for the two-user system.
-
-    `probs` maps labels like "A1B2" or "A2Bout" to probabilities summing to
-    one. The long-run per-slot frequencies are these values times gamma
-    (packets per slot).
-    """
-
-    probs: dict
-    alpha: float
-    beta: float
-    gamma: float
-    max_rounds: int
-
-    def check(self, tol: float = 1e-10) -> None:
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > tol:
-            raise ConsistencyError(f"event probabilities sum to {total}, not 1")
-
-
-def _event_label(n, m):
-    a = "Aout" if n == OUTAGE else f"A{n}"
-    b = "Bout" if m == OUTAGE else f"B{m}"
-    return a + b
+    # each (own, donated) copy count's CDF at the rate, evaluated once
+    short = {(own, d): accumulation_cdf(scheme, own, d, lambdas, power, rate)
+             for own, row in enumerate(donated) for d in set(row)}
+    # g[c][j]: still short after round c; outage is short after the last
+    # round, resolving at round i is short after round i-1 but not after i
+    g = [[short[own, d] for d in row] for own, row in enumerate(donated)]
+    resolved = [[a - b for a, b in zip(before, after)] for before, after in zip(g, g[1:])]
+    return np.array([g[-1]] + resolved)
 
 
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
-                rate_a: float, rate_b: float) -> EventProbabilities:
-    """Full per-packet terminal-event distribution for K = 2 users."""
-    M = max_rounds
-    outcomes = list(range(1, M + 1)) + [OUTAGE]
-    probs = {}
-    expected_slots = 0.0
-    for n in outcomes:
-        for m in outcomes:
-            q = event_probability_general(n, m, scheme, M, lambdas, power, rate_a, rate_b)
-            probs[_event_label(n, m)] = q
-            slots = max(M if n == OUTAGE else n, M if m == OUTAGE else m)
-            expected_slots += slots * q
-    thresholds = ThresholdPair.from_rates(rate_a, rate_b, power)
-    alpha, beta = alpha_beta(thresholds, lambdas)
-    return EventProbabilities(probs=probs, alpha=alpha, beta=beta,
-                              gamma=1.0 / expected_slots, max_rounds=M)
+                rate_a: float, rate_b: float, *, coordinated: bool = True) -> np.ndarray:
+    """Per-packet terminal-event distribution for K = 2 users.
+
+    Cell [i, j] is the probability that user A resolves at round i and user
+    B at round j, with index 0 meaning outage: shape (M+1, M+1), indexed
+    like `BatchStats.joint_counts`. The A-side stopping condition involves
+    only band-1 gains up to A's stop round, and the B-side condition only
+    band-2 gains plus band-1 gains from later slots (the donated copies), so
+    the two conditions are independent and cell [i, j] is Q_A[i, j] Q_B[j, i].
+    `coordinated=False` gives independent single-user HARQ on each band.
+    """
+    rounds = range(max_rounds + 1)
+    # a user that resolves at round j >= 1 donates its band from round j+1
+    # on, so by round c the other user holds max(c - j, 0) donated copies
+    donated = [[max(c - j, 0) if j and coordinated else 0 for j in rounds] for c in rounds]
+    lam_a, lam_b = lambdas
+    q_a = _resolve_given(scheme, donated, (lam_a, lam_b), power, rate_a)
+    q_b = _resolve_given(scheme, donated, (lam_b, lam_a), power, rate_b)
+    return q_a * q_b.T
 
 
-def outage_probabilities(events: EventProbabilities) -> tuple:
-    """Per-slot outage frequencies (gamma-weighted per-packet outage)."""
-    out_a = sum(p for lbl, p in events.probs.items() if lbl.startswith("Aout"))
-    out_b = sum(p for lbl, p in events.probs.items() if lbl.endswith("Bout"))
-    return events.gamma * out_a, events.gamma * out_b
+def event_label(i: int, j: int) -> str:
+    """Name of event-table cell [i, j], such as "A1B2" or "AoutB1"."""
+    return f"A{i or 'out'}B{j or 'out'}"
 
 
-def per_packet_outage(events: EventProbabilities) -> tuple:
-    out_a = sum(p for lbl, p in events.probs.items() if lbl.startswith("Aout"))
-    out_b = sum(p for lbl, p in events.probs.items() if lbl.endswith("Bout"))
-    return out_a, out_b
+def packets_per_slot(table: np.ndarray) -> float:
+    """Long-run packet-start rate gamma = 1 / E[slots per packet].
+
+    A packet holds the channel until its last user resolves, so for M
+    slots if either user ends in outage. Per-slot frequencies are the
+    per-packet table values times gamma.
+    """
+    M = len(table) - 1
+    cells = table.tolist()
+    rounds = [*range(1, M + 1), 0]  # outage last, the order the labels sort in
+    return 1.0 / sum(max(i or M, j or M) * cells[i][j] for i in rounds for j in rounds)
 
 
-def throughput_closed(events: EventProbabilities, rate_a: float, rate_b: float) -> float:
+def throughput_closed(table: np.ndarray, rate_a: float, rate_b: float) -> float:
     """Long-run throughput in npcu: gamma-weighted delivered nats per slot."""
-    events.check(tol=1e-6)
-    succ_a = sum(p for lbl, p in events.probs.items() if not lbl.startswith("Aout"))
-    succ_b = sum(p for lbl, p in events.probs.items() if not lbl.endswith("Bout"))
-    return events.gamma * (rate_a * succ_a + rate_b * succ_b)
-
-
-def per_user_throughput(events: EventProbabilities, rate_a: float, rate_b: float) -> tuple:
-    succ_a = sum(p for lbl, p in events.probs.items() if not lbl.startswith("Aout"))
-    succ_b = sum(p for lbl, p in events.probs.items() if not lbl.endswith("Bout"))
-    return events.gamma * rate_a * succ_a, events.gamma * rate_b * succ_b
+    total = table.sum()
+    if abs(total - 1.0) > 1e-6:
+        raise ConsistencyError(f"event probabilities sum to {total}, not 1")
+    return packets_per_slot(table) * float(rate_a * table[1:].sum()
+                                           + rate_b * table[:, 1:].sum())
 
 
 def outage_b_rtd_closed(thresholds: ThresholdPair, lambdas, alpha: float) -> float:

@@ -416,7 +416,15 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    lambdas = tuple(float(v) for v in args.lambdas.split(","))
+    lambdas = FadingProfile(lambdas=[float(v) for v in args.lambdas.split(",")]).lambdas
+    if len(lambdas) != 2:
+        raise ConfigurationError(f"--lambdas needs two values, got {args.lambdas!r}")
+    if not args.power > 0:
+        raise ConfigurationError(f"--power must be positive, got {args.power}")
+    if args.max_rounds < 1:
+        raise ConfigurationError(f"--max-rounds must be at least 1, got {args.max_rounds}")
+    if args.rate_a < 0 or args.rate_b < 0:
+        raise ConfigurationError("--rate-a and --rate-b must be nonnegative")
     if args.op == "cdf-rtd":
         print(analytic.cdf_rtd_sum(args.n, args.m, lambdas, args.power, args.x))
     elif args.op == "cdf-inr":
@@ -425,11 +433,13 @@ def _cmd_analytic(args) -> int:
         tp = analytic.ThresholdPair.from_rates(args.rate_a, args.rate_b, args.power)
         print(analytic.phi_coordinated(tp, lambdas))
     elif args.op == "events":
-        ev = analytic.event_table(Scheme(args.scheme), args.max_rounds, lambdas,
-                                  args.power, args.rate_a, args.rate_b)
-        for lbl in sorted(ev.probs):
-            print(f"{lbl} {ev.probs[lbl]!r}")
-        print(f"gamma {ev.gamma!r}")
+        table = analytic.event_table(Scheme(args.scheme), args.max_rounds, lambdas,
+                                     args.power, args.rate_a, args.rate_b)
+        probs = {analytic.event_label(i, j): p
+                 for i, row in enumerate(table.tolist()) for j, p in enumerate(row)}
+        for lbl in sorted(probs):
+            print(f"{lbl} {probs[lbl]!r}")
+        print(f"gamma {analytic.packets_per_slot(table)!r}")
     elif args.op == "diversity":
         print(analytic.diversity_gain(args.helpers, args.max_rounds))
     return 0

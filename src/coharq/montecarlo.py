@@ -280,12 +280,6 @@ def _bernoulli_ci(successes: int, trials: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def _event_label(ra: int, rb: int) -> str:
-    a = "Aout" if ra == 0 else f"A{ra}"
-    b = "Bout" if rb == 0 else f"B{rb}"
-    return a + b
-
-
 def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
              master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> dict:
     """Point estimates with 95% confidence half-widths.
@@ -339,7 +333,7 @@ def estimates_from_stats(stats: BatchStats, config: ProtocolConfig) -> dict:
         for ra in range(m_max + 1):
             for rb in range(m_max + 1):
                 c = int(stats.joint_counts[ra, rb])
-                lbl = _event_label(ra, rb)
+                lbl = analytic.event_label(ra, rb)
                 out[f"event_{lbl}"] = EstimateWithCI(c / n, n, _bernoulli_ci(c, n),
                                                      f"event_{lbl}")
     return out
@@ -351,66 +345,30 @@ def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> d
     Available for K = 2 SISO with the full-coordination or non-coordinated
     policy; returns {} otherwise (those cases are Monte Carlo only).
     """
-    if config.n_users != 2 or not config.profile.is_siso:
+    if (config.n_users != 2 or not config.profile.is_siso
+            or policy.kind not in (PolicyKind.FULL_COORDINATION_K2, PolicyKind.NON_COORDINATED)):
         return {}
-    lambdas = config.profile.lambdas
     ra, rb = config.rates
-    if policy.kind is PolicyKind.FULL_COORDINATION_K2:
-        ev = analytic.event_table(config.scheme, config.max_rounds, lambdas,
-                                  config.power, ra, rb)
-    elif policy.kind is PolicyKind.NON_COORDINATED:
-        ev = _non_coordinated_event_table(config)
-    else:
-        return {}
-    out_a, out_b = analytic.per_packet_outage(ev)
-    eta_a, eta_b = analytic.per_user_throughput(ev, ra, rb)
+    table = analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
+                                 config.power, ra, rb, coordinated=policy.coordinated)
+    gamma = analytic.packets_per_slot(table)
+    # each user's resolve-round distribution, index 0 = outage
+    rounds_a, rounds_b = table.sum(axis=1).tolist(), table.sum(axis=0).tolist()
     vals = {
-        "gamma": ev.gamma,
-        "outage_packet_user0": out_a,
-        "outage_packet_user1": out_b,
-        "outage_user0": ev.gamma * out_a,
-        "outage_user1": ev.gamma * out_b,
-        "throughput": analytic.throughput_closed(ev, ra, rb),
+        "gamma": gamma,
+        "outage_packet_user0": rounds_a[0],
+        "outage_packet_user1": rounds_b[0],
+        "outage_user0": gamma * rounds_a[0],
+        "outage_user1": gamma * rounds_b[0],
+        "throughput": analytic.throughput_closed(table, ra, rb),
     }
+    eta_a, eta_b = ra * sum(rounds_a[1:]), rb * sum(rounds_b[1:])
     if eta_b > 0:
         vals["fairness"] = eta_a / eta_b
-    for lbl, p in ev.probs.items():
-        vals[f"event_{lbl}"] = p
+    for i, row in enumerate(table.tolist()):
+        for j, p in enumerate(row):
+            vals[f"event_{analytic.event_label(i, j)}"] = p
     return vals
-
-
-def _non_coordinated_event_table(config: ProtocolConfig):
-    # independent single-user HARQ per band: joint decode-round probabilities
-    # factor across users
-    lambdas = config.profile.lambdas
-    m_max = config.max_rounds
-
-    def marginal(lam, rate):
-        def own(copies):
-            return analytic.accumulation_cdf(config.scheme, copies, 0, (lam, lam),
-                                             config.power, rate)
-        probs = {r: own(r - 1) - own(r) for r in range(1, m_max + 1)}
-        probs[analytic.OUTAGE] = own(m_max)
-        return probs
-
-    pa = marginal(lambdas[0], config.rates[0])
-    pb = marginal(lambdas[1], config.rates[1])
-    probs = {}
-    expected_slots = 0.0
-    for na, qa in pa.items():
-        for nb, qb in pb.items():
-            label_a = "Aout" if na == analytic.OUTAGE else f"A{na}"
-            label_b = "Bout" if nb == analytic.OUTAGE else f"B{nb}"
-            q = qa * qb
-            probs[label_a + label_b] = q
-            slots = max(m_max if na == analytic.OUTAGE else na,
-                        m_max if nb == analytic.OUTAGE else nb)
-            expected_slots += q * slots
-    thresholds = analytic.ThresholdPair.from_rates(config.rates[0], config.rates[1],
-                                                   config.power)
-    alpha, beta = analytic.alpha_beta(thresholds, lambdas)
-    return analytic.EventProbabilities(probs=probs, alpha=alpha, beta=beta,
-                                       gamma=1.0 / expected_slots, max_rounds=m_max)
 
 
 # ---------------------------------------------------------------------------

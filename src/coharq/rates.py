@@ -5,7 +5,7 @@ combines repeated copies, so received SNRs add inside a single log; INR
 sends fresh parity, so per-copy mutual informations add across logs.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -14,38 +14,6 @@ import numpy as np
 class Scheme(Enum):
     RTD = "rtd"
     INR = "inr"
-
-
-@dataclass
-class AccumulationState:
-    """Per-user decoder state within one packet.
-
-    For RTD the relevant statistic is the list of per-copy SNRs; for INR it
-    is the list of per-copy mutual informations. Lists are append-only while
-    the packet is live.
-    """
-
-    scheme: Scheme
-    snr_terms: list = field(default_factory=list)
-    mi_terms: list = field(default_factory=list)
-
-    @property
-    def copies(self) -> int:
-        return len(self.snr_terms) if self.scheme is Scheme.RTD else len(self.mi_terms)
-
-    def add_copy(self, snr: float) -> None:
-        if snr < 0:
-            raise ValueError(f"SNR must be nonnegative, got {snr}")
-        if self.scheme is Scheme.RTD:
-            self.snr_terms.append(snr)
-        else:
-            self.mi_terms.append(float(np.log1p(snr)))
-
-    def accumulated_nats(self) -> float:
-        """Total decodable nats so far: m * U_(m)."""
-        if self.scheme is Scheme.RTD:
-            return float(np.log1p(sum(self.snr_terms)))
-        return float(sum(self.mi_terms))
 
 
 def u_rtd(snr_terms) -> float:
@@ -64,18 +32,6 @@ def u_inr(snr_terms) -> float:
     if not terms:
         raise ValueError("need at least one received copy")
     return float(np.sum(np.log1p(terms))) / len(terms)
-
-
-def decode_success(state: AccumulationState, initial_rate: float) -> bool:
-    """Stopping rule: accumulated nats reach the packet's initial rate.
-
-    Equivalent to m * U_(m) >= R, i.e. the per-use rate meets the effective
-    rate R/m after m copies. Equality counts as success (a zero-probability
-    boundary under continuous fading).
-    """
-    if initial_rate < 0:
-        raise ValueError(f"rate must be nonnegative, got {initial_rate}")
-    return state.accumulated_nats() >= initial_rate
 
 
 @dataclass

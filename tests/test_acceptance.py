@@ -200,12 +200,12 @@ def test_criterion_7_probability_partition():
     worst_m2 = 0.0
     for scheme in (Scheme.RTD, Scheme.INR):
         ev = event_table(scheme, 2, (1.0, 2.0), 3.0, 1.0, 0.8)
-        worst_m2 = max(worst_m2, abs(sum(ev.probs.values()) - 1.0))
+        worst_m2 = max(worst_m2, abs(ev.sum() - 1.0))
     worst_gen = 0.0
     for scheme in (Scheme.RTD, Scheme.INR):
         for m_rounds in (3, 4):
             ev = event_table(scheme, m_rounds, (1.0, 2.0), 3.0, 1.0, 0.8)
-            worst_gen = max(worst_gen, abs(sum(ev.probs.values()) - 1.0))
+            worst_gen = max(worst_gen, abs(ev.sum() - 1.0))
     ok = ok and worst_m2 <= 1e-10 and worst_gen <= 1e-6
     report(7, ok,
            f"event counts sum to 1 exactly (dev {abs(count_sum - 1.0):.1e}); "

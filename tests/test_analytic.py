@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from coharq.analytic import (ConsistencyError, EventProbabilities, OUTAGE,
-                             PartialFractionExpansion, ThresholdPair,
-                             accumulation_cdf, alpha_beta, cdf_inr_sum,
-                             cdf_rtd_sum, diversity_gain,
-                             event_probability_general, event_table,
-                             gamma_norm, outage_b_rtd_closed,
-                             outage_probabilities, partial_fraction_expansion,
-                             per_packet_outage, per_user_throughput,
-                             phi_coordinated, throughput_closed)
+from coharq.analytic import (ConsistencyError, ThresholdPair, accumulation_cdf,
+                             alpha_beta, cdf_inr_sum, cdf_rtd_sum, diversity_gain,
+                             event_label, event_table, gamma_norm,
+                             outage_b_rtd_closed, packets_per_slot,
+                             partial_fraction_expansion, phi_coordinated,
+                             throughput_closed)
+from coharq.fading import FadingProfile
+from coharq.montecarlo import analytic_counterparts
+from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
 from coharq.rates import Scheme
 
 
@@ -236,17 +236,17 @@ def test_event_reductions_m2_rtd():
     ev = event_table(Scheme.RTD, 2, PARAMS["lambdas"], PARAMS["power"],
                      PARAMS["rate_a"], PARAMS["rate_b"])
     phi = phi_coordinated(t, PARAMS["lambdas"])
-    assert ev.probs["A1B1"] == pytest.approx((1 - a) * (1 - b), rel=1e-10)
-    assert ev.probs["A1B2"] == pytest.approx((1 - a) * (b - phi), rel=1e-10)
-    assert ev.probs["A1Bout"] == pytest.approx((1 - a) * phi, rel=1e-10)
-    assert ev.gamma == pytest.approx(gamma_norm(a, b), rel=1e-10)
+    assert ev[1, 1] == pytest.approx((1 - a) * (1 - b), rel=1e-10)
+    assert ev[1, 2] == pytest.approx((1 - a) * (b - phi), rel=1e-10)
+    assert ev[1, 0] == pytest.approx((1 - a) * phi, rel=1e-10)
+    assert packets_per_slot(ev) == pytest.approx(gamma_norm(a, b), rel=1e-10)
 
 
 def test_eq5_assembly_identity():
     t, a, b = _components()
     ev = event_table(Scheme.RTD, 2, PARAMS["lambdas"], PARAMS["power"],
                      PARAMS["rate_a"], PARAMS["rate_b"])
-    _, out_b = outage_probabilities(ev)
+    out_b = packets_per_slot(ev) * ev[:, 0].sum()
     closed = outage_b_rtd_closed(t, PARAMS["lambdas"], a)
     assert out_b == pytest.approx(closed, abs=1e-12)
 
@@ -256,24 +256,31 @@ def test_eq5_assembly_identity():
 def test_event_tables_sum_to_one(scheme, max_rounds):
     ev = event_table(scheme, max_rounds, (1.0, 2.0), 2.0, 1.0, 1.0)
     tol = 1e-10 if max_rounds == 2 else 1e-6
-    assert sum(ev.probs.values()) == pytest.approx(1.0, abs=tol)
-    ev.check(tol=tol)
-    assert all(p >= -1e-15 for p in ev.probs.values())
+    assert ev.shape == (max_rounds + 1, max_rounds + 1)
+    assert ev.sum() == pytest.approx(1.0, abs=tol)
+    assert (ev >= -1e-15).all()
 
 
 def test_event_check_raises():
-    bad = EventProbabilities(probs={"A1B1": 0.7}, alpha=0.1, beta=0.1, gamma=0.9,
-                             max_rounds=2)
+    bad = np.zeros((3, 3))
+    bad[1, 1] = 0.7
     with pytest.raises(ConsistencyError):
-        bad.check()
+        throughput_closed(bad, 1.0, 1.0)
 
 
 def test_outage_conventions_related_by_gamma():
+    # per-packet outage is row 0 (user A) or column 0 (user B) of the table;
+    # the per-slot outage is that times gamma
+    cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 1.0)), rates=(1.0, 1.0),
+                         power=1.0, scheme=Scheme.INR, max_rounds=2)
+    ana = analytic_counterparts(cfg, AllocationPolicy(PolicyKind.FULL_COORDINATION_K2))
     ev = event_table(Scheme.INR, 2, (1.0, 1.0), 1.0, 1.0, 1.0)
-    slot_a, slot_b = outage_probabilities(ev)
-    pkt_a, pkt_b = per_packet_outage(ev)
-    assert slot_a == pytest.approx(ev.gamma * pkt_a, rel=1e-12)
-    assert slot_b == pytest.approx(ev.gamma * pkt_b, rel=1e-12)
+    assert ana["gamma"] == packets_per_slot(ev)
+    assert ana["outage_packet_user0"] == pytest.approx(ev[0, 0] + ev[0, 1] + ev[0, 2], rel=1e-12)
+    assert ana["outage_packet_user1"] == pytest.approx(ev[0, 0] + ev[1, 0] + ev[2, 0], rel=1e-12)
+    for u in range(2):
+        assert ana[f"outage_user{u}"] == pytest.approx(
+            ana["gamma"] * ana[f"outage_packet_user{u}"], rel=1e-12)
 
 
 def test_rtd_outage_never_below_inr():
@@ -281,7 +288,27 @@ def test_rtd_outage_never_below_inr():
     for p in (0.5, 2.0, 10.0):
         rtd = event_table(Scheme.RTD, 2, (1.0, 2.0), p, 1.0, 1.0)
         inr = event_table(Scheme.INR, 2, (1.0, 2.0), p, 1.0, 1.0)
-        assert per_packet_outage(rtd)[1] >= per_packet_outage(inr)[1] - 1e-9
+        assert rtd[:, 0].sum() >= inr[:, 0].sum() - 1e-9
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
+@pytest.mark.parametrize("max_rounds", [1, 3])
+def test_noncoordinated_table_is_product_of_marginals(scheme, max_rounds):
+    # without coordination each user runs single-user HARQ on its own band:
+    # Pr(decode at r) = F(r-1) - F(r), Pr(outage) = F(M), F(0) = 1
+    cdf = cdf_rtd_sum if scheme is Scheme.RTD else cdf_inr_sum
+    lambdas, power, rates = (1.0, 2.0), 3.0, (1.0, 0.8)
+
+    def marginal(own, other, rate):
+        f = [1.0] + [cdf(c, 0, (own, other), power, rate) for c in range(1, max_rounds + 1)]
+        return np.array([f[-1]] + [f[r - 1] - f[r] for r in range(1, max_rounds + 1)])
+
+    expected = np.outer(marginal(lambdas[0], lambdas[1], rates[0]),
+                        marginal(lambdas[1], lambdas[0], rates[1]))
+    got = event_table(scheme, max_rounds, lambdas, power, *rates, coordinated=False)
+    np.testing.assert_array_equal(got, expected)
+    coord = event_table(scheme, max_rounds, lambdas, power, *rates)
+    assert (coord[0, 0] == got[0, 0]) and (coord[1, 1] == got[1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +316,16 @@ def test_rtd_outage_never_below_inr():
 
 
 def test_throughput_synthetic():
-    probs = {"A1B1": 0.5, "A1B2": 0.2, "A2B1": 0.1, "A2B2": 0.1,
-             "AoutB1": 0.05, "A1Bout": 0.05}
-    ev = EventProbabilities(probs=probs, alpha=0.3, beta=0.3, gamma=0.7, max_rounds=2)
+    # rows index A's round, columns B's, 0 = outage
+    ev = np.array([[0.0, 0.05, 0.0],
+                   [0.05, 0.5, 0.2],
+                   [0.0, 0.1, 0.1]])
+    gamma = packets_per_slot(ev)
+    # slots: 1 for A1B1, 2 for every other nonzero cell
+    assert gamma == pytest.approx(1.0 / (0.5 + 2 * 0.5), rel=1e-12)
     eta = throughput_closed(ev, 1.0, 2.0)
     # A succeeds with prob 0.95, B with 0.95
-    assert eta == pytest.approx(0.7 * (1.0 * 0.95 + 2.0 * 0.95), rel=1e-12)
-    ea, eb = per_user_throughput(ev, 1.0, 2.0)
-    assert ea + eb == pytest.approx(eta, rel=1e-12)
+    assert eta == pytest.approx(gamma * (1.0 * 0.95 + 2.0 * 0.95), rel=1e-12)
 
 
 def test_throughput_zero_rate():
@@ -315,15 +344,19 @@ def test_throughput_high_power_limit():
 
 
 def test_event_probability_general_first_round():
-    a = event_probability_general(1, 1, Scheme.RTD, 3, (1.0, 2.0), 2.0, 1.0, 1.0)
+    a = event_table(Scheme.RTD, 3, (1.0, 2.0), 2.0, 1.0, 1.0)[1, 1]
     t = ThresholdPair.from_rates(1.0, 1.0, 2.0)
     al, be = alpha_beta(t, (1.0, 2.0))
     assert a == pytest.approx((1 - al) * (1 - be), rel=1e-10)
 
 
 def test_event_probability_outage_label():
-    q = event_probability_general(OUTAGE, OUTAGE, Scheme.RTD, 2, (1.0, 1.0), 0.5, 2.0, 2.0)
+    q = event_table(Scheme.RTD, 2, (1.0, 1.0), 0.5, 2.0, 2.0)[0, 0]
     assert 0.0 < q < 1.0
+    assert event_label(0, 0) == "AoutBout"
+    assert event_label(0, 2) == "AoutB2"
+    assert event_label(3, 0) == "A3Bout"
+    assert event_label(1, 2) == "A1B2"
 
 
 def test_diversity_gain_examples():

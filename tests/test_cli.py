@@ -129,6 +129,40 @@ def test_main_analytic_op(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_main_analytic_events_golden(capsys):
+    # defaults: RTD, M = 2, lambdas (1, 2), P = 1, R_A = R_B = 1
+    assert main(["analytic", "--op", "events"]) == 0
+    lines = [ln.split() for ln in capsys.readouterr().out.splitlines()]
+    assert lines == [
+        ["A1B1", "0.005771371767537498"],
+        ["A1B2", "0.08578106694967731"],
+        ["A1Bout", "0.08782164001680252"],
+        ["A2B1", "0.015097549193178527"],
+        ["A2B2", "0.034079863047398254"],
+        ["A2Bout", "0.2642185137044043"],
+        ["AoutB1", "0.011306139160961343"],
+        ["AoutB2", "0.05665809275903031"],
+        ["AoutBout", "0.4392657634010099"],
+        ["gamma", "0.5014470185829828"],
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--op", "events", "--max-rounds", "0"],
+    ["--op", "events", "--lambdas", "1"],
+    ["--op", "events", "--power", "0"],
+    ["--op", "events", "--rate-b", "-1"],
+    ["--op", "cdf-rtd", "--power", "0"],
+    ["--op", "cdf-rtd", "--lambdas", "0,1"],
+    ["--op", "cdf-inr", "--lambdas", "1,0"],
+])
+def test_main_analytic_bad_input_exit_2(argv, capsys):
+    assert main(["analytic", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
+
+
 def test_main_config_error_exit_2(capsys):
     assert main(["run"]) == 2
     assert main(["sweep", "--policy", "psychic"]) == 2

@@ -172,6 +172,15 @@ def test_event_frequencies_sum_to_one_exactly():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("policy", [COORD, NONCOORD])
+def test_estimate_and_counterparts_name_the_same_events(policy):
+    cfg = make_config(max_rounds=3)
+    est = {k for k in estimate(cfg, policy, 1000, SEED) if k.startswith("event_")}
+    ana = {k for k in analytic_counterparts(cfg, policy) if k.startswith("event_")}
+    assert len(est) == 16 and "event_AoutB3" in est
+    assert est == ana
+
+
 def test_outage_is_gamma_weighted_packet_outage():
     cfg = make_config(power=2.0)
     est = estimate(cfg, COORD, 50_000, SEED)
