@@ -1,15 +1,14 @@
 """Closed-form and semi-numerical probability engine for coordinated HARQ.
 
 Covers the two-user event algebra (decode-round probabilities, outage,
-throughput, fairness), the hypoexponential CDF of the RTD accumulated SNR
-via partial fractions, the INR accumulated mutual-information CDF via
-iterated numerical convolution, and the diversity-gain formula. Everything
-here is deterministic and serves as the simulator's cross-check (and vice
-versa).
+throughput, fairness), the CDF of the RTD accumulated SNR (a sum of
+exponential gains, evaluated as a gamma mixture with nonnegative weights
+for any pair of fading parameters, equal or not), the INR accumulated
+mutual-information CDF via iterated numerical convolution, and the
+diversity-gain formula. Everything here is deterministic and serves as the
+simulator's cross-check (and vice versa).
 
 Conventions: rates in nats per channel use, natural logs, power linear.
-Per-band closed forms require distinct fading parameters; the equal-lambda
-case dispatches to the Erlang limit.
 """
 
 import math
@@ -22,12 +21,10 @@ from scipy.signal import fftconvolve
 from .rates import Scheme
 from .special import gammainc_lower
 
-# Relative lambda gap below which the hypoexponential partial fractions are
-# numerically meaningless and the Erlang limit is used instead. Near the
-# boundary the pole cancellation loses ~1/gap digits, while the Erlang
-# substitute is only O(gap) wrong, so the switch sits where the two error
-# curves cross.
-_EQUAL_LAMBDA_RTOL = 1e-5
+# Size, relative to the value computed, below which a remainder is dropped:
+# the tail of the RTD gamma mixture, or the chance of falling short of a
+# target; well under the double-precision spacing at 1.
+_NEGLIGIBLE = 1e-17
 
 # Base grid resolution for the INR convolution (doubled once for Richardson
 # extrapolation, giving an effective O(h^4) scheme).
@@ -84,95 +81,85 @@ def phi_coordinated(thresholds: ThresholdPair, lambdas) -> float:
     coordinated slot in which it received both bands (two own-band copies
     plus one donated copy).
     """
-    lam1, lam2 = lambdas
-    c = thresholds.c_b
-    if c == 0.0:
-        return 0.0
-    if abs(lam1 - lam2) <= _EQUAL_LAMBDA_RTOL * max(lam1, lam2):
-        # Erlang(3) limit of the distinct-rate closed form.
-        lam = 0.5 * (lam1 + lam2)
-        x = lam * c
-        return float(1.0 - math.exp(-x) * (1.0 + x + 0.5 * x * x))
-    e1 = math.exp(-lam1 * c)
-    e2 = math.exp(-lam2 * c)
-    phi = (1.0 - e1
-           + (e2 - e1) / (lam2 / lam1 - 1.0)
-           + c * e2 / (1.0 / lam1 - 1.0 / lam2)
-           + lam1 * lam2 / (lam1 - lam2) ** 2 * (e2 - e1))
-    return float(min(max(phi, 0.0), 1.0))
+    return gain_sum_cdf(1, 2, lambdas, thresholds.c_b)
 
 
 # ---------------------------------------------------------------------------
-# hypoexponential CDF (RTD accumulation)
+# sum-of-exponentials CDF (RTD accumulation)
 
 
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """Coefficients of (1 + Ps/l1)^-n (1 + Ps/l2)^-m as a sum of simple poles.
+def gain_sum_cdf(n: int, m: int, lambdas, z: float) -> float:
+    """CDF at z of S, the sum of n Exp(l1) and m Exp(l2) gains.
 
-    a[k-1] multiplies (1 + Ps/l1)^-k for k = 1..n, b likewise for the second
-    rate. Requires distinct rates.
+    Evaluated as a gamma mixture with nonnegative weights (Moschopoulos,
+    1985): with lf the faster rate among the bands holding copies, c the copy
+    count at the slower rate ls and r = ls / lf, S ~ Gamma(n + m + K, lf)
+    with K ~ NegBin(c, r). Summing the mixture by parts with y = lf z gives
+    F = sum_{k<K} W_k pi_{n+m+k}(y) + W_K P(n+m+K, y), with W the NegBin CDF,
+    pi the Poisson(y) pmf and P the regularized lower incomplete gamma. Every
+    term is nonnegative, so nothing cancels near equal rates. The sum stops
+    at the first K whose remainder, at most min(1 - W_K, P(n+m+K, y)), is
+    below 1e-17 of the partial sum; equal rates, or no copy at the slower
+    rate, stop it at K = 0 (the Erlang CDF). The work grows with the rate
+    ratio lf / ls, as K does.
     """
-
-    n: int
-    m: int
-    lam1: float
-    lam2: float
-    a: tuple
-    b: tuple
-
-    def reconstruct(self, s: float, power: float) -> float:
-        """Re-sum the expansion at Laplace variable s (for validation)."""
-        val = 0.0
-        for k, ak in enumerate(self.a, start=1):
-            val += ak / (1.0 + power * s / self.lam1) ** k
-        for k, bk in enumerate(self.b, start=1):
-            val += bk / (1.0 + power * s / self.lam2) ** k
-        return val
-
-    def direct(self, s: float, power: float) -> float:
-        return (1.0 + power * s / self.lam1) ** -self.n * (1.0 + power * s / self.lam2) ** -self.m
-
-
-def partial_fraction_expansion(n: int, m: int, lambdas) -> PartialFractionExpansion:
-    """Partial-fraction coefficients for the sum of n Exp(l1) and m Exp(l2)."""
     lam1, lam2 = lambdas
-    if n < 1 or m < 1:
-        raise ValueError("both copy counts must be >= 1 for the two-pole expansion")
-    if abs(lam1 - lam2) <= _EQUAL_LAMBDA_RTOL * max(lam1, lam2):
-        raise ValueError("partial fractions need distinct fading parameters")
-    r1 = lam1 / lam2
-    r2 = lam2 / lam1
-    a = tuple((-r1) ** (n - k) * math.comb(n + m - k - 1, n - k) * (1.0 - r1) ** -(n + m - k)
-              for k in range(1, n + 1))
-    b = tuple((-r2) ** (m - k) * math.comb(n + m - k - 1, m - k) * (1.0 - r2) ** -(n + m - k)
-              for k in range(1, m + 1))
-    return PartialFractionExpansion(n=n, m=m, lam1=lam1, lam2=lam2, a=a, b=b)
+    if z <= 0.0:
+        return 0.0
+    lam_f = max(lam1 if n else 0.0, lam2 if m else 0.0)
+    c, lam_s = (n, lam1) if lam1 < lam_f else (m, lam2)
+    a = n + m
+    r = lam_s / lam_f
+    q = 1.0 - r
+    y = lam_f * z
+    log_y = math.log(y)
+    p = r ** c  # NegBin pmf at k
+    w = p  # NegBin CDF at k
+    log_pi = a * log_y - y - math.lgamma(a + 1)  # Poisson pmf at a + k, in logs
+    total = 0.0
+    k = 0
+    while True:
+        pi = math.exp(log_pi)
+        rho = q * (c + k) / (k + 1)  # p_{k+1} / p_k, nonincreasing in k
+        s = a + k + 1
+        nb_tail = p * rho / (1.0 - rho) if rho < 1.0 else math.inf
+        poisson_tail = pi * s / (s - y) if s > y else math.inf
+        if not min(nb_tail, poisson_tail) > _NEGLIGIBLE * total:  # NaN ends it too
+            break
+        total += w * pi
+        p *= rho
+        w += p
+        log_pi += log_y - math.log(s)
+        k += 1
+    return total + w * gammainc_lower(a + k, y)
+
+
+def _saturated(n: int, m: int, lambdas, power: float, x: float) -> bool:
+    """True when n + m copies fall short of x nats with probability 1 to
+    double precision, for RTD and INR alike.
+
+    Under INR, reaching x needs some copy to carry x / (n+m) nats on its
+    own, and RTD accumulates no more than INR, so the union bound over
+    copies, sum_i exp(-l_i expm1(x / (n+m)) / P), bounds 1 - CDF(x).
+    """
+    t = x / (n + m)
+    # math.expm1 overflows past ~709.78
+    gain = math.expm1(t) / power if t < 709.0 else math.inf
+    lam1, lam2 = lambdas
+    return n * math.exp(-lam1 * gain) + m * math.exp(-lam2 * gain) < _NEGLIGIBLE
 
 
 def cdf_rtd_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
-    """CDF at x of log(1 + P * S), S the sum of n Exp(l1) and m Exp(l2) gains.
-
-    Uses the partial-fraction expansion with regularized incomplete-gamma
-    terms Gamma(k, lam * z / P), z = e^x - 1. Pure Erlang path when one copy
-    count is zero or the fading parameters coincide.
+    """CDF at x of log(1 + P * S), S the sum of n Exp(l1) and m Exp(l2) gains:
+    `gain_sum_cdf` at z = (e^x - 1) / P.
     """
     if n < 0 or m < 0 or n + m < 1:
         raise ValueError(f"invalid copy counts ({n}, {m})")
     if x <= 0.0:
         return 0.0
-    lam1, lam2 = lambdas
-    z = math.expm1(x) / power
-    if n == 0:
-        return gammainc_lower(m, lam2 * z)
-    if m == 0:
-        return gammainc_lower(n, lam1 * z)
-    if abs(lam1 - lam2) <= _EQUAL_LAMBDA_RTOL * max(lam1, lam2):
-        return gammainc_lower(n + m, 0.5 * (lam1 + lam2) * z)
-    pfe = partial_fraction_expansion(n, m, lambdas)
-    total = sum(ak * gammainc_lower(k, lam1 * z) for k, ak in enumerate(pfe.a, start=1))
-    total += sum(bk * gammainc_lower(k, lam2 * z) for k, bk in enumerate(pfe.b, start=1))
-    return float(min(max(total, 0.0), 1.0))
+    if _saturated(n, m, lambdas, power, x):
+        return 1.0
+    return gain_sum_cdf(n, m, lambdas, math.expm1(x) / power)
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +209,8 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
         raise ValueError(f"invalid copy counts ({n}, {m})")
     if x <= 0.0:
         return 0.0
+    if _saturated(n, m, lambdas, power, x):
+        return 1.0
     lam1, lam2 = lambdas
     return _cdf_inr_cached(n, m, float(lam1), float(lam2), float(power), float(x))
 
@@ -315,11 +304,11 @@ def outage_b_rtd_closed(thresholds: ThresholdPair, lambdas, alpha: float) -> flo
     copies (two-stage Erlang tail). Second branch: A decoded round one, B
     fails on three combined copies (phi).
     """
-    lam1, lam2 = lambdas
+    lam2 = lambdas[1]
     c_b = thresholds.c_b
     beta = -math.expm1(-lam2 * c_b)
     gam = gamma_norm(alpha, beta)
-    erlang2_tail = 1.0 - math.exp(-lam2 * c_b) - lam2 * c_b * math.exp(-lam2 * c_b)
+    erlang2_tail = gain_sum_cdf(0, 2, lambdas, c_b)
     phi = phi_coordinated(thresholds, lambdas)
     return gam * alpha * erlang2_tail + gam * (1.0 - alpha) * phi
 

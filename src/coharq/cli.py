@@ -419,6 +419,10 @@ def _cmd_analytic(args) -> int:
     lambdas = FadingProfile(lambdas=[float(v) for v in args.lambdas.split(",")]).lambdas
     if len(lambdas) != 2:
         raise ConfigurationError(f"--lambdas needs two values, got {args.lambdas!r}")
+    for name in ("x", "power", "rate_a", "rate_b"):
+        if not math.isfinite(getattr(args, name)):
+            raise ConfigurationError(f"--{name.replace('_', '-')} must be finite, "
+                                     f"got {getattr(args, name)}")
     if not args.power > 0:
         raise ConfigurationError(f"--power must be positive, got {args.power}")
     if args.max_rounds < 1:

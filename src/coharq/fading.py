@@ -9,6 +9,7 @@ across workers, and paired-seed experiments see literally the same channel
 realizations.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,8 +39,9 @@ class FadingProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(float(l) for l in self.lambdas))
-        if not self.lambdas or any(l <= 0 for l in self.lambdas):
-            raise ConfigurationError(f"every fading parameter must be > 0, got {self.lambdas}")
+        if not self.lambdas or not all(math.isfinite(l) and l > 0 for l in self.lambdas):
+            raise ConfigurationError(
+                f"every fading parameter must be finite and > 0, got {self.lambdas}")
         if self.tx_antennas < 1 or self.rx_antennas < 1:
             raise ConfigurationError("need at least one antenna on each side")
 

@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from hypothesis import assume, given, strategies as st
+from scipy import integrate, special
 
 from coharq.analytic import (ConsistencyError, ThresholdPair, accumulation_cdf,
                              alpha_beta, cdf_inr_sum, cdf_rtd_sum, diversity_gain,
-                             event_label, event_table, gamma_norm,
+                             event_label, event_table, gain_sum_cdf, gamma_norm,
                              outage_b_rtd_closed, packets_per_slot,
-                             partial_fraction_expansion, phi_coordinated,
-                             throughput_closed)
+                             phi_coordinated, throughput_closed)
 from coharq.fading import FadingProfile
 from coharq.montecarlo import analytic_counterparts
 from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
 from coharq.rates import Scheme
+from test_acceptance import _hypoexp_cdf_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -74,9 +75,18 @@ def test_phi_equal_lambda_is_erlang3_limit():
     x = lam * c_b
     erlang3 = 1 - math.exp(-x) * (1 + x + x * x / 2)
     assert phi_coordinated(t, (lam, lam)) == pytest.approx(erlang3, rel=1e-9)
-    # continuity across the equal-lambda switch
+    # a 1e-7 relative gap moves phi by O(1e-7)
     near = phi_coordinated(t, (lam, lam * (1 + 1e-7)))
-    assert near == pytest.approx(erlang3, rel=1e-5)
+    assert near == pytest.approx(erlang3, rel=1e-6)
+
+
+def test_phi_near_equal_lambdas():
+    # just past the old 1e-5 equal-lambda switch the three-copy closed form
+    # lost 0.7% here; the phase-type oracle is exact
+    t = ThresholdPair(0.3, 0.05)
+    want = _hypoexp_cdf_oracle(1, 2, (1.0, 1.00002), 0.05)
+    assert want == pytest.approx(2.006828632e-05, rel=1e-9)
+    assert phi_coordinated(t, (1.0, 1.00002)) == pytest.approx(want, rel=1e-10)
 
 
 def test_phi_monte_carlo_oracle():
@@ -88,26 +98,6 @@ def test_phi_monte_carlo_oracle():
     est = np.mean(s < c_b)
     val = phi_coordinated(ThresholdPair(0.5, c_b), (lam1, lam2))
     assert abs(val - est) < 3 * math.sqrt(val * (1 - val) / n)
-
-
-# ---------------------------------------------------------------------------
-# partial fractions
-
-
-@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 6)])
-def test_partial_fraction_reconstruction(n, m):
-    rng = np.random.default_rng(n * 10 + m)
-    pfe = partial_fraction_expansion(n, m, (1.3, 0.6))
-    for s in rng.uniform(0.01, 20.0, size=10):
-        assert pfe.reconstruct(s, power=2.0) == pytest.approx(
-            pfe.direct(s, power=2.0), rel=1e-9, abs=1e-12)
-
-
-def test_partial_fraction_rejects_equal_lambdas():
-    with pytest.raises(ValueError):
-        partial_fraction_expansion(2, 2, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        partial_fraction_expansion(0, 1, (1.0, 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +118,75 @@ def test_cdf_rtd_equal_lambda_erlang():
     u = lam * z
     erlang3 = 1 - math.exp(-u) * (1 + u + u * u / 2)
     assert cdf_rtd_sum(2, 1, (lam, lam), p, x) == pytest.approx(erlang3, rel=1e-10)
+
+
+def _partial_fraction_cdf(n, m, lambdas, z):
+    """Distinct-rate closed form: the Erlang CDFs P(k, l z) weighted by the
+    partial-fraction coefficients of (1 + s/l1)^-n (1 + s/l2)^-m. Exact, and
+    well conditioned while the two rates are far apart."""
+    lam1, lam2 = lambdas
+    total = 0.0
+    for own, other, lam, r in ((n, m, lam1, lam1 / lam2), (m, n, lam2, lam2 / lam1)):
+        for k in range(1, own + 1):
+            coef = ((-r) ** (own - k) * math.comb(n + m - k - 1, own - k)
+                    * (1.0 - r) ** -(n + m - k))
+            total += coef * special.gammainc(k, lam * z)
+    return total
+
+
+@pytest.mark.parametrize("n,m", [(n, m) for n in range(1, 6) for m in range(1, 6)])
+def test_partial_fraction_reconstruction(n, m):
+    # at well-separated rates the gamma mixture reconstructs the
+    # partial-fraction closed form it replaced
+    rng = np.random.default_rng(n * 10 + m)
+    lambdas, power = (1.3, 0.6), 2.0
+    for x in rng.uniform(0.01, 4.0, size=10):
+        want = _partial_fraction_cdf(n, m, lambdas, math.expm1(x) / power)
+        assert cdf_rtd_sum(n, m, lambdas, power, x) == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@given(n=st.integers(0, 10), m=st.integers(0, 10),
+       gap=st.floats(1e-7, 9.0), slow_first=st.booleans(),
+       z=st.floats(1e-3, 30.0))
+def test_gain_sum_cdf_matches_phase_type_oracle(n, m, gap, slow_first, z):
+    assume(n + m > 0)
+    lambdas = (1.0, 1.0 + gap) if slow_first else (1.0 + gap, 1.0)
+    assert gain_sum_cdf(n, m, lambdas, z) == pytest.approx(
+        _hypoexp_cdf_oracle(n, m, lambdas, z), abs=1e-10)
+
+
+@pytest.mark.parametrize("n,m,lambdas,want", [
+    # the partial fractions returned 0.0, 1.0 and 1.0 here
+    (4, 4, (1.0, 1.001), 0.547597133453085),
+    (8, 8, (1.0, 1.05), 0.0101619825357958),
+    (10, 10, (1.0, 1.0001), 2.5309841182e-4),
+])
+def test_cdf_rtd_near_equal_lambdas(n, m, lambdas, want):
+    got = cdf_rtd_sum(n, m, lambdas, 1.0, math.log(9))
+    assert got == pytest.approx(_hypoexp_cdf_oracle(n, m, lambdas, 8.0), abs=1e-12)
+    assert got == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("lambdas", [(1.0, 1.0 + 1e-7), (1.0, 2.0), (10.0, 1.0), (100.0, 1.0)])
+@pytest.mark.parametrize("z", [1e-9, 1e-12])
+def test_gain_sum_cdf_deep_tail(lambdas, z):
+    # small-z leading term l1^n l2^m z^(n+m) / (n+m)!; the next term is
+    # O(z (n l1 + m l2)) relative
+    lam1, lam2 = lambdas
+    for n in range(11):
+        for m in range(11):
+            if n + m == 0:
+                continue
+            lead = lam1 ** n * lam2 ** m * z ** (n + m) / math.factorial(n + m)
+            assert gain_sum_cdf(n, m, lambdas, z) == pytest.approx(lead, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("cdf", [cdf_rtd_sum, cdf_inr_sum])
+@pytest.mark.parametrize("x", [100.0, 1000.0, 1e6])
+def test_cdf_saturates_at_large_target(cdf, x):
+    assert cdf(1, 1, (1.0, 2.0), 1.0, x) == 1.0
+    assert cdf(3, 0, (1.0, 2.0), 10.0, x) == 1.0
 
 
 def _rtd_quad_oracle(n, m, lambdas, power, x):
@@ -254,11 +313,12 @@ def test_eq5_assembly_identity():
 @pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
 @pytest.mark.parametrize("max_rounds", [2, 3, 4])
 def test_event_tables_sum_to_one(scheme, max_rounds):
-    ev = event_table(scheme, max_rounds, (1.0, 2.0), 2.0, 1.0, 1.0)
-    tol = 1e-10 if max_rounds == 2 else 1e-6
-    assert ev.shape == (max_rounds + 1, max_rounds + 1)
-    assert ev.sum() == pytest.approx(1.0, abs=tol)
-    assert (ev >= -1e-15).all()
+    for lambdas in ((1.0, 2.0), (1.0, 1.001)):
+        ev = event_table(scheme, max_rounds, lambdas, 2.0, 1.0, 1.0)
+        tol = 1e-10 if max_rounds == 2 else 1e-6
+        assert ev.shape == (max_rounds + 1, max_rounds + 1)
+        assert ev.sum() == pytest.approx(1.0, abs=tol)
+        assert (ev >= -1e-15).all()
 
 
 def test_event_check_raises():

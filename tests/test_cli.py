@@ -135,12 +135,12 @@ def test_main_analytic_events_golden(capsys):
     lines = [ln.split() for ln in capsys.readouterr().out.splitlines()]
     assert lines == [
         ["A1B1", "0.005771371767537498"],
-        ["A1B2", "0.08578106694967731"],
-        ["A1Bout", "0.08782164001680252"],
-        ["A2B1", "0.015097549193178527"],
+        ["A1B2", "0.08578106694967721"],
+        ["A1Bout", "0.08782164001680262"],
+        ["A2B1", "0.01509754919317853"],
         ["A2B2", "0.034079863047398254"],
         ["A2Bout", "0.2642185137044043"],
-        ["AoutB1", "0.011306139160961343"],
+        ["AoutB1", "0.01130613916096134"],
         ["AoutB2", "0.05665809275903031"],
         ["AoutBout", "0.4392657634010099"],
         ["gamma", "0.5014470185829828"],
@@ -155,6 +155,14 @@ def test_main_analytic_events_golden(capsys):
     ["--op", "cdf-rtd", "--power", "0"],
     ["--op", "cdf-rtd", "--lambdas", "0,1"],
     ["--op", "cdf-inr", "--lambdas", "1,0"],
+    ["--op", "cdf-rtd", "--lambdas", "nan,1"],
+    ["--op", "events", "--lambdas", "inf,1"],
+    ["--op", "cdf-rtd", "--x", "nan"],
+    ["--op", "cdf-rtd", "--x", "inf"],
+    ["--op", "cdf-inr", "--x", "inf"],
+    ["--op", "events", "--rate-a", "nan"],
+    ["--op", "events", "--rate-a", "inf"],
+    ["--op", "events", "--power", "inf"],
 ])
 def test_main_analytic_bad_input_exit_2(argv, capsys):
     assert main(["analytic", *argv]) == 2
@@ -167,6 +175,7 @@ def test_main_config_error_exit_2(capsys):
     assert main(["run"]) == 2
     assert main(["sweep", "--policy", "psychic"]) == 2
     assert main(["sweep", "--snr-db", "10:0:20"]) == 2
+    assert main(["sweep", "--lambdas", "nan,1"]) == 2
 
 
 def test_main_zero_trials_exit_2(capsys):

@@ -4,22 +4,19 @@ import pytest
 import scipy.special
 from hypothesis import given, strategies as st
 
-from coharq.special import erlang_cdf, gammainc_lower, gammainc_upper
+from coharq.special import gammainc_lower
 
-shapes = st.one_of(st.integers(1, 40).map(float),
+# integer shapes reach the ~1000 that the RTD gamma mixture asks for at a
+# fading-parameter ratio of 10
+shapes = st.one_of(st.integers(1, 1000).map(float),
                    st.floats(0.5, 50.0, allow_nan=False))
-args = st.floats(1e-8, 200.0, allow_nan=False)
+args = st.floats(1e-8, 3000.0, allow_nan=False)
 
 
 @given(shapes, args)
 def test_matches_scipy(a, x):
     assert gammainc_lower(a, x) == pytest.approx(scipy.special.gammainc(a, x),
                                                  rel=1e-11, abs=1e-13)
-
-
-@given(shapes, args)
-def test_lower_upper_complement(a, x):
-    assert gammainc_lower(a, x) + gammainc_upper(a, x) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(shapes, args, args)
@@ -30,13 +27,7 @@ def test_monotone_in_x(a, x1, x2):
 
 def test_boundaries():
     assert gammainc_lower(3.0, 0.0) == 0.0
-    assert gammainc_upper(3.0, 0.0) == 1.0
     assert gammainc_lower(1.0, 1.0) == pytest.approx(1 - math.exp(-1), rel=1e-12)
-
-
-def test_erlang_cdf_single_stage_is_exponential():
-    assert erlang_cdf(1, 2.0, 0.5) == pytest.approx(1 - math.exp(-1), rel=1e-12)
-    assert erlang_cdf(2, 1.0, -1.0) == 0.0
 
 
 def test_invalid_arguments():
@@ -45,4 +36,4 @@ def test_invalid_arguments():
     with pytest.raises(ValueError):
         gammainc_lower(1.0, -1.0)
     with pytest.raises(ValueError):
-        erlang_cdf(0, 1.0, 1.0)
+        gammainc_lower(1.0, math.nan)
