@@ -54,7 +54,15 @@ class ThresholdPair:
     def from_rates(cls, rate_a: float, rate_b: float, power: float) -> "ThresholdPair":
         if power <= 0:
             raise ValueError("power must be positive")
-        return cls(math.expm1(rate_a) / power, math.expm1(rate_b) / power)
+        return cls(_gain_threshold(rate_a, power), _gain_threshold(rate_b, power))
+
+
+def _gain_threshold(rate: float, power: float) -> float:
+    # math.expm1 overflows past ~709.78 nats; no gain reaches the threshold then
+    try:
+        return math.expm1(rate) / power
+    except OverflowError:
+        return math.inf
 
 
 def alpha_beta(thresholds: ThresholdPair, lambdas) -> tuple:
@@ -112,6 +120,8 @@ def gain_sum_cdf(n: int, m: int, lambdas, z: float) -> float:
     r = lam_s / lam_f
     q = 1.0 - r
     y = lam_f * z
+    if y == math.inf:
+        return 1.0
     log_y = math.log(y)
     p = r ** c  # NegBin pmf at k
     w = p  # NegBin CDF at k
@@ -142,9 +152,7 @@ def _saturated(n: int, m: int, lambdas, power: float, x: float) -> bool:
     own, and RTD accumulates no more than INR, so the union bound over
     copies, sum_i exp(-l_i expm1(x / (n+m)) / P), bounds 1 - CDF(x).
     """
-    t = x / (n + m)
-    # math.expm1 overflows past ~709.78
-    gain = math.expm1(t) / power if t < 709.0 else math.inf
+    gain = _gain_threshold(x / (n + m), power)
     lam1, lam2 = lambdas
     return n * math.exp(-lam1 * gain) + m * math.exp(-lam2 * gain) < _NEGLIGIBLE
 
@@ -159,7 +167,7 @@ def cdf_rtd_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
         return 0.0
     if _saturated(n, m, lambdas, power, x):
         return 1.0
-    return gain_sum_cdf(n, m, lambdas, math.expm1(x) / power)
+    return gain_sum_cdf(n, m, lambdas, _gain_threshold(x, power))
 
 
 # ---------------------------------------------------------------------------

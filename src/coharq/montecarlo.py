@@ -15,14 +15,14 @@ closed-form expressions.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import analytic
 from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
 from .protocol import AllocationPolicy, PolicyKind, ProtocolConfig, ProtocolError
-from .rates import Scheme
+from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
 DEFAULT_CHUNK = 1_000_000
 
@@ -115,13 +115,13 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     rates = np.asarray(config.rates)[:, None]
     users = np.arange(k)
 
-    # user-major layout: one contiguous row per user, one column per trial
+    # user-major layout: one contiguous row per user, one column per trial;
+    # MIMO RTD sums each user's Grams in a (u, u, K, n) array, packed as in
+    # rates.hermitian_gram
     rounds = np.zeros((k, n_trials), dtype=np.int16)
     active = np.ones((k, n_trials), dtype=bool)
-    if siso or not rtd:
-        acc = np.zeros((k, n_trials))
-    else:
-        acc = np.zeros((k, n_trials, u_tx, u_tx), dtype=complex)
+    acc = np.zeros((k, n_trials) if siso or not rtd else (u_tx, u_tx, k, n_trials))
+    q = power / u_tx
     rows = None  # trial offsets of the columns still in play; None while all are
 
     for s in range(m_max):
@@ -130,7 +130,7 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
             if keep.size == 0:
                 break
             rows = keep if rows is None else rows[keep]
-            active, acc = active[:, keep], acc[:, keep]
+            active, acc = active[:, keep], acc[..., keep]
             assign = _assignment_matrix(active, rows, policy, s, master_seed,
                                         start_trial, n_trials)
         for b in range(k):
@@ -141,29 +141,21 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
                 contrib = g * power if rtd else np.log1p(g * power)
             else:
                 h = matrix_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
-                if rtd:
-                    contrib = np.einsum("nvi,nvj->nij", h.conj(), h)
-                else:
-                    v_rx = profile.rx_antennas
-                    hh = np.einsum("nvi,nwi->nvw", h, h.conj())
-                    _, contrib = np.linalg.slogdet(np.eye(v_rx) + (power / u_tx) * hh)
+                contrib = hermitian_gram(h)
+                if not rtd:
+                    contrib = log_det_eye_plus(q, contrib)
             if s == 0:
                 # first copy: every user transmits on its own band
-                acc[b] = contrib
+                acc[..., b, :] = contrib
             else:
-                gets = users[:, None] == assign[b]
-                gets = gets.reshape(gets.shape + (1,) * (acc.ndim - 2))
-                acc += np.where(gets, contrib, 0.0)
-        if siso or not rtd:
-            nats = np.log1p(acc) if siso and rtd else acc
-            won = active & (nats >= rates)
+                acc += np.where(users[:, None] == assign[b], contrib[..., None, :], 0.0)
+        if not rtd:
+            nats = acc
+        elif siso:
+            nats = np.log1p(acc)
         else:
-            won = np.zeros_like(active)
-            for u in range(k):
-                act = np.flatnonzero(active[u])
-                if act.size:
-                    _, nats = np.linalg.slogdet(np.eye(u_tx) + (power / u_tx) * acc[u, act])
-                    won[u, act] = nats >= rates[u]
+            nats = log_det_eye_plus(q, acc)
+        won = active & (nats >= rates)
         for u in range(k):
             hit = np.flatnonzero(won[u])
             rounds[u, hit if rows is None else rows[hit]] = s + 1
@@ -274,7 +266,6 @@ def _bernoulli_ci(successes: int, trials: int) -> float:
         # Wilson interval half-width for small counts
         z = 1.96
         denom = 1.0 + z * z / trials
-        center = (p + z * z / (2 * trials)) / denom
         half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
         return half
     return 1.96 * math.sqrt(p * (1.0 - p) / trials)
@@ -402,7 +393,6 @@ def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_
     if np.isscalar(n_trials):
         n_trials = [int(n_trials)] * len(snr_points_db)
     estimates, analytic_vals = [], []
-    from dataclasses import replace
     for snr_db, trials in zip(snr_points_db, n_trials):
         cfg = replace(config_template, power=db_to_linear(snr_db))
         estimates.append(estimate(cfg, policy, trials, master_seed, chunk=chunk, n_jobs=n_jobs))
@@ -467,8 +457,7 @@ def dominance_violations(config: ProtocolConfig, coordinated_policy: AllocationP
     """Paired-seed check: count trials where a user decodes without
     coordination but not with it, on identical fading draws. Coordination
     only ever adds copies, so the count must be zero."""
-    from .protocol import AllocationPolicy as AP
-    noncoord = AP(PolicyKind.NON_COORDINATED)
+    noncoord = AllocationPolicy(PolicyKind.NON_COORDINATED)
     violations = 0
     for start, count in _chunk_ranges(n_trials, chunk):
         r_nc = simulate_rounds(config, noncoord, count, master_seed, start_trial=start)

@@ -25,6 +25,7 @@ def test_thresholds_from_rates():
     t = ThresholdPair.from_rates(1.0, 2.0, 4.0)
     assert t.c_a == pytest.approx(math.expm1(1.0) / 4.0)
     assert t.c_b == pytest.approx(math.expm1(2.0) / 4.0)
+    assert ThresholdPair.from_rates(1.0, 1000.0, 4.0).c_b == math.inf
     with pytest.raises(ValueError):
         ThresholdPair.from_rates(1.0, 1.0, 0.0)
     with pytest.raises(ValueError):

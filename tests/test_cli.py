@@ -129,6 +129,16 @@ def test_main_analytic_op(capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--op", "phi", "--rate-b", "709.7"],   # lambda * (e^R - 1) / P overflows a double
+    ["--op", "phi", "--rate-b", "1000"],    # e^R itself overflows
+    ["--op", "cdf-rtd", "--x", "720", "--power", "1e160"],
+])
+def test_main_analytic_past_float_range(argv, capsys):
+    assert main(["analytic", *argv]) == 0
+    assert capsys.readouterr().out.strip() == "1.0"
+
+
 def test_main_analytic_events_golden(capsys):
     # defaults: RTD, M = 2, lambdas (1, 2), P = 1, R_A = R_B = 1
     assert main(["analytic", "--op", "events"]) == 0

@@ -72,6 +72,29 @@ def test_vectorized_matches_scalar_round_robin_many_users():
         assert list(rounds[trial]) == expect
 
 
+def mimo_config(tx, rx, scheme, rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=3.0,
+                max_rounds=2):
+    return ProtocolConfig(profile=FadingProfile(lambdas=lambdas, tx_antennas=tx,
+                                                rx_antennas=rx),
+                          rates=rates, power=power, scheme=scheme, max_rounds=max_rounds)
+
+
+@pytest.mark.parametrize("policy", [COORD, NONCOORD], ids=["coord", "noncoord"])
+@pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR], ids=["rtd", "inr"])
+@pytest.mark.parametrize("tx,rx", [(2, 2), (3, 2), (2, 3), (1, 2)])
+def test_vectorized_matches_scalar_mimo(tx, rx, scheme, policy):
+    n_streams = min(tx, rx)
+    cfg = mimo_config(tx, rx, scheme, rates=(1.2 * n_streams, 1.6 * n_streams),
+                      lambdas=(1.0, 2.0), max_rounds=3)
+    n = 200
+    rounds = simulate_rounds(cfg, policy, n, SEED)
+    assert len(np.unique(rounds)) >= 3
+    for trial in range(n):
+        out = run_packet(cfg, policy, Substream(SEED, trial=trial))
+        expect = [0 if r < 0 else r for r in out.decode_round]
+        assert list(rounds[trial]) == expect
+
+
 def assert_same_stats(a, b):
     for f in fields(a):
         x, y = getattr(a, f.name), getattr(b, f.name)
@@ -90,11 +113,11 @@ def test_chunking_is_invisible():
     (SPLIT, ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0, 0.5)),
                            rates=(1.0, 0.7, 1.3), power=1.5, scheme=Scheme.INR,
                            max_rounds=2)),
-    (COORD, ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 1.0), tx_antennas=2,
-                                                 rx_antennas=2),
-                           rates=(3.0, 3.0), power=3.0, scheme=Scheme.RTD,
-                           max_rounds=2)),
-], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord"])
+    (COORD, mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0))),
+    (NONCOORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
+    (COORD, mimo_config(3, 2, Scheme.RTD, rates=(2.5, 3.0), max_rounds=3)),
+], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord", "mimo2x2-inr-noncoord",
+        "mimo3x2-rtd-coord"])
 def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
     n = 5000
     whole = simulate_batch(cfg, policy, n, SEED, chunk=n)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coharq.rates import MimoRateInputs, mimo_rate_inr, mimo_rate_rtd, u_inr, u_rtd
+from coharq.rates import (MimoRateInputs, hermitian_gram, log_det_eye_plus, mimo_rate_inr,
+                          mimo_rate_rtd, u_inr, u_rtd)
 
 snr_lists = st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=8)
 
@@ -93,6 +94,37 @@ def test_mimo_inr_examples():
 
     two = MimoRateInputs(matrices=[np.eye(2), np.eye(2)], power=2.0, tx_antennas=2)
     assert mimo_rate_inr(two) == pytest.approx(2 * math.log(2), rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [0.5, 5.0, 1e6])
+@pytest.mark.parametrize("u", [1, 2, 3, 4])
+def test_log_det_against_eigenvalue_oracle(u, q):
+    rng = np.random.default_rng(u)
+    for v in sorted({1, u - 1, u, u + 2} - {0}):
+        # CN(0, 1) entries; v < u gives a rank-deficient Gram
+        h = (rng.normal(size=(200, v, u)) + 1j * rng.normal(size=(200, v, u))) / math.sqrt(2)
+        got = log_det_eye_plus(q, hermitian_gram(h))
+        lam = np.linalg.eigvalsh(np.swapaxes(h.conj(), -1, -2) @ h)
+        oracle = np.log1p(q * np.clip(lam, 0.0, None)).sum(axis=-1)
+        if v >= u and q <= 1e3:
+            np.testing.assert_allclose(got, oracle, rtol=1e-12, atol=0)
+        else:
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-8)
+
+
+def test_gram_packing_and_batch_equals_single():
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(50, 3, 2)) + 1j * rng.normal(size=(50, 3, 2))
+    gram = hermitian_gram(h)
+    full = np.swapaxes(h.conj(), -1, -2) @ h
+    # real part on and above the diagonal, imaginary part below it
+    np.testing.assert_allclose(gram[0, 0], full[:, 0, 0].real, rtol=1e-14)
+    np.testing.assert_allclose(gram[1, 1], full[:, 1, 1].real, rtol=1e-14)
+    np.testing.assert_allclose(gram[0, 1] + 1j * gram[1, 0], full[:, 0, 1], rtol=1e-14)
+    # the engine and the scalar reference see bit-identical rates
+    batch = log_det_eye_plus(2.5, gram)
+    single = [log_det_eye_plus(2.5, hermitian_gram(m)) for m in h]
+    assert np.array_equal(batch, single)
 
 
 def test_mimo_dimension_mismatch():
