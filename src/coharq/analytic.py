@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .rates import Scheme
 from .special import gammainc_lower
@@ -183,13 +182,35 @@ def _mi_cdf_single(lam: float, power: float, x: float) -> float:
     return -math.expm1(-(lam / power) * math.expm1(x)) if x > 0 else 0.0
 
 
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, n >= 1: a length at which a real FFT is
+    fast (lengths with a large prime factor run several times slower)."""
+    best = 1 << (n - 1).bit_length()  # a power of two is 5-smooth
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _inr_cdf_grid(rates, power: float, x: float, n_intervals: int) -> float:
     h = x / n_intervals
     z = np.linspace(0.0, x, n_intervals + 1)
-    dens = [_mi_density(z, lam, power) for lam in rates]
-    c = dens[0]
-    for f in dens[1:]:
-        full = fftconvolve(c, f)[: n_intervals + 1]
+    length = _fft_length(2 * n_intervals + 1)
+    # a rates tuple holds at most two distinct values: each one's density and
+    # spectrum are computed once and reused by every convolution step
+    dens = {lam: _mi_density(z, lam, power) for lam in set(rates)}
+    spectra = {lam: np.fft.rfft(f, length) for lam, f in dens.items()}
+    c = dens[rates[0]]
+    for lam in rates[1:]:
+        f = dens[lam]
+        full = np.fft.irfft(np.fft.rfft(c, length) * spectra[lam], length)[: n_intervals + 1]
         # trapezoid-corrected discrete convolution on [0, x]
         c = h * (full - 0.5 * (c[0] * f + c * f[0]))
     return float(np.trapezoid(c, dx=h))

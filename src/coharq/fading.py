@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import ndtri
 
 # Philox advances its counter in blocks of four 64-bit outputs; a draw that
 # starts inside a block skips that block's leading words.
@@ -121,6 +120,9 @@ def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
     `rows` selects trial offsets as in gain_block; the result then has
     len(rows) matrices.
     """
+    # imported here so that SISO and closed-form runs load numpy alone
+    from scipy.special import ndtri
+
     profile.check_band(band)
     v, u_tx = profile.rx_antennas, profile.tx_antennas
     words = 2 * v * u_tx

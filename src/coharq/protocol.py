@@ -17,7 +17,10 @@ from enum import Enum
 
 from .fading import (ConfigurationError, FadingProfile, Substream,
                      sample_gain, sample_matrix)
-from .rates import Scheme, u_inr, u_rtd, mimo_rate_rtd, mimo_rate_inr, MimoRateInputs
+from .rates import (MimoRateInputs, Scheme, inr_nats, mimo_nats_inr, mimo_nats_rtd,
+                    rtd_nats)
+# the per-use rates stay importable here: perfbench/tracing.py binds these names
+from .rates import mimo_rate_inr, mimo_rate_rtd, u_inr, u_rtd  # noqa: F401
 
 OUTAGE_ROUND = -1
 
@@ -144,20 +147,22 @@ class SlotLedger:
         return [u for u, s in enumerate(self.status) if s is UserStatus.ACTIVE]
 
     def accumulated_nats(self, user: int) -> float:
+        """Nats the user's copies carry, summed in the engine's order and
+        compared with the rate as they are (a per-use rate times the copy
+        count can land an ulp below them)."""
         cfg = self.config
+        rtd = cfg.scheme is Scheme.RTD
         if cfg.profile.is_siso:
             copies = self.snr_copies[user]
             if not copies:
                 return 0.0
-            fn = u_rtd if cfg.scheme is Scheme.RTD else u_inr
-            return fn(copies) * len(copies)
+            return rtd_nats(copies) if rtd else inr_nats(copies)
         mats = self.matrix_copies[user]
         if not mats:
             return 0.0
         inputs = MimoRateInputs(matrices=mats, power=cfg.power,
                                 tx_antennas=cfg.profile.tx_antennas)
-        fn = mimo_rate_rtd if cfg.scheme is Scheme.RTD else mimo_rate_inr
-        return fn(inputs) * len(mats)
+        return mimo_nats_rtd(inputs) if rtd else mimo_nats_inr(inputs)
 
 
 @dataclass(frozen=True)

@@ -19,22 +19,46 @@ class Scheme(Enum):
     INR = "inr"
 
 
+def rtd_nats(snr_terms) -> float:
+    """Decodable nats after m maximum-ratio-combined copies: log(1 + sum SNR_i).
+
+    The SNRs are added one at a time in copy order, the order in which the
+    vectorized engine adds them, so both decide on the same double.
+    """
+    total = 0.0
+    for snr in _copies(snr_terms):
+        total += snr
+    return float(np.log1p(total))
+
+
+def inr_nats(snr_terms) -> float:
+    """Decodable nats after m incremental-redundancy copies: sum log(1 + SNR_i),
+    added one at a time in copy order, as the engine adds them."""
+    total = 0.0
+    for nats in np.log1p(_copies(snr_terms)).tolist():
+        total += nats
+    return total
+
+
 def u_rtd(snr_terms) -> float:
     """Per-use decodable rate after m maximum-ratio-combined copies:
     (1/m) log(1 + sum SNR_i)."""
-    terms = list(snr_terms)
-    if not terms:
-        raise ValueError("need at least one received copy")
-    return float(np.log1p(sum(terms))) / len(terms)
+    terms = _copies(snr_terms)
+    return rtd_nats(terms) / len(terms)
 
 
 def u_inr(snr_terms) -> float:
     """Per-use decodable rate after m incremental-redundancy copies:
     (1/m) sum log(1 + SNR_i)."""
+    terms = _copies(snr_terms)
+    return inr_nats(terms) / len(terms)
+
+
+def _copies(snr_terms) -> list:
     terms = list(snr_terms)
     if not terms:
         raise ValueError("need at least one received copy")
-    return float(np.sum(np.log1p(terms))) / len(terms)
+    return terms
 
 
 @dataclass
@@ -107,26 +131,37 @@ def log_det_eye_plus(q: float, gram) -> np.ndarray:
     return np.log1p(p)
 
 
-def mimo_rate_rtd(inputs: MimoRateInputs) -> float:
-    """(1/m) log det(I + (P/u) H_stack H_stack*) for m vertically stacked copies.
+def mimo_nats_rtd(inputs: MimoRateInputs) -> float:
+    """log det(I + (P/u) H_stack H_stack*) for m vertically stacked copies.
 
     Computed through the u x u Gram form det(I_u + (P/u) sum_i H_i* H_i),
     which equals the stacked (mv x mv) determinant by Sylvester's identity.
+    The Grams are summed in copy order, as the engine sums them.
     """
-    u = inputs.tx_antennas
-    gram = sum(hermitian_gram(np.asarray(h, dtype=complex)) for h in inputs.matrices)
-    return float(log_det_eye_plus(inputs.power / u, gram)) / len(inputs.matrices)
+    gram = 0.0
+    for h in inputs.matrices:
+        gram = gram + hermitian_gram(np.asarray(h, dtype=complex))
+    return float(log_det_eye_plus(inputs.power / inputs.tx_antennas, gram))
 
 
-def mimo_rate_inr(inputs: MimoRateInputs) -> float:
-    """(1/m) sum_i log det(I_v + (P/u) H_i H_i*).
+def mimo_nats_inr(inputs: MimoRateInputs) -> float:
+    """sum_i log det(I_v + (P/u) H_i H_i*), added in copy order.
 
     Each copy's determinant is taken in the u x u form det(I_u + (P/u) H_i* H_i),
     equal by Sylvester's identity.
     """
-    u = inputs.tx_antennas
     total = 0.0
     for h in inputs.matrices:
         gram = hermitian_gram(np.asarray(h, dtype=complex))
-        total += float(log_det_eye_plus(inputs.power / u, gram))
-    return total / len(inputs.matrices)
+        total += float(log_det_eye_plus(inputs.power / inputs.tx_antennas, gram))
+    return total
+
+
+def mimo_rate_rtd(inputs: MimoRateInputs) -> float:
+    """Per-use rate (1/m) log det(I + (P/u) H_stack H_stack*)."""
+    return mimo_nats_rtd(inputs) / len(inputs.matrices)
+
+
+def mimo_rate_inr(inputs: MimoRateInputs) -> float:
+    """Per-use rate (1/m) sum_i log det(I_v + (P/u) H_i H_i*)."""
+    return mimo_nats_inr(inputs) / len(inputs.matrices)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
-from scipy import integrate, special
+from scipy import fft, integrate, signal, special
 
+from coharq import analytic
 from coharq.analytic import (ConsistencyError, ThresholdPair, accumulation_cdf,
                              alpha_beta, cdf_inr_sum, cdf_rtd_sum, diversity_gain,
                              event_label, event_table, gain_sum_cdf, gamma_norm,
@@ -260,6 +261,42 @@ def test_cdf_inr_against_quadrature(n, m, lambdas, power):
     for x in (0.5, 1.5):
         assert cdf_inr_sum(n, m, lambdas, power, x) == pytest.approx(
             _inr_quad_oracle(n, m, lambdas, power, x), abs=1e-8)
+
+
+def _inr_cdf_grid_fftconvolve(rates, power, x, n_intervals):
+    # the convolution as scipy's fftconvolve computes it, one density per copy
+    h = x / n_intervals
+    z = np.linspace(0.0, x, n_intervals + 1)
+    dens = [analytic._mi_density(z, lam, power) for lam in rates]
+    c = dens[0]
+    for f in dens[1:]:
+        full = signal.fftconvolve(c, f)[: n_intervals + 1]
+        c = h * (full - 0.5 * (c[0] * f + c * f[0]))
+    return float(np.trapezoid(c, dx=h))
+
+
+@pytest.mark.parametrize("copies", range(2, 7))
+def test_inr_grid_equals_fftconvolve(copies):
+    for n in range(copies + 1):
+        rates = (1.0,) * n + (2.5,) * (copies - n)
+        for power in (1.0, 10.0, 100.0):
+            for x in (0.5, 2.0, 5.0):
+                for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N):
+                    assert analytic._inr_cdf_grid(rates, power, x, grid) == \
+                        _inr_cdf_grid_fftconvolve(rates, power, x, grid)
+
+
+def test_fft_length_is_the_next_5_smooth_length():
+    for n in range(1, 20001):
+        length = analytic._fft_length(n)
+        assert length == fft.next_fast_len(n, real=True)
+        assert length >= n
+        for p in (2, 3, 5):
+            while length % p == 0:
+                length //= p
+        assert length == 1
+    assert analytic._fft_length(2 * 2048 + 1) == 4320
+    assert analytic._fft_length(2 * 4096 + 1) == 8640
 
 
 def test_cdf_inr_single_copy_closed_form():

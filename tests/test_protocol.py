@@ -233,6 +233,18 @@ def test_noncoordinated_matches_single_user_oracle():
             assert out.decode_round[user] == expect
 
 
+def test_oracle_decides_on_accumulated_nats_like_the_engine():
+    """Three copies whose log1p(sum SNR) equals the rate to the last bit: the
+    per-use form log1p(sum)/3*3 lands one ulp below it, and the oracle used
+    to call this outage where the engine decodes at round 3."""
+    from coharq.cli import build_config
+    from coharq.montecarlo import simulate_rounds
+    cfg = build_config("rtd", 2, 3, (1.0, 1.0), (1.6390015425795406, 100.0), 0.0)
+    out = run_packet(cfg, NONCOORD, Substream(5, trial=34))
+    assert out.decode_round == (3, OUTAGE_ROUND)
+    assert list(simulate_rounds(cfg, NONCOORD, 35, 5)[34]) == [3, 0]
+
+
 def test_run_packet_k3_random_split():
     profile = FadingProfile(lambdas=(1.0, 1.0, 1.0))
     cfg = ProtocolConfig(profile=profile, rates=(1.0, 1.0, 1.0), power=1.0,

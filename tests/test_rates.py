@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coharq.rates import (MimoRateInputs, hermitian_gram, log_det_eye_plus, mimo_rate_inr,
-                          mimo_rate_rtd, u_inr, u_rtd)
+from coharq.rates import (MimoRateInputs, hermitian_gram, inr_nats, log_det_eye_plus,
+                          mimo_nats_inr, mimo_nats_rtd, mimo_rate_inr, mimo_rate_rtd,
+                          rtd_nats, u_inr, u_rtd)
 
 snr_lists = st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=8)
 
@@ -22,6 +23,26 @@ def test_u_inr_examples():
     # MRC beats per-copy averaging pointwise only through the log's concavity
     assert u_inr([1.0, 1.0]) == pytest.approx(math.log(2), rel=1e-12)
     assert u_rtd([1.0, 1.0]) == pytest.approx(0.5 * math.log(3), rel=1e-12)
+
+
+def test_nats_add_copies_one_at_a_time_in_order():
+    # twelve copies: numpy's pairwise sum and Python's compensated float sum
+    # (3.12+) may round differently from the engine's running sum
+    snrs = [0.1 * 1.7 ** k for k in range(12)]
+    total = 0.0
+    for snr in snrs:
+        total += snr
+    assert rtd_nats(snrs) == float(np.log1p(total))
+    assert u_rtd(snrs) == rtd_nats(snrs) / 12
+    total = 0.0
+    for nats in np.log1p(snrs):
+        total += float(nats)
+    assert inr_nats(snrs) == total
+    assert u_inr(snrs) == inr_nats(snrs) / 12
+    mats = [np.array([[1.0 + 0.5j, 0.2], [0.3j, 2.0]]) * k for k in (1, 2, 3)]
+    inp = MimoRateInputs(matrices=mats, power=2.0, tx_antennas=2)
+    assert mimo_rate_rtd(inp) == mimo_nats_rtd(inp) / 3
+    assert mimo_rate_inr(inp) == mimo_nats_inr(inp) / 3
 
 
 def test_empty_copy_list_rejected():
