@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from coharq.cli import build_config, resolve_policy
+from coharq.cli import build_config, parse_axis, resolve_policy
 from coharq.montecarlo import analytic_counterparts, fit_diversity_slope, sweep
 
 
@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--snr-db", default="4:2:32")
     args = ap.parse_args()
 
-    from coharq.cli import parse_axis
     axis = parse_axis(args.snr_db)
     for scheme in ("rtd", "inr"):
         for policy_name in ("noncoord", "coord"):

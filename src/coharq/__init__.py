@@ -1,7 +1,7 @@
 """Coordinated HARQ over Rayleigh block fading: closed-form analytics and
 Monte Carlo simulation that cross-validate each other."""
 
-from .fading import FadingProfile, GainDraw, ChannelMatrixDraw, Substream
+from .fading import FadingProfile, Substream
 from .rates import Scheme, u_rtd, u_inr
 from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                        PacketOutcome, run_packet)

@@ -14,12 +14,13 @@ import configparser
 import csv
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analytic, montecarlo
+from . import analytic
 from .fading import ConfigurationError, FadingProfile
 from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
                          analytic_counterparts, db_to_linear, estimate, sweep)
@@ -56,22 +57,6 @@ def emit_csv(rows, path) -> None:
             w.writerow([_fmt(r.snr_db), r.scheme, r.policy, r.k, r.m, r.user, r.metric,
                         _fmt(r.mc_value), _fmt(r.mc_ci95), _fmt(r.analytic_value),
                         r.trials, r.seed])
-
-
-def parse_csv(path):
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_HEADER:
-            raise ConfigurationError(f"unexpected CSV header in {path}")
-        for rec in reader:
-            rows.append(ResultRow(
-                snr_db=float(rec["snr_db"]), scheme=rec["scheme"], policy=rec["policy"],
-                k=int(rec["k"]), m=int(rec["m"]), user=rec["user"], metric=rec["metric"],
-                mc_value=float(rec["mc_value"]), mc_ci95=float(rec["mc_ci95"]),
-                analytic_value=float(rec["analytic_value"]),
-                trials=int(rec["trials"]), seed=int(rec["seed"])))
-    return rows
 
 
 def _fmt(x) -> str:
@@ -112,10 +97,22 @@ def resolve_policy(name: str, k: int) -> AllocationPolicy:
             return AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
         return AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
     if name == "random-split":
+        if k != 3:
+            raise ConfigurationError(f"policy 'random-split' needs k = 3, got k = {k}")
         return AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
     if name == "round-robin":
         return AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
     raise ConfigurationError(f"unknown policy {name!r}")
+
+
+def _output_path(path: str) -> str:
+    """The CSV path, refused before any simulation runs if it names a
+    directory or lies in a directory that does not exist."""
+    if os.path.isdir(path):
+        raise ConfigurationError(f"cannot write {path!r}: it is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigurationError(f"cannot write {path!r}: no such directory")
+    return path
 
 
 def build_config(scheme: str, k: int, m: int, lambdas, rates, snr_db: float,
@@ -355,14 +352,15 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     if args.preset:
-        rows = run_preset(args.preset, args.trials, args.seed,
-                          args.out or f"{args.preset}.csv", n_jobs=args.jobs)
-        print(f"wrote {len(rows)} rows to {args.out or args.preset + '.csv'}")
+        out = _output_path(args.out or f"{args.preset}.csv")
+        rows = run_preset(args.preset, args.trials, args.seed, out, n_jobs=args.jobs)
+        print(f"wrote {len(rows)} rows to {out}")
         return 0
     if args.config:
         cp = configparser.ConfigParser()
         if not cp.read(args.config):
             raise ConfigurationError(f"cannot read config file {args.config!r}")
+        out = _output_path(args.out or "results.csv")
         all_rows = []
         for section in cp.sections():
             s = cp[section]
@@ -379,7 +377,6 @@ def _cmd_run(args) -> int:
             all_rows += _sweep_rows(res, s.get("scheme", "rtd"), s.get("policy", "coord"),
                                     k, s.getint("m", 2), s.getint("seed", args.seed),
                                     metrics=("outage_user", "throughput", "fairness", "gamma"))
-        out = args.out or "results.csv"
         emit_csv(all_rows, out)
         print(f"wrote {len(all_rows)} rows to {out}")
         return 0
@@ -393,10 +390,10 @@ def _cmd_sweep(args) -> int:
     cfg = build_config(args.scheme, k, args.m, lambdas, rates, 0.0, u=args.tx, v=args.rx)
     pol = resolve_policy(args.policy, k)
     axis = parse_axis(args.snr_db)
+    out = _output_path(args.out or "sweep.csv")
     res = sweep(cfg, pol, axis, args.trials, args.seed, n_jobs=args.jobs)
     rows = _sweep_rows(res, args.scheme, args.policy, k, args.m, args.seed,
                        metrics=("outage_user", "throughput", "fairness", "gamma"))
-    out = args.out or "sweep.csv"
     emit_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
@@ -461,8 +458,9 @@ def main(argv=None) -> int:
             return _cmd_optimize(args)
         if args.command == "analytic":
             return _cmd_analytic(args)
-    except (ConfigurationError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except (ConfigurationError, ValueError, configparser.Error) as exc:
+        # configparser messages span several lines
+        print("config error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
     except (FitWindowError, RangeError) as exc:
         print(f"range error: {exc}", file=sys.stderr)

@@ -10,7 +10,7 @@ realizations.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -59,20 +59,6 @@ class FadingProfile:
 
 class ConfigurationError(ValueError):
     """Invalid profile or protocol configuration."""
-
-
-@dataclass(frozen=True)
-class GainDraw:
-    band: int
-    slot: int
-    value: float
-
-
-@dataclass(frozen=True)
-class ChannelMatrixDraw:
-    band: int
-    slot: int
-    matrix: np.ndarray  # rx_antennas x tx_antennas, complex
 
 
 def _philox_key(master_seed: int, slot: int, band: int) -> int:
@@ -153,15 +139,13 @@ class Substream:
                                    self.trial, 1, words=1)[0, 0])
 
 
-def sample_gain(profile: FadingProfile, band: int, substream: Substream) -> GainDraw:
+def sample_gain(profile: FadingProfile, band: int, substream: Substream) -> float:
     """One Exponential(lambda_band) channel gain at the substream's slot."""
-    g = gain_block(profile, band, substream.slot, substream.master_seed,
-                   substream.trial, 1)[0]
-    return GainDraw(band=band, slot=substream.slot, value=float(g))
+    return float(gain_block(profile, band, substream.slot, substream.master_seed,
+                            substream.trial, 1)[0])
 
 
-def sample_matrix(profile: FadingProfile, band: int, substream: Substream) -> ChannelMatrixDraw:
-    """One complex channel matrix at the substream's slot."""
-    h = matrix_block(profile, band, substream.slot, substream.master_seed,
-                     substream.trial, 1)[0]
-    return ChannelMatrixDraw(band=band, slot=substream.slot, matrix=h)
+def sample_matrix(profile: FadingProfile, band: int, substream: Substream) -> np.ndarray:
+    """One rx x tx complex channel matrix at the substream's slot."""
+    return matrix_block(profile, band, substream.slot, substream.master_seed,
+                        substream.trial, 1)[0]

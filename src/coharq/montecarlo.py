@@ -21,7 +21,8 @@ import numpy as np
 
 from . import analytic
 from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
-from .protocol import AllocationPolicy, PolicyKind, ProtocolConfig, ProtocolError
+from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, ProtocolError,
+                       policy_allocate)
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
 DEFAULT_CHUNK = 1_000_000
@@ -83,7 +84,6 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
         return assign
     # round-robin general K: deal free bands cyclically over the active
     # users; distinct activity patterns are few, so group trials by pattern
-    from .protocol import policy_allocate
     patterns, which = np.unique(active, axis=1, return_inverse=True)
     which = which.ravel()
     for j, pattern in enumerate(patterns.T):

@@ -17,12 +17,9 @@ from enum import Enum
 
 from .fading import (ConfigurationError, FadingProfile, Substream,
                      sample_gain, sample_matrix)
-from .rates import (MimoRateInputs, Scheme, inr_nats, mimo_nats_inr, mimo_nats_rtd,
-                    rtd_nats)
+from .rates import Scheme, inr_nats, mimo_nats_inr, mimo_nats_rtd, rtd_nats
 # the per-use rates stay importable here: perfbench/tracing.py binds these names
 from .rates import mimo_rate_inr, mimo_rate_rtd, u_inr, u_rtd  # noqa: F401
-
-OUTAGE_ROUND = -1
 
 
 class ProtocolError(RuntimeError):
@@ -69,12 +66,6 @@ class ProtocolConfig:
         return len(self.rates)
 
 
-class UserStatus(Enum):
-    ACTIVE = "active"
-    DECODED = "decoded"
-    OUTAGE = "outage"
-
-
 def policy_allocate(failed, free_bands, policy: AllocationPolicy, n_users: int,
                     uniform: float = None) -> dict:
     """Map each free band to a failed user (or back to its owner).
@@ -85,14 +76,11 @@ def policy_allocate(failed, free_bands, policy: AllocationPolicy, n_users: int,
     their owners (new packets). `uniform` feeds the randomized K=3 split.
     """
     failed = sorted(failed)
-    free = sorted(free_bands)
-    assignment = {b: b for b in range(n_users) if b in failed}
-    if not failed:
+    if not failed or policy.kind is PolicyKind.NON_COORDINATED:
+        # a free band reverts to its owner, who ignores it
         return {b: b for b in range(n_users)}
-    if policy.kind is PolicyKind.NON_COORDINATED:
-        for b in free:
-            assignment[b] = b  # reverts to owner, who ignores it
-        return assignment
+    free = sorted(free_bands)
+    assignment = {b: b for b in failed}
     if policy.kind is PolicyKind.FULL_COORDINATION_K2:
         if n_users != 2:
             raise ProtocolError("full-coordination policy is defined for exactly 2 users")
@@ -121,108 +109,85 @@ def policy_allocate(failed, free_bands, policy: AllocationPolicy, n_users: int,
 
 @dataclass
 class SlotLedger:
-    """Mutable per-packet record: current assignment and per-user state."""
+    """Mutable per-packet record: the current assignment, the users still
+    active, each user's received copies (SNRs for SISO, channel matrices for
+    MIMO) and its decode round, 0 until it decodes and for outage."""
 
     config: ProtocolConfig
     slot: int = 0
-    assignment: dict = field(default_factory=dict)     # band -> user
-    status: list = field(default_factory=list)         # UserStatus per user
-    rounds_used: list = field(default_factory=list)
-    decode_round: list = field(default_factory=list)   # round index or OUTAGE_ROUND
-    snr_copies: list = field(default_factory=list)     # per-user list of copy SNRs (SISO)
-    matrix_copies: list = field(default_factory=list)  # per-user list of H draws (MIMO)
+    assignment: dict = field(init=False)    # band -> user
+    active: set = field(init=False)
+    decode_round: list = field(init=False)
+    copies: list = field(init=False)
 
     def __post_init__(self):
         k = self.config.n_users
-        if not self.assignment:
-            self.assignment = {b: b for b in range(k)}
-        if not self.status:
-            self.status = [UserStatus.ACTIVE] * k
-            self.rounds_used = [0] * k
-            self.decode_round = [0] * k
-            self.snr_copies = [[] for _ in range(k)]
-            self.matrix_copies = [[] for _ in range(k)]
-
-    def active_users(self):
-        return [u for u, s in enumerate(self.status) if s is UserStatus.ACTIVE]
+        self.assignment = {b: b for b in range(k)}
+        self.active = set(range(k))
+        self.decode_round = [0] * k
+        self.copies = [[] for _ in range(k)]
 
     def accumulated_nats(self, user: int) -> float:
         """Nats the user's copies carry, summed in the engine's order and
         compared with the rate as they are (a per-use rate times the copy
         count can land an ulp below them)."""
         cfg = self.config
+        copies = self.copies[user]
         rtd = cfg.scheme is Scheme.RTD
         if cfg.profile.is_siso:
-            copies = self.snr_copies[user]
-            if not copies:
-                return 0.0
             return rtd_nats(copies) if rtd else inr_nats(copies)
-        mats = self.matrix_copies[user]
-        if not mats:
-            return 0.0
-        inputs = MimoRateInputs(matrices=mats, power=cfg.power,
-                                tx_antennas=cfg.profile.tx_antennas)
-        return mimo_nats_rtd(inputs) if rtd else mimo_nats_inr(inputs)
+        q = cfg.power / cfg.profile.tx_antennas
+        return mimo_nats_rtd(copies, q) if rtd else mimo_nats_inr(copies, q)
 
 
 @dataclass(frozen=True)
 class PacketOutcome:
-    decode_round: tuple      # per user: round in 1..M, or OUTAGE_ROUND
-    nats_delivered: tuple    # R_u if decoded else 0
+    decode_round: tuple      # per user: round in 1..M, or 0 for outage
     slots_consumed: int
 
 
-def _check_assignment(ledger: SlotLedger) -> None:
-    active = set(ledger.active_users())
-    for band, user in ledger.assignment.items():
-        if active and user not in active and user != band:
-            raise ProtocolError(
-                f"band {band} assigned to resolved user {user} while others are active")
-
-
-def advance_slot(ledger: SlotLedger, draws: dict, config: ProtocolConfig,
-                 policy: AllocationPolicy, policy_uniform: float = None) -> SlotLedger:
+def advance_slot(ledger: SlotLedger, draws: list, config: ProtocolConfig,
+                 policy: AllocationPolicy, policy_uniform: float = None) -> None:
     """Apply one slot: deliver copies per the current assignment, run the
-    decoding checks, update statuses, and compute the next slot's assignment.
+    decoding checks, retire resolved users, and compute the next slot's
+    assignment.
 
-    `draws` maps band -> GainDraw or ChannelMatrixDraw and must cover every
-    band (unused draws are simply discarded, which keeps the fading process
-    identical across policies).
+    `draws` holds one draw per band, a gain (SISO) or a channel matrix
+    (MIMO), and must cover every band (unused draws are simply discarded,
+    which keeps the fading process identical across policies).
     """
-    active = set(ledger.active_users())
+    active = ledger.active
     if not active:
         raise ProtocolError("no active users: packet already terminated")
-    if set(draws) != set(range(config.n_users)):
+    if len(draws) != config.n_users:
         raise ProtocolError("draws must cover every band")
-    _check_assignment(ledger)
+    for band, user in ledger.assignment.items():
+        if user not in active and user != band:
+            raise ProtocolError(
+                f"band {band} assigned to resolved user {user} while others are active")
 
     # ascending band order, so scalar and vectorized paths accumulate copies
     # in the same floating-point order
     for band in sorted(ledger.assignment):
         user = ledger.assignment[band]
-        if ledger.status[user] is not UserStatus.ACTIVE:
-            continue
-        draw = draws[band]
-        if config.profile.is_siso:
-            ledger.snr_copies[user].append(draw.value * config.power)
-        else:
-            ledger.matrix_copies[user].append(draw.matrix)
+        if user in active:
+            draw = draws[band]
+            ledger.copies[user].append(draw * config.power if config.profile.is_siso
+                                       else draw)
 
-    for user in sorted(active):
-        ledger.rounds_used[user] += 1
-        if ledger.accumulated_nats(user) >= config.rates[user]:
-            ledger.status[user] = UserStatus.DECODED
-            ledger.decode_round[user] = ledger.rounds_used[user]
-        elif ledger.rounds_used[user] >= config.max_rounds:
-            ledger.status[user] = UserStatus.OUTAGE
-            ledger.decode_round[user] = OUTAGE_ROUND
-
+    # an active user has been active in every slot so far: its round is the
+    # slot count
     ledger.slot += 1
-    still_failed = set(ledger.active_users())
-    free = {b for b in range(config.n_users) if b not in still_failed}
-    ledger.assignment = policy_allocate(still_failed, free, policy,
-                                        config.n_users, uniform=policy_uniform)
-    return ledger
+    for user in sorted(active):
+        if ledger.accumulated_nats(user) >= config.rates[user]:
+            ledger.decode_round[user] = ledger.slot
+            active.discard(user)
+        elif ledger.slot >= config.max_rounds:
+            active.discard(user)
+
+    free = set(range(config.n_users)) - active
+    ledger.assignment = policy_allocate(active, free, policy, config.n_users,
+                                        uniform=policy_uniform)
 
 
 def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
@@ -234,35 +199,27 @@ def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
     is a list that receives one dict per slot for debugging/export.
     """
     ledger = SlotLedger(config=config)
+    sample = sample_gain if config.profile.is_siso else sample_matrix
     needs_uniform = policy.kind is PolicyKind.RANDOM_SPLIT_K3
-    while ledger.active_users():
+    while ledger.active:
         substream.slot = ledger.slot
-        if config.profile.is_siso:
-            draws = {b: sample_gain(config.profile, b, substream)
-                     for b in range(config.n_users)}
-        else:
-            draws = {b: sample_matrix(config.profile, b, substream)
-                     for b in range(config.n_users)}
+        draws = [sample(config.profile, b, substream) for b in range(config.n_users)]
         u = substream.policy_uniform() if needs_uniform else None
         if trace is not None:
             trace.append(_trace_row(substream.trial, ledger, config))
         advance_slot(ledger, draws, config, policy, policy_uniform=u)
-    nats = tuple(config.rates[u] if ledger.status[u] is UserStatus.DECODED else 0.0
-                 for u in range(config.n_users))
     return PacketOutcome(decode_round=tuple(ledger.decode_round),
-                         nats_delivered=nats, slots_consumed=ledger.slot)
+                         slots_consumed=ledger.slot)
 
 
 def _trace_row(trial: int, ledger: SlotLedger, config: ProtocolConfig) -> dict:
-    decoded = [u for u, s in enumerate(ledger.status) if s is UserStatus.DECODED]
-    failed = ledger.active_users()
     return {
         "trial": trial,
         "slot": ledger.slot,
         "assignment": dict(ledger.assignment),
         "scheme": config.scheme.value,
-        "decoded_users": list(decoded),
-        "failed_users": list(failed),
+        "decoded_users": [u for u, r in enumerate(ledger.decode_round) if r > 0],
+        "failed_users": sorted(ledger.active),
     }
 
 

@@ -8,7 +8,6 @@ MIMO rates go through one batched log-det in real arithmetic
 both call.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -61,26 +60,6 @@ def _copies(snr_terms) -> list:
     return terms
 
 
-@dataclass
-class MimoRateInputs:
-    matrices: list          # each rx x tx complex ndarray, shared dimensions
-    power: float            # linear transmit power per band
-    tx_antennas: int
-
-    def __post_init__(self):
-        if not self.matrices:
-            raise ValueError("need at least one channel matrix")
-        shape = np.asarray(self.matrices[0]).shape
-        for h in self.matrices:
-            if np.asarray(h).shape != shape:
-                raise ValueError("all stacked matrices must share dimensions")
-        if shape[1] != self.tx_antennas:
-            raise ValueError(
-                f"matrix has {shape[1]} columns but tx_antennas={self.tx_antennas}")
-        if self.power <= 0:
-            raise ValueError("power must be positive")
-
-
 def hermitian_gram(h) -> np.ndarray:
     """Gram matrices G = H*H of complex v x u channel matrices, packed real.
 
@@ -131,37 +110,38 @@ def log_det_eye_plus(q: float, gram) -> np.ndarray:
     return np.log1p(p)
 
 
-def mimo_nats_rtd(inputs: MimoRateInputs) -> float:
-    """log det(I + (P/u) H_stack H_stack*) for m vertically stacked copies.
+def mimo_nats_rtd(matrices, q: float) -> float:
+    """log det(I + q H_stack H_stack*) for m vertically stacked copies, with
+    q = P/u.
 
-    Computed through the u x u Gram form det(I_u + (P/u) sum_i H_i* H_i),
+    Computed through the u x u Gram form det(I_u + q sum_i H_i* H_i),
     which equals the stacked (mv x mv) determinant by Sylvester's identity.
     The Grams are summed in copy order, as the engine sums them.
     """
     gram = 0.0
-    for h in inputs.matrices:
+    for h in matrices:
         gram = gram + hermitian_gram(np.asarray(h, dtype=complex))
-    return float(log_det_eye_plus(inputs.power / inputs.tx_antennas, gram))
+    return float(log_det_eye_plus(q, gram))
 
 
-def mimo_nats_inr(inputs: MimoRateInputs) -> float:
-    """sum_i log det(I_v + (P/u) H_i H_i*), added in copy order.
+def mimo_nats_inr(matrices, q: float) -> float:
+    """sum_i log det(I_v + q H_i H_i*) with q = P/u, added in copy order.
 
-    Each copy's determinant is taken in the u x u form det(I_u + (P/u) H_i* H_i),
+    Each copy's determinant is taken in the u x u form det(I_u + q H_i* H_i),
     equal by Sylvester's identity.
     """
     total = 0.0
-    for h in inputs.matrices:
+    for h in matrices:
         gram = hermitian_gram(np.asarray(h, dtype=complex))
-        total += float(log_det_eye_plus(inputs.power / inputs.tx_antennas, gram))
+        total += float(log_det_eye_plus(q, gram))
     return total
 
 
-def mimo_rate_rtd(inputs: MimoRateInputs) -> float:
-    """Per-use rate (1/m) log det(I + (P/u) H_stack H_stack*)."""
-    return mimo_nats_rtd(inputs) / len(inputs.matrices)
+def mimo_rate_rtd(matrices, q: float) -> float:
+    """Per-use rate (1/m) log det(I + q H_stack H_stack*)."""
+    return mimo_nats_rtd(matrices, q) / len(matrices)
 
 
-def mimo_rate_inr(inputs: MimoRateInputs) -> float:
-    """Per-use rate (1/m) sum_i log det(I_v + (P/u) H_i H_i*)."""
-    return mimo_nats_inr(inputs) / len(inputs.matrices)
+def mimo_rate_inr(matrices, q: float) -> float:
+    """Per-use rate (1/m) sum_i log det(I_v + q H_i H_i*)."""
+    return mimo_nats_inr(matrices, q) / len(matrices)

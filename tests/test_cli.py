@@ -1,9 +1,11 @@
+import csv
 import math
+from dataclasses import asdict
 
 import pytest
 
 from coharq.cli import (CSV_HEADER, ResultRow, build_config, default_rate_grid,
-                        emit_csv, main, optimize_rates, parse_axis, parse_csv,
+                        emit_csv, main, optimize_rates, parse_axis,
                         resolve_policy, run_preset)
 from coharq.fading import ConfigurationError
 from coharq.protocol import PolicyKind
@@ -27,26 +29,28 @@ def sample_rows():
     ]
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "rows.csv"
     rows = sample_rows()
     emit_csv(rows, path)
-    back = parse_csv(path)
+    back = read_csv(path)
     assert len(back) == 2
-    assert back[0] == rows[0]
+    # every field, floats included, reads back as the value written
+    assert {k: type(v)(back[0][k]) for k, v in asdict(rows[0]).items()} == asdict(rows[0])
     # NaN != NaN, so compare the second row fieldwise
-    assert math.isnan(back[1].mc_value)
-    assert back[1].metric == "throughput" and back[1].analytic_value == 1.5
+    assert math.isnan(float(back[1]["mc_value"]))
+    assert back[1]["metric"] == "throughput" and float(back[1]["analytic_value"]) == 1.5
 
 
 def test_csv_header_fixed(tmp_path):
     path = tmp_path / "rows.csv"
     emit_csv([], path)
     assert path.read_text().strip() == ",".join(CSV_HEADER)
-    bad = tmp_path / "bad.csv"
-    bad.write_text("snr_db,who,knows\n")
-    with pytest.raises(ConfigurationError):
-        parse_csv(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +73,11 @@ def test_resolve_policy():
     assert resolve_policy("coord", 5).kind is PolicyKind.ROUND_ROBIN_GENERAL
     assert resolve_policy("noncoord", 2).kind is PolicyKind.NON_COORDINATED
     assert resolve_policy("round-robin", 4).kind is PolicyKind.ROUND_ROBIN_GENERAL
+    assert resolve_policy("random-split", 3).kind is PolicyKind.RANDOM_SPLIT_K3
     with pytest.raises(ConfigurationError):
         resolve_policy("psychic", 2)
+    with pytest.raises(ConfigurationError):
+        resolve_policy("random-split", 2)
 
 
 def test_build_config():
@@ -181,11 +188,41 @@ def test_main_analytic_bad_input_exit_2(argv, capsys):
     assert captured.err.count("\n") == 1 and captured.err.startswith("config error: ")
 
 
-def test_main_config_error_exit_2(capsys):
-    assert main(["run"]) == 2
-    assert main(["sweep", "--policy", "psychic"]) == 2
-    assert main(["sweep", "--snr-db", "10:0:20"]) == 2
-    assert main(["sweep", "--lambdas", "nan,1"]) == 2
+def assert_config_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: "), err
+    return err
+
+
+def test_main_config_error_exit_2(tmp_path, capsys):
+    ini = tmp_path / "split.ini"     # random split needs three users
+    ini.write_text("[split]\npolicy = random-split\nk = 2\nsnr_db = 0\ntrials = 10\n")
+    bare = tmp_path / "bare.ini"
+    bare.write_text("scheme = rtd\nk = 2\n")   # no [section] line
+    for argv in (["run"],
+                 ["sweep", "--policy", "psychic"],
+                 ["sweep", "--snr-db", "10:0:20"],
+                 ["sweep", "--lambdas", "nan,1"],
+                 ["sweep", "--policy", "random-split"],
+                 ["optimize", "--policy", "random-split"],
+                 ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
+                 ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")]):
+        assert_config_error(argv, capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["run", "--preset", "fig1a"], ["run", "--config", "CONFIG"]])
+def test_main_unwritable_out_exit_2(command, tmp_path, capsys):
+    ini = tmp_path / "runs.ini"
+    ini.write_text("[small]\nsnr_db = 0\n")
+    argv = [str(ini) if a == "CONFIG" else a for a in command]
+    # --trials 0 would fail in the simulation: the path is refused before it
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        err = assert_config_error([*argv, "--trials", "0", "--out", str(out)], capsys)
+        assert "cannot write" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.ini"]
 
 
 def test_main_zero_trials_exit_2(capsys):
@@ -201,9 +238,9 @@ def test_main_sweep_and_rerun_identical(tmp_path):
     assert main(argv + ["--out", str(out1)]) == 0
     assert main(argv + ["--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
-    rows = parse_csv(out1)
+    rows = read_csv(out1)
     assert len(rows) > 0
-    metrics = {r.metric for r in rows}
+    metrics = {r["metric"] for r in rows}
     assert {"outage_user0", "outage_user1", "throughput", "gamma"} <= metrics
 
 
@@ -222,8 +259,8 @@ def test_main_config_file(tmp_path, capsys):
     out = tmp_path / "res.csv"
     rc = main(["run", "--config", str(ini), "--out", str(out)])
     assert rc == 0
-    rows = parse_csv(out)
-    assert rows and all(r.seed == 7 for r in rows)
+    rows = read_csv(out)
+    assert rows and all(r["seed"] == "7" for r in rows)
 
 
 def test_run_preset_unknown():
@@ -234,7 +271,7 @@ def test_run_preset_unknown():
 def test_preset_fig2_small(tmp_path):
     out = tmp_path / "fig2.csv"
     rows = run_preset("fig2", 2000, SEED, out)
-    back = parse_csv(out)
+    back = read_csv(out)
     assert len(back) == len(rows)
-    assert all(r.k == 3 for r in back)
-    assert {r.policy for r in back} == {"coord", "noncoord"}
+    assert all(r["k"] == "3" for r in back)
+    assert {r["policy"] for r in back} == {"coord", "noncoord"}

@@ -1,3 +1,5 @@
+import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -29,3 +31,17 @@ def test_siso_and_closed_forms_load_numpy_alone():
     done = subprocess.run([sys.executable, "-c", PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_benchmark_bindings_resolve():
+    """Every function the benchmark's tracer wraps, and the oracle entry
+    points its workloads call, still exist under the names it uses."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = [(module, attr) for module, attr, _ in tracing.BINDINGS]
+    names += [("coharq.protocol", "run_packet"), ("coharq.fading", "Substream")]
+    missing = [f"{module}.{attr}" for module, attr in names
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert not missing, missing

@@ -33,43 +33,37 @@ def make_config(rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=1.0,
 # vectorized engine against the scalar protocol
 
 
+def assert_engine_matches_oracle(cfg, policy, n):
+    """simulate_rounds rows equal run_packet's decode rounds (0 for outage in
+    both), trial by trial; returns the engine's rounds."""
+    rounds = simulate_rounds(cfg, policy, n, SEED)
+    for trial in range(n):
+        out = run_packet(cfg, policy, Substream(SEED, trial=trial))
+        assert tuple(rounds[trial].tolist()) == out.decode_round, trial
+    return rounds
+
+
 @pytest.mark.parametrize("policy,cfg_kwargs", [
     (COORD, dict(scheme=Scheme.RTD, max_rounds=2, lambdas=(1.0, 2.0), power=2.0)),
     (NONCOORD, dict(scheme=Scheme.INR, max_rounds=3, rates=(0.8, 1.4))),
     (ROBIN, dict(scheme=Scheme.RTD, max_rounds=3)),
 ])
 def test_vectorized_matches_scalar(policy, cfg_kwargs):
-    cfg = make_config(**cfg_kwargs)
-    n = 400
-    rounds = simulate_rounds(cfg, policy, n, SEED)
-    for trial in range(n):
-        out = run_packet(cfg, policy, Substream(SEED, trial=trial))
-        expect = [0 if r < 0 else r for r in out.decode_round]
-        assert list(rounds[trial]) == expect
+    assert_engine_matches_oracle(make_config(**cfg_kwargs), policy, 400)
 
 
 def test_vectorized_matches_scalar_k3_split():
     profile = FadingProfile(lambdas=(1.0, 2.0, 0.5))
     cfg = ProtocolConfig(profile=profile, rates=(1.0, 0.7, 1.3), power=1.5,
                          scheme=Scheme.INR, max_rounds=2)
-    n = 500
-    rounds = simulate_rounds(cfg, SPLIT, n, SEED)
-    for trial in range(n):
-        out = run_packet(cfg, SPLIT, Substream(SEED, trial=trial))
-        expect = [0 if r < 0 else r for r in out.decode_round]
-        assert list(rounds[trial]) == expect
+    assert_engine_matches_oracle(cfg, SPLIT, 500)
 
 
 def test_vectorized_matches_scalar_round_robin_many_users():
     # more users than bits in a 64-bit activity code
     k = 66
     cfg = make_config(rates=(1.0,) * k, lambdas=(1.0,) * k, power=3.0, max_rounds=3)
-    n = 40
-    rounds = simulate_rounds(cfg, ROBIN, n, SEED)
-    for trial in range(n):
-        out = run_packet(cfg, ROBIN, Substream(SEED, trial=trial))
-        expect = [0 if r < 0 else r for r in out.decode_round]
-        assert list(rounds[trial]) == expect
+    assert_engine_matches_oracle(cfg, ROBIN, 40)
 
 
 def mimo_config(tx, rx, scheme, rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=3.0,
@@ -86,13 +80,8 @@ def test_vectorized_matches_scalar_mimo(tx, rx, scheme, policy):
     n_streams = min(tx, rx)
     cfg = mimo_config(tx, rx, scheme, rates=(1.2 * n_streams, 1.6 * n_streams),
                       lambdas=(1.0, 2.0), max_rounds=3)
-    n = 200
-    rounds = simulate_rounds(cfg, policy, n, SEED)
+    rounds = assert_engine_matches_oracle(cfg, policy, 200)
     assert len(np.unique(rounds)) >= 3
-    for trial in range(n):
-        out = run_packet(cfg, policy, Substream(SEED, trial=trial))
-        expect = [0 if r < 0 else r for r in out.decode_round]
-        assert list(rounds[trial]) == expect
 
 
 def assert_same_stats(a, b):
@@ -144,7 +133,7 @@ def test_stats_match_per_packet_reference():
     for trial in range(n):
         out = run_packet(cfg, COORD, Substream(SEED, trial=trial))
         slots.append(out.slots_consumed)
-        nats.append(sum(out.nats_delivered))
+        nats.append(sum(rate for rate, r in zip(cfg.rates, out.decode_round) if r > 0))
     slots, nats = np.array(slots), np.array(nats)
     assert stats.total_slots == slots.sum()
     assert stats.slots_sq_sum == (slots * slots).sum()

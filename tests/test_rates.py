@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from coharq.rates import (MimoRateInputs, hermitian_gram, inr_nats, log_det_eye_plus,
-                          mimo_nats_inr, mimo_nats_rtd, mimo_rate_inr, mimo_rate_rtd,
-                          rtd_nats, u_inr, u_rtd)
+from coharq.rates import (hermitian_gram, inr_nats, log_det_eye_plus, mimo_nats_inr,
+                          mimo_nats_rtd, mimo_rate_inr, mimo_rate_rtd, rtd_nats, u_inr,
+                          u_rtd)
 
 snr_lists = st.lists(st.floats(0.0, 1e4, allow_nan=False), min_size=1, max_size=8)
 
@@ -40,9 +40,8 @@ def test_nats_add_copies_one_at_a_time_in_order():
     assert inr_nats(snrs) == total
     assert u_inr(snrs) == inr_nats(snrs) / 12
     mats = [np.array([[1.0 + 0.5j, 0.2], [0.3j, 2.0]]) * k for k in (1, 2, 3)]
-    inp = MimoRateInputs(matrices=mats, power=2.0, tx_antennas=2)
-    assert mimo_rate_rtd(inp) == mimo_nats_rtd(inp) / 3
-    assert mimo_rate_inr(inp) == mimo_nats_inr(inp) / 3
+    assert mimo_rate_rtd(mats, 1.0) == mimo_nats_rtd(mats, 1.0) / 3
+    assert mimo_rate_inr(mats, 1.0) == mimo_nats_inr(mats, 1.0) / 3
 
 
 def test_empty_copy_list_rejected():
@@ -77,44 +76,39 @@ def test_decode_success_examples():
 
 
 def test_mimo_rtd_siso_reduction():
-    inp = MimoRateInputs(matrices=[np.array([[1.0]])], power=1.0, tx_antennas=1)
-    assert mimo_rate_rtd(inp) == pytest.approx(math.log(2), rel=1e-12)
+    assert mimo_rate_rtd([np.array([[1.0]])], 1.0) == pytest.approx(math.log(2), rel=1e-12)
 
 
 def test_mimo_rtd_identity():
-    inp = MimoRateInputs(matrices=[np.eye(2)], power=2.0, tx_antennas=2)
-    assert mimo_rate_rtd(inp) == pytest.approx(2 * math.log(2), rel=1e-12)
+    # q = P/u = 2/2
+    assert mimo_rate_rtd([np.eye(2)], 1.0) == pytest.approx(2 * math.log(2), rel=1e-12)
 
 
 def test_mimo_rtd_against_eigenvalue_oracle():
     rng = np.random.default_rng(7)
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2)]
-    inp = MimoRateInputs(matrices=mats, power=3.0, tx_antennas=2)
     # independent route: stack vertically, eigendecompose H_stack H_stack*
     h_stack = np.vstack(mats)
     eigs = np.linalg.eigvalsh(h_stack @ h_stack.conj().T)
     oracle = np.sum(np.log(1 + (3.0 / 2) * eigs)) / 2
-    assert mimo_rate_rtd(inp) == pytest.approx(oracle, abs=1e-10)
+    assert mimo_rate_rtd(mats, 3.0 / 2) == pytest.approx(oracle, abs=1e-10)
 
 
 def test_mimo_rtd_diagonal_reduces_to_per_eigenchannel_siso():
     d = np.diag([2.0, 0.5])
-    inp = MimoRateInputs(matrices=[d], power=4.0, tx_antennas=2)
     per_channel = sum(math.log(1 + (4.0 / 2) * v ** 2) for v in (2.0, 0.5))
-    assert mimo_rate_rtd(inp) == pytest.approx(per_channel, rel=1e-12)
+    assert mimo_rate_rtd([d], 4.0 / 2) == pytest.approx(per_channel, rel=1e-12)
 
 
 def test_mimo_inr_examples():
-    inp = MimoRateInputs(matrices=[np.array([[1.0]])], power=1.0, tx_antennas=1)
-    assert mimo_rate_inr(inp) == pytest.approx(math.log(2), rel=1e-12)
+    assert mimo_rate_inr([np.array([[1.0]])], 1.0) == pytest.approx(math.log(2), rel=1e-12)
 
     rng = np.random.default_rng(3)
-    h = rng.normal(size=(2, 2))
-    single = MimoRateInputs(matrices=[h], power=1.5, tx_antennas=2)
-    assert mimo_rate_inr(single) == pytest.approx(mimo_rate_rtd(single), rel=1e-12)
+    single = [rng.normal(size=(2, 2))]
+    assert mimo_rate_inr(single, 0.75) == pytest.approx(mimo_rate_rtd(single, 0.75), rel=1e-12)
 
-    two = MimoRateInputs(matrices=[np.eye(2), np.eye(2)], power=2.0, tx_antennas=2)
-    assert mimo_rate_inr(two) == pytest.approx(2 * math.log(2), rel=1e-12)
+    two = [np.eye(2), np.eye(2)]
+    assert mimo_rate_inr(two, 1.0) == pytest.approx(2 * math.log(2), rel=1e-12)
 
 
 @pytest.mark.parametrize("q", [0.5, 5.0, 1e6])
@@ -146,10 +140,3 @@ def test_gram_packing_and_batch_equals_single():
     batch = log_det_eye_plus(2.5, gram)
     single = [log_det_eye_plus(2.5, hermitian_gram(m)) for m in h]
     assert np.array_equal(batch, single)
-
-
-def test_mimo_dimension_mismatch():
-    with pytest.raises(ValueError):
-        MimoRateInputs(matrices=[np.eye(2), np.eye(3)], power=1.0, tx_antennas=2)
-    with pytest.raises(ValueError):
-        MimoRateInputs(matrices=[], power=1.0, tx_antennas=1)
