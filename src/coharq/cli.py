@@ -85,6 +85,14 @@ def parse_axis(spec: str):
     return [float(v) for v in spec.split(",")]
 
 
+def per_user_values(spec, k: int, name: str) -> list:
+    """One value per user from a comma list, or all ones when `spec` is None."""
+    values = [1.0] * k if spec is None else [float(v) for v in spec.split(",")]
+    if len(values) != k:
+        raise ConfigurationError(f"{name} needs one value per user (k = {k}), got {spec!r}")
+    return values
+
+
 def resolve_policy(name: str, k: int) -> AllocationPolicy:
     """'coord' selects the natural coordinated policy for K users."""
     name = name.lower()
@@ -131,21 +139,18 @@ def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
                    rate_grid, n_trials: int = 100_000, master_seed: int = 1):
     """Exhaustive throughput maximization over (R_A, R_B) pairs at fixed SNR.
 
-    Analytic evaluation for two-user SISO (both policies); Monte Carlo
-    otherwise. Ties go to the smaller R_A + R_B.
+    Closed form wherever montecarlo.analytic_counterparts has one; Monte
+    Carlo otherwise. Ties go to the smaller R_A + R_B.
     """
     rate_grid = list(rate_grid)
     if not rate_grid:
         raise ConfigurationError("empty rate grid")
-    use_analytic = config_template.n_users == 2 and config_template.profile.is_siso \
-        and policy.kind in (PolicyKind.FULL_COORDINATION_K2, PolicyKind.NON_COORDINATED)
     best_pair, best_eta = None, -1.0
     for pair in rate_grid:
         cfg = replace(config_template, rates=tuple(pair))
-        if use_analytic:
-            eta = analytic_counterparts(cfg, policy)["throughput"]
-        else:
-            eta = estimate(cfg, policy, n_trials, master_seed)["throughput"].point
+        closed = analytic_counterparts(cfg, policy)
+        eta = (closed["throughput"] if closed
+               else estimate(cfg, policy, n_trials, master_seed)["throughput"].point)
         if eta > best_eta or (eta == best_eta and sum(pair) < sum(best_pair)):
             best_pair, best_eta = tuple(pair), eta
     return best_pair, best_eta
@@ -155,7 +160,8 @@ def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
 # presets
 
 
-def _sweep_rows(result, scheme, policy_name, k, m, seed, metrics=("outage",)):
+def _sweep_rows(result, scheme, policy_name, k, m, seed,
+                metrics=("outage_user", "throughput", "fairness", "gamma")):
     rows = []
     for i, snr_db in enumerate(result.snr_db):
         est = result.estimates[i]
@@ -300,9 +306,16 @@ def _add_common(p):
     p.add_argument("--jobs", type=int, default=1)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigurationError, so it ends in
+    one `config error:` line and exit code 2 like any other bad input."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def _build_parser():
-    p = argparse.ArgumentParser(prog="coharq",
-                                description="Coordinated HARQ analytics and simulation")
+    p = _Parser(prog="coharq", description="Coordinated HARQ analytics and simulation")
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="run a named experiment preset or a config file")
@@ -326,7 +339,6 @@ def _build_parser():
     po.add_argument("--grid", default="0.25:0.25:8")
     po.add_argument("--scheme", default="rtd", choices=["rtd", "inr"])
     po.add_argument("--policy", default="coord")
-    po.add_argument("--k", type=int, default=2)
     po.add_argument("--m", type=int, default=2)
     po.add_argument("--lambdas", default=None)
     po.add_argument("--snr-db", type=float, default=10.0)
@@ -350,6 +362,36 @@ def _build_parser():
     return p
 
 
+def _plan_sweep(opts: dict):
+    """Check one sweep run and return a function of n_jobs that runs it and
+    returns its CSV rows. `opts` holds every `sweep` option but --out and
+    --jobs, from the command line or from a `run --config` section."""
+    k, m, seed = opts["k"], opts["m"], opts["seed"]
+    cfg = build_config(opts["scheme"], k, m, per_user_values(opts["lambdas"], k, "lambdas"),
+                       per_user_values(opts["rates"], k, "rates"), 0.0,
+                       u=opts["tx"], v=opts["rx"])
+    pol = resolve_policy(opts["policy"], k)
+    axis = parse_axis(opts["snr_db"])
+
+    def run(n_jobs):
+        res = sweep(cfg, pol, axis, opts["trials"], seed, n_jobs=n_jobs)
+        return _sweep_rows(res, opts["scheme"], opts["policy"], k, m, seed)
+    return run
+
+
+def _section_options(section, args) -> dict:
+    """A config section's keys over the `sweep` defaults and `run`'s flags."""
+    opts = vars(_build_parser().parse_args(["sweep"]))
+    del opts["command"], opts["out"], opts["jobs"]
+    opts.update(trials=args.trials, seed=args.seed)
+    for key, value in section.items():
+        if key not in opts:
+            raise ConfigurationError(f"unknown key {key!r} in section [{section.name}]; "
+                                     f"keys are {', '.join(opts)}")
+        opts[key] = int(value) if isinstance(opts[key], int) else value
+    return opts
+
+
 def _cmd_run(args) -> int:
     if args.preset:
         out = _output_path(args.out or f"{args.preset}.csv")
@@ -360,23 +402,9 @@ def _cmd_run(args) -> int:
         cp = configparser.ConfigParser()
         if not cp.read(args.config):
             raise ConfigurationError(f"cannot read config file {args.config!r}")
+        runs = [_plan_sweep(_section_options(cp[name], args)) for name in cp.sections()]
         out = _output_path(args.out or "results.csv")
-        all_rows = []
-        for section in cp.sections():
-            s = cp[section]
-            k = s.getint("k", 2)
-            lambdas = [float(v) for v in s.get("lambdas", ",".join(["1"] * k)).split(",")]
-            rates = [float(v) for v in s.get("rates", ",".join(["1"] * k)).split(",")]
-            cfg = build_config(s.get("scheme", "rtd"), k, s.getint("m", 2),
-                               lambdas, rates, 0.0,
-                               u=s.getint("tx", 1), v=s.getint("rx", 1))
-            pol = resolve_policy(s.get("policy", "coord"), k)
-            axis = parse_axis(s.get("snr_db", "0:2:30"))
-            res = sweep(cfg, pol, axis, s.getint("trials", args.trials),
-                        s.getint("seed", args.seed), n_jobs=args.jobs)
-            all_rows += _sweep_rows(res, s.get("scheme", "rtd"), s.get("policy", "coord"),
-                                    k, s.getint("m", 2), s.getint("seed", args.seed),
-                                    metrics=("outage_user", "throughput", "fairness", "gamma"))
+        all_rows = [row for run in runs for row in run(args.jobs)]
         emit_csv(all_rows, out)
         print(f"wrote {len(all_rows)} rows to {out}")
         return 0
@@ -384,27 +412,19 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    k = args.k
-    lambdas = [float(v) for v in args.lambdas.split(",")] if args.lambdas else [1.0] * k
-    rates = [float(v) for v in args.rates.split(",")] if args.rates else [1.0] * k
-    cfg = build_config(args.scheme, k, args.m, lambdas, rates, 0.0, u=args.tx, v=args.rx)
-    pol = resolve_policy(args.policy, k)
-    axis = parse_axis(args.snr_db)
+    run = _plan_sweep(vars(args))
     out = _output_path(args.out or "sweep.csv")
-    res = sweep(cfg, pol, axis, args.trials, args.seed, n_jobs=args.jobs)
-    rows = _sweep_rows(res, args.scheme, args.policy, k, args.m, args.seed,
-                       metrics=("outage_user", "throughput", "fairness", "gamma"))
+    rows = run(args.jobs)
     emit_csv(rows, out)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 
 
 def _cmd_optimize(args) -> int:
-    k = args.k
-    lambdas = [float(v) for v in args.lambdas.split(",")] if args.lambdas else [1.0] * k
-    cfg = build_config(args.scheme, k, args.m, lambdas, [1.0] * k, args.snr_db,
-                       u=args.tx, v=args.rx)
-    pol = resolve_policy(args.policy, k)
+    # the rate grid holds (R_A, R_B) pairs: two users
+    cfg = build_config(args.scheme, 2, args.m, per_user_values(args.lambdas, 2, "lambdas"),
+                       [1.0, 1.0], args.snr_db, u=args.tx, v=args.rx)
+    pol = resolve_policy(args.policy, 2)
     vals = parse_axis(args.grid)
     grid = [(ra, rb) for ra in vals for rb in vals]
     pair, eta = optimize_rates(cfg, pol, grid, n_trials=args.trials, master_seed=args.seed)
@@ -447,9 +467,8 @@ def _cmd_analytic(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

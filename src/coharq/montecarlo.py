@@ -21,8 +21,7 @@ import numpy as np
 
 from . import analytic
 from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
-from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, ProtocolError,
-                       policy_allocate)
+from .protocol import AllocationPolicy, PolicyKind, ProtocolConfig, policy_allocate
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
 DEFAULT_CHUNK = 1_000_000
@@ -45,54 +44,35 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
                        n_trials: int) -> np.ndarray:
     """Band -> user map, shape (K, len(rows)); -1 marks an idle band.
 
-    `active` is (K, len(rows)): user u is still active in column j, which
-    is trial offset rows[j] in [0, n_trials). Mirrors
-    protocol.policy_allocate exactly: active users always keep their own
-    bands, free bands are donated per policy. `slot` >= 1 is the slot being
-    entered; the random K=3 split consumes the policy uniform of each
-    column's own trial in the slot in which the ACK/NACKs were observed
-    (slot - 1).
+    `active` is (K, len(rows)): user u is still active in column j, trial
+    offset rows[j] in [0, n_trials); every column has an active user. Each
+    column gets protocol.policy_allocate's map for its activity pattern and,
+    for the random K=3 split, its trial's policy uniform from slot - 1
+    (`slot` >= 1 is the slot entered), with -1 for a band handed back to a
+    resolved owner. policy_allocate runs once per run of equal keys.
     """
     k, n = active.shape
-    bands = np.arange(k, dtype=np.int64)
-    assign = np.where(active, bands[:, None], -1)
-    if policy.kind is PolicyKind.NON_COORDINATED:
-        return assign
-    n_active = active.sum(axis=0)
-    if policy.kind is PolicyKind.FULL_COORDINATION_K2:
-        if k != 2:
-            raise ProtocolError("full-coordination policy is defined for exactly 2 users")
-        solo = n_active == 1
-        winner = np.argmax(active, axis=0)
-        assign[:, solo] = winner[solo]
-        return assign
+    keys = list(active)
+    u = None
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
-        if k != 3:
-            raise ProtocolError("random-split policy is defined for exactly 3 users")
-        solo = n_active == 1
-        winner = np.argmax(active, axis=0)
-        assign[:, solo] = winner[solo]
-        pairs = np.flatnonzero(n_active == 2)
-        if pairs.size:
-            u = uniform_block(master_seed, slot - 1, POLICY_BAND, start_trial,
-                              n_trials)[rows[pairs], 0]
-            pair_active = active[:, pairs]
-            lo = np.argmax(pair_active, axis=0)                    # lowest-index active
-            hi = k - 1 - np.argmax(pair_active[::-1], axis=0)      # highest-index active
-            free_band = np.argmin(pair_active, axis=0)             # the single inactive user
-            assign[free_band, pairs] = np.where(u < 0.5, lo, hi)
-        return assign
-    # round-robin general K: deal free bands cyclically over the active
-    # users; distinct activity patterns are few, so group trials by pattern
-    patterns, which = np.unique(active, axis=1, return_inverse=True)
-    which = which.ravel()
-    for j, pattern in enumerate(patterns.T):
-        failed = set(np.flatnonzero(pattern).tolist())
-        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k)
-        match = which == j
-        for band, user in mapping.items():
-            assign[band, match] = user
-    return assign
+        u = uniform_block(master_seed, slot - 1, POLICY_BAND, start_trial, n_trials)[rows, 0]
+        keys.append(u < 0.5)
+    order = np.lexsort(keys)
+    new_run = np.zeros(n, dtype=bool)
+    new_run[0] = True
+    # one key at a time: 1-D gathers beat a column gather of the 2-D array
+    for key in keys:
+        ranked = key[order]
+        new_run[1:] |= ranked[1:] != ranked[:-1]
+    maps = []
+    for j in order[new_run].tolist():
+        failed = set(np.flatnonzero(active[:, j]).tolist())
+        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
+                                  uniform=None if u is None else u[j])
+        maps.append([mapping[b] if mapping[b] in failed else -1 for b in range(k)])
+    run = np.empty(n, dtype=np.intp)
+    run[order] = np.cumsum(new_run) - 1
+    return np.take(np.array(maps, dtype=np.int64).T, run, axis=1)
 
 
 def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
@@ -333,15 +313,17 @@ def estimates_from_stats(stats: BatchStats, config: ProtocolConfig) -> dict:
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
     """Closed-form / semi-numerical values matching the estimate() targets.
 
-    Available for K = 2 SISO with the full-coordination or non-coordinated
-    policy; returns {} otherwise (those cases are Monte Carlo only).
+    Available for K = 2 SISO under any policy defined for two users;
+    returns {} otherwise (those cases are Monte Carlo only).
     """
-    if (config.n_users != 2 or not config.profile.is_siso
-            or policy.kind not in (PolicyKind.FULL_COORDINATION_K2, PolicyKind.NON_COORDINATED)):
+    if config.n_users != 2 or not config.profile.is_siso:
         return {}
+    # the two-user tables cover both rules policy_allocate can apply to a
+    # lone failing user: it receives the free band, or keeps only its own
+    coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
     ra, rb = config.rates
     table = analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
-                                 config.power, ra, rb, coordinated=policy.coordinated)
+                                 config.power, ra, rb, coordinated=coordinated)
     gamma = analytic.packets_per_slot(table)
     # each user's resolve-round distribution, index 0 = outage
     rounds_a, rounds_b = table.sum(axis=1).tolist(), table.sum(axis=0).tolist()

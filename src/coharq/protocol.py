@@ -37,10 +37,6 @@ class PolicyKind(Enum):
 class AllocationPolicy:
     kind: PolicyKind
 
-    @property
-    def coordinated(self) -> bool:
-        return self.kind is not PolicyKind.NON_COORDINATED
-
 
 @dataclass(frozen=True)
 class ProtocolConfig:

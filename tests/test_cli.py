@@ -200,14 +200,22 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     ini.write_text("[split]\npolicy = random-split\nk = 2\nsnr_db = 0\ntrials = 10\n")
     bare = tmp_path / "bare.ini"
     bare.write_text("scheme = rtd\nk = 2\n")   # no [section] line
+    short = tmp_path / "short.ini"   # two values for three users
+    short.write_text("[short]\nk = 3\nlambdas = 1,1\nrates = 1,1\nsnr_db = 0\ntrials = 10\n")
+    typo = tmp_path / "typo.ini"     # a key that no sweep option matches
+    typo.write_text("[typo]\nlamdas = 1,8\nsnr_db = 0\ntrials = 10\n")
     for argv in (["run"],
                  ["sweep", "--policy", "psychic"],
                  ["sweep", "--snr-db", "10:0:20"],
                  ["sweep", "--lambdas", "nan,1"],
                  ["sweep", "--policy", "random-split"],
+                 ["sweep", "--k", "3", "--lambdas", "1,1", "--rates", "1,1"],
                  ["optimize", "--policy", "random-split"],
+                 ["optimize", "--k", "3"],
                  ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
-                 ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")]):
+                 ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")],
+                 ["run", "--config", str(short), "--out", str(tmp_path / "x.csv")],
+                 ["run", "--config", str(typo), "--out", str(tmp_path / "x.csv")]):
         assert_config_error(argv, capsys)
     assert not (tmp_path / "x.csv").exists()
 

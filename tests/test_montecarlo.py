@@ -1,18 +1,20 @@
+import itertools
 import math
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from coharq.fading import FadingProfile
+from coharq.fading import POLICY_BAND, FadingProfile, uniform_block
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
-                               RangeError, SweepResult, analytic_counterparts,
+                               RangeError, SweepResult, _assignment_matrix,
+                               analytic_counterparts,
                                db_to_linear, dominance_violations,
                                energy_gain_at_outage, estimate,
                                fit_diversity_slope, simulate_batch,
                                simulate_rounds, snr_at_outage, sweep)
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
-                             run_packet)
+                             policy_allocate, run_packet)
 from coharq.fading import Substream
 from coharq.rates import Scheme
 
@@ -64,6 +66,31 @@ def test_vectorized_matches_scalar_round_robin_many_users():
     k = 66
     cfg = make_config(rates=(1.0,) * k, lambdas=(1.0,) * k, power=3.0, max_rounds=3)
     assert_engine_matches_oracle(cfg, ROBIN, 40)
+
+
+@pytest.mark.parametrize("policy,k", [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5)],
+                         ids=["coord-k2", "noncoord-k2", "split-k3", "robin-k5"])
+def test_assignment_matrix_matches_policy_allocate(policy, k):
+    # every nonempty activity pattern, eight columns each, in a shuffled
+    # order and at reversed trial offsets
+    patterns = [p for p in itertools.product((False, True), repeat=k) if any(p)]
+    active = np.array(patterns * 8).T
+    active = active[:, np.random.default_rng(SEED).permutation(active.shape[1])]
+    n = active.shape[1]
+    rows = np.arange(n)[::-1]
+    slot = 2
+    assign = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
+    uniforms = uniform_block(SEED, slot - 1, POLICY_BAND, 5, n)[rows, 0]
+    for j in range(n):
+        failed = set(np.flatnonzero(active[:, j]).tolist())
+        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
+                                  uniform=uniforms[j])
+        expected = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
+        assert assign[:, j].tolist() == expected, (j, sorted(failed))
+    if policy is SPLIT:
+        # the two-user patterns see the coin land both ways
+        pairs = uniforms[active.sum(axis=0) == 2]
+        assert (pairs < 0.5).any() and (pairs >= 0.5).any()
 
 
 def mimo_config(tx, rx, scheme, rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=3.0,
@@ -184,7 +211,7 @@ def test_event_frequencies_sum_to_one_exactly():
     assert total == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("policy", [COORD, NONCOORD])
+@pytest.mark.parametrize("policy", [COORD, NONCOORD, ROBIN])
 def test_estimate_and_counterparts_name_the_same_events(policy):
     cfg = make_config(max_rounds=3)
     est = {k for k in estimate(cfg, policy, 1000, SEED) if k.startswith("event_")}
