@@ -1,7 +1,8 @@
 """Closed-form and semi-numerical probability engine for coordinated HARQ.
 
-Covers the two-user event algebra (decode-round probabilities, outage,
-throughput, fairness), the CDF of the RTD accumulated SNR (a sum of
+Covers the terminal-event algebra (the two-user decode-round table, and
+gamma, outage, throughput and fairness from any (M+1)^K table of
+probabilities or counts), the CDF of the RTD accumulated SNR (a sum of
 exponential gains, evaluated as a gamma mixture with nonnegative weights
 for any pair of fading parameters, equal or not), the INR accumulated
 mutual-information CDF via iterated numerical convolution, and the
@@ -70,17 +71,6 @@ def alpha_beta(thresholds: ThresholdPair, lambdas) -> tuple:
     alpha = -math.expm1(-lam1 * thresholds.c_a)
     beta = -math.expm1(-lam2 * thresholds.c_b)
     return alpha, beta
-
-
-def gamma_norm(alpha: float, beta: float) -> float:
-    """Packet-start rate 1 / (1 + alpha + beta - alpha*beta).
-
-    Equals packets per slot in the long run: a packet lasts one slot iff
-    both users decode at round one, two slots otherwise (M = 2).
-    """
-    if not (0 <= alpha <= 1 and 0 <= beta <= 1):
-        raise ValueError("alpha, beta must lie in [0, 1]")
-    return 1.0 / (1.0 + alpha + beta - alpha * beta)
 
 
 def phi_coordinated(thresholds: ThresholdPair, lambdas) -> float:
@@ -283,10 +273,11 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
 
     Cell [i, j] is the probability that user A resolves at round i and user
     B at round j, with index 0 meaning outage: shape (M+1, M+1), indexed
-    like `BatchStats.joint_counts`. The A-side stopping condition involves
-    only band-1 gains up to A's stop round, and the B-side condition only
-    band-2 gains plus band-1 gains from later slots (the donated copies), so
-    the two conditions are independent and cell [i, j] is Q_A[i, j] Q_B[j, i].
+    like `BatchStats.counts` at K = 2 and reduced by `reduce_table`. The
+    A-side stopping condition involves only band-1 gains up to A's stop
+    round, and the B-side condition only band-2 gains plus band-1 gains from
+    later slots (the donated copies), so the two conditions are independent
+    and cell [i, j] is Q_A[i, j] Q_B[j, i].
     `coordinated=False` gives independent single-user HARQ on each band.
     """
     rounds = range(max_rounds + 1)
@@ -304,42 +295,74 @@ def event_label(i: int, j: int) -> str:
     return f"A{i or 'out'}B{j or 'out'}"
 
 
-def packets_per_slot(table: np.ndarray) -> float:
-    """Long-run packet-start rate gamma = 1 / E[slots per packet].
-
-    A packet holds the channel until its last user resolves, so for M
-    slots if either user ends in outage. Per-slot frequencies are the
-    per-packet table values times gamma.
+@lru_cache(maxsize=64)
+def table_cells(max_rounds: int, n_users: int) -> tuple:
+    """(flat indices, (K, cells) decoded flags, slots held) of the cells of
+    an (M+1)^K table, each axis running rounds 1..M, then outage (index 0),
+    the order the event labels sort in. A packet holds the channel until
+    its last user resolves, so for M slots if some user ends in outage.
     """
-    M = len(table) - 1
-    cells = table.tolist()
-    rounds = [*range(1, M + 1), 0]  # outage last, the order the labels sort in
-    return 1.0 / sum(max(i or M, j or M) * cells[i][j] for i in rounds for j in rounds)
+    shape = (max_rounds + 1,) * n_users
+    rounds = (np.indices(shape).reshape(n_users, -1) + 1) % (max_rounds + 1)
+    slots = np.where(rounds == 0, max_rounds, rounds).max(axis=0)
+    parts = np.ravel_multi_index(rounds, shape), rounds > 0, slots
+    for a in parts:
+        a.flags.writeable = False  # cached: shared by every caller
+    return parts
 
 
-def throughput_closed(table: np.ndarray, rate_a: float, rate_b: float) -> float:
-    """Long-run throughput in npcu: gamma-weighted delivered nats per slot."""
-    total = table.sum()
+def user_masses(table: np.ndarray) -> tuple:
+    """(outage, decoded): for each user, the table's mass in its outage
+    slice (index 0 on its axis) and in the rest; exact for a count table."""
+    flat, decodes, _ = table_cells(table.shape[0] - 1, table.ndim)
+    cells = table.ravel()[flat]
+    return ~decodes @ cells, decodes @ cells
+
+
+def packets_per_slot(table: np.ndarray, packets=1.0) -> float:
+    """Long-run packet-start rate gamma = packets / slots held, for an
+    (M+1)^K table of probabilities (packets = 1) or of packet counts
+    (packets = their total); the slots are summed in `table_cells` order.
+    Per-slot frequencies are the per-packet values times gamma. Any other
+    total over the table's packets, such as delivered nats, gives its rate
+    per slot the same way.
+    """
+    flat, _, slots = table_cells(table.shape[0] - 1, table.ndim)
+    return packets / sum((slots * table.ravel()[flat]).tolist())
+
+
+def throughput_closed(table: np.ndarray, *rates, packets=1.0) -> float:
+    """Long-run throughput in npcu: delivered nats per slot held, one rate
+    per user."""
+    total = table.sum() / packets
     if abs(total - 1.0) > 1e-6:
         raise ConsistencyError(f"event probabilities sum to {total}, not 1")
-    return packets_per_slot(table) * float(rate_a * table[1:].sum()
-                                           + rate_b * table[:, 1:].sum())
+    return packets_per_slot(table, float(np.asarray(rates) @ user_masses(table)[1]))
 
 
-def outage_b_rtd_closed(thresholds: ThresholdPair, lambdas, alpha: float) -> float:
-    """Closed-form per-slot outage frequency of user B (RTD, M = K = 2).
-
-    First branch: both users failed round one, B then fails on two own-band
-    copies (two-stage Erlang tail). Second branch: A decoded round one, B
-    fails on three combined copies (phi).
+def reduce_table(table: np.ndarray, rates, packets=1.0) -> dict:
+    """Every per-packet and per-slot measure of an (M+1)^K terminal-event
+    table, of probabilities (packets = 1) or of packet counts (packets =
+    their total): gamma, per-user outage per packet (`outage_packet_user<u>`)
+    and per slot (`outage_user<u>`), throughput, and for K = 2 the fairness
+    ratio of A's to B's throughput (NaN when B delivers nothing) and every
+    cell as `event_<label>`.
     """
-    lam2 = lambdas[1]
-    c_b = thresholds.c_b
-    beta = -math.expm1(-lam2 * c_b)
-    gam = gamma_norm(alpha, beta)
-    erlang2_tail = gain_sum_cdf(0, 2, lambdas, c_b)
-    phi = phi_coordinated(thresholds, lambdas)
-    return gam * alpha * erlang2_tail + gam * (1.0 - alpha) * phi
+    gamma = packets_per_slot(table, packets)
+    outage, decoded = user_masses(table)
+    vals = {"gamma": gamma}
+    for u, mass in enumerate(outage.tolist()):
+        p = mass / packets
+        vals[f"outage_packet_user{u}"] = p
+        vals[f"outage_user{u}"] = gamma * p
+    vals["throughput"] = throughput_closed(table, *rates, packets=packets)
+    if table.ndim == 2:
+        eta_a, eta_b = (rate * mass for rate, mass in zip(rates, decoded.tolist()))
+        vals["fairness"] = eta_a / eta_b if eta_b > 0 else math.nan
+        for i, row in enumerate(table.tolist()):
+            for j, x in enumerate(row):
+                vals[f"event_{event_label(i, j)}"] = x / packets
+    return vals
 
 
 def diversity_gain(helpers: int, max_rounds: int) -> int:

@@ -15,6 +15,7 @@ import csv
 import itertools
 import math
 import os
+import string
 import sys
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,8 @@ from .rates import Scheme
 CSV_HEADER = ["snr_db", "scheme", "policy", "k", "m", "user", "metric",
               "mc_value", "mc_ci95", "analytic_value", "trials", "seed"]
 
-_USER_NAMES = "ABCDEFGH"
+# user u is named by letter u; Monte Carlo statistics serve at most 16 users
+_USER_NAMES = string.ascii_uppercase
 
 
 @dataclass(frozen=True)
@@ -169,9 +171,8 @@ def _sweep_rows(result, scheme, policy_name, k, m, seed,
         for key, e in est.items():
             if not any(key.startswith(mpfx) for mpfx in metrics):
                 continue
-            user = ""
-            if key.endswith(tuple(f"user{j}" for j in range(k))):
-                user = _USER_NAMES[int(key[-1])]
+            _, per_user, index = key.rpartition("user")
+            user = _USER_NAMES[int(index)] if per_user else ""
             rows.append(ResultRow(
                 snr_db=snr_db, scheme=scheme, policy=policy_name, k=k, m=m,
                 user=user, metric=key, mc_value=e.point, mc_ci95=e.half_width_95,

@@ -15,7 +15,8 @@ closed-form expressions.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -25,6 +26,9 @@ from .protocol import AllocationPolicy, PolicyKind, ProtocolConfig, policy_alloc
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
 DEFAULT_CHUNK = 1_000_000
+# Cells of the (M+1)^K table that Monte Carlo statistics count packets in;
+# simulate_rounds itself serves any K.
+MAX_TABLE_CELLS = 1 << 16
 
 
 class FitWindowError(RuntimeError):
@@ -143,57 +147,36 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     return rounds.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class BatchStats:
-    """Sufficient statistics aggregated over simulated packets.
+    """Packets counted by the users' resolve rounds.
 
-    Every field is an integer count, so merging chunks is exact: any chunk
-    size or worker count gives identical statistics.
+    `counts` has shape (M+1,)*K: cell [r_0, ..., r_{K-1}] counts the packets
+    in which user u resolved at round r_u, index 0 meaning outage; K = 2
+    indexes it like `analytic.event_table`. Every statistic is a function
+    of this table (`analytic.reduce_table`). Merging adds counts, so any
+    chunk size or worker count gives an identical table.
     """
 
-    n_trials: int = 0
-    total_slots: int = 0                # slots summed over packets
-    slots_sq_sum: int = 0               # squared slots summed over packets
-    decoded: np.ndarray = None          # (K,) decode counts
-    round_hist: np.ndarray = None       # (K, M+1): index 0 = outage
-    joint_counts: np.ndarray = None     # (M+1, M+1) for K = 2, else None
-    co_decoded: np.ndarray = None       # (K, K) packets in which both users decoded
-    decoded_slots: np.ndarray = None    # (K,) slots summed over each user's decoded packets
+    counts: np.ndarray
+
+    @property
+    def n_trials(self) -> int:
+        return int(self.counts.sum())
 
     def merge(self, other: "BatchStats") -> "BatchStats":
-        if self.n_trials == 0:
-            return other
-        return BatchStats(**{
-            f.name: None if getattr(self, f.name) is None
-            else getattr(self, f.name) + getattr(other, f.name)
-            for f in fields(self)})
+        return BatchStats(self.counts + other.counts)
 
 
 def _stats_from_rounds(rounds: np.ndarray, config: ProtocolConfig) -> BatchStats:
-    n, k = rounds.shape
-    m_max = config.max_rounds
-    # simulate_rounds returns a view of a user-major array: no copy there
-    by_user = np.ascontiguousarray(rounds.T)
-    dec = by_user > 0
-    # a packet holds the channel until its last user resolves: M slots if
-    # some user ends in outage
-    slots = np.where(dec.all(axis=0), by_user.max(axis=0), m_max).astype(np.int64)
-    hist = np.array([[np.count_nonzero(r == m) for m in range(m_max + 1)] for r in by_user])
-    joint = None
-    if k == 2:
-        cells = by_user[0].astype(np.int64) * (m_max + 1) + by_user[1]
-        joint = np.bincount(cells, minlength=(m_max + 1) ** 2).reshape(m_max + 1, m_max + 1)
-    return BatchStats(
-        n_trials=n,
-        total_slots=int(slots.sum()),
-        slots_sq_sum=int(slots @ slots),
-        decoded=n - hist[:, 0],
-        round_hist=hist,
-        joint_counts=joint,
-        co_decoded=np.array([[np.count_nonzero(dec[u] & dec[v]) for v in range(k)]
-                             for u in range(k)]),
-        decoded_slots=dec @ slots,
-    )
+    radix = config.max_rounds + 1
+    # simulate_rounds returns a view of a user-major array: rows without a copy
+    code = np.zeros(len(rounds), dtype=np.intp)
+    for r in rounds.T:
+        code *= radix
+        code += r
+    k = config.n_users
+    return BatchStats(np.bincount(code, minlength=radix ** k).reshape((radix,) * k))
 
 
 def _chunk_ranges(n_trials: int, chunk: int):
@@ -211,21 +194,20 @@ def _batch_worker(args):
 
 def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
                    master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> BatchStats:
-    """Run n_trials independent packets and aggregate sufficient statistics."""
+    """Run n_trials independent packets and count them by resolve rounds."""
     for name, value in (("n_trials", n_trials), ("chunk", chunk), ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
+    cells = (config.max_rounds + 1) ** config.n_users
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
+                         f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
     tasks = [(config, policy, start, count, master_seed)
              for start, count in _chunk_ranges(n_trials, chunk)]
-    stats = BatchStats()
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for st in pool.map(_batch_worker, tasks):
-                stats = stats.merge(st)
-    else:
-        for task in tasks:
-            stats = stats.merge(_batch_worker(task))
-    return stats
+            return reduce(BatchStats.merge, pool.map(_batch_worker, tasks))
+    return reduce(BatchStats.merge, map(_batch_worker, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -258,56 +240,53 @@ def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
     Targets: per-user outage (per-slot, i.e. gamma-weighted, plus a
     `_packet` variant), throughput in npcu, fairness (ratio of the two
     users' throughputs, K=2), gamma, and for K=2 all per-packet terminal
-    event frequencies keyed `event_<label>`.
+    event frequencies keyed `event_<label>`. The points are
+    `analytic.reduce_table` of the packet-count table, the same reduction
+    that `analytic_counterparts` applies to the closed-form table; the
+    half-widths come from the same counts. Needs (M+1)^K <= MAX_TABLE_CELLS.
     """
     stats = simulate_batch(config, policy, n_trials, master_seed, chunk=chunk, n_jobs=n_jobs)
     return estimates_from_stats(stats, config)
 
 
 def estimates_from_stats(stats: BatchStats, config: ProtocolConfig) -> dict:
-    n = stats.n_trials
-    k = config.n_users
-    rates = config.rates
-    gamma_hat = n / stats.total_slots
-    out = {}
-    out["gamma"] = EstimateWithCI(gamma_hat, n, 0.0, "gamma")
-    for u in range(k):
-        fails = n - int(stats.decoded[u])
-        p_pkt = fails / n
-        half = _bernoulli_ci(fails, n)
-        out[f"outage_packet_user{u}"] = EstimateWithCI(p_pkt, n, half, f"outage_packet_user{u}")
-        out[f"outage_user{u}"] = EstimateWithCI(gamma_hat * p_pkt, n, gamma_hat * half,
-                                                f"outage_user{u}")
-    # throughput: delivered nats per slot, CI via renewal-reward linearization
-    r = np.asarray(rates)
-    nats_sum = float(r @ stats.decoded)
-    nats_sq_sum = float(r @ stats.co_decoded @ r)
-    nats_slots_sum = float(r @ stats.decoded_slots)
-    eta = nats_sum / stats.total_slots
-    mean_slots = stats.total_slots / n
-    resid_var = (nats_sq_sum - 2 * eta * nats_slots_sum
-                 + eta * eta * stats.slots_sq_sum) / n
-    eta_half = 1.96 * math.sqrt(max(resid_var, 0.0) / n) / mean_slots
-    out["throughput"] = EstimateWithCI(eta, n, eta_half, "throughput")
-    if k == 2:
-        eta_u = [gamma_hat * rates[u] * (stats.decoded[u] / n) for u in range(2)]
-        if stats.decoded[1] == 0:
-            out["fairness"] = EstimateWithCI(float("nan"), n, float("inf"), "fairness")
+    counts, n = stats.counts, stats.n_trials
+    vals = analytic.reduce_table(counts, config.rates, packets=n)
+    gamma = vals["gamma"]
+    half = {"gamma": 0.0,
+            "throughput": _throughput_half_width(counts, n, config.rates, vals["throughput"],
+                                                 gamma)}
+    p_decoded = []
+    for u, fails in enumerate(analytic.user_masses(counts)[0].tolist()):
+        half[f"outage_packet_user{u}"] = _bernoulli_ci(fails, n)
+        half[f"outage_user{u}"] = gamma * half[f"outage_packet_user{u}"]
+        p_decoded.append((n - fails) / n)
+    if config.n_users == 2:
+        fairness = vals["fairness"]
+        if 0 in p_decoded or math.isnan(fairness):
+            half["fairness"] = math.inf
         else:
-            delta = eta_u[0] / eta_u[1]
-            rel = 0.0
-            for u in range(2):
-                p = stats.decoded[u] / n
-                rel += (1 - p) / (p * n)
-            out["fairness"] = EstimateWithCI(delta, n, 1.96 * delta * math.sqrt(rel), "fairness")
-        m_max = config.max_rounds
-        for ra in range(m_max + 1):
-            for rb in range(m_max + 1):
-                c = int(stats.joint_counts[ra, rb])
-                lbl = analytic.event_label(ra, rb)
-                out[f"event_{lbl}"] = EstimateWithCI(c / n, n, _bernoulli_ci(c, n),
-                                                     f"event_{lbl}")
-    return out
+            rel = sum((1 - p) / (p * n) for p in p_decoded)
+            half["fairness"] = 1.96 * fairness * math.sqrt(rel)
+        for i, row in enumerate(counts.tolist()):
+            for j, c in enumerate(row):
+                half[f"event_{analytic.event_label(i, j)}"] = _bernoulli_ci(c, n)
+    return {key: EstimateWithCI(v, n, half[key], key) for key, v in vals.items()}
+
+
+def _throughput_half_width(counts: np.ndarray, n: int, rates, eta: float,
+                           gamma: float) -> float:
+    """95% half-width of the throughput by renewal-reward linearization:
+    the variance of nats minus eta times slots per packet, from the count
+    table's integer moments."""
+    flat, dec, slots = analytic.table_cells(counts.shape[0] - 1, counts.ndim)
+    c = counts.ravel()[flat]
+    r = np.asarray(rates)
+    nats_sq = float(r @ ((dec * c) @ dec.T) @ r)   # (K, K): packets both users decoded
+    nats_slots = float(r @ (dec @ (c * slots)))
+    sq_slots = int(c @ (slots * slots))
+    resid_var = (nats_sq - 2 * eta * nats_slots + eta * eta * sq_slots) / n
+    return 1.96 * math.sqrt(max(resid_var, 0.0) / n) * gamma
 
 
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
@@ -321,27 +300,9 @@ def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> d
     # the two-user tables cover both rules policy_allocate can apply to a
     # lone failing user: it receives the free band, or keeps only its own
     coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
-    ra, rb = config.rates
     table = analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
-                                 config.power, ra, rb, coordinated=coordinated)
-    gamma = analytic.packets_per_slot(table)
-    # each user's resolve-round distribution, index 0 = outage
-    rounds_a, rounds_b = table.sum(axis=1).tolist(), table.sum(axis=0).tolist()
-    vals = {
-        "gamma": gamma,
-        "outage_packet_user0": rounds_a[0],
-        "outage_packet_user1": rounds_b[0],
-        "outage_user0": gamma * rounds_a[0],
-        "outage_user1": gamma * rounds_b[0],
-        "throughput": analytic.throughput_closed(table, ra, rb),
-    }
-    eta_a, eta_b = ra * sum(rounds_a[1:]), rb * sum(rounds_b[1:])
-    if eta_b > 0:
-        vals["fairness"] = eta_a / eta_b
-    for i, row in enumerate(table.tolist()):
-        for j, p in enumerate(row):
-            vals[f"event_{analytic.event_label(i, j)}"] = p
-    return vals
+                                 config.power, *config.rates, coordinated=coordinated)
+    return analytic.reduce_table(table, config.rates)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,8 @@ from scipy import fft, integrate, signal, special
 from coharq import analytic
 from coharq.analytic import (ConsistencyError, ThresholdPair, accumulation_cdf,
                              alpha_beta, cdf_inr_sum, cdf_rtd_sum, diversity_gain,
-                             event_label, event_table, gain_sum_cdf, gamma_norm,
-                             outage_b_rtd_closed, packets_per_slot,
-                             phi_coordinated, throughput_closed)
+                             event_label, event_table, gain_sum_cdf,
+                             packets_per_slot, phi_coordinated, throughput_closed)
 from coharq.fading import FadingProfile
 from coharq.montecarlo import analytic_counterparts
 from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
@@ -33,16 +32,25 @@ def test_thresholds_from_rates():
         ThresholdPair(-0.1, 0.0)
 
 
+def gamma_m2(alpha, beta):
+    """The paper's M = 2 packet-start rate 1 / (1 + alpha + beta - alpha*beta):
+    a packet lasts one slot iff both users decode at round one, else two."""
+    return 1.0 / (1.0 + alpha + beta - alpha * beta)
+
+
 def test_alpha_beta_and_gamma():
     t = ThresholdPair(0.5, 1.0)
     a, b = alpha_beta(t, (1.0, 2.0))
     assert a == pytest.approx(1 - math.exp(-0.5), rel=1e-12)
     assert b == pytest.approx(1 - math.exp(-2.0), rel=1e-12)
-    assert gamma_norm(0.0, 0.0) == 1.0
-    assert gamma_norm(1.0, 1.0) == pytest.approx(0.5)
-    assert gamma_norm(a, b) == pytest.approx(1.0 / (1 + a + b - a * b), rel=1e-12)
-    with pytest.raises(ValueError):
-        gamma_norm(-0.1, 0.5)
+    gammas = []
+    for fa, fb in ((0.0, 0.0), (1.0, 1.0), (a, b)):
+        ev = np.zeros((3, 3))
+        ev[1, 1] = (1 - fa) * (1 - fb)
+        ev[2, 2] = 1 - ev[1, 1]
+        gammas.append(packets_per_slot(ev))
+        assert gammas[-1] == pytest.approx(gamma_m2(fa, fb), rel=1e-12)
+    assert gammas[:2] == [1.0, 0.5]
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +344,7 @@ def test_event_reductions_m2_rtd():
     assert ev[1, 1] == pytest.approx((1 - a) * (1 - b), rel=1e-10)
     assert ev[1, 2] == pytest.approx((1 - a) * (b - phi), rel=1e-10)
     assert ev[1, 0] == pytest.approx((1 - a) * phi, rel=1e-10)
-    assert packets_per_slot(ev) == pytest.approx(gamma_norm(a, b), rel=1e-10)
+    assert packets_per_slot(ev) == pytest.approx(gamma_m2(a, b), rel=1e-10)
 
 
 def test_eq5_assembly_identity():
@@ -344,7 +352,12 @@ def test_eq5_assembly_identity():
     ev = event_table(Scheme.RTD, 2, PARAMS["lambdas"], PARAMS["power"],
                      PARAMS["rate_a"], PARAMS["rate_b"])
     out_b = packets_per_slot(ev) * ev[:, 0].sum()
-    closed = outage_b_rtd_closed(t, PARAMS["lambdas"], a)
+    # the paper's per-slot outage of user B (RTD, M = K = 2): both users
+    # failed round one and B fails on two own-band copies, or A decoded
+    # round one and B fails on three combined copies (phi)
+    gam = gamma_m2(a, b)
+    closed = (gam * a * gain_sum_cdf(0, 2, PARAMS["lambdas"], t.c_b)
+              + gam * (1.0 - a) * phi_coordinated(t, PARAMS["lambdas"]))
     assert out_b == pytest.approx(closed, abs=1e-12)
 
 

@@ -210,6 +210,9 @@ def test_main_config_error_exit_2(tmp_path, capsys):
                  ["sweep", "--lambdas", "nan,1"],
                  ["sweep", "--policy", "random-split"],
                  ["sweep", "--k", "3", "--lambdas", "1,1", "--rates", "1,1"],
+                 # 2^17 table cells, past what the statistics count
+                 ["sweep", "--k", "17", "--m", "1", "--trials", "10",
+                  "--out", str(tmp_path / "x.csv")],
                  ["optimize", "--policy", "random-split"],
                  ["optimize", "--k", "3"],
                  ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
@@ -250,6 +253,19 @@ def test_main_sweep_and_rerun_identical(tmp_path):
     assert len(rows) > 0
     metrics = {r["metric"] for r in rows}
     assert {"outage_user0", "outage_user1", "throughput", "gamma"} <= metrics
+
+
+def test_main_sweep_names_users_by_letter(tmp_path):
+    for k, m in ((9, 2), (11, 1)):
+        out = tmp_path / f"k{k}.csv"
+        assert main(["sweep", "--k", str(k), "--m", str(m), "--policy", "noncoord",
+                     "--snr-db", "0", "--trials", "100", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert {r["user"] for r in rows} == {"", *"ABCDEFGHIJK"[:k]}
+        for r in rows:
+            if r["metric"].startswith("outage_"):
+                assert r["user"] == "ABCDEFGHIJK"[int(r["metric"].rpartition("user")[2])]
+    assert {r["user"] for r in rows if r["metric"] == "outage_user10"} == {"K"}
 
 
 def test_main_optimize_runs(capsys):

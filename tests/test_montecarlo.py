@@ -5,12 +5,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from coharq.analytic import ThresholdPair, alpha_beta, packets_per_slot
 from coharq.fading import POLICY_BAND, FadingProfile, uniform_block
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
                                RangeError, SweepResult, _assignment_matrix,
                                analytic_counterparts,
                                db_to_linear, dominance_violations,
-                               energy_gain_at_outage, estimate,
+                               energy_gain_at_outage, estimate, estimates_from_stats,
                                fit_diversity_slope, simulate_batch,
                                simulate_rounds, snr_at_outage, sweep)
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
@@ -132,8 +133,10 @@ def test_chunking_is_invisible():
     (COORD, mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0))),
     (NONCOORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
     (COORD, mimo_config(3, 2, Scheme.RTD, rates=(2.5, 3.0), max_rounds=3)),
+    (ROBIN, make_config(rates=(1.0, 0.6, 1.2, 0.9), lambdas=(1.0, 2.0, 0.5, 1.0), power=2.0,
+                        max_rounds=3)),
 ], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord", "mimo2x2-inr-noncoord",
-        "mimo3x2-rtd-coord"])
+        "mimo3x2-rtd-coord", "k4-rtd-robin"])
 def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
     n = 5000
     whole = simulate_batch(cfg, policy, n, SEED, chunk=n)
@@ -144,29 +147,60 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
     assert_same_stats(whole, serial)
 
 
-@pytest.mark.parametrize("kwargs", [dict(n_trials=0), dict(chunk=0), dict(n_jobs=0)])
+@pytest.mark.parametrize("kwargs", [
+    dict(n_trials=0), dict(chunk=0), dict(n_jobs=0),
+    # 2^17 table cells, past MAX_TABLE_CELLS
+    dict(config=make_config(rates=(1.0,) * 17, lambdas=(1.0,) * 17, max_rounds=1),
+         policy=ROBIN)])
 def test_simulate_batch_rejects_bad_counts(kwargs):
-    args = dict(n_trials=100, chunk=DEFAULT_CHUNK, n_jobs=1) | kwargs
+    args = dict(config=make_config(), policy=COORD, n_trials=100, chunk=DEFAULT_CHUNK,
+                n_jobs=1) | kwargs
     with pytest.raises(ValueError):
-        simulate_batch(make_config(), COORD, master_seed=SEED, **args)
+        simulate_batch(master_seed=SEED, **args)
 
 
 def test_stats_match_per_packet_reference():
-    """The integer statistics reproduce per-packet slots and delivered nats."""
-    cfg = make_config(rates=(0.8, 1.4), scheme=Scheme.INR, max_rounds=3)
+    """The count table is the histogram of the scalar oracle's decode rounds;
+    its slots held and the throughput CI from its moments match the
+    oracle's per-packet slots and delivered nats."""
+    k3 = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0, 0.5)), rates=(1.0, 0.7, 1.3),
+                        power=1.5, scheme=Scheme.INR, max_rounds=2)
+    k4 = make_config(rates=(1.0, 0.6, 1.2, 0.9), lambdas=(1.0, 2.0, 0.5, 1.0), power=2.0,
+                     max_rounds=3)
     n = 2000
-    stats = simulate_batch(cfg, COORD, n, SEED)
-    slots, nats = [], []
-    for trial in range(n):
-        out = run_packet(cfg, COORD, Substream(SEED, trial=trial))
-        slots.append(out.slots_consumed)
-        nats.append(sum(rate for rate, r in zip(cfg.rates, out.decode_round) if r > 0))
-    slots, nats = np.array(slots), np.array(nats)
-    assert stats.total_slots == slots.sum()
-    assert stats.slots_sq_sum == (slots * slots).sum()
-    r = np.asarray(cfg.rates)
-    assert r @ stats.co_decoded @ r == pytest.approx((nats * nats).sum(), rel=1e-12)
-    assert r @ stats.decoded_slots == pytest.approx((nats * slots).sum(), rel=1e-12)
+    for cfg, policy in ((make_config(rates=(0.8, 1.4), scheme=Scheme.INR, max_rounds=3), COORD),
+                        (k3, SPLIT), (k4, ROBIN)):
+        stats = simulate_batch(cfg, policy, n, SEED, chunk=700)
+        hist = np.zeros((cfg.max_rounds + 1,) * cfg.n_users, dtype=np.int64)
+        slots, nats = [], []
+        for trial in range(n):
+            out = run_packet(cfg, policy, Substream(SEED, trial=trial))
+            hist[out.decode_round] += 1
+            slots.append(out.slots_consumed)
+            nats.append(sum(rate for rate, r in zip(cfg.rates, out.decode_round) if r > 0))
+        assert stats.counts.shape == hist.shape
+        assert np.array_equal(stats.counts, hist), policy.kind
+        slots, nats = np.array(slots), np.array(nats)
+        assert packets_per_slot(stats.counts, n) == n / slots.sum()
+        # renewal-reward half-width from the per-packet nats and slots
+        eta = nats.sum() / slots.sum()
+        half = 1.96 * math.sqrt(((nats - eta * slots) ** 2).mean() / n) / slots.mean()
+        est = estimates_from_stats(stats, cfg)["throughput"]
+        assert est.point == pytest.approx(eta, rel=1e-12)
+        assert est.half_width_95 == pytest.approx(half, rel=1e-9)
+
+
+def test_coordination_share_is_a_table_query():
+    """Coordination fires when exactly one user decodes in round 1: the
+    cells [1, 0], [1, 2], [0, 1] and [2, 1] of the K = 2, M = 2 table."""
+    cfg = make_config(rates=(1.0, 0.8), lambdas=(1.0, 2.0), power=3.0)
+    n = 200_000
+    counts = simulate_batch(cfg, COORD, n, SEED).counts
+    share = (counts[1, 0] + counts[1, 2] + counts[0, 1] + counts[2, 1]) / n
+    alpha, beta = alpha_beta(ThresholdPair.from_rates(*cfg.rates, cfg.power),
+                             cfg.profile.lambdas)
+    expected = alpha * (1 - beta) + beta * (1 - alpha)
+    assert abs(share - expected) <= 3 * math.sqrt(expected * (1 - expected) / n)
 
 
 def test_start_trial_offsets_partition_the_stream():
