@@ -8,7 +8,7 @@ from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
 from .analytic import (ThresholdPair, alpha_beta, phi_coordinated,
                        cdf_rtd_sum, cdf_inr_sum, event_table, diversity_gain,
                        reduce_table, throughput_closed)
-from .montecarlo import (estimate, sweep, fit_diversity_slope,
+from .montecarlo import (estimate, estimate_grid, sweep, fit_diversity_slope,
                          energy_gain_at_outage, EstimateWithCI, SweepResult)
 
 __version__ = "0.1.0"

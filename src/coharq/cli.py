@@ -24,7 +24,8 @@ import numpy as np
 from . import analytic
 from .fading import ConfigurationError, FadingProfile
 from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
-                         analytic_counterparts, db_to_linear, estimate, sweep)
+                         analytic_counterparts, db_to_linear, estimate, estimate_grid,
+                         has_closed_form, sweep)
 from .protocol import PolicyKind, ProtocolConfig
 from .rates import Scheme
 
@@ -138,23 +139,30 @@ def build_config(scheme: str, k: int, m: int, lambdas, rates, snr_db: float,
 
 
 def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
-                   rate_grid, n_trials: int = 100_000, master_seed: int = 1):
+                   rate_grid, n_trials: int = 100_000, master_seed: int = 1,
+                   n_jobs: int = 1):
     """Exhaustive throughput maximization over (R_A, R_B) pairs at fixed SNR.
 
-    Closed form wherever montecarlo.analytic_counterparts has one; Monte
-    Carlo otherwise. Ties go to the smaller R_A + R_B.
+    Closed form wherever montecarlo.analytic_counterparts has one (decided
+    once for the template: the rates do not enter). Otherwise one
+    montecarlo.estimate_grid call decides every pair on shared draws, each
+    pair's throughput equal to a separate estimate with the same trials and
+    seed. Ties go to the smaller R_A + R_B.
     """
-    rate_grid = list(rate_grid)
+    rate_grid = [tuple(pair) for pair in rate_grid]
     if not rate_grid:
         raise ConfigurationError("empty rate grid")
+    if has_closed_form(config_template):
+        etas = [analytic_counterparts(replace(config_template, rates=pair), policy)["throughput"]
+                for pair in rate_grid]
+    else:
+        etas = [est["throughput"].point for est in
+                estimate_grid(config_template, policy, rate_grid, n_trials, master_seed,
+                              n_jobs=n_jobs)]
     best_pair, best_eta = None, -1.0
-    for pair in rate_grid:
-        cfg = replace(config_template, rates=tuple(pair))
-        closed = analytic_counterparts(cfg, policy)
-        eta = (closed["throughput"] if closed
-               else estimate(cfg, policy, n_trials, master_seed)["throughput"].point)
+    for pair, eta in zip(rate_grid, etas):
         if eta > best_eta or (eta == best_eta and sum(pair) < sum(best_pair)):
-            best_pair, best_eta = tuple(pair), eta
+            best_pair, best_eta = pair, eta
     return best_pair, best_eta
 
 
@@ -250,8 +258,8 @@ def preset_fig1c(trials: int, seed: int, n_jobs: int = 1, include_mimo: bool = T
             pol = resolve_policy(policy_name, 2)
             for snr_db in axis:
                 cfg = build_config(scheme, 2, 2, (1.0, 1.0), (1.0, 1.0), snr_db, u=2, v=2)
-                pair, eta = optimize_rates(cfg, pol, sym_grid,
-                                           n_trials=mimo_trials, master_seed=seed)
+                pair, eta = optimize_rates(cfg, pol, sym_grid, n_trials=mimo_trials,
+                                           master_seed=seed, n_jobs=n_jobs)
                 rows.append(ResultRow(
                     snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
                     metric="throughput_optimized_mimo2x2", mc_value=eta,
@@ -428,7 +436,8 @@ def _cmd_optimize(args) -> int:
     pol = resolve_policy(args.policy, 2)
     vals = parse_axis(args.grid)
     grid = [(ra, rb) for ra in vals for rb in vals]
-    pair, eta = optimize_rates(cfg, pol, grid, n_trials=args.trials, master_seed=args.seed)
+    pair, eta = optimize_rates(cfg, pol, grid, n_trials=args.trials, master_seed=args.seed,
+                               n_jobs=args.jobs)
     print(f"best rates: {pair}, throughput {eta:.6f} npcu")
     return 0
 

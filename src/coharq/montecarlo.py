@@ -79,72 +79,105 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     return np.take(np.array(maps, dtype=np.int64).T, run, axis=1)
 
 
-def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
-                    n_trials: int, master_seed: int, start_trial: int = 0) -> np.ndarray:
-    """Decode rounds for trials [start_trial, start_trial + n_trials).
+def _grid_rounds(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
+                 n_trials: int, master_seed: int, start_trial: int = 0) -> np.ndarray:
+    """Decode rounds of trials [start_trial, start_trial + n_trials) for each
+    rate vector of `rate_grid` (shape (G, K)), all on the same draws.
 
-    Returns shape (n_trials, K): round in 1..M, or 0 for outage. One trial is
-    one packet; randomness is keyed so the same trial index always sees the
-    same channel, under any policy or chunking.
+    Returns shape (G, n_trials, K): round in 1..M, or 0 for outage. Row g
+    equals simulate_rounds of `config` with rates rate_grid[g].
 
-    Slot 0 runs on every trial. From slot 1 on, the engine keeps only the
-    trials in which some user is still active, and transforms, assigns,
-    accumulates and checks copies for those trials alone.
+    Slot 0 draws and transforms every trial once; only the decode check
+    sees the rates. From slot 1 on, the live columns are the (rate vector,
+    trial) pairs with an unresolved user: each (slot, band) draw covers the
+    union of their trials and is gathered to the columns.
     """
     profile = config.profile
     k, m_max, power = config.n_users, config.max_rounds, config.power
     rtd = config.scheme is Scheme.RTD
     siso = profile.is_siso
     u_tx = profile.tx_antennas
-    rates = np.asarray(config.rates)[:, None]
+    q = power / u_tx
+    rates = np.asarray(rate_grid, dtype=float).T       # (K, G)
+    n_vec = rates.shape[1]
     users = np.arange(k)
 
-    # user-major layout: one contiguous row per user, one column per trial;
-    # MIMO RTD sums each user's Grams in a (u, u, K, n) array, packed as in
-    # rates.hermitian_gram
-    rounds = np.zeros((k, n_trials), dtype=np.int16)
-    active = np.ones((k, n_trials), dtype=bool)
-    acc = np.zeros((k, n_trials) if siso or not rtd else (u_tx, u_tx, k, n_trials))
-    q = power / u_tx
-    rows = None  # trial offsets of the columns still in play; None while all are
+    def copy_info(b, s, rows):
+        # what one copy on band b at slot s carries, for trial offsets rows
+        if siso:
+            g = gain_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
+            return g * power if rtd else np.log1p(g * power)
+        h = matrix_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
+        return hermitian_gram(h) if rtd else log_det_eye_plus(q, hermitian_gram(h))
 
-    for s in range(m_max):
-        if s:
-            keep = np.flatnonzero(active.any(axis=0))
-            if keep.size == 0:
-                break
-            rows = keep if rows is None else rows[keep]
-            active, acc = active[:, keep], acc[..., keep]
-            assign = _assignment_matrix(active, rows, policy, s, master_seed,
-                                        start_trial, n_trials)
-        for b in range(k):
-            if s and (assign[b] < 0).all():
-                continue
-            if siso:
-                g = gain_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
-                contrib = g * power if rtd else np.log1p(g * power)
-            else:
-                h = matrix_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
-                contrib = hermitian_gram(h)
-                if not rtd:
-                    contrib = log_det_eye_plus(q, contrib)
-            if s == 0:
-                # first copy: every user transmits on its own band
-                acc[..., b, :] = contrib
-            else:
-                acc += np.where(users[:, None] == assign[b], contrib[..., None, :], 0.0)
+    def decoded_nats(acc):
         if not rtd:
-            nats = acc
-        elif siso:
-            nats = np.log1p(acc)
+            return acc
+        return np.log1p(acc) if siso else log_det_eye_plus(q, acc)
+
+    # slot 0: every user sends its first copy on its own band. acc is
+    # user-major, one column per trial; MIMO RTD sums each user's Grams in a
+    # (u, u, K, n) array, packed as in rates.hermitian_gram
+    acc = np.empty((k, n_trials) if siso or not rtd else (u_tx, u_tx, k, n_trials))
+    for b in range(k):
+        acc[..., b, :] = copy_info(b, 0, None)
+    won = decoded_nats(acc)[:, None, :] >= rates[:, :, None]
+    # rounds[u, g, t]; column c = g * n_trials + t is trial t under rate vector g
+    rounds = won.astype(np.int16, order="C")
+    flat_rounds = rounds.reshape(k, -1)     # a view: rounds is C-ordered
+    active = ~won.reshape(k, -1)
+    cols = None     # the live columns from slot 1 on
+    for s in range(1, m_max):
+        keep = np.flatnonzero(active.any(axis=0))
+        if keep.size == 0:
+            break
+        active = active[:, keep]
+        if cols is None:
+            cols = keep
+            trials = keep % n_trials if n_vec > 1 else keep
+            acc = acc[..., trials]
+            col_rates = rates[:, keep // n_trials] if n_vec > 1 else rates
         else:
-            nats = log_det_eye_plus(q, acc)
-        won = active & (nats >= rates)
+            cols, trials, acc = cols[keep], trials[keep], acc[..., keep]
+            if n_vec > 1:
+                col_rates = col_rates[:, keep]
+        if n_vec > 1:
+            # draw each live trial once, then gather its draws to its columns
+            drawn = np.zeros(n_trials, dtype=bool)
+            drawn[trials] = True
+            rows = np.flatnonzero(drawn)
+            gather = (np.cumsum(drawn) - 1)[trials]
+        else:
+            rows, gather = trials, None
+        assign = _assignment_matrix(active, trials, policy, s, master_seed,
+                                    start_trial, n_trials)
+        for b in range(k):
+            if (assign[b] < 0).all():
+                continue
+            contrib = copy_info(b, s, rows)
+            if gather is not None:
+                contrib = contrib[..., gather]
+            acc += np.where(users[:, None] == assign[b], contrib[..., None, :], 0.0)
+        won = active & (decoded_nats(acc) >= col_rates)
         for u in range(k):
-            hit = np.flatnonzero(won[u])
-            rounds[u, hit if rows is None else rows[hit]] = s + 1
+            flat_rounds[u, cols[np.flatnonzero(won[u])]] = s + 1
         active &= ~won
-    return rounds.T
+    return rounds.transpose(1, 2, 0)
+
+
+def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
+                    n_trials: int, master_seed: int, start_trial: int = 0) -> np.ndarray:
+    """Decode rounds for trials [start_trial, start_trial + n_trials).
+
+    Returns shape (n_trials, K): round in 1..M, or 0 for outage. One trial is
+    one packet; randomness is keyed so the same trial index always sees the
+    same channel, under any policy, rates or chunking.
+
+    The one-vector case of the grid engine: slot 0 runs on every trial, and
+    from slot 1 on the engine transforms, assigns, accumulates and checks
+    copies only for the trials in which some user is still active.
+    """
+    return _grid_rounds(config, policy, [config.rates], n_trials, master_seed, start_trial)[0]
 
 
 @dataclass(frozen=True)
@@ -192,9 +225,13 @@ def _batch_worker(args):
     return _stats_from_rounds(rounds, config)
 
 
-def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
-                   master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> BatchStats:
-    """Run n_trials independent packets and count them by resolve rounds."""
+def _grid_worker(args):
+    config, policy, rate_grid, start, count, master_seed = args
+    rounds = _grid_rounds(config, policy, rate_grid, count, master_seed, start_trial=start)
+    return [_stats_from_rounds(r, config) for r in rounds]
+
+
+def _check_batch(config: ProtocolConfig, n_trials: int, chunk: int, n_jobs: int) -> None:
     for name, value in (("n_trials", n_trials), ("chunk", chunk), ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
@@ -202,12 +239,23 @@ def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: i
     if cells > MAX_TABLE_CELLS:
         raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
                          f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
-    tasks = [(config, policy, start, count, master_seed)
-             for start, count in _chunk_ranges(n_trials, chunk)]
+
+
+def _map_chunks(worker, tasks, n_jobs: int):
+    """The worker's results on the chunk tasks, in task order."""
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return reduce(BatchStats.merge, pool.map(_batch_worker, tasks))
-    return reduce(BatchStats.merge, map(_batch_worker, tasks))
+            return list(pool.map(worker, tasks))
+    return map(worker, tasks)
+
+
+def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
+                   master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> BatchStats:
+    """Run n_trials independent packets and count them by resolve rounds."""
+    _check_batch(config, n_trials, chunk, n_jobs)
+    tasks = [(config, policy, start, count, master_seed)
+             for start, count in _chunk_ranges(n_trials, chunk)]
+    return reduce(BatchStats.merge, _map_chunks(_batch_worker, tasks, n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +295,32 @@ def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
     """
     stats = simulate_batch(config, policy, n_trials, master_seed, chunk=chunk, n_jobs=n_jobs)
     return estimates_from_stats(stats, config)
+
+
+def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
+                  n_trials: int, master_seed: int, chunk: int = DEFAULT_CHUNK,
+                  n_jobs: int = 1) -> list:
+    """estimate() for every rate vector of `rate_grid`, on shared draws.
+
+    Returns one dict per vector, in grid order, equal to estimate() of
+    `config` with that vector as its rates and the same other arguments.
+    Draws are keyed by (seed, trial, slot, band), never by the rates, so
+    the vectors share them (common random numbers): each trial's channels
+    are drawn and transformed once for the whole grid. A chunk runs
+    ceil(min(chunk, n_trials) / G) trials of all G vectors, so it holds
+    about as many (vector, trial) columns as a one-vector chunk.
+    """
+    configs = [replace(config, rates=tuple(rates)) for rates in rate_grid]
+    if not configs:
+        raise ValueError("rate grid is empty")
+    _check_batch(config, n_trials, chunk, n_jobs)
+    grid = np.array([cfg.rates for cfg in configs])
+    per_chunk = -(-min(chunk, n_trials) // len(configs))
+    tasks = [(config, policy, grid, start, count, master_seed)
+             for start, count in _chunk_ranges(n_trials, per_chunk)]
+    stats = reduce(lambda a, b: list(map(BatchStats.merge, a, b)),
+                   _map_chunks(_grid_worker, tasks, n_jobs))
+    return [estimates_from_stats(s, cfg) for s, cfg in zip(stats, configs)]
 
 
 def estimates_from_stats(stats: BatchStats, config: ProtocolConfig) -> dict:
@@ -289,13 +363,20 @@ def _throughput_half_width(counts: np.ndarray, n: int, rates, eta: float,
     return 1.96 * math.sqrt(max(resid_var, 0.0) / n) * gamma
 
 
+def has_closed_form(config: ProtocolConfig) -> bool:
+    """Whether analytic_counterparts has closed forms for this setup; the
+    rates, power and policy do not enter."""
+    return config.n_users == 2 and config.profile.is_siso
+
+
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
     """Closed-form / semi-numerical values matching the estimate() targets.
 
-    Available for K = 2 SISO under any policy defined for two users;
-    returns {} otherwise (those cases are Monte Carlo only).
+    Available for K = 2 SISO under any policy defined for two users
+    (has_closed_form); returns {} otherwise (those cases are Monte Carlo
+    only).
     """
-    if config.n_users != 2 or not config.profile.is_siso:
+    if not has_closed_form(config):
         return {}
     # the two-user tables cover both rules policy_allocate can apply to a
     # lone failing user: it receives the free band, or keeps only its own

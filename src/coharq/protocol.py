@@ -12,6 +12,7 @@ one draw at a time); the montecarlo module runs the identical protocol
 vectorized over trials and is tested for exact agreement with this one.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -50,10 +51,10 @@ class ProtocolConfig:
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
         if len(self.rates) != self.profile.n_bands:
             raise ConfigurationError("one band per user required")
-        if any(r < 0 for r in self.rates):
-            raise ConfigurationError("rates must be nonnegative")
-        if self.power <= 0:
-            raise ConfigurationError("power must be positive")
+        if not all(math.isfinite(r) and r >= 0 for r in self.rates):
+            raise ConfigurationError(f"rates must be finite and nonnegative, got {self.rates}")
+        if not (math.isfinite(self.power) and self.power > 0):
+            raise ConfigurationError(f"power must be finite and positive, got {self.power}")
         if self.max_rounds < 1:
             raise ConfigurationError("need at least one round")
 

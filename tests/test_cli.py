@@ -1,6 +1,6 @@
 import csv
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -8,6 +8,7 @@ from coharq.cli import (CSV_HEADER, ResultRow, build_config, default_rate_grid,
                         emit_csv, main, optimize_rates, parse_axis,
                         resolve_policy, run_preset)
 from coharq.fading import ConfigurationError
+from coharq.montecarlo import estimate
 from coharq.protocol import PolicyKind
 from coharq.rates import Scheme
 
@@ -119,6 +120,38 @@ def test_optimize_symmetric_setup_symmetric_optimum():
     assert eta > 1.0
 
 
+def per_pair_optimum(cfg, pol, grid, n_trials, seed):
+    """The rate search written out: one estimate per pair, ties to the
+    smaller R_A + R_B."""
+    best_pair, best_eta = None, -1.0
+    for pair in grid:
+        eta = estimate(replace(cfg, rates=pair), pol, n_trials, seed)["throughput"].point
+        if eta > best_eta or (eta == best_eta and sum(pair) < sum(best_pair)):
+            best_pair, best_eta = pair, eta
+    return best_pair, best_eta
+
+
+@pytest.mark.parametrize("scheme", ["rtd", "inr"])
+@pytest.mark.parametrize("policy_name", ["coord", "noncoord"])
+def test_optimize_monte_carlo_matches_per_pair_estimates(scheme, policy_name):
+    cfg = build_config(scheme, 2, 2, (1.0, 2.0), (1.0, 1.0), 10.0, u=2, v=2)
+    pol = resolve_policy(policy_name, 2)
+    grid = [(ra, rb) for ra in (2.0, 4.0, 6.0) for rb in (3.0, 5.0)]
+    assert optimize_rates(cfg, pol, grid, n_trials=2000, master_seed=SEED) == \
+        per_pair_optimum(cfg, pol, grid, 2000, SEED)
+
+
+def test_optimize_monte_carlo_ties_go_to_the_smaller_rate_sum():
+    # at -20 dB no 2x2 MIMO user carries 10 nats in two copies: every pair
+    # has throughput 0, and the smallest R_A + R_B, listed last, must win
+    cfg = build_config("inr", 2, 2, (1.0, 1.0), (1.0, 1.0), -20.0, u=2, v=2)
+    pol = resolve_policy("coord", 2)
+    grid = [(ra, rb) for ra in (30.0, 20.0, 10.0) for rb in (30.0, 20.0, 10.0)]
+    expected = per_pair_optimum(cfg, pol, grid, 2000, SEED)
+    assert expected == ((10.0, 10.0), 0.0)
+    assert optimize_rates(cfg, pol, grid, n_trials=2000, master_seed=SEED) == expected
+
+
 def test_default_rate_grid():
     grid = default_rate_grid(step=0.5, stop=2.0)
     flat = sorted({r for pair in grid for r in pair})
@@ -215,6 +248,12 @@ def test_main_config_error_exit_2(tmp_path, capsys):
                   "--out", str(tmp_path / "x.csv")],
                  ["optimize", "--policy", "random-split"],
                  ["optimize", "--k", "3"],
+                 # non-finite power and rates
+                 ["sweep", "--snr-db", "inf", "--out", str(tmp_path / "x.csv")],
+                 ["sweep", "--rates", "1,inf", "--out", str(tmp_path / "x.csv")],
+                 ["optimize", "--grid", "1,inf"],
+                 ["optimize", "--snr-db", "inf", "--tx", "2", "--rx", "2", "--grid", "1,2"],
+                 ["optimize", "--snr-db", "nan"],
                  ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(short), "--out", str(tmp_path / "x.csv")],
@@ -273,6 +312,16 @@ def test_main_optimize_runs(capsys):
                "--trials", "1000", "--seed", "1"])
     assert rc == 0
     assert "best rates" in capsys.readouterr().out
+
+
+def test_main_optimize_jobs_do_not_change_the_result(capsys):
+    argv = ["optimize", "--tx", "2", "--rx", "2", "--grid", "2,4", "--snr-db", "10",
+            "--trials", "2000", "--seed", "3"]
+    lines = []
+    for jobs in ("1", "2"):
+        assert main([*argv, "--jobs", jobs]) == 0
+        lines.append(capsys.readouterr().out)
+    assert lines[0].startswith("best rates") and lines[0] == lines[1]
 
 
 def test_main_config_file(tmp_path, capsys):

@@ -1,17 +1,18 @@
 import itertools
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from coharq.analytic import ThresholdPair, alpha_beta, packets_per_slot
-from coharq.fading import POLICY_BAND, FadingProfile, uniform_block
+from coharq.fading import POLICY_BAND, ConfigurationError, FadingProfile, uniform_block
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
                                RangeError, SweepResult, _assignment_matrix,
                                analytic_counterparts,
                                db_to_linear, dominance_violations,
-                               energy_gain_at_outage, estimate, estimates_from_stats,
+                               energy_gain_at_outage, estimate, estimate_grid,
+                               estimates_from_stats,
                                fit_diversity_slope, simulate_batch,
                                simulate_rounds, snr_at_outage, sweep)
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
@@ -125,16 +126,75 @@ def test_chunking_is_invisible():
     assert_same_stats(whole, parts)
 
 
+def rate_grid(k, streams=1):
+    """Rate vectors for grid tests: a repeated vector, a zero rate and a
+    50-nat rate, scaled by the number of spatial streams."""
+    grid = [(1.0,) * k, (0.0,) + (1.5,) * (k - 1), (1.0,) * k, (50.0,) + (0.8,) * (k - 1),
+            tuple(0.5 + 0.3 * u for u in range(k))]
+    return [tuple(streams * r if r < 50 else r for r in v) for v in grid]
+
+
+def assert_same_estimates(a, b):
+    """Same keys in the same order; points and half-widths equal with ==,
+    NaN matching NaN."""
+    assert list(a) == list(b)
+    for key in a:
+        for x, y in ((a[key].point, b[key].point),
+                     (a[key].half_width_95, b[key].half_width_95)):
+            assert x == y or (math.isnan(x) and math.isnan(y)), (key, x, y)
+        assert a[key].trials == b[key].trials
+
+
+K3_SPLIT = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0, 0.5)), rates=(1.0, 0.7, 1.3),
+                          power=1.5, scheme=Scheme.INR, max_rounds=2)
+K4_ROBIN = make_config(rates=(1.0, 0.6, 1.2, 0.9), lambdas=(1.0, 2.0, 0.5, 1.0), power=2.0,
+                       max_rounds=3)
+
+GRID_CASES = [
+    *[pytest.param(policy, make_config(scheme=scheme, lambdas=(1.0, 2.0), power=3.0,
+                                       max_rounds=3),
+                   id=f"k2-{scheme.value}-{name}")
+      for scheme in (Scheme.RTD, Scheme.INR)
+      for name, policy in (("coord", COORD), ("noncoord", NONCOORD), ("robin", ROBIN))],
+    pytest.param(SPLIT, K3_SPLIT, id="k3-inr-split"),
+    pytest.param(ROBIN, K4_ROBIN, id="k4-rtd-robin"),
+    *[pytest.param(policy, mimo_config(2, 2, scheme), id=f"mimo2x2-{scheme.value}-{name}")
+      for scheme in (Scheme.RTD, Scheme.INR)
+      for name, policy in (("coord", COORD), ("noncoord", NONCOORD))],
+    pytest.param(COORD, mimo_config(3, 2, Scheme.RTD, max_rounds=3), id="mimo3x2-rtd-coord"),
+]
+
+
+@pytest.mark.parametrize("policy,cfg", GRID_CASES)
+def test_estimate_grid_equals_per_vector_estimates(policy, cfg):
+    grid = rate_grid(cfg.n_users, min(cfg.profile.tx_antennas, cfg.profile.rx_antennas))
+    n = 3000 if cfg.profile.is_siso else 1000
+    ests = estimate_grid(cfg, policy, grid, n, SEED)
+    assert len(ests) == len(grid)
+    for rates, est in zip(grid, ests):
+        assert_same_estimates(est, estimate(replace(cfg, rates=rates), policy, n, SEED))
+    # the 50-nat vector never decodes its first user; the zero rate always does
+    assert ests[3]["outage_packet_user0"].point == 1.0
+    assert ests[1]["outage_packet_user0"].point == 0.0
+
+
+def test_estimate_grid_rejects_bad_input():
+    cfg = make_config()
+    with pytest.raises(ValueError):
+        estimate_grid(cfg, COORD, [], 100, SEED)
+    with pytest.raises(ValueError):
+        estimate_grid(cfg, COORD, [(1.0, 1.0)], 0, SEED)
+    with pytest.raises(ConfigurationError):
+        estimate_grid(cfg, COORD, [(1.0, 1.0), (1.0, math.inf)], 100, SEED)
+
+
 @pytest.mark.parametrize("policy,cfg", [
     (COORD, make_config(scheme=Scheme.RTD, power=2.0)),
-    (SPLIT, ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0, 0.5)),
-                           rates=(1.0, 0.7, 1.3), power=1.5, scheme=Scheme.INR,
-                           max_rounds=2)),
+    (SPLIT, K3_SPLIT),
     (COORD, mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0))),
     (NONCOORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
     (COORD, mimo_config(3, 2, Scheme.RTD, rates=(2.5, 3.0), max_rounds=3)),
-    (ROBIN, make_config(rates=(1.0, 0.6, 1.2, 0.9), lambdas=(1.0, 2.0, 0.5, 1.0), power=2.0,
-                        max_rounds=3)),
+    (ROBIN, K4_ROBIN),
 ], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord", "mimo2x2-inr-noncoord",
         "mimo3x2-rtd-coord", "k4-rtd-robin"])
 def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
@@ -145,6 +205,14 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
     serial = simulate_batch(cfg, policy, n, SEED, chunk=700)
     assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, chunk=700, n_jobs=2))
     assert_same_stats(whole, serial)
+    # a rate grid splits its chunks by the grid size: still invisible
+    n = 1000
+    grid = [cfg.rates, *rate_grid(cfg.n_users)[1:]]
+    ests = estimate_grid(cfg, policy, grid, n, SEED, chunk=n)
+    assert_same_estimates(ests[0], estimate(cfg, policy, n, SEED))
+    for kwargs in (dict(chunk=1), dict(chunk=7), dict(chunk=140, n_jobs=2)):
+        for a, b in zip(ests, estimate_grid(cfg, policy, grid, n, SEED, **kwargs)):
+            assert_same_estimates(a, b)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -38,6 +38,12 @@ def test_config_validation():
         make_config(power=0.0)
     with pytest.raises(ConfigurationError):
         make_config(max_rounds=0)
+    # non-finite values name the field they are in
+    for kwargs, field in ((dict(rates=(1.0, math.inf)), "rates"),
+                          (dict(rates=(math.nan, 1.0)), "rates"),
+                          (dict(power=math.inf), "power"), (dict(power=math.nan), "power")):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be finite"):
+            make_config(**kwargs)
     assert make_config().n_users == 2
 
 
