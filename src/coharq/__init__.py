@@ -5,8 +5,7 @@ from .fading import FadingProfile, Substream
 from .rates import Scheme, u_rtd, u_inr
 from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                        PacketOutcome, run_packet)
-from .analytic import (ThresholdPair, alpha_beta, phi_coordinated,
-                       cdf_rtd_sum, cdf_inr_sum, event_table, diversity_gain,
+from .analytic import (cdf_rtd_sum, cdf_inr_sum, event_table, diversity_gain,
                        reduce_table, throughput_closed)
 from .montecarlo import (estimate, estimate_grid, sweep, fit_diversity_slope,
                          energy_gain_at_outage, EstimateWithCI, SweepResult)

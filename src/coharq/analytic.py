@@ -13,7 +13,7 @@ Conventions: rates in nats per channel use, natural logs, power linear.
 """
 
 import math
-from dataclasses import dataclass
+from collections import OrderedDict
 from functools import lru_cache
 
 import numpy as np
@@ -36,49 +36,16 @@ class ConsistencyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# thresholds and first-round probabilities
-
-
-@dataclass(frozen=True)
-class ThresholdPair:
-    """Gain-domain decoding thresholds C = (e^R - 1) / P for the two users."""
-
-    c_a: float
-    c_b: float
-
-    def __post_init__(self):
-        if self.c_a < 0 or self.c_b < 0:
-            raise ValueError("thresholds must be nonnegative")
-
-    @classmethod
-    def from_rates(cls, rate_a: float, rate_b: float, power: float) -> "ThresholdPair":
-        if power <= 0:
-            raise ValueError("power must be positive")
-        return cls(_gain_threshold(rate_a, power), _gain_threshold(rate_b, power))
+# gain-domain decoding threshold
 
 
 def _gain_threshold(rate: float, power: float) -> float:
+    # C = (e^R - 1) / P: a copy of gain g decodes rate R alone iff g >= C
     # math.expm1 overflows past ~709.78 nats; no gain reaches the threshold then
     try:
         return math.expm1(rate) / power
     except OverflowError:
         return math.inf
-
-
-def alpha_beta(thresholds: ThresholdPair, lambdas) -> tuple:
-    """First-round failure probabilities (alpha for user A, beta for user B)."""
-    lam1, lam2 = lambdas
-    alpha = -math.expm1(-lam1 * thresholds.c_a)
-    beta = -math.expm1(-lam2 * thresholds.c_b)
-    return alpha, beta
-
-
-def phi_coordinated(thresholds: ThresholdPair, lambdas) -> float:
-    """Pr(g2(t) + g2(t+1) + g1(t+1) < C_B): user B still failing after the
-    coordinated slot in which it received both bands (two own-band copies
-    plus one donated copy).
-    """
-    return gain_sum_cdf(1, 2, lambdas, thresholds.c_b)
 
 
 # ---------------------------------------------------------------------------
@@ -189,32 +156,72 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _inr_cdf_grid(rates, power: float, x: float, n_intervals: int) -> float:
+def _inr_cdf_grids(copies, power: float, x: float, n_intervals: int) -> dict:
+    """{copy tuple: trapezoid CDF at x} for each tuple of per-copy fading
+    parameters (at least two copies each), on n_intervals steps over [0, x].
+
+    Each prefix the tuples share is convolved once, shortest first, and each
+    density's spectrum is taken once, so every tuple goes through the float
+    operations of its own convolution chain.
+    """
     h = x / n_intervals
     z = np.linspace(0.0, x, n_intervals + 1)
     length = _fft_length(2 * n_intervals + 1)
-    # a rates tuple holds at most two distinct values: each one's density and
-    # spectrum are computed once and reused by every convolution step
-    dens = {lam: _mi_density(z, lam, power) for lam in set(rates)}
-    spectra = {lam: np.fft.rfft(f, length) for lam, f in dens.items()}
-    c = dens[rates[0]]
-    for lam in rates[1:]:
-        f = dens[lam]
-        full = np.fft.irfft(np.fft.rfft(c, length) * spectra[lam], length)[: n_intervals + 1]
+    # conv[p]: density of the sum of the copies in prefix p; spec[p]: its
+    # spectrum, taken when a longer prefix first extends p
+    conv = {(lam,): _mi_density(z, lam, power) for lam in {lam for t in copies for lam in t}}
+    spec = {p: np.fft.rfft(f, length) for p, f in conv.items()}
+    for p in sorted({t[:k] for t in copies for k in range(2, len(t) + 1)}, key=len):
+        c, f = conv[p[:-1]], conv[p[-1:]]
+        if p[:-1] not in spec:
+            spec[p[:-1]] = np.fft.rfft(c, length)
+        full = np.fft.irfft(spec[p[:-1]] * spec[p[-1:]], length)[: n_intervals + 1]
         # trapezoid-corrected discrete convolution on [0, x]
-        c = h * (full - 0.5 * (c[0] * f + c * f[0]))
-    return float(np.trapezoid(c, dx=h))
+        conv[p] = h * (full - 0.5 * (c[0] * f + c * f[0]))
+    return {t: float(np.trapezoid(conv[t], dx=h)) for t in copies}
 
 
-@lru_cache(maxsize=4096)
-def _cdf_inr_cached(n: int, m: int, lam1: float, lam2: float, power: float, x: float) -> float:
-    rates = (lam1,) * n + (lam2,) * m
-    if len(rates) == 1:
-        return _mi_cdf_single(rates[0], power, x)
-    coarse = _inr_cdf_grid(rates, power, x, _INR_GRID_N)
-    fine = _inr_cdf_grid(rates, power, x, 2 * _INR_GRID_N)
-    val = (4.0 * fine - coarse) / 3.0
-    return float(min(max(val, 0.0), 1.0))
+# (n, m, l1, l2, power, x) -> CDF of the grid-evaluated counts, least
+# recently used first
+_INR_CACHE = OrderedDict()
+_INR_CACHE_SIZE = 4096
+
+
+def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
+    """{(n, m): cdf_inr_sum(n, m, lambdas, power, x)} for every count pair.
+
+    The pairs not cached are evaluated together: one convolution pass over
+    all their copy tuples on the base grid and one on the doubled grid,
+    then Richardson extrapolation of each.
+    """
+    for n, m in counts:
+        if n < 0 or m < 0 or n + m < 1:
+            raise ValueError(f"invalid copy counts ({n}, {m})")
+    if x <= 0.0:
+        return dict.fromkeys(counts, 0.0)
+    lam1, lam2 = float(lambdas[0]), float(lambdas[1])
+    power, x = float(power), float(x)
+    out, missing = {}, {}
+    for n, m in counts:
+        key = (n, m, lam1, lam2, power, x)
+        if _saturated(n, m, (lam1, lam2), power, x):
+            out[n, m] = 1.0
+        elif n + m == 1:
+            out[n, m] = _mi_cdf_single(lam1 if n else lam2, power, x)
+        elif key in _INR_CACHE:
+            _INR_CACHE.move_to_end(key)
+            out[n, m] = _INR_CACHE[key]
+        else:
+            missing[n, m] = (lam1,) * n + (lam2,) * m
+    if missing:
+        coarse = _inr_cdf_grids(missing.values(), power, x, _INR_GRID_N)
+        fine = _inr_cdf_grids(missing.values(), power, x, 2 * _INR_GRID_N)
+        for (n, m), rates in missing.items():
+            val = (4.0 * fine[rates] - coarse[rates]) / 3.0
+            out[n, m] = _INR_CACHE[n, m, lam1, lam2, power, x] = float(min(max(val, 0.0), 1.0))
+        while len(_INR_CACHE) > _INR_CACHE_SIZE:
+            _INR_CACHE.popitem(last=False)
+    return out
 
 
 def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
@@ -224,14 +231,19 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     Evaluated by iterated numerical convolution of the single-copy densities
     on [0, x] with Richardson extrapolation; absolute accuracy ~1e-6.
     """
-    if n < 0 or m < 0 or n + m < 1:
-        raise ValueError(f"invalid copy counts ({n}, {m})")
-    if x <= 0.0:
-        return 0.0
-    if _saturated(n, m, lambdas, power, x):
-        return 1.0
-    lam1, lam2 = lambdas
-    return _cdf_inr_cached(n, m, float(lam1), float(lam2), float(power), float(x))
+    return _cdf_inr_counts([(n, m)], lambdas, power, x)[n, m]
+
+
+def _accumulation_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -> dict:
+    """{(n_band1, n_band2): accumulation_cdf(scheme, n_band1, n_band2, ...)}
+    for every count pair, the INR ones evaluated together."""
+    out = {c: 1.0 if x >= 0 else 0.0 for c in counts if c == (0, 0)}
+    rest = [c for c in counts if c != (0, 0)]
+    if scheme is Scheme.RTD:
+        out.update({c: cdf_rtd_sum(*c, lambdas, power, x) for c in rest})
+    else:
+        out.update(_cdf_inr_counts(rest, lambdas, power, x))
+    return out
 
 
 def accumulation_cdf(scheme: Scheme, n_band1: int, n_band2: int, lambdas,
@@ -239,32 +251,34 @@ def accumulation_cdf(scheme: Scheme, n_band1: int, n_band2: int, lambdas,
     """CDF at x nats of the accumulated decodable rate from n_band1 copies on
     band 1 and n_band2 copies on band 2. With zero copies nothing has been
     received, so the user is undecoded at any nonnegative target."""
-    if n_band1 == 0 and n_band2 == 0:
-        return 1.0 if x >= 0 else 0.0
-    if scheme is Scheme.RTD:
-        return cdf_rtd_sum(n_band1, n_band2, lambdas, power, x)
-    return cdf_inr_sum(n_band1, n_band2, lambdas, power, x)
+    count = (n_band1, n_band2)
+    return _accumulation_cdfs(scheme, [count], lambdas, power, x)[count]
 
 
 # ---------------------------------------------------------------------------
 # two-user event algebra
 
 
-def _resolve_given(scheme: Scheme, donated, lambdas, power: float,
+@lru_cache(maxsize=4096)
+def _resolve_given(scheme: Scheme, donated: tuple, lambdas: tuple, power: float,
                    rate: float) -> np.ndarray:
     """Q[i, j]: probability that the user resolves at round i when the other
     user resolves at round j, index 0 meaning outage; lambdas[0] is the
     user's own band. After round c the user holds c own-band copies and
-    donated[c][j] copies from the other band.
+    donated[c][j] copies from the other band. Cached, and read-only: the
+    table depends on the user's own rate alone, so a rate search builds it
+    once per rate, not once per rate pair.
     """
     # each (own, donated) copy count's CDF at the rate, evaluated once
-    short = {(own, d): accumulation_cdf(scheme, own, d, lambdas, power, rate)
-             for own, row in enumerate(donated) for d in set(row)}
+    short = _accumulation_cdfs(scheme, {(own, d) for own, row in enumerate(donated) for d in row},
+                               lambdas, power, rate)
     # g[c][j]: still short after round c; outage is short after the last
     # round, resolving at round i is short after round i-1 but not after i
     g = [[short[own, d] for d in row] for own, row in enumerate(donated)]
     resolved = [[a - b for a, b in zip(before, after)] for before, after in zip(g, g[1:])]
-    return np.array([g[-1]] + resolved)
+    q = np.array([g[-1]] + resolved)
+    q.flags.writeable = False
+    return q
 
 
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
@@ -277,16 +291,20 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     A-side stopping condition involves only band-1 gains up to A's stop
     round, and the B-side condition only band-2 gains plus band-1 gains from
     later slots (the donated copies), so the two conditions are independent
-    and cell [i, j] is Q_A[i, j] Q_B[j, i].
+    and cell [i, j] is Q_A[i, j] Q_B[j, i]. Each user's Q depends on its own
+    rate only and is built once per (user, rate); under INR, all of a Q's
+    copy counts are evaluated in one convolution pass.
     `coordinated=False` gives independent single-user HARQ on each band.
     """
     rounds = range(max_rounds + 1)
     # a user that resolves at round j >= 1 donates its band from round j+1
     # on, so by round c the other user holds max(c - j, 0) donated copies
-    donated = [[max(c - j, 0) if j and coordinated else 0 for j in rounds] for c in rounds]
-    lam_a, lam_b = lambdas
-    q_a = _resolve_given(scheme, donated, (lam_a, lam_b), power, rate_a)
-    q_b = _resolve_given(scheme, donated, (lam_b, lam_a), power, rate_b)
+    donated = tuple(tuple(max(c - j, 0) if j and coordinated else 0 for j in rounds)
+                    for c in rounds)
+    lam_a, lam_b = map(float, lambdas)
+    power = float(power)
+    q_a = _resolve_given(scheme, donated, (lam_a, lam_b), power, float(rate_a))
+    q_b = _resolve_given(scheme, donated, (lam_b, lam_a), power, float(rate_b))
     return q_a * q_b.T
 
 

@@ -24,8 +24,8 @@ import numpy as np
 from . import analytic
 from .fading import ConfigurationError, FadingProfile
 from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
-                         analytic_counterparts, db_to_linear, estimate, estimate_grid,
-                         has_closed_form, sweep)
+                         analytic_counterparts, closed_form_table, db_to_linear, estimate,
+                         estimate_grid, has_closed_form, sweep)
 from .protocol import PolicyKind, ProtocolConfig
 from .rates import Scheme
 
@@ -143,18 +143,23 @@ def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
                    n_jobs: int = 1):
     """Exhaustive throughput maximization over (R_A, R_B) pairs at fixed SNR.
 
-    Closed form wherever montecarlo.analytic_counterparts has one (decided
-    once for the template: the rates do not enter). Otherwise one
-    montecarlo.estimate_grid call decides every pair on shared draws, each
-    pair's throughput equal to a separate estimate with the same trials and
-    seed. Ties go to the smaller R_A + R_B.
+    Closed form wherever montecarlo.has_closed_form says so (decided once
+    for the template: the rates do not enter): each pair's throughput is
+    `analytic.throughput_closed` of its `closed_form_table`, the value
+    `analytic_counterparts` reports. The tables reuse each user's resolve
+    table per rate (`analytic.event_table`), so a G x G grid builds 2G of
+    them, not 2G^2. Otherwise one montecarlo.estimate_grid call decides
+    every pair on shared draws, each pair's throughput equal to a separate
+    estimate with the same trials and seed. Ties go to the smaller
+    R_A + R_B.
     """
     rate_grid = [tuple(pair) for pair in rate_grid]
     if not rate_grid:
         raise ConfigurationError("empty rate grid")
     if has_closed_form(config_template):
-        etas = [analytic_counterparts(replace(config_template, rates=pair), policy)["throughput"]
-                for pair in rate_grid]
+        configs = [replace(config_template, rates=pair) for pair in rate_grid]
+        etas = [analytic.throughput_closed(closed_form_table(cfg, policy), *cfg.rates)
+                for cfg in configs]
     else:
         etas = [est["throughput"].point for est in
                 estimate_grid(config_template, policy, rate_grid, n_trials, master_seed,
@@ -461,8 +466,10 @@ def _cmd_analytic(args) -> int:
     elif args.op == "cdf-inr":
         print(analytic.cdf_inr_sum(args.n, args.m, lambdas, args.power, args.x))
     elif args.op == "phi":
-        tp = analytic.ThresholdPair.from_rates(args.rate_a, args.rate_b, args.power)
-        print(analytic.phi_coordinated(tp, lambdas))
+        # user B still short after the coordinated slot: two own-band
+        # copies and one donated copy below its gain threshold
+        print(analytic.gain_sum_cdf(1, 2, lambdas, analytic._gain_threshold(args.rate_b,
+                                                                              args.power)))
     elif args.op == "events":
         table = analytic.event_table(Scheme(args.scheme), args.max_rounds, lambdas,
                                      args.power, args.rate_a, args.rate_b)

@@ -369,21 +369,28 @@ def has_closed_form(config: ProtocolConfig) -> bool:
     return config.n_users == 2 and config.profile.is_siso
 
 
+def closed_form_table(config: ProtocolConfig, policy: AllocationPolicy) -> np.ndarray | None:
+    """The closed-form terminal-event table (`analytic.event_table`) of a
+    setup that has one (has_closed_form), else None."""
+    if not has_closed_form(config):
+        return None
+    # the two-user tables cover both rules policy_allocate can apply to a
+    # lone failing user: it receives the free band, or keeps only its own
+    coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
+    return analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
+                                config.power, *config.rates, coordinated=coordinated)
+
+
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
-    """Closed-form / semi-numerical values matching the estimate() targets.
+    """Closed-form / semi-numerical values matching the estimate() targets:
+    `analytic.reduce_table` of the closed-form table.
 
     Available for K = 2 SISO under any policy defined for two users
     (has_closed_form); returns {} otherwise (those cases are Monte Carlo
     only).
     """
-    if not has_closed_form(config):
-        return {}
-    # the two-user tables cover both rules policy_allocate can apply to a
-    # lone failing user: it receives the free band, or keeps only its own
-    coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
-    table = analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
-                                 config.power, *config.rates, coordinated=coordinated)
-    return analytic.reduce_table(table, config.rates)
+    table = closed_form_table(config, policy)
+    return {} if table is None else analytic.reduce_table(table, config.rates)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
+import gc
+import itertools
 import math
+from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,10 +10,10 @@ from hypothesis import assume, given, strategies as st
 from scipy import fft, integrate, signal, special
 
 from coharq import analytic
-from coharq.analytic import (ConsistencyError, ThresholdPair, accumulation_cdf,
-                             alpha_beta, cdf_inr_sum, cdf_rtd_sum, diversity_gain,
-                             event_label, event_table, gain_sum_cdf,
-                             packets_per_slot, phi_coordinated, throughput_closed)
+from coharq.analytic import (ConsistencyError, accumulation_cdf, cdf_inr_sum, cdf_rtd_sum,
+                             diversity_gain, event_label, event_table, gain_sum_cdf,
+                             packets_per_slot, throughput_closed)
+from coharq.cli import optimize_rates, resolve_policy
 from coharq.fading import FadingProfile
 from coharq.montecarlo import analytic_counterparts
 from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
@@ -22,14 +26,15 @@ from test_acceptance import _hypoexp_cdf_oracle
 
 
 def test_thresholds_from_rates():
-    t = ThresholdPair.from_rates(1.0, 2.0, 4.0)
-    assert t.c_a == pytest.approx(math.expm1(1.0) / 4.0)
-    assert t.c_b == pytest.approx(math.expm1(2.0) / 4.0)
-    assert ThresholdPair.from_rates(1.0, 1000.0, 4.0).c_b == math.inf
-    with pytest.raises(ValueError):
-        ThresholdPair.from_rates(1.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        ThresholdPair(-0.1, 0.0)
+    # C = (e^R - 1) / P, infinite once e^R overflows a double
+    assert analytic._gain_threshold(1.0, 4.0) == pytest.approx(math.expm1(1.0) / 4.0)
+    assert analytic._gain_threshold(2.0, 4.0) == pytest.approx(math.expm1(2.0) / 4.0)
+    assert analytic._gain_threshold(1000.0, 4.0) == math.inf
+
+
+def _first_round_failure(lam, c):
+    """alpha (or beta): Pr(one Exp(lam) gain < threshold c)."""
+    return -math.expm1(-lam * c)
 
 
 def gamma_m2(alpha, beta):
@@ -39,8 +44,7 @@ def gamma_m2(alpha, beta):
 
 
 def test_alpha_beta_and_gamma():
-    t = ThresholdPair(0.5, 1.0)
-    a, b = alpha_beta(t, (1.0, 2.0))
+    a, b = _first_round_failure(1.0, 0.5), _first_round_failure(2.0, 1.0)
     assert a == pytest.approx(1 - math.exp(-0.5), rel=1e-12)
     assert b == pytest.approx(1 - math.exp(-2.0), rel=1e-12)
     gammas = []
@@ -54,7 +58,9 @@ def test_alpha_beta_and_gamma():
 
 
 # ---------------------------------------------------------------------------
-# phi against a quadrature oracle
+# phi, Pr(g2(t) + g2(t+1) + g1(t+1) < C_B): user B still short after the
+# coordinated slot (two own-band copies plus one donated copy), against
+# oracles
 
 
 @pytest.mark.parametrize("lambdas,c_a,c_b", [
@@ -64,7 +70,6 @@ def test_alpha_beta_and_gamma():
 ])
 def test_phi_against_quadrature(lambdas, c_a, c_b):
     lam1, lam2 = lambdas
-    t = ThresholdPair(c_a, c_b)
 
     # oracle: integrate the joint density of (X1+X2, Y) with X~Exp(lam2),
     # Y~Exp(lam1) over the simplex x+y < c_b
@@ -75,28 +80,26 @@ def test_phi_against_quadrature(lambdas, c_a, c_b):
 
     oracle, err = integrate.quad(lambda y: lam1 * math.exp(-lam1 * y) * inner(y),
                                  0.0, c_b, epsabs=1e-13)
-    assert phi_coordinated(t, lambdas) == pytest.approx(oracle, abs=max(1e-11, 10 * err))
+    assert gain_sum_cdf(1, 2, lambdas, c_b) == pytest.approx(oracle, abs=max(1e-11, 10 * err))
 
 
 def test_phi_equal_lambda_is_erlang3_limit():
     # lam1 == lam2 -> sum of three iid Exp(lam) below c_b
     lam, c_b = 1.5, 0.9
-    t = ThresholdPair(0.4, c_b)
     x = lam * c_b
     erlang3 = 1 - math.exp(-x) * (1 + x + x * x / 2)
-    assert phi_coordinated(t, (lam, lam)) == pytest.approx(erlang3, rel=1e-9)
+    assert gain_sum_cdf(1, 2, (lam, lam), c_b) == pytest.approx(erlang3, rel=1e-9)
     # a 1e-7 relative gap moves phi by O(1e-7)
-    near = phi_coordinated(t, (lam, lam * (1 + 1e-7)))
+    near = gain_sum_cdf(1, 2, (lam, lam * (1 + 1e-7)), c_b)
     assert near == pytest.approx(erlang3, rel=1e-6)
 
 
 def test_phi_near_equal_lambdas():
     # just past the old 1e-5 equal-lambda switch the three-copy closed form
     # lost 0.7% here; the phase-type oracle is exact
-    t = ThresholdPair(0.3, 0.05)
     want = _hypoexp_cdf_oracle(1, 2, (1.0, 1.00002), 0.05)
     assert want == pytest.approx(2.006828632e-05, rel=1e-9)
-    assert phi_coordinated(t, (1.0, 1.00002)) == pytest.approx(want, rel=1e-10)
+    assert gain_sum_cdf(1, 2, (1.0, 1.00002), 0.05) == pytest.approx(want, rel=1e-10)
 
 
 def test_phi_monte_carlo_oracle():
@@ -106,7 +109,7 @@ def test_phi_monte_carlo_oracle():
     s = (rng.exponential(1 / lam2, n) + rng.exponential(1 / lam2, n)
          + rng.exponential(1 / lam1, n))
     est = np.mean(s < c_b)
-    val = phi_coordinated(ThresholdPair(0.5, c_b), (lam1, lam2))
+    val = gain_sum_cdf(1, 2, (lam1, lam2), c_b)
     assert abs(val - est) < 3 * math.sqrt(val * (1 - val) / n)
 
 
@@ -271,6 +274,7 @@ def test_cdf_inr_against_quadrature(n, m, lambdas, power):
             _inr_quad_oracle(n, m, lambdas, power, x), abs=1e-8)
 
 
+@lru_cache(maxsize=None)
 def _inr_cdf_grid_fftconvolve(rates, power, x, n_intervals):
     # the convolution as scipy's fftconvolve computes it, one density per copy
     h = x / n_intervals
@@ -285,13 +289,18 @@ def _inr_cdf_grid_fftconvolve(rates, power, x, n_intervals):
 
 @pytest.mark.parametrize("copies", range(2, 7))
 def test_inr_grid_equals_fftconvolve(copies):
-    for n in range(copies + 1):
-        rates = (1.0,) * n + (2.5,) * (copies - n)
-        for power in (1.0, 10.0, 100.0):
-            for x in (0.5, 2.0, 5.0):
-                for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N):
-                    assert analytic._inr_cdf_grid(rates, power, x, grid) == \
-                        _inr_cdf_grid_fftconvolve(rates, power, x, grid)
+    # one batched pass over every (n, m) with 2 <= n + m <= copies shares
+    # prefixes such as (1.0, 1.0) between tuples, yet each entry equals its
+    # own tuple's convolution exactly
+    tuples = [(1.0,) * n + (2.5,) * (total - n)
+              for total in range(2, copies + 1) for n in range(total + 1)]
+    for power in (1.0, 10.0, 100.0):
+        for x in (0.5, 2.0, 5.0):
+            for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N):
+                got = analytic._inr_cdf_grids(tuples, power, x, grid)
+                assert got.keys() == set(tuples)
+                for rates in tuples:
+                    assert got[rates] == _inr_cdf_grid_fftconvolve(rates, power, x, grid)
 
 
 def test_fft_length_is_the_next_5_smooth_length():
@@ -331,16 +340,17 @@ PARAMS = dict(lambdas=(1.0, 2.0), power=3.0, rate_a=1.0, rate_b=0.8)
 
 
 def _components():
-    t = ThresholdPair.from_rates(PARAMS["rate_a"], PARAMS["rate_b"], PARAMS["power"])
-    a, b = alpha_beta(t, PARAMS["lambdas"])
-    return t, a, b
+    """(C_B, alpha, beta) at PARAMS."""
+    c_a, c_b = (math.expm1(PARAMS[r]) / PARAMS["power"] for r in ("rate_a", "rate_b"))
+    lam1, lam2 = PARAMS["lambdas"]
+    return c_b, _first_round_failure(lam1, c_a), _first_round_failure(lam2, c_b)
 
 
 def test_event_reductions_m2_rtd():
-    t, a, b = _components()
+    c_b, a, b = _components()
     ev = event_table(Scheme.RTD, 2, PARAMS["lambdas"], PARAMS["power"],
                      PARAMS["rate_a"], PARAMS["rate_b"])
-    phi = phi_coordinated(t, PARAMS["lambdas"])
+    phi = gain_sum_cdf(1, 2, PARAMS["lambdas"], c_b)
     assert ev[1, 1] == pytest.approx((1 - a) * (1 - b), rel=1e-10)
     assert ev[1, 2] == pytest.approx((1 - a) * (b - phi), rel=1e-10)
     assert ev[1, 0] == pytest.approx((1 - a) * phi, rel=1e-10)
@@ -348,7 +358,7 @@ def test_event_reductions_m2_rtd():
 
 
 def test_eq5_assembly_identity():
-    t, a, b = _components()
+    c_b, a, b = _components()
     ev = event_table(Scheme.RTD, 2, PARAMS["lambdas"], PARAMS["power"],
                      PARAMS["rate_a"], PARAMS["rate_b"])
     out_b = packets_per_slot(ev) * ev[:, 0].sum()
@@ -356,8 +366,8 @@ def test_eq5_assembly_identity():
     # failed round one and B fails on two own-band copies, or A decoded
     # round one and B fails on three combined copies (phi)
     gam = gamma_m2(a, b)
-    closed = (gam * a * gain_sum_cdf(0, 2, PARAMS["lambdas"], t.c_b)
-              + gam * (1.0 - a) * phi_coordinated(t, PARAMS["lambdas"]))
+    closed = (gam * a * gain_sum_cdf(0, 2, PARAMS["lambdas"], c_b)
+              + gam * (1.0 - a) * gain_sum_cdf(1, 2, PARAMS["lambdas"], c_b))
     assert out_b == pytest.approx(closed, abs=1e-12)
 
 
@@ -422,6 +432,62 @@ def test_noncoordinated_table_is_product_of_marginals(scheme, max_rounds):
     assert (coord[0, 0] == got[0, 0]) and (coord[1, 1] == got[1, 1])
 
 
+@pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
+def test_event_table_cold_equals_warm(scheme):
+    args = (scheme, 3, (1.0, 2.0), 4.0)
+    # warm: A's table at 1.0 and B's at 1.5 come from the cache, built for
+    # the earlier rate pairs
+    for pair in ((1.0, 0.5), (0.5, 1.5), (1.0, 1.5)):
+        warm = event_table(*args, *pair)
+    analytic._resolve_given.cache_clear()
+    analytic._INR_CACHE.clear()
+    cold = event_table(*args, 1.0, 1.5)
+    assert analytic._resolve_given.cache_info().misses == 2
+    assert cold.tobytes() == warm.tobytes()
+    # the cached per-user tables are shared, so callers cannot write them
+    q = analytic._resolve_given(scheme, ((0,) * 4,) * 4, (1.0, 2.0), 4.0, 1.0)
+    with pytest.raises(ValueError):
+        q[0, 0] = 0.5
+
+
+def test_cold_inr_table_leaves_no_cyclic_garbage():
+    # buffers held in a reference cycle outlive the call until the cyclic
+    # collector runs, and raise the peak memory of a rate search
+    gc.collect()
+    gc.disable()
+    try:
+        event_table(Scheme.INR, 3, (1.0, 2.0), 7.389, 1.0, 1.5)  # a power no other test uses
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("scheme", ["rtd", "inr"])
+@pytest.mark.parametrize("policy", ["coord", "noncoord", "round-robin"])
+@pytest.mark.parametrize("max_rounds", [2, 3])
+def test_optimize_rates_equals_per_pair_counterparts(scheme, policy, max_rounds):
+    grid = [(0.5 * a, 0.5 * b) for a in range(1, 5) for b in range(1, 5)]
+    pol = resolve_policy(policy, 2)
+    for lambdas in ((1.0, 1.0), (1.0, 2.0), (1.0, 1.001)):
+        cfg = ProtocolConfig(profile=FadingProfile(lambdas=lambdas), rates=(1.0, 1.0),
+                             power=10.0, scheme=Scheme(scheme), max_rounds=max_rounds)
+        etas = [analytic_counterparts(replace(cfg, rates=pair), pol)["throughput"]
+                for pair in grid]
+        # the largest throughput; among equal ones the smaller R_A + R_B,
+        # then the earlier pair
+        best = max(range(len(grid)), key=lambda i: (etas[i], -sum(grid[i]), -i))
+        assert optimize_rates(cfg, pol, grid) == (grid[best], etas[best])
+
+
+def test_rate_search_builds_one_resolve_table_per_user_and_rate():
+    rates = (0.5, 1.0, 1.5)
+    cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0)), rates=(1.0, 1.0),
+                         power=3.0, scheme=Scheme.RTD, max_rounds=3)
+    analytic._resolve_given.cache_clear()
+    optimize_rates(cfg, resolve_policy("coord", 2), list(itertools.product(rates, rates)))
+    assert analytic._resolve_given.cache_info().misses == 2 * len(rates)
+
+
 # ---------------------------------------------------------------------------
 # throughput
 
@@ -456,8 +522,8 @@ def test_throughput_high_power_limit():
 
 def test_event_probability_general_first_round():
     a = event_table(Scheme.RTD, 3, (1.0, 2.0), 2.0, 1.0, 1.0)[1, 1]
-    t = ThresholdPair.from_rates(1.0, 1.0, 2.0)
-    al, be = alpha_beta(t, (1.0, 2.0))
+    c = math.expm1(1.0) / 2.0
+    al, be = _first_round_failure(1.0, c), _first_round_failure(2.0, c)
     assert a == pytest.approx((1 - al) * (1 - be), rel=1e-10)
 
 

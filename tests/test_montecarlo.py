@@ -5,7 +5,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from coharq.analytic import ThresholdPair, alpha_beta, packets_per_slot
+from coharq.analytic import packets_per_slot
 from coharq.fading import POLICY_BAND, ConfigurationError, FadingProfile, uniform_block
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
                                RangeError, SweepResult, _assignment_matrix,
@@ -265,8 +265,9 @@ def test_coordination_share_is_a_table_query():
     n = 200_000
     counts = simulate_batch(cfg, COORD, n, SEED).counts
     share = (counts[1, 0] + counts[1, 2] + counts[0, 1] + counts[2, 1]) / n
-    alpha, beta = alpha_beta(ThresholdPair.from_rates(*cfg.rates, cfg.power),
-                             cfg.profile.lambdas)
+    # first-round failure probabilities 1 - exp(-l C), C = (e^R - 1) / P
+    alpha, beta = (-math.expm1(-lam * math.expm1(rate) / cfg.power)
+                   for lam, rate in zip(cfg.profile.lambdas, cfg.rates))
     expected = alpha * (1 - beta) + beta * (1 - alpha)
     assert abs(share - expected) <= 3 * math.sqrt(expected * (1 - expected) / n)
 
