@@ -234,9 +234,11 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     return _cdf_inr_counts([(n, m)], lambdas, power, x)[n, m]
 
 
-def _accumulation_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -> dict:
-    """{(n_band1, n_band2): accumulation_cdf(scheme, n_band1, n_band2, ...)}
-    for every count pair, the INR ones evaluated together."""
+def _accumulated_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -> dict:
+    """{(n_band1, n_band2): CDF at x nats of the accumulated decodable rate
+    from n_band1 copies on band 1 and n_band2 copies on band 2} for every
+    count pair, the INR ones evaluated together. With zero copies nothing
+    has been received, so the user is undecoded at any nonnegative target."""
     out = {c: 1.0 if x >= 0 else 0.0 for c in counts if c == (0, 0)}
     rest = [c for c in counts if c != (0, 0)]
     if scheme is Scheme.RTD:
@@ -244,15 +246,6 @@ def _accumulation_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) 
     else:
         out.update(_cdf_inr_counts(rest, lambdas, power, x))
     return out
-
-
-def accumulation_cdf(scheme: Scheme, n_band1: int, n_band2: int, lambdas,
-                     power: float, x: float) -> float:
-    """CDF at x nats of the accumulated decodable rate from n_band1 copies on
-    band 1 and n_band2 copies on band 2. With zero copies nothing has been
-    received, so the user is undecoded at any nonnegative target."""
-    count = (n_band1, n_band2)
-    return _accumulation_cdfs(scheme, [count], lambdas, power, x)[count]
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +263,7 @@ def _resolve_given(scheme: Scheme, donated: tuple, lambdas: tuple, power: float,
     once per rate, not once per rate pair.
     """
     # each (own, donated) copy count's CDF at the rate, evaluated once
-    short = _accumulation_cdfs(scheme, {(own, d) for own, row in enumerate(donated) for d in row},
+    short = _accumulated_cdfs(scheme, {(own, d) for own, row in enumerate(donated) for d in row},
                                lambdas, power, rate)
     # g[c][j]: still short after round c; outage is short after the last
     # round, resolving at round i is short after round i-1 but not after i

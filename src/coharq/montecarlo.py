@@ -16,7 +16,6 @@ closed-form expressions.
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from functools import reduce
 
 import numpy as np
 
@@ -79,86 +78,110 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     return np.take(np.array(maps, dtype=np.int64).T, run, axis=1)
 
 
-def _grid_rounds(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
-                 n_trials: int, master_seed: int, start_trial: int = 0) -> np.ndarray:
+def _distinct(index: np.ndarray, size: int):
+    """The sorted distinct values of `index` (each in [0, size)) and, for
+    each entry, its position among them."""
+    seen = np.zeros(size, dtype=bool)
+    seen[index] = True
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[index]
+
+
+def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
+                 start_trial: int = 0) -> np.ndarray:
     """Decode rounds of trials [start_trial, start_trial + n_trials) for each
-    rate vector of `rate_grid` (shape (G, K)), all on the same draws.
+    of `configs`, which differ only in rates and power, on the same draws.
 
     Returns shape (G, n_trials, K): round in 1..M, or 0 for outage. Row g
-    equals simulate_rounds of `config` with rates rate_grid[g].
-
-    Slot 0 draws and transforms every trial once; only the decode check
-    sees the rates. From slot 1 on, the live columns are the (rate vector,
-    trial) pairs with an unresolved user: each (slot, band) draw covers the
-    union of their trials and is gathered to the columns.
+    equals simulate_rounds of configs[g]. Each (slot, band) block is drawn
+    once and its copy worked out once per (power, trial) pair; only the
+    decode check sees the rates. From slot 1 on, the live columns are the
+    (configuration, trial) pairs with an unresolved user, and each draw
+    covers the union of their trials. With one power the pairs are the
+    trials and the power stays a float.
     """
+    config = configs[0]
     profile = config.profile
-    k, m_max, power = config.n_users, config.max_rounds, config.power
+    k, m_max = config.n_users, config.max_rounds
     rtd = config.scheme is Scheme.RTD
     siso = profile.is_siso
     u_tx = profile.tx_antennas
-    q = power / u_tx
-    rates = np.asarray(rate_grid, dtype=float).T       # (K, G)
-    n_vec = rates.shape[1]
+    rates = np.array([c.rates for c in configs], dtype=float).T      # (K, G)
+    n_cfg = rates.shape[1]
+    powers = list(dict.fromkeys(c.power for c in configs))     # distinct, in order
+    power_of = np.array([powers.index(c.power) for c in configs])
+    n_pow, powers = len(powers), np.array(powers, dtype=float)
     users = np.arange(k)
 
-    def copy_info(b, s, rows):
-        # what one copy on band b at slot s carries, for trial offsets rows
+    def draw(b, s, rows):
+        # the power-free part of one copy on band b at slot s, for trial offsets rows
         if siso:
-            g = gain_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
-            return g * power if rtd else np.log1p(g * power)
-        h = matrix_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
-        return hermitian_gram(h) if rtd else log_det_eye_plus(q, hermitian_gram(h))
+            return gain_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
+        return hermitian_gram(matrix_block(profile, b, s, master_seed, start_trial, n_trials,
+                                           rows=rows))
 
-    def decoded_nats(acc):
+    def carried(x, power):
+        # what that copy adds to the accumulator at `power`
+        if siso:
+            return x * power if rtd else np.log1p(x * power)
+        return x if rtd else log_det_eye_plus(power / u_tx, x)
+
+    def decoded_nats(acc, power):
         if not rtd:
             return acc
-        return np.log1p(acc) if siso else log_det_eye_plus(q, acc)
+        return np.log1p(acc) if siso else log_det_eye_plus(power / u_tx, acc)
 
     # slot 0: every user sends its first copy on its own band. acc is
-    # user-major, one column per trial; MIMO RTD sums each user's Grams in a
-    # (u, u, K, n) array, packed as in rates.hermitian_gram
-    acc = np.empty((k, n_trials) if siso or not rtd else (u_tx, u_tx, k, n_trials))
+    # user-major, then (power, trial); MIMO RTD sums each user's Grams in a
+    # (u, u, K, ...) array, packed as in rates.hermitian_gram
+    power = config.power if n_pow == 1 else powers[:, None]
+    acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (n_pow, n_trials))
     for b in range(k):
-        acc[..., b, :] = copy_info(b, 0, None)
-    won = decoded_nats(acc)[:, None, :] >= rates[:, :, None]
-    # rounds[u, g, t]; column c = g * n_trials + t is trial t under rate vector g
+        acc[..., b, :, :] = carried(draw(b, 0, None)[..., None, :], power)
+    # rounds[u, g, t]; column c = g * n_trials + t is trial t of configuration g
+    at_power = power_of if n_pow > 1 else slice(None)
+    won = decoded_nats(acc, power)[:, at_power] >= rates[:, :, None]
+    acc = acc.reshape(acc.shape[:-2] + (-1,))
     rounds = won.astype(np.int16, order="C")
     flat_rounds = rounds.reshape(k, -1)     # a view: rounds is C-ordered
     active = ~won.reshape(k, -1)
-    cols = None     # the live columns from slot 1 on
+    cols = None     # the live columns from slot 1 on, and their (power, trial) pairs
     for s in range(1, m_max):
         keep = np.flatnonzero(active.any(axis=0))
         if keep.size == 0:
             break
         active = active[:, keep]
         if cols is None:
-            cols = keep
-            trials = keep % n_trials if n_vec > 1 else keep
-            acc = acc[..., trials]
-            col_rates = rates[:, keep // n_trials] if n_vec > 1 else rates
+            cols, pairs, col_rates = keep, keep, rates
+            if n_cfg > 1:
+                col_cfg = keep // n_trials
+                pairs, col_rates = keep % n_trials, rates[:, col_cfg]
+                if n_pow > 1:
+                    pairs += power_of[col_cfg] * n_trials
+            acc = acc[..., pairs]
         else:
-            cols, trials, acc = cols[keep], trials[keep], acc[..., keep]
-            if n_vec > 1:
+            cols, pairs, acc = cols[keep], pairs[keep], acc[..., keep]
+            if n_cfg > 1:
                 col_rates = col_rates[:, keep]
-        if n_vec > 1:
-            # draw each live trial once, then gather its draws to its columns
-            drawn = np.zeros(n_trials, dtype=bool)
-            drawn[trials] = True
-            rows = np.flatnonzero(drawn)
-            gather = (np.cumsum(drawn) - 1)[trials]
-        else:
-            rows, gather = trials, None
+        trials = pairs % n_trials if n_pow > 1 else pairs
+        # work out each live pair's copy once (columns that share a power
+        # share pairs), from one draw of each live trial
+        live, to_col = _distinct(pairs, n_pow * n_trials) if n_pow < n_cfg else (pairs, None)
+        rows, to_pair = _distinct(live % n_trials, n_trials) if n_pow > 1 else (live, None)
+        live_power = config.power if n_pow == 1 else powers[live // n_trials]
         assign = _assignment_matrix(active, trials, policy, s, master_seed,
                                     start_trial, n_trials)
         for b in range(k):
             if (assign[b] < 0).all():
                 continue
-            contrib = copy_info(b, s, rows)
-            if gather is not None:
-                contrib = contrib[..., gather]
+            contrib = draw(b, s, rows)
+            if to_pair is not None:
+                contrib = contrib[..., to_pair]
+            contrib = carried(contrib, live_power)
+            if to_col is not None:
+                contrib = contrib[..., to_col]
             acc += np.where(users[:, None] == assign[b], contrib[..., None, :], 0.0)
-        won = active & (decoded_nats(acc) >= col_rates)
+        col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
+        won = active & (decoded_nats(acc, col_power) >= col_rates)
         for u in range(k):
             flat_rounds[u, cols[np.flatnonzero(won[u])]] = s + 1
         active &= ~won
@@ -171,13 +194,10 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
 
     Returns shape (n_trials, K): round in 1..M, or 0 for outage. One trial is
     one packet; randomness is keyed so the same trial index always sees the
-    same channel, under any policy, rates or chunking.
-
-    The one-vector case of the grid engine: slot 0 runs on every trial, and
-    from slot 1 on the engine transforms, assigns, accumulates and checks
-    copies only for the trials in which some user is still active.
+    same channel, under any policy, rates, power or chunking. The
+    one-configuration case of the grid engine, _grid_rounds.
     """
-    return _grid_rounds(config, policy, [config.rates], n_trials, master_seed, start_trial)[0]
+    return _grid_rounds([config], policy, n_trials, master_seed, start_trial)[0]
 
 
 @dataclass(frozen=True)
@@ -212,50 +232,62 @@ def _stats_from_rounds(rounds: np.ndarray, config: ProtocolConfig) -> BatchStats
     return BatchStats(np.bincount(code, minlength=radix ** k).reshape((radix,) * k))
 
 
-def _chunk_ranges(n_trials: int, chunk: int):
-    start = 0
-    while start < n_trials:
-        yield start, min(chunk, n_trials - start)
-        start += chunk
+def _chunk_stats(task) -> list:
+    """The tables of one chunk's trials, one per configuration."""
+    configs, policy, start, count, master_seed = task
+    if len(configs) == 1:
+        # perfbench/tracing.py binds simulate_rounds, so a one-configuration
+        # chunk goes through that name
+        rounds = [simulate_rounds(configs[0], policy, count, master_seed, start_trial=start)]
+    else:
+        rounds = _grid_rounds(configs, policy, count, master_seed, start_trial=start)
+    return [_stats_from_rounds(r, cfg) for r, cfg in zip(rounds, configs)]
 
 
-def _batch_worker(args):
-    config, policy, start, count, master_seed = args
-    rounds = simulate_rounds(config, policy, count, master_seed, start_trial=start)
-    return _stats_from_rounds(rounds, config)
-
-
-def _grid_worker(args):
-    config, policy, rate_grid, start, count, master_seed = args
-    rounds = _grid_rounds(config, policy, rate_grid, count, master_seed, start_trial=start)
-    return [_stats_from_rounds(r, config) for r in rounds]
-
-
-def _check_batch(config: ProtocolConfig, n_trials: int, chunk: int, n_jobs: int) -> None:
-    for name, value in (("n_trials", n_trials), ("chunk", chunk), ("n_jobs", n_jobs)):
+def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
+                 chunk: int, n_jobs: int) -> list:
+    """BatchStats of trials [0, n_trials[g]) of each of `configs` (as in
+    _grid_rounds). A chunk runs ceil(min(chunk, max n_trials) / G) trials
+    of the G configurations short of their count, or fewer where one of
+    them reaches it and so leaves the plan: it holds about as many columns
+    as a one-configuration chunk. Tables add integer counts, so any chunk
+    size or worker count gives identical tables."""
+    for name, value in (*(("n_trials", n) for n in n_trials), ("chunk", chunk),
+                        ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    cells = (config.max_rounds + 1) ** config.n_users
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
-                         f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
-
-
-def _map_chunks(worker, tasks, n_jobs: int):
-    """The worker's results on the chunk tasks, in task order."""
+    for config in configs[:1]:
+        cells = (config.max_rounds + 1) ** config.n_users
+        if cells > MAX_TABLE_CELLS:
+            raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
+                             f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
+    per_chunk = min(chunk, max(n_trials, default=0))
+    plan, tasks, start = [], [], 0
+    live = list(range(len(configs)))
+    while live:
+        count = min(-(-per_chunk // len(live)), min(n_trials[g] for g in live) - start)
+        plan.append(live)
+        tasks.append(([configs[g] for g in live], policy, start, count, master_seed))
+        start += count
+        live = [g for g in live if n_trials[g] > start]
     if n_jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            return list(pool.map(worker, tasks))
-    return map(worker, tasks)
+            results = list(pool.map(_chunk_stats, tasks))
+    else:
+        results = map(_chunk_stats, tasks)
+    totals = [None] * len(configs)
+    for live, stats in zip(plan, results):
+        for g, s in zip(live, stats):
+            totals[g] = s if totals[g] is None else totals[g].merge(s)
+    return totals
 
 
 def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
                    master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> BatchStats:
-    """Run n_trials independent packets and count them by resolve rounds."""
-    _check_batch(config, n_trials, chunk, n_jobs)
-    tasks = [(config, policy, start, count, master_seed)
-             for start, count in _chunk_ranges(n_trials, chunk)]
-    return reduce(BatchStats.merge, _map_chunks(_batch_worker, tasks, n_jobs))
+    """Run n_trials independent packets and count them by resolve rounds:
+    the one-configuration case of the chunk plan that estimate_grid and
+    sweep run on."""
+    return _batch_stats([config], policy, [n_trials], master_seed, chunk, n_jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,20 +338,15 @@ def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
     `config` with that vector as its rates and the same other arguments.
     Draws are keyed by (seed, trial, slot, band), never by the rates, so
     the vectors share them (common random numbers): each trial's channels
-    are drawn and transformed once for the whole grid. A chunk runs
-    ceil(min(chunk, n_trials) / G) trials of all G vectors, so it holds
-    about as many (vector, trial) columns as a one-vector chunk.
+    are drawn and transformed once for the whole grid. It shares the chunk
+    plan of simulate_batch and sweep: a chunk runs ceil(min(chunk,
+    n_trials) / G) trials of all G vectors, about as many columns as a
+    one-vector chunk.
     """
     configs = [replace(config, rates=tuple(rates)) for rates in rate_grid]
     if not configs:
         raise ValueError("rate grid is empty")
-    _check_batch(config, n_trials, chunk, n_jobs)
-    grid = np.array([cfg.rates for cfg in configs])
-    per_chunk = -(-min(chunk, n_trials) // len(configs))
-    tasks = [(config, policy, grid, start, count, master_seed)
-             for start, count in _chunk_ranges(n_trials, per_chunk)]
-    stats = reduce(lambda a, b: list(map(BatchStats.merge, a, b)),
-                   _map_chunks(_grid_worker, tasks, n_jobs))
+    stats = _batch_stats(configs, policy, [n_trials] * len(configs), master_seed, chunk, n_jobs)
     return [estimates_from_stats(s, cfg) for s, cfg in zip(stats, configs)]
 
 
@@ -416,21 +443,23 @@ def db_to_linear(snr_db: float) -> float:
 
 def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_db,
           n_trials, master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> SweepResult:
-    """Estimate bundle per SNR point. `n_trials` may be a scalar or one count
-    per point; results are deterministic given the master seed."""
+    """estimate() and analytic_counterparts() at each SNR point, on shared
+    draws. `n_trials` may be a scalar or one count per point; point i
+    equals estimate() of the template at power db_to_linear(snr) with its
+    count and the other arguments. Draws are keyed by (seed, trial, slot,
+    band), never by the power, so a trial is drawn once for every point."""
     snr_points_db = list(snr_points_db)
     if any(b <= a for a, b in zip(snr_points_db, snr_points_db[1:])):
         raise ValueError("SNR axis must be strictly increasing")
-    if np.isscalar(n_trials):
-        n_trials = [int(n_trials)] * len(snr_points_db)
-    estimates, analytic_vals = [], []
-    for snr_db, trials in zip(snr_points_db, n_trials):
-        cfg = replace(config_template, power=db_to_linear(snr_db))
-        estimates.append(estimate(cfg, policy, trials, master_seed, chunk=chunk, n_jobs=n_jobs))
-        analytic_vals.append(analytic_counterparts(cfg, policy))
-    return SweepResult(snr_db=snr_points_db, estimates=estimates,
-                       analytic=analytic_vals, n_trials=list(n_trials),
-                       master_seed=master_seed)
+    n_trials = [int(n_trials)] * len(snr_points_db) if np.isscalar(n_trials) else list(n_trials)
+    if len(n_trials) != len(snr_points_db):
+        raise ValueError(f"need one trial count per SNR point, got {len(n_trials)}")
+    configs = [replace(config_template, power=db_to_linear(snr_db)) for snr_db in snr_points_db]
+    stats = _batch_stats(configs, policy, n_trials, master_seed, chunk, n_jobs)
+    return SweepResult(snr_db=snr_points_db,
+                       estimates=[estimates_from_stats(s, cfg) for s, cfg in zip(stats, configs)],
+                       analytic=[analytic_counterparts(cfg, policy) for cfg in configs],
+                       n_trials=n_trials, master_seed=master_seed)
 
 
 def fit_diversity_slope(sweep_result: SweepResult, user: int,
@@ -490,7 +519,8 @@ def dominance_violations(config: ProtocolConfig, coordinated_policy: AllocationP
     only ever adds copies, so the count must be zero."""
     noncoord = AllocationPolicy(PolicyKind.NON_COORDINATED)
     violations = 0
-    for start, count in _chunk_ranges(n_trials, chunk):
+    for start in range(0, n_trials, chunk):
+        count = min(chunk, n_trials - start)
         r_nc = simulate_rounds(config, noncoord, count, master_seed, start_trial=start)
         r_co = simulate_rounds(config, coordinated_policy, count, master_seed, start_trial=start)
         violations += int(((r_nc > 0) & (r_co == 0)).sum())

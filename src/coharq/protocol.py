@@ -188,12 +188,11 @@ def advance_slot(ledger: SlotLedger, draws: list, config: ProtocolConfig,
 
 
 def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
-               substream: Substream, trace=None) -> PacketOutcome:
+               substream: Substream) -> PacketOutcome:
     """Run one packet to termination (at most M slots).
 
     With the non-coordinated policy each user's trajectory is statistically
-    identical to isolated single-user HARQ with M rounds. `trace`, if given,
-    is a list that receives one dict per slot for debugging/export.
+    identical to isolated single-user HARQ with M rounds.
     """
     ledger = SlotLedger(config=config)
     sample = sample_gain if config.profile.is_siso else sample_matrix
@@ -202,31 +201,6 @@ def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
         substream.slot = ledger.slot
         draws = [sample(config.profile, b, substream) for b in range(config.n_users)]
         u = substream.policy_uniform() if needs_uniform else None
-        if trace is not None:
-            trace.append(_trace_row(substream.trial, ledger, config))
         advance_slot(ledger, draws, config, policy, policy_uniform=u)
     return PacketOutcome(decode_round=tuple(ledger.decode_round),
                          slots_consumed=ledger.slot)
-
-
-def _trace_row(trial: int, ledger: SlotLedger, config: ProtocolConfig) -> dict:
-    return {
-        "trial": trial,
-        "slot": ledger.slot,
-        "assignment": dict(ledger.assignment),
-        "scheme": config.scheme.value,
-        "decoded_users": [u for u, r in enumerate(ledger.decode_round) if r > 0],
-        "failed_users": sorted(ledger.active),
-    }
-
-
-def format_trace(rows) -> str:
-    """Protocol trace as CSV text: one line per (slot, band)."""
-    lines = ["trial,slot,band,user,scheme,decoded_users,failed_users"]
-    for r in rows:
-        dec = ";".join(str(u) for u in r["decoded_users"])
-        fail = ";".join(str(u) for u in r["failed_users"])
-        for band in sorted(r["assignment"]):
-            lines.append(f'{r["trial"]},{r["slot"]},{band},{r["assignment"][band]},'
-                         f'{r["scheme"]},{dec},{fail}')
-    return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from hypothesis import assume, given, strategies as st
 from scipy import fft, integrate, signal, special
 
 from coharq import analytic
-from coharq.analytic import (ConsistencyError, accumulation_cdf, cdf_inr_sum, cdf_rtd_sum,
+from coharq.analytic import (ConsistencyError, cdf_inr_sum, cdf_rtd_sum,
                              diversity_gain, event_label, event_table, gain_sum_cdf,
                              packets_per_slot, throughput_closed)
 from coharq.cli import optimize_rates, resolve_policy
@@ -324,11 +324,12 @@ def test_cdf_inr_single_copy_closed_form():
 
 
 def test_accumulation_cdf_edges():
-    assert accumulation_cdf(Scheme.RTD, 0, 0, (1.0, 1.0), 1.0, 0.5) == 1.0
-    assert accumulation_cdf(Scheme.RTD, 0, 0, (1.0, 1.0), 1.0, -0.5) == 0.0
-    a = accumulation_cdf(Scheme.RTD, 1, 1, (1.0, 2.0), 1.0, math.log(2))
+    lam = (1.0, 1.0)
+    assert analytic._accumulated_cdfs(Scheme.RTD, [(0, 0)], lam, 1.0, 0.5) == {(0, 0): 1.0}
+    assert analytic._accumulated_cdfs(Scheme.RTD, [(0, 0)], lam, 1.0, -0.5) == {(0, 0): 0.0}
+    a = analytic._accumulated_cdfs(Scheme.RTD, [(1, 1)], (1.0, 2.0), 1.0, math.log(2))[1, 1]
     assert a == pytest.approx(cdf_rtd_sum(1, 1, (1.0, 2.0), 1.0, math.log(2)), rel=1e-12)
-    b = accumulation_cdf(Scheme.INR, 1, 1, (1.0, 2.0), 1.0, 0.8)
+    b = analytic._accumulated_cdfs(Scheme.INR, [(1, 1)], (1.0, 2.0), 1.0, 0.8)[1, 1]
     assert b == pytest.approx(cdf_inr_sum(1, 1, (1.0, 2.0), 1.0, 0.8), rel=1e-12)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -33,9 +34,23 @@ def test_siso_and_closed_forms_load_numpy_alone():
     assert done.returncode == 0, done.stderr
 
 
+# The arguments each observer of the benchmark's tracer reads, by span name.
+OBSERVED_PARAMETERS = {
+    "fading.gain_block": {"n_trials"},
+    "fading.matrix_block": {"n_trials", "profile"},
+    "fading.uniform_block": {"n_trials", "words"},
+    "montecarlo.simulate_rounds": {"n_trials", "config"},
+    "montecarlo.simulate_batch": {"n_trials"},
+    "analytic.cdf_inr_sum": {"n", "m", "lambdas", "power", "x"},
+    "cli.emit_csv": {"rows"},
+}
+
+
 def test_benchmark_bindings_resolve():
     """Every function the benchmark's tracer wraps, and the oracle entry
-    points its workloads call, still exist under the names it uses."""
+    points its workloads call, still exist under the names it uses, and
+    every observed function keeps the parameter names its observer reads
+    (a renamed one would end a traced run in a KeyError)."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
@@ -45,3 +60,10 @@ def test_benchmark_bindings_resolve():
     missing = [f"{module}.{attr}" for module, attr in names
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing, missing
+    assert set(tracing.OBSERVERS) == set(OBSERVED_PARAMETERS)
+    for module, attr, span in tracing.BINDINGS:
+        if span in tracing.OBSERVERS:
+            fn = getattr(importlib.import_module(module), attr)
+            params = set(inspect.signature(fn).parameters)
+            assert OBSERVED_PARAMETERS[span] <= params, (f"{module}.{attr}",
+                                                         OBSERVED_PARAMETERS[span] - params)

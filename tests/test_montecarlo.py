@@ -9,11 +9,11 @@ from coharq.analytic import packets_per_slot
 from coharq.fading import POLICY_BAND, ConfigurationError, FadingProfile, uniform_block
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
                                RangeError, SweepResult, _assignment_matrix,
-                               analytic_counterparts,
+                               _grid_rounds, analytic_counterparts,
                                db_to_linear, dominance_violations,
                                energy_gain_at_outage, estimate, estimate_grid,
                                estimates_from_stats,
-                               fit_diversity_slope, simulate_batch,
+                               fit_diversity_slope, has_closed_form, simulate_batch,
                                simulate_rounds, snr_at_outage, sweep)
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                              policy_allocate, run_packet)
@@ -176,6 +176,28 @@ def test_estimate_grid_equals_per_vector_estimates(policy, cfg):
     # the 50-nat vector never decodes its first user; the zero rate always does
     assert ests[3]["outage_packet_user0"].point == 1.0
     assert ests[1]["outage_packet_user0"].point == 0.0
+
+
+@pytest.mark.parametrize("policy,cfg", [
+    (COORD, make_config(scheme=Scheme.INR, lambdas=(1.0, 2.0), max_rounds=3)),
+    (NONCOORD, make_config(scheme=Scheme.RTD, lambdas=(1.0, 2.0), max_rounds=3)),
+    (SPLIT, K3_SPLIT),
+    (COORD, mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0))),
+    (COORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
+], ids=["k2-inr-coord", "k2-rtd-noncoord", "k3-inr-split", "mimo2x2-rtd-coord",
+        "mimo2x2-inr-coord"])
+def test_grid_rounds_over_rates_and_powers(policy, cfg):
+    # two rate vectors at two powers, the powers out of order: each
+    # (power, trial) pair serves two columns
+    low = tuple(0.5 * r for r in cfg.rates)
+    configs = [replace(cfg, rates=rates, power=power)
+               for rates, power in ((cfg.rates, 6.0), (low, 1.5), (cfg.rates, 1.5), (low, 6.0))]
+    n = 1500 if cfg.profile.is_siso else 400
+    rounds = _grid_rounds(configs, policy, n, SEED, start_trial=300)
+    assert rounds.shape == (len(configs), n, cfg.n_users)
+    for c, row in zip(configs, rounds):
+        assert np.array_equal(row, simulate_rounds(c, policy, n, SEED, start_trial=300))
+    assert len(np.unique(rounds)) == cfg.max_rounds + 1
 
 
 def test_estimate_grid_rejects_bad_input():
@@ -441,6 +463,27 @@ def test_sweep_real_run_and_axis_validation():
             3 * pt["outage_user1"].half_width_95 / 1.96 + 1e-4
     with pytest.raises(ValueError):
         sweep(cfg, COORD, [0.0, 0.0, 5.0], 100, SEED)
+    with pytest.raises(ValueError):
+        sweep(cfg, COORD, [0.0, 5.0], [100], SEED)
+
+
+@pytest.mark.parametrize("policy,cfg", GRID_CASES)
+def test_sweep_equals_per_point_estimates(policy, cfg):
+    """Every point of a sweep equals a separate estimate at its power with
+    its own trial count, at any chunk size and worker count."""
+    snr_db = [0.0, 5.0, 11.0, 20.0]
+    n = 600 if cfg.profile.is_siso else 120
+    for trials, kwargs in (([n, 1, n // 3, n - 5], dict()),
+                           ([n, 1, n // 3, n - 5], dict(chunk=7)),
+                           ([n, 1, n // 3, n - 5], dict(n_jobs=2)),
+                           ([40, 1, 13, 35], dict(chunk=1))):
+        res = sweep(cfg, policy, snr_db, trials, SEED, **kwargs)
+        assert res.snr_db == snr_db and res.n_trials == trials
+        for i, (snr, t) in enumerate(zip(snr_db, trials)):
+            point = replace(cfg, power=db_to_linear(snr))
+            assert_same_estimates(res.estimates[i], estimate(point, policy, t, SEED))
+            assert res.analytic[i] == analytic_counterparts(point, policy)
+    assert bool(res.analytic[0]) == has_closed_form(cfg)
 
 
 def test_db_to_linear():

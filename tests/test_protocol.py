@@ -5,7 +5,7 @@ import pytest
 from coharq.fading import FadingProfile, Substream
 from coharq.protocol import (AllocationPolicy, PacketOutcome, PolicyKind,
                              ProtocolConfig, ProtocolError, SlotLedger,
-                             advance_slot, format_trace, policy_allocate,
+                             advance_slot, policy_allocate,
                              run_packet)
 from coharq.rates import Scheme
 from coharq.fading import ConfigurationError
@@ -265,26 +265,3 @@ def test_mimo_packet_runs():
                          scheme=Scheme.RTD, max_rounds=2)
     out = run_packet(cfg, COORD, Substream(SEED, trial=0))
     assert out.slots_consumed in (1, 2)
-
-
-# ---------------------------------------------------------------------------
-# tracing
-
-
-def test_trace_format():
-    cfg = make_config(rates=(0.0, 5.0), power=1e-6, max_rounds=2)
-    trace = []
-    run_packet(cfg, COORD, Substream(SEED, trial=3), trace=trace)
-    text = format_trace(trace)
-    lines = text.strip().split("\n")
-    assert lines[0] == "trial,slot,band,user,scheme,decoded_users,failed_users"
-    # 2 slots x 2 bands = 4 data lines
-    assert len(lines) == 5
-    first = lines[1].split(",")
-    assert first[:4] == ["3", "0", "0", "0"]
-    assert first[4] == "rtd"
-    # slot 1: user 0 decoded (zero rate), both bands serve user 1
-    slot1 = [ln.split(",") for ln in lines[3:]]
-    assert [row[3] for row in slot1] == ["1", "1"]
-    assert slot1[0][5] == "0"
-    assert slot1[0][6] == "1"
