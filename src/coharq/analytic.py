@@ -274,6 +274,17 @@ def _resolve_given(scheme: Scheme, donated: tuple, lambdas: tuple, power: float,
     return q
 
 
+@lru_cache(maxsize=64)
+def _donated_copies(max_rounds: int, coordinated: bool) -> tuple:
+    """[c][j]: the donated copies a user holds by round c when the other
+    user resolves at round j (0 for outage)."""
+    rounds = range(max_rounds + 1)
+    # a user that resolves at round j >= 1 donates its band from round j+1
+    # on, so by round c the other user holds max(c - j, 0) donated copies
+    return tuple(tuple(max(c - j, 0) if j and coordinated else 0 for j in rounds)
+                 for c in rounds)
+
+
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
                 rate_a: float, rate_b: float, *, coordinated: bool = True) -> np.ndarray:
     """Per-packet terminal-event distribution for K = 2 users.
@@ -289,11 +300,7 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     copy counts are evaluated in one convolution pass.
     `coordinated=False` gives independent single-user HARQ on each band.
     """
-    rounds = range(max_rounds + 1)
-    # a user that resolves at round j >= 1 donates its band from round j+1
-    # on, so by round c the other user holds max(c - j, 0) donated copies
-    donated = tuple(tuple(max(c - j, 0) if j and coordinated else 0 for j in rounds)
-                    for c in rounds)
+    donated = _donated_copies(max_rounds, coordinated)
     lam_a, lam_b = map(float, lambdas)
     power = float(power)
     q_a = _resolve_given(scheme, donated, (lam_a, lam_b), power, float(rate_a))

@@ -17,15 +17,15 @@ import math
 import os
 import string
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analytic
 from .fading import ConfigurationError, FadingProfile
 from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
-                         analytic_counterparts, closed_form_table, db_to_linear, estimate,
-                         estimate_grid, has_closed_form, sweep)
+                         analytic_counterparts, closed_form_tables, db_to_linear, estimate,
+                         estimate_grid, sweep)
 from .protocol import PolicyKind, ProtocolConfig
 from .rates import Scheme
 
@@ -138,32 +138,42 @@ def build_config(scheme: str, k: int, m: int, lambdas, rates, snr_db: float,
 # rate optimization
 
 
-def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
-                   rate_grid, n_trials: int = 100_000, master_seed: int = 1,
-                   n_jobs: int = 1):
-    """Exhaustive throughput maximization over (R_A, R_B) pairs at fixed SNR.
+def grid_throughputs(config_template: ProtocolConfig, policy: AllocationPolicy,
+                     rate_grid, n_trials: int = 100_000, master_seed: int = 1,
+                     n_jobs: int = 1) -> list:
+    """Long-run throughput of every (R_A, R_B) pair of `rate_grid` at the
+    template's SNR, in grid order.
 
-    Closed form wherever montecarlo.has_closed_form says so (decided once
-    for the template: the rates do not enter): each pair's throughput is
-    `analytic.throughput_closed` of its `closed_form_table`, the value
-    `analytic_counterparts` reports. The tables reuse each user's resolve
-    table per rate (`analytic.event_table`), so a G x G grid builds 2G of
-    them, not 2G^2. Otherwise one montecarlo.estimate_grid call decides
-    every pair on shared draws, each pair's throughput equal to a separate
-    estimate with the same trials and seed. Ties go to the smaller
-    R_A + R_B.
+    Closed form wherever montecarlo.has_closed_form says so: each pair's
+    throughput is `analytic.throughput_closed` of its table from
+    `closed_form_tables`, the value `analytic_counterparts` reports. The
+    policy's rule and the tables' donated-copy pattern are decided once for
+    the grid, and the tables reuse each user's resolve table per rate
+    (`analytic.event_table`), so a G x G grid builds 2G of them, not 2G^2.
+    Otherwise one montecarlo.estimate_grid call decides every pair on
+    shared draws, each pair's throughput equal to a separate estimate with
+    the same trials and seed.
     """
     rate_grid = [tuple(pair) for pair in rate_grid]
     if not rate_grid:
         raise ConfigurationError("empty rate grid")
-    if has_closed_form(config_template):
-        configs = [replace(config_template, rates=pair) for pair in rate_grid]
-        etas = [analytic.throughput_closed(closed_form_table(cfg, policy), *cfg.rates)
-                for cfg in configs]
-    else:
-        etas = [est["throughput"].point for est in
-                estimate_grid(config_template, policy, rate_grid, n_trials, master_seed,
-                              n_jobs=n_jobs)]
+    tables = closed_form_tables(config_template, policy, rate_grid)
+    if tables is not None:
+        return [analytic.throughput_closed(table, *map(float, pair))
+                for table, pair in zip(tables, rate_grid)]
+    return [est["throughput"].point for est in
+            estimate_grid(config_template, policy, rate_grid, n_trials, master_seed,
+                          n_jobs=n_jobs)]
+
+
+def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
+                   rate_grid, n_trials: int = 100_000, master_seed: int = 1,
+                   n_jobs: int = 1):
+    """Exhaustive throughput maximization over (R_A, R_B) pairs at fixed SNR:
+    the best pair of grid_throughputs and its throughput. Ties go to the
+    smaller R_A + R_B."""
+    rate_grid = [tuple(pair) for pair in rate_grid]
+    etas = grid_throughputs(config_template, policy, rate_grid, n_trials, master_seed, n_jobs)
     best_pair, best_eta = None, -1.0
     for pair, eta in zip(rate_grid, etas):
         if eta > best_eta or (eta == best_eta and sum(pair) < sum(best_pair)):

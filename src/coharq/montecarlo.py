@@ -13,7 +13,9 @@ empirical packets-per-slot rate gamma), which is the convention of the
 closed-form expressions.
 """
 
+import bisect
 import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -21,7 +23,8 @@ import numpy as np
 
 from . import analytic
 from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
-from .protocol import AllocationPolicy, PolicyKind, ProtocolConfig, policy_allocate
+from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, check_rates,
+                       policy_allocate)
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
 DEFAULT_CHUNK = 1_000_000
@@ -42,6 +45,63 @@ class RangeError(RuntimeError):
 # vectorized protocol engine
 
 
+class _SlotZeroMemo:
+    """Whole slot-0 blocks of one master seed, kept across engine calls.
+
+    A block holds, batch last, one kind of draw over trials [start, start +
+    n): the SISO gains of ("gain", band, lambda), the packed Grams
+    (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the K=3
+    split's coin u < 0.5 of ("coin",), one byte per trial. A block is
+    read-only and serves any trial range inside it. A call on another seed
+    drops every block; a block that would take the memo past CAP_BYTES is
+    returned but not kept (nothing is evicted). Worker processes keep their
+    own memo, and the scalar oracle draws through `fading` and never reads it.
+    """
+
+    CAP_BYTES = 32 << 20
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self, master_seed=None) -> None:
+        self.seed, self.blocks, self.nbytes = master_seed, {}, 0
+
+    def get(self, what: tuple, master_seed: int, start_trial: int, n_trials: int, draw):
+        """Trials [start_trial, start_trial + n_trials) of the block `what`;
+        `draw()` makes exactly that range on a miss."""
+        if master_seed != self.seed:
+            self.clear(master_seed)
+        starts, kept = self.blocks.setdefault(what, ([], []))
+        i = bisect.bisect_right(starts, start_trial) - 1
+        if i >= 0 and start_trial + n_trials <= starts[i] + kept[i].shape[-1]:
+            return kept[i][..., start_trial - starts[i]:start_trial - starts[i] + n_trials]
+        block = draw()
+        same = i >= 0 and starts[i] == start_trial     # a shorter block at the same start
+        size = sys.getsizeof(block) - (sys.getsizeof(kept[i]) if same else 0)
+        if self.nbytes + size <= self.CAP_BYTES:
+            block.flags.writeable = False
+            self.nbytes += size
+            if same:
+                kept[i] = block
+            else:
+                starts.insert(i + 1, start_trial)
+                kept.insert(i + 1, block)
+        return block
+
+
+_SLOT0 = _SlotZeroMemo()
+
+
+def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int) -> np.ndarray:
+    """The K=3 split's coin u < 0.5 from `slot`'s policy uniform, one per
+    trial of [start_trial, start_trial + n_trials); slot 0 through the memo."""
+    def draw():
+        return uniform_block(master_seed, slot, POLICY_BAND, start_trial, n_trials)[:, 0] < 0.5
+    if slot == 0:
+        return _SLOT0.get(("coin",), master_seed, start_trial, n_trials, draw)
+    return draw()
+
+
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
                        slot: int, master_seed: int, start_trial: int,
                        n_trials: int) -> np.ndarray:
@@ -50,16 +110,16 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     `active` is (K, len(rows)): user u is still active in column j, trial
     offset rows[j] in [0, n_trials); every column has an active user. Each
     column gets protocol.policy_allocate's map for its activity pattern and,
-    for the random K=3 split, its trial's policy uniform from slot - 1
-    (`slot` >= 1 is the slot entered), with -1 for a band handed back to a
-    resolved owner. policy_allocate runs once per run of equal keys.
+    for the random K=3 split, its trial's coin from the policy uniform of
+    slot - 1 (`slot` >= 1 is the slot entered), with -1 for a band handed
+    back to a resolved owner. policy_allocate runs once per run of equal keys.
     """
     k, n = active.shape
     keys = list(active)
-    u = None
+    coin = None
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
-        u = uniform_block(master_seed, slot - 1, POLICY_BAND, start_trial, n_trials)[rows, 0]
-        keys.append(u < 0.5)
+        coin = _coin(slot - 1, master_seed, start_trial, n_trials)[rows]
+        keys.append(coin)
     order = np.lexsort(keys)
     new_run = np.zeros(n, dtype=bool)
     new_run[0] = True
@@ -70,8 +130,9 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     maps = []
     for j in order[new_run].tolist():
         failed = set(np.flatnonzero(active[:, j]).tolist())
+        # policy_allocate reads only which side of 1/2 the uniform is on
         mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                  uniform=None if u is None else u[j])
+                                  uniform=None if coin is None else (0.0 if coin[j] else 0.5))
         maps.append([mapping[b] if mapping[b] in failed else -1 for b in range(k)])
     run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new_run) - 1
@@ -97,7 +158,8 @@ def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     decode check sees the rates. From slot 1 on, the live columns are the
     (configuration, trial) pairs with an unresolved user, and each draw
     covers the union of their trials. With one power the pairs are the
-    trials and the power stays a float.
+    trials and the power stays a float. Slot 0's gains or Grams come from
+    the memo of this seed's slot-0 blocks (_SLOT0), drawn on a miss.
     """
     config = configs[0]
     profile = config.profile
@@ -130,13 +192,26 @@ def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             return acc
         return np.log1p(acc) if siso else log_det_eye_plus(power / u_tx, acc)
 
+    def slot0(b):
+        # band b's slot-0 block, kept across calls on this seed (_SLOT0)
+        lam = profile.lambdas[b]
+        what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, profile.rx_antennas)
+        return _SLOT0.get(what, master_seed, start_trial, n_trials, lambda: draw(b, 0, None))
+
     # slot 0: every user sends its first copy on its own band. acc is
     # user-major, then (power, trial); MIMO RTD sums each user's Grams in a
-    # (u, u, K, ...) array, packed as in rates.hermitian_gram
+    # (u, u, K, ...) array, packed as in rates.hermitian_gram. SISO copies
+    # are written straight into acc
     power = config.power if n_pow == 1 else powers[:, None]
     acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (n_pow, n_trials))
     for b in range(k):
-        acc[..., b, :, :] = carried(draw(b, 0, None)[..., None, :], power)
+        x = slot0(b)
+        if siso:
+            np.multiply(x, power, out=acc[b])
+            if not rtd:
+                np.log1p(acc[b], out=acc[b])
+        else:
+            acc[..., b, :, :] = carried(x[..., None, :], power)
     # rounds[u, g, t]; column c = g * n_trials + t is trial t of configuration g
     at_power = power_of if n_pow > 1 else slice(None)
     won = decoded_nats(acc, power)[:, at_power] >= rates[:, :, None]
@@ -396,16 +471,21 @@ def has_closed_form(config: ProtocolConfig) -> bool:
     return config.n_users == 2 and config.profile.is_siso
 
 
-def closed_form_table(config: ProtocolConfig, policy: AllocationPolicy) -> np.ndarray | None:
-    """The closed-form terminal-event table (`analytic.event_table`) of a
-    setup that has one (has_closed_form), else None."""
+def closed_form_tables(config: ProtocolConfig, policy: AllocationPolicy,
+                       rate_grid) -> list | None:
+    """The closed-form terminal-event table (`analytic.event_table`) of
+    `config` at each rate vector of `rate_grid`, for a setup that has them
+    (has_closed_form), else None. The vectors are checked as
+    ProtocolConfig checks its rates; the policy's rule is decided once."""
     if not has_closed_form(config):
         return None
+    grid = [check_rates(rates, config.n_users) for rates in rate_grid]
     # the two-user tables cover both rules policy_allocate can apply to a
     # lone failing user: it receives the free band, or keeps only its own
     coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
-    return analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
-                                config.power, *config.rates, coordinated=coordinated)
+    return [analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
+                                 config.power, *rates, coordinated=coordinated)
+            for rates in grid]
 
 
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
@@ -416,8 +496,8 @@ def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> d
     (has_closed_form); returns {} otherwise (those cases are Monte Carlo
     only).
     """
-    table = closed_form_table(config, policy)
-    return {} if table is None else analytic.reduce_table(table, config.rates)
+    tables = closed_form_tables(config, policy, [config.rates])
+    return {} if tables is None else analytic.reduce_table(tables[0], config.rates)
 
 
 # ---------------------------------------------------------------------------
@@ -494,6 +574,9 @@ def snr_at_outage(sweep_result: SweepResult, user: int, epsilon: float) -> float
     snr_db = np.asarray(sweep_result.snr_db, dtype=float)
     outage = sweep_result.outage_curve(user)
     good = outage > 0
+    if not good.any():
+        raise RangeError(f"outage level {epsilon} is outside the simulated curve: "
+                         "no point has a positive outage")
     log_out = np.log10(outage[good])
     x = snr_db[good]
     target = math.log10(epsilon)

@@ -39,6 +39,17 @@ class AllocationPolicy:
     kind: PolicyKind
 
 
+def check_rates(rates, n_users: int) -> tuple:
+    """`rates` as a tuple of floats, one per user, each finite and
+    nonnegative; ConfigurationError otherwise."""
+    rates = tuple(float(r) for r in rates)
+    if len(rates) != n_users:
+        raise ConfigurationError("one band per user required")
+    if not all(math.isfinite(r) and r >= 0 for r in rates):
+        raise ConfigurationError(f"rates must be finite and nonnegative, got {rates}")
+    return rates
+
+
 @dataclass(frozen=True)
 class ProtocolConfig:
     profile: FadingProfile
@@ -48,11 +59,7 @@ class ProtocolConfig:
     max_rounds: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
-        if len(self.rates) != self.profile.n_bands:
-            raise ConfigurationError("one band per user required")
-        if not all(math.isfinite(r) and r >= 0 for r in self.rates):
-            raise ConfigurationError(f"rates must be finite and nonnegative, got {self.rates}")
+        object.__setattr__(self, "rates", check_rates(self.rates, self.profile.n_bands))
         if not (math.isfinite(self.power) and self.power > 0):
             raise ConfigurationError(f"power must be finite and positive, got {self.power}")
         if self.max_rounds < 1:

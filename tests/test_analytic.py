@@ -13,8 +13,8 @@ from coharq import analytic
 from coharq.analytic import (ConsistencyError, cdf_inr_sum, cdf_rtd_sum,
                              diversity_gain, event_label, event_table, gain_sum_cdf,
                              packets_per_slot, throughput_closed)
-from coharq.cli import optimize_rates, resolve_policy
-from coharq.fading import FadingProfile
+from coharq.cli import grid_throughputs, optimize_rates, resolve_policy
+from coharq.fading import ConfigurationError, FadingProfile
 from coharq.montecarlo import analytic_counterparts
 from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
 from coharq.rates import Scheme
@@ -478,6 +478,22 @@ def test_optimize_rates_equals_per_pair_counterparts(scheme, policy, max_rounds)
         # then the earlier pair
         best = max(range(len(grid)), key=lambda i: (etas[i], -sum(grid[i]), -i))
         assert optimize_rates(cfg, pol, grid) == (grid[best], etas[best])
+
+
+@pytest.mark.parametrize("scheme", ["rtd", "inr"])
+@pytest.mark.parametrize("policy", ["coord", "noncoord", "round-robin"])
+def test_grid_throughputs_equal_per_pair_counterparts(scheme, policy):
+    grid = [(0.5 * a, 0.5 * b) for a in range(1, 5) for b in range(1, 5)] + [(0, 2), (1.0, 0.0)]
+    pol = resolve_policy(policy, 2)
+    for lambdas, max_rounds in (((1.0, 2.0), 3), ((1.0, 1.0), 2)):
+        cfg = ProtocolConfig(profile=FadingProfile(lambdas=lambdas), rates=(1.0, 1.0),
+                             power=10.0, scheme=Scheme(scheme), max_rounds=max_rounds)
+        etas = grid_throughputs(cfg, pol, grid)
+        assert etas == [analytic_counterparts(replace(cfg, rates=pair), pol)["throughput"]
+                        for pair in grid]
+    for bad in ((1.0, -0.5), (1.0, math.nan), (1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ConfigurationError):
+            grid_throughputs(cfg, pol, [(1.0, 1.0), bad])
 
 
 def test_rate_search_builds_one_resolve_table_per_user_and_rate():

@@ -1,10 +1,12 @@
 import itertools
 import math
+import sys
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from coharq import montecarlo
 from coharq.analytic import packets_per_slot
 from coharq.fading import POLICY_BAND, ConfigurationError, FadingProfile, uniform_block
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
@@ -490,3 +492,148 @@ def test_db_to_linear():
     assert db_to_linear(0.0) == 1.0
     assert db_to_linear(10.0) == pytest.approx(10.0)
     assert db_to_linear(3.0) == pytest.approx(10 ** 0.3)
+
+
+# ---------------------------------------------------------------------------
+# the memo of slot-0 blocks
+
+
+@pytest.fixture
+def memo():
+    """The engine's slot-0 memo, cleared before and after the test."""
+    montecarlo._SLOT0.clear()
+    yield montecarlo._SLOT0
+    montecarlo._SLOT0.clear()
+
+
+def kept_blocks(memo):
+    return [(what, start, block) for what, (starts, blocks) in memo.blocks.items()
+            for start, block in zip(starts, blocks)]
+
+
+def count_slot0_draws(monkeypatch):
+    """Count the engine's slot-0 calls of gain_block, matrix_block and
+    uniform_block (the K=3 coin of slot 0)."""
+    calls = []
+    for name in ("gain_block", "matrix_block", "uniform_block"):
+        def counted(*args, _real=getattr(montecarlo, name), _name=name, **kwargs):
+            slot = args[1] if _name == "uniform_block" else args[2]
+            calls.extend([_name] * (slot == 0))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(montecarlo, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("policy,cfg", GRID_CASES)
+def test_slot0_memo_is_invisible(policy, cfg, memo):
+    """A call on a warm memo equals the same call on a cleared one, bit for
+    bit, whichever chunk plan filled the memo."""
+    n = 3000 if cfg.profile.is_siso else 1000
+    plans = (dict(chunk=7), dict(chunk=1000), dict(), dict(chunk=1000, n_jobs=2))
+    cold = []
+    for kwargs in plans:
+        memo.clear()
+        cold.append(simulate_batch(cfg, policy, n, SEED, **kwargs))
+    for fill in plans[:3]:     # worker processes fill their own memo
+        memo.clear()
+        simulate_batch(cfg, policy, n, SEED, **fill)
+        assert kept_blocks(memo)
+        for kwargs, expected in zip(plans, cold):
+            assert_same_stats(expected, simulate_batch(cfg, policy, n, SEED, **kwargs))
+    # columns at two powers read one kept block
+    configs = [replace(cfg, power=p) for p in (6.0, 1.5)] * 2
+    configs[2:] = [replace(c, rates=tuple(0.5 * r for r in c.rates)) for c in configs[2:]]
+    warm = _grid_rounds(configs, policy, 500, SEED, start_trial=100)
+    memo.clear()
+    assert np.array_equal(warm, _grid_rounds(configs, policy, 500, SEED, start_trial=100))
+
+
+def test_slot0_memo_keys_fading_parameters_and_antennas(memo):
+    """The same seed with another lambda on one band, or other antenna
+    counts, draws its own blocks."""
+    for first, second in (
+            (make_config(lambdas=(1.0, 2.0), scheme=Scheme.INR),
+             make_config(lambdas=(1.0, 0.5), scheme=Scheme.INR)),
+            (mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0)),
+             mimo_config(3, 2, Scheme.RTD, rates=(3.0, 3.0))),
+            (mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0)),
+             mimo_config(2, 3, Scheme.RTD, rates=(3.0, 3.0)))):
+        memo.clear()
+        cold = simulate_rounds(second, COORD, 800, SEED)
+        memo.clear()
+        simulate_rounds(first, COORD, 800, SEED)
+        assert np.array_equal(simulate_rounds(second, COORD, 800, SEED), cold)
+        # one block per band and setup; a band whose lambda and antennas
+        # agree shares its block
+        keys = {(b, lam, c.profile.tx_antennas, c.profile.rx_antennas)
+                for c in (first, second) for b, lam in enumerate(c.profile.lambdas)}
+        assert len(memo.blocks) == len(keys)
+
+
+def test_slot0_memo_serves_a_range_inside_a_kept_block(memo, monkeypatch):
+    for policy, cfg, n in ((COORD, make_config(scheme=Scheme.RTD, max_rounds=3), 2000),
+                           (SPLIT, K3_SPLIT, 2000),
+                           (COORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0)), 500)):
+        memo.clear()
+        cold = simulate_rounds(cfg, policy, 300, SEED, start_trial=150)
+        memo.clear()
+        simulate_rounds(cfg, policy, n, SEED)
+        calls = count_slot0_draws(monkeypatch)
+        assert np.array_equal(simulate_rounds(cfg, policy, 300, SEED, start_trial=150), cold)
+        assert calls == []
+        monkeypatch.undo()
+        # a longer range from the same start replaces the block it outgrew
+        simulate_rounds(cfg, policy, n + 1, SEED)
+        assert {block.shape[-1] for _, _, block in kept_blocks(memo)} == {n + 1}
+
+
+def test_slot0_memo_drops_blocks_on_a_seed_switch(memo, monkeypatch):
+    cfg = make_config(scheme=Scheme.INR)
+    simulate_rounds(cfg, COORD, 1000, SEED)
+    old = [block for *_, block in kept_blocks(memo)]
+    other = simulate_rounds(cfg, COORD, 1000, SEED + 1)
+    assert memo.seed == SEED + 1
+    kept = [block for *_, block in kept_blocks(memo)]
+    assert len(kept) == 2 and not any(b is a for b in kept for a in old)
+    calls = count_slot0_draws(monkeypatch)
+    assert np.array_equal(simulate_rounds(cfg, COORD, 1000, SEED + 1), other)
+    assert calls == []
+    simulate_rounds(cfg, COORD, 1000, SEED)
+    assert calls == ["gain_block"] * 2
+
+
+def test_slot0_memo_blocks_are_read_only(memo):
+    simulate_rounds(K3_SPLIT, SPLIT, 1000, SEED)
+    simulate_rounds(mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0)), COORD, 100, SEED)
+    kept = kept_blocks(memo)
+    assert {what[0] for what, *_ in kept} == {"gain", "gram", "coin"}
+    for what, start, block in kept:
+        assert not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[..., 0] = 0
+    assert memo.nbytes == sum(sys.getsizeof(block) for *_, block in kept)
+
+
+def test_slot0_memo_does_not_keep_a_block_over_the_cap(memo, monkeypatch):
+    cfg = make_config(scheme=Scheme.RTD, max_rounds=3)
+    cold = simulate_rounds(cfg, COORD, 5000, SEED)
+    memo.clear()
+    # room for the first band's 5000 gains only
+    monkeypatch.setattr(memo, "CAP_BYTES", 50_000)
+    calls = count_slot0_draws(monkeypatch)
+    assert np.array_equal(simulate_rounds(cfg, COORD, 5000, SEED), cold)
+    assert calls == ["gain_block"] * 2
+    assert [(what, start) for what, start, _ in kept_blocks(memo)] == [(("gain", 0, 1.0), 0)]
+    assert memo.nbytes <= memo.CAP_BYTES
+    assert np.array_equal(simulate_rounds(cfg, COORD, 5000, SEED), cold)
+    assert calls == ["gain_block"] * 3
+
+
+def test_snr_at_outage_without_a_positive_point_is_a_range_error():
+    # 100 trials at 30 and 40 dB see no outage at all
+    sw = sweep(make_config(scheme=Scheme.INR), COORD, [30.0, 40.0], 100, SEED)
+    assert not sw.outage_curve(0).any()
+    with pytest.raises(RangeError):
+        snr_at_outage(sw, 0, 1e-3)
+    with pytest.raises(RangeError):
+        energy_gain_at_outage(sw, sw, 1e-3)
