@@ -253,15 +253,19 @@ def _accumulated_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -
 
 
 @lru_cache(maxsize=4096)
-def _resolve_given(scheme: Scheme, donated: tuple, lambdas: tuple, power: float,
-                   rate: float) -> np.ndarray:
+def _resolve_given(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: tuple,
+                   power: float, rate: float) -> np.ndarray:
     """Q[i, j]: probability that the user resolves at round i when the other
     user resolves at round j, index 0 meaning outage; lambdas[0] is the
-    user's own band. After round c the user holds c own-band copies and
-    donated[c][j] copies from the other band. Cached, and read-only: the
-    table depends on the user's own rate alone, so a rate search builds it
-    once per rate, not once per rate pair.
+    user's own band. Cached, and read-only: the table depends on the user's
+    own rate alone, so a rate search builds it once per rate, not once per
+    rate pair.
     """
+    rounds = range(max_rounds + 1)
+    # donated[c][j]: the other band's copies the user holds after round c.
+    # Under coordination a user that resolves at round j >= 1 donates its
+    # band from round j+1 on, so by round c the other holds max(c - j, 0)
+    donated = [[max(c - j, 0) if j and coordinated else 0 for j in rounds] for c in rounds]
     # each (own, donated) copy count's CDF at the rate, evaluated once
     short = _accumulated_cdfs(scheme, {(own, d) for own, row in enumerate(donated) for d in row},
                                lambdas, power, rate)
@@ -272,17 +276,6 @@ def _resolve_given(scheme: Scheme, donated: tuple, lambdas: tuple, power: float,
     q = np.array([g[-1]] + resolved)
     q.flags.writeable = False
     return q
-
-
-@lru_cache(maxsize=64)
-def _donated_copies(max_rounds: int, coordinated: bool) -> tuple:
-    """[c][j]: the donated copies a user holds by round c when the other
-    user resolves at round j (0 for outage)."""
-    rounds = range(max_rounds + 1)
-    # a user that resolves at round j >= 1 donates its band from round j+1
-    # on, so by round c the other user holds max(c - j, 0) donated copies
-    return tuple(tuple(max(c - j, 0) if j and coordinated else 0 for j in rounds)
-                 for c in rounds)
 
 
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
@@ -300,11 +293,10 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     copy counts are evaluated in one convolution pass.
     `coordinated=False` gives independent single-user HARQ on each band.
     """
-    donated = _donated_copies(max_rounds, coordinated)
     lam_a, lam_b = map(float, lambdas)
     power = float(power)
-    q_a = _resolve_given(scheme, donated, (lam_a, lam_b), power, float(rate_a))
-    q_b = _resolve_given(scheme, donated, (lam_b, lam_a), power, float(rate_b))
+    q_a = _resolve_given(scheme, max_rounds, coordinated, (lam_a, lam_b), power, float(rate_a))
+    q_b = _resolve_given(scheme, max_rounds, coordinated, (lam_b, lam_a), power, float(rate_b))
     return q_a * q_b.T
 
 

@@ -12,12 +12,12 @@ Exit codes: 0 success, 2 configuration error, 3 fit/range error.
 import argparse
 import configparser
 import csv
+import dataclasses
 import itertools
 import math
 import os
 import string
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,14 +29,11 @@ from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
 from .protocol import PolicyKind, ProtocolConfig
 from .rates import Scheme
 
-CSV_HEADER = ["snr_db", "scheme", "policy", "k", "m", "user", "metric",
-              "mc_value", "mc_ci95", "analytic_value", "trials", "seed"]
-
 # user u is named by letter u; Monte Carlo statistics serve at most 16 users
 _USER_NAMES = string.ascii_uppercase
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ResultRow:
     snr_db: float
     scheme: str
@@ -52,14 +49,15 @@ class ResultRow:
     seed: int
 
 
+CSV_HEADER = [f.name for f in dataclasses.fields(ResultRow)]
+
+
 def emit_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         for r in rows:
-            w.writerow([_fmt(r.snr_db), r.scheme, r.policy, r.k, r.m, r.user, r.metric,
-                        _fmt(r.mc_value), _fmt(r.mc_ci95), _fmt(r.analytic_value),
-                        r.trials, r.seed])
+            w.writerow([_fmt(getattr(r, name)) for name in CSV_HEADER])
 
 
 def _fmt(x) -> str:
@@ -81,6 +79,8 @@ def parse_axis(spec: str):
         if len(parts) != 3:
             raise ConfigurationError(f"axis must be start:step:stop, got {spec!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, step, stop))):
+            raise ConfigurationError(f"axis start, step and stop must be finite, got {spec!r}")
         if step <= 0 or stop < start:
             raise ConfigurationError(f"bad axis {spec!r}")
         n = int(round((stop - start) / step))
@@ -242,8 +242,7 @@ def default_rate_grid(step: float = 0.25, stop: float = 8.0):
     return [(ra, rb) for ra in vals for rb in vals]
 
 
-def preset_fig1c(trials: int, seed: int, n_jobs: int = 1, include_mimo: bool = True,
-                 grid_step: float = 0.5):
+def preset_fig1c(trials: int, seed: int, n_jobs: int = 1):
     """Throughput with exhaustively optimized rates vs SNR.
 
     SISO curves are evaluated analytically; the 2x2 MIMO curves by Monte
@@ -251,7 +250,7 @@ def preset_fig1c(trials: int, seed: int, n_jobs: int = 1, include_mimo: bool = T
     """
     rows = []
     axis = [float(s) for s in range(0, 33, 3)]
-    grid = default_rate_grid(step=grid_step)
+    grid = default_rate_grid(step=0.5)
     for scheme, policy_name in itertools.product(("rtd", "inr"), ("coord", "noncoord")):
         pol = resolve_policy(policy_name, 2)
         for snr_db in axis:
@@ -265,21 +264,19 @@ def preset_fig1c(trials: int, seed: int, n_jobs: int = 1, include_mimo: bool = T
                 snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
                 metric="rate_sum_optimal", mc_value=float("nan"), mc_ci95=float("nan"),
                 analytic_value=pair[0] + pair[1], trials=0, seed=seed))
-    if include_mimo:
-        sym_grid = [(r, r) for r in
-                    [grid_step * i for i in range(1, int(round(16.0 / grid_step)) + 1)]]
-        mimo_trials = min(trials, 20_000)
-        for scheme, policy_name in itertools.product(("rtd", "inr"), ("coord", "noncoord")):
-            pol = resolve_policy(policy_name, 2)
-            for snr_db in axis:
-                cfg = build_config(scheme, 2, 2, (1.0, 1.0), (1.0, 1.0), snr_db, u=2, v=2)
-                pair, eta = optimize_rates(cfg, pol, sym_grid, n_trials=mimo_trials,
-                                           master_seed=seed, n_jobs=n_jobs)
-                rows.append(ResultRow(
-                    snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
-                    metric="throughput_optimized_mimo2x2", mc_value=eta,
-                    mc_ci95=float("nan"), analytic_value=float("nan"),
-                    trials=mimo_trials, seed=seed))
+    sym_grid = [(0.5 * i, 0.5 * i) for i in range(1, 33)]
+    mimo_trials = min(trials, 20_000)
+    for scheme, policy_name in itertools.product(("rtd", "inr"), ("coord", "noncoord")):
+        pol = resolve_policy(policy_name, 2)
+        for snr_db in axis:
+            cfg = build_config(scheme, 2, 2, (1.0, 1.0), (1.0, 1.0), snr_db, u=2, v=2)
+            pair, eta = optimize_rates(cfg, pol, sym_grid, n_trials=mimo_trials,
+                                       master_seed=seed, n_jobs=n_jobs)
+            rows.append(ResultRow(
+                snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
+                metric="throughput_optimized_mimo2x2", mc_value=eta,
+                mc_ci95=float("nan"), analytic_value=float("nan"),
+                trials=mimo_trials, seed=seed))
     return rows
 
 
@@ -330,6 +327,16 @@ def _add_common(p):
     p.add_argument("--jobs", type=int, default=1)
 
 
+def _add_setup(p):
+    """The link setup options that `sweep` and `optimize` share."""
+    p.add_argument("--scheme", default="rtd", choices=["rtd", "inr"])
+    p.add_argument("--policy", default="coord")
+    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--lambdas", default=None, help="comma-separated, default all 1")
+    p.add_argument("--tx", type=int, default=1)
+    p.add_argument("--rx", type=int, default=1)
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a bad command line as a ConfigurationError, so it ends in
     one `config error:` line and exit code 2 like any other bad input."""
@@ -348,26 +355,16 @@ def _build_parser():
     _add_common(pr)
 
     ps = sub.add_parser("sweep", help="outage/throughput sweep over an SNR axis")
-    ps.add_argument("--scheme", default="rtd", choices=["rtd", "inr"])
-    ps.add_argument("--policy", default="coord")
+    _add_setup(ps)
     ps.add_argument("--k", type=int, default=2)
-    ps.add_argument("--m", type=int, default=2)
-    ps.add_argument("--lambdas", default=None, help="comma-separated, default all 1")
     ps.add_argument("--rates", default=None, help="comma-separated, default all 1")
     ps.add_argument("--snr-db", default="0:2:30")
-    ps.add_argument("--tx", type=int, default=1)
-    ps.add_argument("--rx", type=int, default=1)
     _add_common(ps)
 
     po = sub.add_parser("optimize", help="exhaustive rate search at one SNR")
+    _add_setup(po)
     po.add_argument("--grid", default="0.25:0.25:8")
-    po.add_argument("--scheme", default="rtd", choices=["rtd", "inr"])
-    po.add_argument("--policy", default="coord")
-    po.add_argument("--m", type=int, default=2)
-    po.add_argument("--lambdas", default=None)
     po.add_argument("--snr-db", type=float, default=10.0)
-    po.add_argument("--tx", type=int, default=1)
-    po.add_argument("--rx", type=int, default=1)
     _add_common(po)
 
     pa = sub.add_parser("analytic", help="evaluate a formula directly")

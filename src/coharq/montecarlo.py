@@ -13,7 +13,6 @@ empirical packets-per-slot rate gamma), which is the convention of the
 closed-form expressions.
 """
 
-import bisect
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -51,11 +50,12 @@ class _SlotZeroMemo:
     A block holds, batch last, one kind of draw over trials [start, start +
     n): the SISO gains of ("gain", band, lambda), the packed Grams
     (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the K=3
-    split's coin u < 0.5 of ("coin",), one byte per trial. A block is
-    read-only and serves any trial range inside it. A call on another seed
-    drops every block; a block that would take the memo past CAP_BYTES is
-    returned but not kept (nothing is evicted). Worker processes keep their
-    own memo, and the scalar oracle draws through `fading` and never reads it.
+    split's coin u < 0.5 of ("coin",), one byte per trial, kept under (what,
+    start). A block is read-only and serves its first n or fewer trials. A
+    call on another seed drops every block; a block that would take the memo
+    past CAP_BYTES is returned but not kept (nothing is evicted). Worker
+    processes fill their own memo, which ends with the call's pool, and the
+    scalar oracle draws through `fading` and never reads it.
     """
 
     CAP_BYTES = 32 << 20
@@ -71,21 +71,16 @@ class _SlotZeroMemo:
         `draw()` makes exactly that range on a miss."""
         if master_seed != self.seed:
             self.clear(master_seed)
-        starts, kept = self.blocks.setdefault(what, ([], []))
-        i = bisect.bisect_right(starts, start_trial) - 1
-        if i >= 0 and start_trial + n_trials <= starts[i] + kept[i].shape[-1]:
-            return kept[i][..., start_trial - starts[i]:start_trial - starts[i] + n_trials]
+        key = (what, start_trial)
+        kept = self.blocks.get(key)
+        if kept is not None and n_trials <= kept.shape[-1]:
+            return kept[..., :n_trials]
         block = draw()
-        same = i >= 0 and starts[i] == start_trial     # a shorter block at the same start
-        size = sys.getsizeof(block) - (sys.getsizeof(kept[i]) if same else 0)
+        size = sys.getsizeof(block) - (0 if kept is None else sys.getsizeof(kept))
         if self.nbytes + size <= self.CAP_BYTES:
             block.flags.writeable = False
             self.nbytes += size
-            if same:
-                kept[i] = block
-            else:
-                starts.insert(i + 1, start_trial)
-                kept.insert(i + 1, block)
+            self.blocks[key] = block
         return block
 
 
@@ -518,7 +513,11 @@ class SweepResult:
 
 
 def db_to_linear(snr_db: float) -> float:
-    return 10.0 ** (snr_db / 10.0)
+    # the power overflows a float past ~3083 dB; ProtocolConfig refuses the inf
+    try:
+        return 10.0 ** (snr_db / 10.0)
+    except OverflowError:
+        return math.inf
 
 
 def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_db,

@@ -446,7 +446,7 @@ def test_event_table_cold_equals_warm(scheme):
     assert analytic._resolve_given.cache_info().misses == 2
     assert cold.tobytes() == warm.tobytes()
     # the cached per-user tables are shared, so callers cannot write them
-    q = analytic._resolve_given(scheme, ((0,) * 4,) * 4, (1.0, 2.0), 4.0, 1.0)
+    q = analytic._resolve_given(scheme, 3, False, (1.0, 2.0), 4.0, 1.0)
     with pytest.raises(ValueError):
         q[0, 0] = 0.5
 

@@ -51,7 +51,8 @@ def test_csv_round_trip(tmp_path):
 def test_csv_header_fixed(tmp_path):
     path = tmp_path / "rows.csv"
     emit_csv([], path)
-    assert path.read_text().strip() == ",".join(CSV_HEADER)
+    assert path.read_text().strip() == ",".join(CSV_HEADER) == (
+        "snr_db,scheme,policy,k,m,user,metric,mc_value,mc_ci95,analytic_value,trials,seed")
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +67,9 @@ def test_parse_axis():
         parse_axis("0:-1:10")
     with pytest.raises(ConfigurationError):
         parse_axis("0:1:10:3")
+    for spec in ("0:1:inf", "-inf:1:0", "1:nan:3", "0:inf:10", "nan:1:3"):
+        with pytest.raises(ConfigurationError, match="finite"):
+            parse_axis(spec)
 
 
 def test_resolve_policy():
@@ -254,6 +258,12 @@ def test_main_config_error_exit_2(tmp_path, capsys):
                  ["optimize", "--grid", "1,inf"],
                  ["optimize", "--snr-db", "inf", "--tx", "2", "--rx", "2", "--grid", "1,2"],
                  ["optimize", "--snr-db", "nan"],
+                 # non-finite axis bounds, and SNRs whose power overflows a float
+                 ["sweep", "--snr-db", "0:1:inf", "--out", str(tmp_path / "x.csv")],
+                 ["optimize", "--grid", "1:1:inf"],
+                 ["optimize", "--grid", "1:nan:3"],
+                 ["sweep", "--snr-db", "4000", "--out", str(tmp_path / "x.csv")],
+                 ["optimize", "--snr-db", "4000"],
                  ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(short), "--out", str(tmp_path / "x.csv")],

@@ -507,8 +507,7 @@ def memo():
 
 
 def kept_blocks(memo):
-    return [(what, start, block) for what, (starts, blocks) in memo.blocks.items()
-            for start, block in zip(starts, blocks)]
+    return [(what, start, block) for (what, start), block in memo.blocks.items()]
 
 
 def count_slot0_draws(monkeypatch):
@@ -570,21 +569,30 @@ def test_slot0_memo_keys_fading_parameters_and_antennas(memo):
         assert len(memo.blocks) == len(keys)
 
 
-def test_slot0_memo_serves_a_range_inside_a_kept_block(memo, monkeypatch):
+def test_slot0_memo_serves_ranges_from_a_kept_blocks_first_trial(memo, monkeypatch):
     for policy, cfg, n in ((COORD, make_config(scheme=Scheme.RTD, max_rounds=3), 2000),
                            (SPLIT, K3_SPLIT, 2000),
                            (COORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0)), 500)):
         memo.clear()
-        cold = simulate_rounds(cfg, policy, 300, SEED, start_trial=150)
+        cold_head = simulate_rounds(cfg, policy, 300, SEED)
+        cold_inside = simulate_rounds(cfg, policy, 300, SEED, start_trial=150)
         memo.clear()
         simulate_rounds(cfg, policy, n, SEED)
+        n_kept = len(memo.blocks)
+        # a shorter range from the block's first trial draws nothing
         calls = count_slot0_draws(monkeypatch)
-        assert np.array_equal(simulate_rounds(cfg, policy, 300, SEED, start_trial=150), cold)
+        assert np.array_equal(simulate_rounds(cfg, policy, 300, SEED), cold_head)
         assert calls == []
+        # a range that starts inside the block draws its own
+        assert np.array_equal(simulate_rounds(cfg, policy, 300, SEED, start_trial=150),
+                              cold_inside)
+        assert len(calls) == n_kept
         monkeypatch.undo()
-        # a longer range from the same start replaces the block it outgrew
+        # a longer range from the same first trial replaces the block it outgrew
         simulate_rounds(cfg, policy, n + 1, SEED)
-        assert {block.shape[-1] for _, _, block in kept_blocks(memo)} == {n + 1}
+        assert {block.shape[-1] for _, start, block in kept_blocks(memo)
+                if start == 0} == {n + 1}
+        assert memo.nbytes == sum(sys.getsizeof(block) for *_, block in kept_blocks(memo))
 
 
 def test_slot0_memo_drops_blocks_on_a_seed_switch(memo, monkeypatch):
