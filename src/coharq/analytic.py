@@ -284,7 +284,8 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
 
     Cell [i, j] is the probability that user A resolves at round i and user
     B at round j, with index 0 meaning outage: shape (M+1, M+1), indexed
-    like `BatchStats.counts` at K = 2 and reduced by `reduce_table`. The
+    like the count table `montecarlo.simulate_batch` returns at K = 2 and
+    reduced by `reduce_table`. The
     A-side stopping condition involves only band-1 gains up to A's stop
     round, and the B-side condition only band-2 gains plus band-1 gains from
     later slots (the donated copies), so the two conditions are independent

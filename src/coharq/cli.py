@@ -31,6 +31,9 @@ from .rates import Scheme
 
 # user u is named by letter u; Monte Carlo statistics serve at most 16 users
 _USER_NAMES = string.ascii_uppercase
+# points a start:step:stop axis may have; optimize squares a rate axis into
+# at most MAX_AXIS_POINTS**2 pairs
+MAX_AXIS_POINTS = 1000
 
 
 @dataclasses.dataclass(frozen=True)
@@ -83,8 +86,12 @@ def parse_axis(spec: str):
             raise ConfigurationError(f"axis start, step and stop must be finite, got {spec!r}")
         if step <= 0 or stop < start:
             raise ConfigurationError(f"bad axis {spec!r}")
-        n = int(round((stop - start) / step))
-        return [start + i * step for i in range(n + 1)]
+        n = (stop - start) / step
+        # round(n) + 1 points, within the limit exactly when n < limit - 1/2
+        # (an overflowing span is inf and fails too)
+        if not n < MAX_AXIS_POINTS - 0.5:
+            raise ConfigurationError(f"axis {spec!r} has more than {MAX_AXIS_POINTS} points")
+        return [start + i * step for i in range(round(n) + 1)]
     return [float(v) for v in spec.split(",")]
 
 
@@ -97,13 +104,12 @@ def per_user_values(spec, k: int, name: str) -> list:
 
 
 def resolve_policy(name: str, k: int) -> AllocationPolicy:
-    """'coord' selects the natural coordinated policy for K users."""
+    """'coord' selects the natural coordinated policy for K users: the
+    random split at K = 3, else round-robin (full coordination at K = 2)."""
     name = name.lower()
     if name in ("noncoord", "non-coordinated"):
         return AllocationPolicy(PolicyKind.NON_COORDINATED)
     if name == "coord":
-        if k == 2:
-            return AllocationPolicy(PolicyKind.FULL_COORDINATION_K2)
         if k == 3:
             return AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
         return AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)

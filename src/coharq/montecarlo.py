@@ -125,9 +125,8 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     maps = []
     for j in order[new_run].tolist():
         failed = set(np.flatnonzero(active[:, j]).tolist())
-        # policy_allocate reads only which side of 1/2 the uniform is on
         mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                  uniform=None if coin is None else (0.0 if coin[j] else 0.5))
+                                  coin=None if coin is None else bool(coin[j]))
         maps.append([mapping[b] if mapping[b] in failed else -1 for b in range(k)])
     run = np.empty(n, dtype=np.intp)
     run[order] = np.cumsum(new_run) - 1
@@ -270,28 +269,15 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     return _grid_rounds([config], policy, n_trials, master_seed, start_trial)[0]
 
 
-@dataclass(frozen=True)
-class BatchStats:
+def _count_table(rounds: np.ndarray, config: ProtocolConfig) -> np.ndarray:
     """Packets counted by the users' resolve rounds.
 
-    `counts` has shape (M+1,)*K: cell [r_0, ..., r_{K-1}] counts the packets
+    The table has shape (M+1,)*K: cell [r_0, ..., r_{K-1}] counts the packets
     in which user u resolved at round r_u, index 0 meaning outage; K = 2
     indexes it like `analytic.event_table`. Every statistic is a function
-    of this table (`analytic.reduce_table`). Merging adds counts, so any
+    of this table (`analytic.reduce_table`). Tables merge by adding, so any
     chunk size or worker count gives an identical table.
     """
-
-    counts: np.ndarray
-
-    @property
-    def n_trials(self) -> int:
-        return int(self.counts.sum())
-
-    def merge(self, other: "BatchStats") -> "BatchStats":
-        return BatchStats(self.counts + other.counts)
-
-
-def _stats_from_rounds(rounds: np.ndarray, config: ProtocolConfig) -> BatchStats:
     radix = config.max_rounds + 1
     # simulate_rounds returns a view of a user-major array: rows without a copy
     code = np.zeros(len(rounds), dtype=np.intp)
@@ -299,7 +285,7 @@ def _stats_from_rounds(rounds: np.ndarray, config: ProtocolConfig) -> BatchStats
         code *= radix
         code += r
     k = config.n_users
-    return BatchStats(np.bincount(code, minlength=radix ** k).reshape((radix,) * k))
+    return np.bincount(code, minlength=radix ** k).reshape((radix,) * k)
 
 
 def _chunk_stats(task) -> list:
@@ -311,26 +297,25 @@ def _chunk_stats(task) -> list:
         rounds = [simulate_rounds(configs[0], policy, count, master_seed, start_trial=start)]
     else:
         rounds = _grid_rounds(configs, policy, count, master_seed, start_trial=start)
-    return [_stats_from_rounds(r, cfg) for r, cfg in zip(rounds, configs)]
+    return [_count_table(r, cfg) for r, cfg in zip(rounds, configs)]
 
 
 def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
                  chunk: int, n_jobs: int) -> list:
-    """BatchStats of trials [0, n_trials[g]) of each of `configs` (as in
-    _grid_rounds). A chunk runs ceil(min(chunk, max n_trials) / G) trials
-    of the G configurations short of their count, or fewer where one of
-    them reaches it and so leaves the plan: it holds about as many columns
-    as a one-configuration chunk. Tables add integer counts, so any chunk
-    size or worker count gives identical tables."""
+    """The count tables (_count_table) of trials [0, n_trials[g]) of each
+    of `configs` (as in _grid_rounds). A chunk runs ceil(min(chunk, max
+    n_trials) / G) trials of the G configurations short of their count, or
+    fewer where one of them reaches it and so leaves the plan: it holds
+    about as many columns as a one-configuration chunk. Tables add integer
+    counts, so any chunk size or worker count gives identical tables."""
     for name, value in (*(("n_trials", n) for n in n_trials), ("chunk", chunk),
                         ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    for config in configs[:1]:
-        cells = (config.max_rounds + 1) ** config.n_users
-        if cells > MAX_TABLE_CELLS:
-            raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
-                             f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
+    cells = (configs[0].max_rounds + 1) ** configs[0].n_users
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
+                         f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
     per_chunk = min(chunk, max(n_trials, default=0))
     plan, tasks, start = [], [], 0
     live = list(range(len(configs)))
@@ -346,14 +331,14 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
     else:
         results = map(_chunk_stats, tasks)
     totals = [None] * len(configs)
-    for live, stats in zip(plan, results):
-        for g, s in zip(live, stats):
-            totals[g] = s if totals[g] is None else totals[g].merge(s)
+    for live, tables in zip(plan, results):
+        for g, t in zip(live, tables):
+            totals[g] = t if totals[g] is None else totals[g] + t
     return totals
 
 
 def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
-                   master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> BatchStats:
+                   master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> np.ndarray:
     """Run n_trials independent packets and count them by resolve rounds:
     the one-configuration case of the chunk plan that estimate_grid and
     sweep run on."""
@@ -395,8 +380,8 @@ def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
     that `analytic_counterparts` applies to the closed-form table; the
     half-widths come from the same counts. Needs (M+1)^K <= MAX_TABLE_CELLS.
     """
-    stats = simulate_batch(config, policy, n_trials, master_seed, chunk=chunk, n_jobs=n_jobs)
-    return estimates_from_stats(stats, config)
+    counts = simulate_batch(config, policy, n_trials, master_seed, chunk=chunk, n_jobs=n_jobs)
+    return estimates_from_stats(counts, config)
 
 
 def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
@@ -416,12 +401,12 @@ def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
     configs = [replace(config, rates=tuple(rates)) for rates in rate_grid]
     if not configs:
         raise ValueError("rate grid is empty")
-    stats = _batch_stats(configs, policy, [n_trials] * len(configs), master_seed, chunk, n_jobs)
-    return [estimates_from_stats(s, cfg) for s, cfg in zip(stats, configs)]
+    tables = _batch_stats(configs, policy, [n_trials] * len(configs), master_seed, chunk, n_jobs)
+    return [estimates_from_stats(t, cfg) for t, cfg in zip(tables, configs)]
 
 
-def estimates_from_stats(stats: BatchStats, config: ProtocolConfig) -> dict:
-    counts, n = stats.counts, stats.n_trials
+def estimates_from_stats(counts: np.ndarray, config: ProtocolConfig) -> dict:
+    n = int(counts.sum())
     vals = analytic.reduce_table(counts, config.rates, packets=n)
     gamma = vals["gamma"]
     half = {"gamma": 0.0,
@@ -534,9 +519,9 @@ def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_
     if len(n_trials) != len(snr_points_db):
         raise ValueError(f"need one trial count per SNR point, got {len(n_trials)}")
     configs = [replace(config_template, power=db_to_linear(snr_db)) for snr_db in snr_points_db]
-    stats = _batch_stats(configs, policy, n_trials, master_seed, chunk, n_jobs)
+    tables = _batch_stats(configs, policy, n_trials, master_seed, chunk, n_jobs)
     return SweepResult(snr_db=snr_points_db,
-                       estimates=[estimates_from_stats(s, cfg) for s, cfg in zip(stats, configs)],
+                       estimates=[estimates_from_stats(t, cfg) for t, cfg in zip(tables, configs)],
                        analytic=[analytic_counterparts(cfg, policy) for cfg in configs],
                        n_trials=n_trials, master_seed=master_seed)
 

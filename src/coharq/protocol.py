@@ -29,7 +29,6 @@ class ProtocolError(RuntimeError):
 
 class PolicyKind(Enum):
     NON_COORDINATED = "noncoord"
-    FULL_COORDINATION_K2 = "coord"
     RANDOM_SPLIT_K3 = "random-split"
     ROUND_ROBIN_GENERAL = "round-robin"
 
@@ -71,43 +70,32 @@ class ProtocolConfig:
 
 
 def policy_allocate(failed, free_bands, policy: AllocationPolicy, n_users: int,
-                    uniform: float = None) -> dict:
+                    coin: bool = None) -> dict:
     """Map each free band to a failed user (or back to its owner).
 
     `failed` are the still-active users, `free_bands` the bands of users that
-    already resolved. Failed users always keep their own bands; this function
-    only distributes the free ones. With no failed users, bands revert to
-    their owners (new packets). `uniform` feeds the randomized K=3 split.
+    already resolved. Failed users always keep their own bands; the free ones
+    are dealt in index order, round-robin, from the lowest-index failed user.
+    With no failed users, bands revert to their owners (new packets). The
+    K=3 random split deals its one free band between two failed users from
+    the first if `coin` is true, else from the second.
     """
     failed = sorted(failed)
     if not failed or policy.kind is PolicyKind.NON_COORDINATED:
         # a free band reverts to its owner, who ignores it
         return {b: b for b in range(n_users)}
     free = sorted(free_bands)
-    assignment = {b: b for b in failed}
-    if policy.kind is PolicyKind.FULL_COORDINATION_K2:
-        if n_users != 2:
-            raise ProtocolError("full-coordination policy is defined for exactly 2 users")
-        for b in free:
-            assignment[b] = failed[0]
-        return assignment
+    start = 0
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
         if n_users != 3:
             raise ProtocolError("random-split policy is defined for exactly 3 users")
-        if len(failed) == 1:
-            for b in free:
-                assignment[b] = failed[0]
-        elif len(failed) == 2 and free:
-            # one failed user, chosen uniformly, receives the single free band
-            if uniform is None:
-                raise ProtocolError("random-split with two failed users needs a uniform draw")
-            lucky = failed[0] if uniform < 0.5 else failed[1]
-            assignment[free[0]] = lucky
-        return assignment
-    # round-robin: deal free bands cyclically, starting at the lowest-index
-    # failed user
+        if len(failed) == 2 and free:
+            if coin is None:
+                raise ProtocolError("random-split with two failed users needs a coin")
+            start = 0 if coin else 1
+    assignment = {b: b for b in failed}
     for i, b in enumerate(free):
-        assignment[b] = failed[i % len(failed)]
+        assignment[b] = failed[(start + i) % len(failed)]
     return assignment
 
 
@@ -151,14 +139,15 @@ class PacketOutcome:
 
 
 def advance_slot(ledger: SlotLedger, draws: list, config: ProtocolConfig,
-                 policy: AllocationPolicy, policy_uniform: float = None) -> None:
+                 policy: AllocationPolicy, coin: bool = None) -> None:
     """Apply one slot: deliver copies per the current assignment, run the
     decoding checks, retire resolved users, and compute the next slot's
     assignment.
 
     `draws` holds one draw per band, a gain (SISO) or a channel matrix
     (MIMO), and must cover every band (unused draws are simply discarded,
-    which keeps the fading process identical across policies).
+    which keeps the fading process identical across policies). `coin` is
+    the K=3 split's coin for the next slot's assignment.
     """
     active = ledger.active
     if not active:
@@ -190,8 +179,7 @@ def advance_slot(ledger: SlotLedger, draws: list, config: ProtocolConfig,
             active.discard(user)
 
     free = set(range(config.n_users)) - active
-    ledger.assignment = policy_allocate(active, free, policy, config.n_users,
-                                        uniform=policy_uniform)
+    ledger.assignment = policy_allocate(active, free, policy, config.n_users, coin=coin)
 
 
 def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
@@ -203,11 +191,11 @@ def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
     """
     ledger = SlotLedger(config=config)
     sample = sample_gain if config.profile.is_siso else sample_matrix
-    needs_uniform = policy.kind is PolicyKind.RANDOM_SPLIT_K3
+    needs_coin = policy.kind is PolicyKind.RANDOM_SPLIT_K3
     while ledger.active:
         substream.slot = ledger.slot
         draws = [sample(config.profile, b, substream) for b in range(config.n_users)]
-        u = substream.policy_uniform() if needs_uniform else None
-        advance_slot(ledger, draws, config, policy, policy_uniform=u)
+        coin = substream.policy_uniform() < 0.5 if needs_coin else None
+        advance_slot(ledger, draws, config, policy, coin=coin)
     return PacketOutcome(decode_round=tuple(ledger.decode_round),
                          slots_consumed=ledger.slot)

@@ -395,7 +395,7 @@ def test_outage_conventions_related_by_gamma():
     # the per-slot outage is that times gamma
     cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 1.0)), rates=(1.0, 1.0),
                          power=1.0, scheme=Scheme.INR, max_rounds=2)
-    ana = analytic_counterparts(cfg, AllocationPolicy(PolicyKind.FULL_COORDINATION_K2))
+    ana = analytic_counterparts(cfg, AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL))
     ev = event_table(Scheme.INR, 2, (1.0, 1.0), 1.0, 1.0, 1.0)
     assert ana["gamma"] == packets_per_slot(ev)
     assert ana["outage_packet_user0"] == pytest.approx(ev[0, 0] + ev[0, 1] + ev[0, 2], rel=1e-12)

@@ -4,8 +4,8 @@ from dataclasses import asdict, replace
 
 import pytest
 
-from coharq.cli import (CSV_HEADER, ResultRow, build_config, default_rate_grid,
-                        emit_csv, main, optimize_rates, parse_axis,
+from coharq.cli import (CSV_HEADER, MAX_AXIS_POINTS, ResultRow, build_config,
+                        default_rate_grid, emit_csv, main, optimize_rates, parse_axis,
                         resolve_policy, run_preset)
 from coharq.fading import ConfigurationError
 from coharq.montecarlo import estimate
@@ -70,10 +70,15 @@ def test_parse_axis():
     for spec in ("0:1:inf", "-inf:1:0", "1:nan:3", "0:inf:10", "nan:1:3"):
         with pytest.raises(ConfigurationError, match="finite"):
             parse_axis(spec)
+    # the point count is bounded before any point is made
+    assert len(parse_axis(f"0:1:{MAX_AXIS_POINTS - 1}")) == MAX_AXIS_POINTS
+    for spec in (f"0:1:{MAX_AXIS_POINTS}", "0:1e-9:1", "-1e308:1:1e308"):
+        with pytest.raises(ConfigurationError, match="points"):
+            parse_axis(spec)
 
 
 def test_resolve_policy():
-    assert resolve_policy("coord", 2).kind is PolicyKind.FULL_COORDINATION_K2
+    assert resolve_policy("coord", 2).kind is PolicyKind.ROUND_ROBIN_GENERAL
     assert resolve_policy("coord", 3).kind is PolicyKind.RANDOM_SPLIT_K3
     assert resolve_policy("coord", 5).kind is PolicyKind.ROUND_ROBIN_GENERAL
     assert resolve_policy("noncoord", 2).kind is PolicyKind.NON_COORDINATED
@@ -264,6 +269,9 @@ def test_main_config_error_exit_2(tmp_path, capsys):
                  ["optimize", "--grid", "1:nan:3"],
                  ["sweep", "--snr-db", "4000", "--out", str(tmp_path / "x.csv")],
                  ["optimize", "--snr-db", "4000"],
+                 # axes of more than MAX_AXIS_POINTS points
+                 ["sweep", "--snr-db", "0:1e-9:1", "--out", str(tmp_path / "x.csv")],
+                 ["optimize", "--grid", "0:1e-6:8"],
                  ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(short), "--out", str(tmp_path / "x.csv")],

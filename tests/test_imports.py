@@ -8,6 +8,8 @@ from pathlib import Path
 
 import coharq
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
 # Runs in a fresh interpreter, so modules the test suite imported do not count.
 PROBE = """
 import sys
@@ -20,8 +22,8 @@ loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 
 mimo = cli.build_config("rtd", 2, 2, (1.0, 1.0), (2.0, 2.0), 10.0, u=2, v=2)
-stats = montecarlo.simulate_batch(mimo, cli.resolve_policy("coord", 2), 16, 1)
-assert stats.n_trials == 16
+counts = montecarlo.simulate_batch(mimo, cli.resolve_policy("coord", 2), 16, 1)
+assert counts.sum() == 16
 """
 
 
@@ -46,15 +48,21 @@ OBSERVED_PARAMETERS = {
 }
 
 
+def load_tracing():
+    """perfbench/tracing.py, loaded by path (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_bindings_resolve():
     """Every function the benchmark's tracer wraps, and the oracle entry
     points its workloads call, still exist under the names it uses, and
     every observed function keeps the parameter names its observer reads
     (a renamed one would end a traced run in a KeyError)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_tracing()
     names = [(module, attr) for module, attr, _ in tracing.BINDINGS]
     names += [("coharq.protocol", "run_packet"), ("coharq.fading", "Substream")]
     missing = [f"{module}.{attr}" for module, attr in names
@@ -67,3 +75,14 @@ def test_benchmark_bindings_resolve():
             params = set(inspect.signature(fn).parameters)
             assert OBSERVED_PARAMETERS[span] <= params, (f"{module}.{attr}",
                                                          OBSERVED_PARAMETERS[span] - params)
+
+
+def test_benchmark_tracer_and_setup_probe_run():
+    """The benchmark's Tracer wraps every name in BINDINGS (it raises
+    TraceError on a missing one), and its set-up probe runs on these
+    sources."""
+    load_tracing().Tracer()
+    src = Path(coharq.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,7 +1,7 @@
 import itertools
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +23,7 @@ from coharq.fading import Substream
 from coharq.rates import Scheme
 
 SEED = 20260826
-COORD = AllocationPolicy(PolicyKind.FULL_COORDINATION_K2)
+COORD = AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
 NONCOORD = AllocationPolicy(PolicyKind.NON_COORDINATED)
 SPLIT = AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
 ROBIN = AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
@@ -88,7 +88,7 @@ def test_assignment_matrix_matches_policy_allocate(policy, k):
     for j in range(n):
         failed = set(np.flatnonzero(active[:, j]).tolist())
         mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                  uniform=uniforms[j])
+                                  coin=bool(uniforms[j] < 0.5))
         expected = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
         assert assign[:, j].tolist() == expected, (j, sorted(failed))
     if policy is SPLIT:
@@ -116,9 +116,7 @@ def test_vectorized_matches_scalar_mimo(tx, rx, scheme, policy):
 
 
 def assert_same_stats(a, b):
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        assert (x is None and y is None) or np.array_equal(x, y), f.name
+    assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_chunking_is_invisible():
@@ -262,7 +260,7 @@ def test_stats_match_per_packet_reference():
     n = 2000
     for cfg, policy in ((make_config(rates=(0.8, 1.4), scheme=Scheme.INR, max_rounds=3), COORD),
                         (k3, SPLIT), (k4, ROBIN)):
-        stats = simulate_batch(cfg, policy, n, SEED, chunk=700)
+        counts = simulate_batch(cfg, policy, n, SEED, chunk=700)
         hist = np.zeros((cfg.max_rounds + 1,) * cfg.n_users, dtype=np.int64)
         slots, nats = [], []
         for trial in range(n):
@@ -270,14 +268,14 @@ def test_stats_match_per_packet_reference():
             hist[out.decode_round] += 1
             slots.append(out.slots_consumed)
             nats.append(sum(rate for rate, r in zip(cfg.rates, out.decode_round) if r > 0))
-        assert stats.counts.shape == hist.shape
-        assert np.array_equal(stats.counts, hist), policy.kind
+        assert counts.shape == hist.shape
+        assert np.array_equal(counts, hist), policy.kind
         slots, nats = np.array(slots), np.array(nats)
-        assert packets_per_slot(stats.counts, n) == n / slots.sum()
+        assert packets_per_slot(counts, n) == n / slots.sum()
         # renewal-reward half-width from the per-packet nats and slots
         eta = nats.sum() / slots.sum()
         half = 1.96 * math.sqrt(((nats - eta * slots) ** 2).mean() / n) / slots.mean()
-        est = estimates_from_stats(stats, cfg)["throughput"]
+        est = estimates_from_stats(counts, cfg)["throughput"]
         assert est.point == pytest.approx(eta, rel=1e-12)
         assert est.half_width_95 == pytest.approx(half, rel=1e-9)
 
@@ -287,7 +285,7 @@ def test_coordination_share_is_a_table_query():
     cells [1, 0], [1, 2], [0, 1] and [2, 1] of the K = 2, M = 2 table."""
     cfg = make_config(rates=(1.0, 0.8), lambdas=(1.0, 2.0), power=3.0)
     n = 200_000
-    counts = simulate_batch(cfg, COORD, n, SEED).counts
+    counts = simulate_batch(cfg, COORD, n, SEED)
     share = (counts[1, 0] + counts[1, 2] + counts[0, 1] + counts[2, 1]) / n
     # first-round failure probabilities 1 - exp(-l C), C = (e^R - 1) / P
     alpha, beta = (-math.expm1(-lam * math.expm1(rate) / cfg.power)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from coharq.fading import ConfigurationError
 
 SEED = 20260826
 
-COORD = AllocationPolicy(PolicyKind.FULL_COORDINATION_K2)
+COORD = AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
 NONCOORD = AllocationPolicy(PolicyKind.NON_COORDINATED)
 SPLIT = AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
 ROBIN = AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
@@ -61,25 +62,38 @@ def test_allocate_noncoordinated_never_donates():
 
 
 def test_allocate_full_coordination_k2():
+    # full coordination is round-robin at K = 2: a lone failed user
+    # receives the other band
     assert policy_allocate([1], {0}, COORD, 2) == {0: 1, 1: 1}
     assert policy_allocate([0], {1}, COORD, 2) == {0: 0, 1: 0}
     assert policy_allocate([0, 1], set(), COORD, 2) == {0: 0, 1: 1}
-    with pytest.raises(ProtocolError):
-        policy_allocate([1], {0}, COORD, 3)
 
 
 def test_allocate_random_split_k3():
     # one failed user gets both free bands
     assert policy_allocate([2], {0, 1}, SPLIT, 3) == {0: 2, 1: 2, 2: 2}
-    # two failed users: the uniform draw picks who gets the single free band
-    lo = policy_allocate([0, 2], {1}, SPLIT, 3, uniform=0.2)
-    hi = policy_allocate([0, 2], {1}, SPLIT, 3, uniform=0.8)
-    assert lo == {0: 0, 2: 2, 1: 0}
-    assert hi == {0: 0, 2: 2, 1: 2}
+    # two failed users: the coin picks who gets the single free band
+    heads = policy_allocate([0, 2], {1}, SPLIT, 3, coin=True)
+    tails = policy_allocate([0, 2], {1}, SPLIT, 3, coin=False)
+    assert heads == {0: 0, 2: 2, 1: 0}
+    assert tails == {0: 0, 2: 2, 1: 2}
     with pytest.raises(ProtocolError):
-        policy_allocate([0, 2], {1}, SPLIT, 3)  # missing uniform
+        policy_allocate([0, 2], {1}, SPLIT, 3)  # missing coin
     with pytest.raises(ProtocolError):
         policy_allocate([0], {1}, SPLIT, 2)
+
+
+def test_random_split_is_round_robin_from_the_coins_user():
+    # for every failed set, the split deals like round-robin started at
+    # failed[0] (coin true) or failed[1] (coin false)
+    for failed in (f for n in (1, 2, 3) for f in itertools.combinations(range(3), n)):
+        free = set(range(3)) - set(failed)
+        for coin in (True, False):
+            start = 0 if coin or len(failed) == 1 else 1
+            dealt = {b: b for b in failed}
+            dealt.update((b, failed[(start + i) % len(failed)])
+                         for i, b in enumerate(sorted(free)))
+            assert policy_allocate(failed, free, SPLIT, 3, coin=coin) == dealt, (failed, coin)
 
 
 def test_allocate_round_robin():
