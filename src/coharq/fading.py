@@ -7,6 +7,16 @@ stream, packed with no padding. Two runs with the same master seed
 therefore produce bit-identical draws no matter how trials are partitioned
 across workers, and paired-seed experiments see literally the same channel
 realizations.
+
+Philox4x64-10 is counter-based (Salmon et al., SC 2011): numpy's stream
+gives word i as lane i % 4 of the block at counter i // 4 + 1, and a
+uniform as (word >> 11) * 2^-53. So a draw for selected trials (`rows`)
+can compute just their words, bit for bit as numpy would. uniform_block
+does that, in numpy, when the rows number fewer than n_trials / 64;
+otherwise it runs numpy's native generator over the whole range and keeps
+the rows. The two break even near a 5% share of the range (200k trials,
+one word each, 2-vCPU Xeon), so the cutoff sits well inside the range
+where the row draw wins.
 """
 
 import math
@@ -21,6 +31,18 @@ _WORDS_PER_BLOCK = 4
 
 # Band index reserved for policy (non-fading) randomness.
 POLICY_BAND = 0xFFFF
+
+# A row draw computes its rows' words itself when they are fewer than this
+# share of the trial range, well below the ~5% where the native full draw
+# becomes cheaper.
+_SPARSE_ROW_SHARE = 1 / 64
+
+# Philox4x64-10 multipliers and key increments (Random123, as in numpy).
+_PHILOX_MUL = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 
 
 @dataclass(frozen=True)
@@ -66,36 +88,80 @@ def _philox_key(master_seed: int, slot: int, band: int) -> int:
     return ((master_seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((slot & 0xFFFFFFFFFFFF) << 16) | (band & 0xFFFF)
 
 
+def _mulhilo(m, x):
+    """Low and high 64-bit words of m * x for a uint64 constant m and array x,
+    the high word from 32-bit halves."""
+    m_lo, m_hi = m & _LOW32, m >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    lo_hi, hi_lo = m_lo * x_hi, m_hi * x_lo
+    mid = (m_lo * x_lo >> _SHIFT32) + (lo_hi & _LOW32) + (hi_lo & _LOW32)
+    hi = m_hi * x_hi + (lo_hi >> _SHIFT32) + (hi_lo >> _SHIFT32) + (mid >> _SHIFT32)
+    return m * x, hi
+
+
+def _philox_blocks(key: int, counters: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 blocks, shape (len(counters), 4), of a 128-bit key at
+    256-bit counters whose upper three words are zero (uint64 `counters`)."""
+    k0, k1 = key & 0xFFFFFFFFFFFFFFFF, key >> 64
+    c0 = counters
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0 = (k0 + _PHILOX_BUMP[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 = (k1 + _PHILOX_BUMP[1]) & 0xFFFFFFFFFFFFFFFF
+        lo0, hi0 = _mulhilo(_PHILOX_MUL[0], c0)
+        lo1, hi1 = _mulhilo(_PHILOX_MUL[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
+    return np.stack([c0, c1, c2, c3], axis=1)
+
+
+def _row_uniforms(key: int, first: np.ndarray, words: int) -> np.ndarray:
+    """Words [first[j], first[j] + words) of the Philox stream of `key` as
+    uniforms, shape (len(first), words), computed for those words only."""
+    # a row's words start at lane first % 4 and span `span` blocks at most
+    span = -(-(_WORDS_PER_BLOCK - math.gcd(words, _WORDS_PER_BLOCK) + words)
+             // _WORDS_PER_BLOCK)
+    block, lane = np.divmod(first, _WORDS_PER_BLOCK)
+    counters = (block[:, None] + np.arange(1, span + 1, dtype=np.uint64)).ravel()
+    stream = _philox_blocks(key, counters).reshape(len(first), span * _WORDS_PER_BLOCK)
+    w = np.take_along_axis(stream, lane.astype(np.intp)[:, None] + np.arange(words), axis=1)
+    return (w >> np.uint64(11)) * 2.0 ** -53
+
+
 def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
-                  n_trials: int, words: int = 1) -> np.ndarray:
+                  n_trials: int, words: int = 1, rows=None) -> np.ndarray:
     """Uniform(0,1) draws for trials [start_trial, start_trial + n_trials).
 
     Returns shape (n_trials, words): row t - start_trial holds words
     [t*words, (t+1)*words) of the (master_seed, slot, band) Philox stream,
     so the result depends only on (master_seed, slot, band, trial), never
-    on how calls are chunked.
+    on how calls are chunked. `rows`, if given, selects trial offsets in
+    [0, n_trials): the result equals the full block indexed by `rows`, and
+    when they are few (_SPARSE_ROW_SHARE) only their words are computed.
     """
+    key = _philox_key(master_seed, slot, band)
     first = start_trial * words
+    if (rows is not None and len(rows) < n_trials * _SPARSE_ROW_SHARE
+            and first + n_trials * words <= 1 << 64):
+        return _row_uniforms(key, first + np.asarray(rows, dtype=np.uint64) * words, words)
     blocks, skip = divmod(first, _WORDS_PER_BLOCK)
-    bg = Philox(key=_philox_key(master_seed, slot, band))
+    bg = Philox(key=key)
     if blocks:
         bg.advance(blocks)
-    u = Generator(bg).random(skip + n_trials * words)
-    return u[skip:].reshape(n_trials, words)
+    u = Generator(bg).random(skip + n_trials * words)[skip:].reshape(n_trials, words)
+    return u if rows is None else np.take(u, rows, axis=0)
 
 
 def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
                start_trial: int, n_trials: int, rows=None) -> np.ndarray:
     """Channel gains (|h|^2) for a range of trials on one (slot, band).
 
-    `rows`, if given, selects trial offsets in [0, n_trials): the result
-    equals the full block indexed by `rows`, but only those rows are
-    transformed.
+    `rows`, if given, selects trial offsets in [0, n_trials) as in
+    uniform_block: the result equals the full block indexed by `rows`, and
+    only those rows are transformed.
     """
     profile.check_band(band)
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials)[:, 0]
-    if rows is not None:
-        u = u[rows]
+    u = uniform_block(master_seed, slot, band, start_trial, n_trials, rows=rows)[:, 0]
     return -np.log1p(-u) / profile.lambdas[band]
 
 
@@ -112,9 +178,7 @@ def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
     profile.check_band(band)
     v, u_tx = profile.rx_antennas, profile.tx_antennas
     words = 2 * v * u_tx
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=words)
-    if rows is not None:
-        u = u[rows]
+    u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=words, rows=rows)
     z = ndtri(u) * np.sqrt(0.5 / profile.lambdas[band])
     re = z[:, : v * u_tx].reshape(-1, v, u_tx)
     im = z[:, v * u_tx:].reshape(-1, v, u_tx)

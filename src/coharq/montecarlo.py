@@ -87,14 +87,17 @@ class _SlotZeroMemo:
 _SLOT0 = _SlotZeroMemo()
 
 
-def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int) -> np.ndarray:
-    """The K=3 split's coin u < 0.5 from `slot`'s policy uniform, one per
-    trial of [start_trial, start_trial + n_trials); slot 0 through the memo."""
-    def draw():
-        return uniform_block(master_seed, slot, POLICY_BAND, start_trial, n_trials)[:, 0] < 0.5
+def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
+          rows: np.ndarray) -> np.ndarray:
+    """The K=3 split's coin u < 0.5 from `slot`'s policy uniform for the
+    trial offsets `rows` of [start_trial, start_trial + n_trials); slot 0
+    through the memo, a later slot drawn for those rows alone."""
     if slot == 0:
-        return _SLOT0.get(("coin",), master_seed, start_trial, n_trials, draw)
-    return draw()
+        def draw():
+            return uniform_block(master_seed, 0, POLICY_BAND, start_trial, n_trials)[:, 0] < 0.5
+        return _SLOT0.get(("coin",), master_seed, start_trial, n_trials, draw)[rows]
+    return uniform_block(master_seed, slot, POLICY_BAND, start_trial, n_trials,
+                         rows=rows)[:, 0] < 0.5
 
 
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
@@ -113,7 +116,7 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     keys = list(active)
     coin = None
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
-        coin = _coin(slot - 1, master_seed, start_trial, n_trials)[rows]
+        coin = _coin(slot - 1, master_seed, start_trial, n_trials, rows)
         keys.append(coin)
     order = np.lexsort(keys)
     new_run = np.zeros(n, dtype=bool)
@@ -141,19 +144,61 @@ def _distinct(index: np.ndarray, size: int):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[index]
 
 
-def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
-                 start_trial: int = 0) -> np.ndarray:
-    """Decode rounds of trials [start_trial, start_trial + n_trials) for each
-    of `configs`, which differ only in rates and power, on the same draws.
+# Relative half-width of the band around a SISO slot-0 threshold inside
+# which _first_copy_decodes checks a gain with the exact expression: far
+# wider than the few ulps by which the compare and the expression can part.
+_THRESHOLD_GUARD = 1e-12
+_TINY = np.finfo(float).tiny
 
-    Returns shape (G, n_trials, K): round in 1..M, or 0 for outage. Row g
-    equals simulate_rounds of configs[g]. Each (slot, band) block is drawn
-    once and its copy worked out once per (power, trial) pair; only the
-    decode check sees the rates. From slot 1 on, the live columns are the
-    (configuration, trial) pairs with an unresolved user, and each draw
-    covers the union of their trials. With one power the pairs are the
-    trials and the power stays a float. Slot 0's gains or Grams come from
-    the memo of this seed's slot-0 blocks (_SLOT0), drawn on a miss.
+
+def _first_copy_decodes(gains: np.ndarray, rates: np.ndarray,
+                        powers: np.ndarray) -> np.ndarray:
+    """Whether a SISO user decodes its first copy, log1p(g * P) >= R, for
+    each gain g of `gains` and each pair (R, P) of `rates` and `powers`:
+    shape (len(rates), len(gains)), equal to that expression bit for bit.
+
+    One compare with the threshold C = expm1(R) / P, g >= C (1 + guard),
+    decides a gain. Gains in [C (1 - guard), C (1 + guard)) are decided by
+    the exact expression, and so is every gain of a pair whose expm1(R) or
+    C is not a normal finite float (a zero rate, a rate whose expm1
+    overflows, a threshold past float range), where the compare's relative
+    error has no bound.
+    """
+    with np.errstate(over="ignore"):
+        head = np.expm1(rates)
+        c = head / powers
+        fast = (head >= _TINY) & (c >= _TINY) & np.isfinite(c)
+        won = gains >= np.where(fast, c * (1 + _THRESHOLD_GUARD), np.inf)[:, None]
+        near = gains >= np.where(fast, c * (1 - _THRESHOLD_GUARD), np.inf)[:, None]
+        if np.count_nonzero(near) != np.count_nonzero(won):
+            pair, t = np.nonzero(near & ~won)
+            won[pair, t] = np.log1p(gains[t] * powers[pair]) >= rates[pair]
+        slow = np.flatnonzero(~fast)
+        if slow.size:
+            won[slow] = np.log1p(gains * powers[slow, None]) >= rates[slow, None]
+    return won
+
+
+def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
+                 start_trial: int = 0):
+    """Decode rounds of trials [start_trial, start_trial + n_trials) for each
+    of `configs`, which differ only in rates and power, on the same draws,
+    held for the live columns alone.
+
+    Column c = g * n_trials + t is trial t of configs[g]; it is live when
+    some user does not decode its slot-0 copy. Returns (cols, rounds): the
+    live columns, ascending, and their rounds, shape (K, len(cols)), round
+    in 1..M or 0 for outage. Every other column resolves every user at
+    round 1.
+
+    Slot 0's gains or Grams come from the memo of this seed's slot-0 blocks
+    (_SLOT0), drawn on a miss. A SISO user's slot-0 decision is a compare
+    of its gain with a threshold (_first_copy_decodes); MIMO works out
+    every (power, trial) pair's copy. From there on only live columns are
+    worked on: each (slot, band) draw covers the union of their trials, and
+    its copy is worked out once per live (power, trial) pair (columns that
+    share a power share pairs); only the decode check sees the rates. With
+    one power the pairs are the trials and the power stays a float.
     """
     config = configs[0]
     profile = config.profile
@@ -186,75 +231,101 @@ def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             return acc
         return np.log1p(acc) if siso else log_det_eye_plus(power / u_tx, acc)
 
-    def slot0(b):
-        # band b's slot-0 block, kept across calls on this seed (_SLOT0)
-        lam = profile.lambdas[b]
-        what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, profile.rx_antennas)
-        return _SLOT0.get(what, master_seed, start_trial, n_trials, lambda: draw(b, 0, None))
+    def plan(pairs):
+        # the distinct (power, trial) pairs of the columns, the trials they draw
+        # and their power
+        live, to_col = _distinct(pairs, n_pow * n_trials) if n_pow < n_cfg else (pairs, None)
+        rows, to_pair = _distinct(live % n_trials, n_trials) if n_pow > 1 else (live, None)
+        return rows, to_pair, config.power if n_pow == 1 else powers[live // n_trials], to_col
 
-    # slot 0: every user sends its first copy on its own band. acc is
-    # user-major, then (power, trial); MIMO RTD sums each user's Grams in a
-    # (u, u, K, ...) array, packed as in rates.hermitian_gram. SISO copies
-    # are written straight into acc
-    power = config.power if n_pow == 1 else powers[:, None]
-    acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (n_pow, n_trials))
-    for b in range(k):
-        x = slot0(b)
-        if siso:
-            np.multiply(x, power, out=acc[b])
-            if not rtd:
-                np.log1p(acc[b], out=acc[b])
-        else:
-            acc[..., b, :, :] = carried(x[..., None, :], power)
-    # rounds[u, g, t]; column c = g * n_trials + t is trial t of configuration g
-    at_power = power_of if n_pow > 1 else slice(None)
-    won = decoded_nats(acc, power)[:, at_power] >= rates[:, :, None]
-    acc = acc.reshape(acc.shape[:-2] + (-1,))
-    rounds = won.astype(np.int16, order="C")
-    flat_rounds = rounds.reshape(k, -1)     # a view: rounds is C-ordered
-    active = ~won.reshape(k, -1)
-    cols = None     # the live columns from slot 1 on, and their (power, trial) pairs
+    def copies(b, s, planned):
+        # band b's copy at slot s for each column of the plan, drawn once per
+        # trial and worked out once per pair
+        rows, to_pair, power, to_col = planned
+        x = np.take(first[b], rows, axis=-1) if s == 0 else draw(b, s, rows)
+        if to_pair is not None:
+            x = np.take(x, to_pair, axis=-1)
+        x = carried(x, power)
+        return x if to_col is None else np.take(x, to_col, axis=-1)
+
+    # slot 0: every user sends its first copy on its own band. Each band's
+    # block is kept across calls on this seed (_SLOT0); won[u, g, t]
+    first = []
+    for b, lam in enumerate(profile.lambdas):
+        what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, profile.rx_antennas)
+        first.append(_SLOT0.get(what, master_seed, start_trial, n_trials,
+                                lambda: draw(b, 0, None)))
+    if siso:
+        col_powers = powers[power_of]
+        won = np.stack([_first_copy_decodes(x, r, col_powers) for x, r in zip(first, rates)])
+    else:
+        # acc is user-major, then (power, trial); RTD sums each user's Grams in
+        # a (u, u, K, ...) array, packed as in rates.hermitian_gram
+        power = config.power if n_pow == 1 else powers[:, None]
+        acc = np.empty(((k,) if not rtd else (u_tx, u_tx, k)) + (n_pow, n_trials))
+        for b in range(k):
+            acc[..., b, :, :] = carried(first[b][..., None, :], power)
+        at_power = power_of if n_pow > 1 else slice(None)
+        won = decoded_nats(acc, power)[:, at_power] >= rates[:, :, None]
+        acc = acc.reshape(acc.shape[:-2] + (-1,))
+    won = won.reshape(k, -1)
+    cols = np.flatnonzero(~np.logical_and.reduce(won, axis=0))
+    # np.take keeps the gathered columns C-ordered, where fancy indexing of a
+    # trailing axis does not and slows every later pass over them
+    won = np.take(won, cols, axis=1)
+    rounds = won.astype(np.int16)
+    active = ~won
+    pairs, col_rates = cols, rates
+    if n_cfg > 1:
+        col_cfg = cols // n_trials
+        pairs, col_rates = cols % n_trials, np.take(rates, col_cfg, axis=1)
+        if n_pow > 1:
+            pairs += power_of[col_cfg] * n_trials
+    if siso:
+        planned = plan(pairs)
+        acc = np.stack([copies(b, 0, planned) for b in range(k)])
+    else:
+        acc = np.take(acc, pairs, axis=-1)
+    at = np.arange(len(cols))     # where the working columns sit in rounds
     for s in range(1, m_max):
         keep = np.flatnonzero(active.any(axis=0))
         if keep.size == 0:
             break
-        active = active[:, keep]
-        if cols is None:
-            cols, pairs, col_rates = keep, keep, rates
+        if keep.size < at.size:
+            at, pairs = at[keep], pairs[keep]
+            active, acc = np.take(active, keep, axis=1), np.take(acc, keep, axis=-1)
             if n_cfg > 1:
-                col_cfg = keep // n_trials
-                pairs, col_rates = keep % n_trials, rates[:, col_cfg]
-                if n_pow > 1:
-                    pairs += power_of[col_cfg] * n_trials
-            acc = acc[..., pairs]
-        else:
-            cols, pairs, acc = cols[keep], pairs[keep], acc[..., keep]
-            if n_cfg > 1:
-                col_rates = col_rates[:, keep]
-        trials = pairs % n_trials if n_pow > 1 else pairs
-        # work out each live pair's copy once (columns that share a power
-        # share pairs), from one draw of each live trial
-        live, to_col = _distinct(pairs, n_pow * n_trials) if n_pow < n_cfg else (pairs, None)
-        rows, to_pair = _distinct(live % n_trials, n_trials) if n_pow > 1 else (live, None)
-        live_power = config.power if n_pow == 1 else powers[live // n_trials]
-        assign = _assignment_matrix(active, trials, policy, s, master_seed,
-                                    start_trial, n_trials)
+                col_rates = np.take(col_rates, keep, axis=1)
+        planned = plan(pairs)
+        assign = _assignment_matrix(active, pairs % n_trials if n_pow > 1 else pairs, policy,
+                                    s, master_seed, start_trial, n_trials)
         for b in range(k):
             if (assign[b] < 0).all():
                 continue
-            contrib = draw(b, s, rows)
-            if to_pair is not None:
-                contrib = contrib[..., to_pair]
-            contrib = carried(contrib, live_power)
-            if to_col is not None:
-                contrib = contrib[..., to_col]
-            acc += np.where(users[:, None] == assign[b], contrib[..., None, :], 0.0)
+            acc += np.where(users[:, None] == assign[b], copies(b, s, planned)[..., None, :],
+                            0.0)
         col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
         won = active & (decoded_nats(acc, col_power) >= col_rates)
         for u in range(k):
-            flat_rounds[u, cols[np.flatnonzero(won[u])]] = s + 1
+            rounds[u, at[won[u]]] = s + 1
         active &= ~won
-    return rounds.transpose(1, 2, 0)
+    return cols, rounds
+
+
+def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
+                 start_trial: int = 0) -> np.ndarray:
+    """Decode rounds of trials [start_trial, start_trial + n_trials) for each
+    of `configs`, which differ only in rates and power, on the same draws.
+
+    Returns shape (G, n_trials, K): round in 1..M, or 0 for outage. Row g
+    equals simulate_rounds of configs[g]. The rounds of _live_rounds, with
+    every column it leaves out filled in as resolved at round 1.
+    """
+    cols, live = _live_rounds(configs, policy, n_trials, master_seed, start_trial)
+    k = configs[0].n_users
+    rounds = np.ones((k, len(configs) * n_trials), dtype=np.int16)
+    rounds[:, cols] = live
+    return rounds.reshape(k, len(configs), n_trials).transpose(1, 2, 0)
 
 
 def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
@@ -264,46 +335,45 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     Returns shape (n_trials, K): round in 1..M, or 0 for outage. One trial is
     one packet; randomness is keyed so the same trial index always sees the
     same channel, under any policy, rates, power or chunking. The
-    one-configuration case of the grid engine, _grid_rounds.
+    one-configuration case of the grid engine (_grid_rounds), every trial
+    filled in; the count tables read the engine's live columns directly.
     """
     return _grid_rounds([config], policy, n_trials, master_seed, start_trial)[0]
 
 
-def _count_table(rounds: np.ndarray, config: ProtocolConfig) -> np.ndarray:
-    """Packets counted by the users' resolve rounds.
+def _chunk_stats(task) -> list:
+    """The count tables of one chunk's trials, one per configuration.
 
-    The table has shape (M+1,)*K: cell [r_0, ..., r_{K-1}] counts the packets
+    A table has shape (M+1,)*K: cell [r_0, ..., r_{K-1}] counts the packets
     in which user u resolved at round r_u, index 0 meaning outage; K = 2
     indexes it like `analytic.event_table`. Every statistic is a function
     of this table (`analytic.reduce_table`). Tables merge by adding, so any
-    chunk size or worker count gives an identical table.
+    chunk size or worker count gives an identical table. One bincount over
+    the live columns (_live_rounds) makes every table, with the
+    configuration as the top digit; the other packets go to each table's
+    [1, ..., 1] cell.
     """
-    radix = config.max_rounds + 1
-    # simulate_rounds returns a view of a user-major array: rows without a copy
-    code = np.zeros(len(rounds), dtype=np.intp)
-    for r in rounds.T:
+    configs, policy, start, count, master_seed = task
+    cols, rounds = _live_rounds(configs, policy, count, master_seed, start_trial=start)
+    k, radix, n_cfg = configs[0].n_users, configs[0].max_rounds + 1, len(configs)
+    code = np.zeros(len(cols), dtype=np.intp)
+    for r in rounds:
         code *= radix
         code += r
-    k = config.n_users
-    return np.bincount(code, minlength=radix ** k).reshape((radix,) * k)
-
-
-def _chunk_stats(task) -> list:
-    """The tables of one chunk's trials, one per configuration."""
-    configs, policy, start, count, master_seed = task
-    if len(configs) == 1:
-        # perfbench/tracing.py binds simulate_rounds, so a one-configuration
-        # chunk goes through that name
-        rounds = [simulate_rounds(configs[0], policy, count, master_seed, start_trial=start)]
-    else:
-        rounds = _grid_rounds(configs, policy, count, master_seed, start_trial=start)
-    return [_count_table(r, cfg) for r, cfg in zip(rounds, configs)]
+    live = len(cols)
+    if n_cfg > 1:
+        cfg = cols // count
+        code += cfg * radix ** k
+        live = np.bincount(cfg, minlength=n_cfg)
+    tables = np.bincount(code, minlength=n_cfg * radix ** k).reshape((n_cfg,) + (radix,) * k)
+    tables[(slice(None),) + (1,) * k] += count - live
+    return list(tables)
 
 
 def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
                  chunk: int, n_jobs: int) -> list:
-    """The count tables (_count_table) of trials [0, n_trials[g]) of each
-    of `configs` (as in _grid_rounds). A chunk runs ceil(min(chunk, max
+    """The count tables (_chunk_stats) of trials [0, n_trials[g]) of each
+    of `configs` (as in _live_rounds). A chunk runs ceil(min(chunk, max
     n_trials) / G) trials of the G configurations short of their count, or
     fewer where one of them reaches it and so leaves the plan: it holds
     about as many columns as a one-configuration chunk. Tables add integer

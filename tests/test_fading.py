@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from coharq.fading import (ConfigurationError, FadingProfile, Substream,
+from coharq import fading
+from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, Substream,
                            gain_block, matrix_block, sample_gain, sample_matrix,
                            uniform_block)
 
@@ -131,13 +133,43 @@ def test_packed_layout_is_the_philox_stream():
     assert np.array_equal(uniform_block(SEED, slot, band, 0, 1, words=8)[0], expect)
 
 
-def test_compacted_gain_path_matches_dense():
+def test_compacted_gain_path_matches_dense(monkeypatch):
     prof = FadingProfile(lambdas=(1.0, 0.5), tx_antennas=2, rx_antennas=2)
     rows = np.array([0, 3, 4, 9, 97, 98])
     dense_g = gain_block(prof, 1, 2, SEED, 13, 100)
     assert np.array_equal(gain_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_g[rows])
     dense_h = matrix_block(prof, 1, 2, SEED, 13, 100)
     assert np.array_equal(matrix_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_h[rows])
+    # row counts on both sides of the n / 64 cutoff (100 rows here), unsorted
+    # and repeated; one, three and eight words; the policy band; first words
+    # at every lane of a Philox block and counters past 2^32
+    sparse = []
+    real = fading._row_uniforms
+
+    def spy(key, first, words):
+        sparse.append(len(first))
+        return real(key, first, words)
+
+    monkeypatch.setattr(fading, "_row_uniforms", spy)
+    n = 6400
+    rng = np.random.default_rng(SEED)
+    cases = list(itertools.product((1, 3, 8), (1, POLICY_BAND), (13, 2**32 + 1, 2**32 + 2,
+                                                                  2**32 + 3)))
+    for words, band, start in cases:
+        dense = uniform_block(SEED, 2, band, start, n, words=words)
+        for count in (1, 99, 100, 2000):
+            rows = rng.choice(n, size=count)
+            got = uniform_block(SEED, 2, band, start, n, words=words, rows=rows)
+            assert got.shape == (count, words) and np.array_equal(got, dense[rows]), \
+                (words, band, start, count)
+    assert sparse == [1, 99] * len(cases)
+    rows = rng.choice(n, size=50)
+    for start in (13, 2**32 + 3):
+        assert np.array_equal(gain_block(prof, 0, 3, SEED, start, n, rows=rows),
+                              gain_block(prof, 0, 3, SEED, start, n)[rows])
+        assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, n, rows=rows),
+                              matrix_block(prof, 1, 3, SEED, start, n)[rows])
+    assert sparse[-4:] == [50] * 4
 
 
 def test_scalar_matches_block_at_odd_trials():

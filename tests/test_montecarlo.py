@@ -6,12 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coharq import montecarlo
+from coharq import fading, montecarlo
 from coharq.analytic import packets_per_slot
-from coharq.fading import POLICY_BAND, ConfigurationError, FadingProfile, uniform_block
+from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
+                           uniform_block)
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
                                RangeError, SweepResult, _assignment_matrix,
-                               _grid_rounds, analytic_counterparts,
+                               _first_copy_decodes, _grid_rounds, analytic_counterparts,
                                db_to_linear, dominance_violations,
                                energy_gain_at_outage, estimate, estimate_grid,
                                estimates_from_stats,
@@ -49,13 +50,125 @@ def assert_engine_matches_oracle(cfg, policy, n):
     return rounds
 
 
+# Deep-SNR setups (30-35 dB): fewer than one trial in 64 has a user that
+# misses slot 0, so DEEP_TRIALS trials draw slot >= 1 for their live rows
+# alone (fading._row_uniforms).
+DEEP_TRIALS = 5000
+DEEP_SNR = [
+    *[pytest.param(policy, dict(scheme=scheme, lambdas=(1.0, 2.0), power=power, max_rounds=3),
+                   id=f"deep-k2-{scheme.value}-{name}")
+      for scheme, power in ((Scheme.RTD, 1e3), (Scheme.INR, 10 ** 3.5))
+      for name, policy in (("coord", COORD), ("noncoord", NONCOORD))],
+    pytest.param(SPLIT, dict(rates=(1.0, 0.7, 1.3), lambdas=(1.0, 2.0, 0.5), power=1e3,
+                             scheme=Scheme.INR, max_rounds=3), id="deep-k3-inr-split"),
+]
+
+
+def deep_cases():
+    """DEEP_SNR as (policy, config) parameters."""
+    return [pytest.param(p.values[0], make_config(**p.values[1]), id=p.id) for p in DEEP_SNR]
+
+
 @pytest.mark.parametrize("policy,cfg_kwargs", [
     (COORD, dict(scheme=Scheme.RTD, max_rounds=2, lambdas=(1.0, 2.0), power=2.0)),
     (NONCOORD, dict(scheme=Scheme.INR, max_rounds=3, rates=(0.8, 1.4))),
     (ROBIN, dict(scheme=Scheme.RTD, max_rounds=3)),
+    *DEEP_SNR,
 ])
 def test_vectorized_matches_scalar(policy, cfg_kwargs):
-    assert_engine_matches_oracle(make_config(**cfg_kwargs), policy, 400)
+    cfg = make_config(**cfg_kwargs)
+    assert_engine_matches_oracle(cfg, policy, DEEP_TRIALS if cfg.power >= 1e3 else 400)
+
+
+def spy_row_draws(monkeypatch):
+    """The row count of every draw fading computes row by row, as made."""
+    drawn = []
+    real = fading._row_uniforms
+
+    def spy(key, first, words):
+        drawn.append(len(first))
+        return real(key, first, words)
+
+    monkeypatch.setattr(fading, "_row_uniforms", spy)
+    return drawn
+
+
+@pytest.mark.parametrize("policy,cfg_kwargs", DEEP_SNR)
+def test_deep_snr_draws_live_rows_alone(policy, cfg_kwargs, monkeypatch):
+    """At deep SNR slot >= 1 is drawn for the live rows alone, and rounds and
+    tables equal those of full draws."""
+    cfg = make_config(**cfg_kwargs)
+    drawn = spy_row_draws(monkeypatch)
+    rounds = simulate_rounds(cfg, policy, DEEP_TRIALS, SEED)
+    counts = simulate_batch(cfg, policy, DEEP_TRIALS, SEED, chunk=1000)
+    assert drawn and max(drawn) < DEEP_TRIALS / 64
+    made = len(drawn)
+    monkeypatch.setattr(fading, "_SPARSE_ROW_SHARE", 0.0)
+    assert np.array_equal(simulate_rounds(cfg, policy, DEEP_TRIALS, SEED), rounds)
+    assert np.array_equal(simulate_batch(cfg, policy, DEEP_TRIALS, SEED, chunk=1000), counts)
+    assert len(drawn) == made
+
+
+def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(monkeypatch):
+    """The K=3 split's coin of slot >= 1 is a row draw for few columns among
+    many trials, and equals the full draw's coin."""
+    patterns = [p for p in itertools.product((False, True), repeat=3) if sum(p) == 2]
+    active = np.array(patterns * 4).T
+    n = 64 * 20
+    rows = np.random.default_rng(SEED).choice(n, size=active.shape[1])
+    drawn = spy_row_draws(monkeypatch)
+    assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)
+    assert drawn == [len(rows)]
+    coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
+    for j, coin in enumerate(coins.tolist()):
+        failed = set(np.flatnonzero(active[:, j]).tolist())
+        mapping = policy_allocate(failed, {0, 1, 2} - failed, SPLIT, 3, coin=coin)
+        assert assign[:, j].tolist() == [mapping[b] if mapping[b] in failed else -1
+                                         for b in range(3)]
+    assert coins.any() and not coins.all()
+
+
+def ulp_steps(x, steps=8):
+    """x and the floats up to `steps` ulps below and above it."""
+    out, lo, hi = [x], x, x
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def test_first_copy_decision_is_exact_at_its_threshold():
+    """The slot-0 compare equals log1p(g * P) >= R for gains stepped ulp by
+    ulp around C = expm1(R) / P and around the guard band's edges, for
+    normal thresholds and for subnormal, zero and infinite ones, all pairs
+    in one call."""
+    guard = montecarlo._THRESHOLD_GUARD
+    pairs = list(itertools.product((1e-9, 1.0, 50.0, 700.0), (1e-3, 1.0, 1e6, 1e30)))
+    # a subnormal threshold, a zero one (zero rate), expm1 overflowing, a
+    # threshold past float range, a subnormal expm1 under a normal threshold
+    pairs += [(1e-300, 1e10), (0.0, 1.0), (710.0, 1.0), (700.0, 1e-300), (1e-310, 1e-20)]
+    gains = [0.0, 1.0, 5e-324, np.finfo(float).max]
+    with np.errstate(over="ignore"):
+        for rate, power in pairs:
+            c = math.expm1(rate) / power if rate < 709 else math.inf
+            for center in (c, c * (1 - guard), c * (1 + guard)):
+                if 0 < center < math.inf:
+                    gains += ulp_steps(center)
+        gains = np.array(gains)
+        rates, powers = (np.array(v) for v in zip(*pairs))
+        want = np.log1p(gains * powers[:, None]) >= rates[:, None]
+    got = _first_copy_decodes(gains, rates, powers)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # every normal threshold splits its steps
+    assert want[:16].any(axis=1).all() and not want[:16].all(axis=1).any()
+    # end to end: a rate at a drawn slot-0 gain's boundary decides as the oracle
+    g = float(gain_block(FadingProfile(lambdas=(1.0, 2.0)), 0, 0, SEED, 0, 1)[0])
+    for scheme in (Scheme.RTD, Scheme.INR):
+        exact = float(np.log1p(g * 3.0))
+        for rate in (np.nextafter(exact, 0.0), exact, np.nextafter(exact, np.inf)):
+            cfg = make_config(rates=(float(rate), 1.0), power=3.0, scheme=scheme)
+            rounds = assert_engine_matches_oracle(cfg, COORD, 8)
+            assert (rounds[0, 0] == 1) == (rate <= exact)
 
 
 def test_vectorized_matches_scalar_k3_split():
@@ -217,8 +330,9 @@ def test_estimate_grid_rejects_bad_input():
     (NONCOORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
     (COORD, mimo_config(3, 2, Scheme.RTD, rates=(2.5, 3.0), max_rounds=3)),
     (ROBIN, K4_ROBIN),
+    *deep_cases(),
 ], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord", "mimo2x2-inr-noncoord",
-        "mimo3x2-rtd-coord", "k4-rtd-robin"])
+        "mimo3x2-rtd-coord", "k4-rtd-robin", *(p.id for p in DEEP_SNR)])
 def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
     n = 5000
     whole = simulate_batch(cfg, policy, n, SEED, chunk=n)
@@ -521,7 +635,7 @@ def count_slot0_draws(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("policy,cfg", GRID_CASES)
+@pytest.mark.parametrize("policy,cfg", [*GRID_CASES, *deep_cases()])
 def test_slot0_memo_is_invisible(policy, cfg, memo):
     """A call on a warm memo equals the same call on a cleared one, bit for
     bit, whichever chunk plan filled the memo."""
