@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import analytic
-from .fading import ConfigurationError, FadingProfile
+from .fading import ConfigurationError, FadingProfile, check_seed
 from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
                          analytic_counterparts, closed_form_tables, db_to_linear, estimate,
                          estimate_grid, sweep)
@@ -416,6 +416,7 @@ def _section_options(section, args) -> dict:
             raise ConfigurationError(f"unknown key {key!r} in section [{section.name}]; "
                                      f"keys are {', '.join(opts)}")
         opts[key] = int(value) if isinstance(opts[key], int) else value
+    check_seed(opts["seed"])
     return opts
 
 
@@ -499,6 +500,8 @@ def _cmd_analytic(args) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if args.command != "analytic":
+            check_seed(args.seed)
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "sweep":

@@ -12,11 +12,13 @@ Philox4x64-10 is counter-based (Salmon et al., SC 2011): numpy's stream
 gives word i as lane i % 4 of the block at counter i // 4 + 1, and a
 uniform as (word >> 11) * 2^-53. So a draw for selected trials (`rows`)
 can compute just their words, bit for bit as numpy would. uniform_block
-does that, in numpy, when the rows number fewer than n_trials / 64;
-otherwise it runs numpy's native generator over the whole range and keeps
-the rows. The two break even near a 5% share of the range (200k trials,
-one word each, 2-vCPU Xeon), so the cutoff sits well inside the range
-where the row draw wins.
+does that, in numpy, when row_draw_pays: when that costs less than
+numpy's native generator over the whole range, whose rows it otherwise
+keeps. The costs are measured ones (2-vCPU Xeon): the row draw about
+0.5 ms a call plus 0.05 us for each word of the Philox blocks its rows
+span (0.2 us a one-word row), the native draw about 11 ns a word. So a
+row draw never pays below about 45k words, and at 200k one-word trials
+it pays up to a 4% share.
 """
 
 import math
@@ -32,10 +34,11 @@ _WORDS_PER_BLOCK = 4
 # Band index reserved for policy (non-fading) randomness.
 POLICY_BAND = 0xFFFF
 
-# A row draw computes its rows' words itself when they are fewer than this
-# share of the trial range, well below the ~5% where the native full draw
-# becomes cheaper.
-_SPARSE_ROW_SHARE = 1 / 64
+# Seconds a row draw (_row_uniforms) takes per call and per word of the
+# Philox blocks it computes, and the native generator per word it draws.
+_ROW_CALL_S = 5e-4
+_ROW_WORD_S = 5e-8
+_NATIVE_WORD_S = 1.1e-8
 
 # Philox4x64-10 multipliers and key increments (Random123, as in numpy).
 _PHILOX_MUL = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
@@ -83,9 +86,17 @@ class ConfigurationError(ValueError):
     """Invalid profile or protocol configuration."""
 
 
+def check_seed(master_seed: int) -> None:
+    """Refuse a master seed that is not one 64-bit word: the Philox key holds
+    it as one, so any other seed would draw what some seed in range draws."""
+    if not 0 <= master_seed < 1 << 64:
+        raise ConfigurationError(f"master seed must be in [0, 2^64), got {master_seed}")
+
+
 def _philox_key(master_seed: int, slot: int, band: int) -> int:
     # 128-bit key: seed in the high word, (slot, band) in the low word.
-    return ((master_seed & 0xFFFFFFFFFFFFFFFF) << 64) | ((slot & 0xFFFFFFFFFFFF) << 16) | (band & 0xFFFF)
+    check_seed(master_seed)
+    return (master_seed << 64) | ((slot & 0xFFFFFFFFFFFF) << 16) | (band & 0xFFFF)
 
 
 def _mulhilo(m, x):
@@ -115,12 +126,25 @@ def _philox_blocks(key: int, counters: np.ndarray) -> np.ndarray:
     return np.stack([c0, c1, c2, c3], axis=1)
 
 
+def _row_span(words: int) -> int:
+    """The most Philox blocks the `words` words of one row span: a row's
+    words start at lane first % 4."""
+    return -(-(_WORDS_PER_BLOCK - math.gcd(words, _WORDS_PER_BLOCK) + words)
+             // _WORDS_PER_BLOCK)
+
+
+def row_draw_pays(rows: int, n_trials: int, words: int) -> bool:
+    """Whether computing the words of `rows` trials alone (_row_uniforms)
+    costs less than the native draw of all `n_trials` trials, `words` words
+    each, by the measured costs of the module docstring."""
+    computed = rows * _row_span(words) * _WORDS_PER_BLOCK
+    return _ROW_CALL_S + computed * _ROW_WORD_S < n_trials * words * _NATIVE_WORD_S
+
+
 def _row_uniforms(key: int, first: np.ndarray, words: int) -> np.ndarray:
     """Words [first[j], first[j] + words) of the Philox stream of `key` as
     uniforms, shape (len(first), words), computed for those words only."""
-    # a row's words start at lane first % 4 and span `span` blocks at most
-    span = -(-(_WORDS_PER_BLOCK - math.gcd(words, _WORDS_PER_BLOCK) + words)
-             // _WORDS_PER_BLOCK)
+    span = _row_span(words)
     block, lane = np.divmod(first, _WORDS_PER_BLOCK)
     counters = (block[:, None] + np.arange(1, span + 1, dtype=np.uint64)).ravel()
     stream = _philox_blocks(key, counters).reshape(len(first), span * _WORDS_PER_BLOCK)
@@ -137,11 +161,11 @@ def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
     so the result depends only on (master_seed, slot, band, trial), never
     on how calls are chunked. `rows`, if given, selects trial offsets in
     [0, n_trials): the result equals the full block indexed by `rows`, and
-    when they are few (_SPARSE_ROW_SHARE) only their words are computed.
+    where that is cheaper (row_draw_pays) only their words are computed.
     """
     key = _philox_key(master_seed, slot, band)
     first = start_trial * words
-    if (rows is not None and len(rows) < n_trials * _SPARSE_ROW_SHARE
+    if (rows is not None and row_draw_pays(len(rows), n_trials, words)
             and first + n_trials * words <= 1 << 64):
         return _row_uniforms(key, first + np.asarray(rows, dtype=np.uint64) * words, words)
     blocks, skip = divmod(first, _WORDS_PER_BLOCK)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
+from .fading import POLICY_BAND, gain_block, matrix_block, row_draw_pays, uniform_block
 from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, check_rates,
                        policy_allocate)
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
@@ -44,18 +44,19 @@ class RangeError(RuntimeError):
 # vectorized protocol engine
 
 
-class _SlotZeroMemo:
-    """Whole slot-0 blocks of one master seed, kept across engine calls.
+class _DrawMemo:
+    """Whole draw blocks of one master seed, kept across engine calls.
 
-    A block holds, batch last, one kind of draw over trials [start, start +
-    n): the SISO gains of ("gain", band, lambda), the packed Grams
-    (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the K=3
-    split's coin u < 0.5 of ("coin",), one byte per trial, kept under (what,
-    start). A block is read-only and serves its first n or fewer trials. A
-    call on another seed drops every block; a block that would take the memo
-    past CAP_BYTES is returned but not kept (nothing is evicted). Worker
-    processes fill their own memo, which ends with the call's pool, and the
-    scalar oracle draws through `fading` and never reads it.
+    A block holds, batch last, one kind of draw of one slot over trials
+    [start, start + n): the SISO gains of ("gain", band, lambda), the packed
+    Grams (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the
+    K=3 split's coin u < 0.5 of ("coin",), one byte per trial, kept under
+    (what, slot, start). A block is read-only and serves its first n or
+    fewer trials. A call on another seed drops every block; a block that
+    would take the memo past CAP_BYTES is returned but not kept (nothing is
+    evicted). Worker processes fill their own memo, which ends with the
+    call's pool, and the scalar oracle draws through `fading` and never
+    reads it.
     """
 
     CAP_BYTES = 32 << 20
@@ -66,38 +67,55 @@ class _SlotZeroMemo:
     def clear(self, master_seed=None) -> None:
         self.seed, self.blocks, self.nbytes = master_seed, {}, 0
 
-    def get(self, what: tuple, master_seed: int, start_trial: int, n_trials: int, draw):
-        """Trials [start_trial, start_trial + n_trials) of the block `what`;
-        `draw()` makes exactly that range on a miss."""
+    def read(self, what: tuple, slot: int, master_seed: int, start_trial: int,
+             n_trials: int, rows, draw, words: int, trial_bytes: int):
+        """The block `what` of `slot` over trials [start_trial, start_trial +
+        n_trials) at the trial offsets `rows`, or all of them when None.
+        `draw(first, count, rows)` makes trials [first, first + count) at
+        `rows` from Philox draws of `words` words per trial; a block holds
+        `trial_bytes` bytes per trial.
+
+        A kept block that covers the range serves it. Otherwise the rows
+        are drawn alone, and nothing is kept, when a row draw makes them
+        more cheaply (fading.row_draw_pays) or the memo has no room for the
+        block. Any other read draws the whole range, or the trials past a
+        shorter block kept at start_trial (draws are keyed by trial, so the
+        two join bit for bit), and keeps it.
+        """
         if master_seed != self.seed:
             self.clear(master_seed)
-        key = (what, start_trial)
+        key = (what, slot, start_trial)
         kept = self.blocks.get(key)
-        if kept is not None and n_trials <= kept.shape[-1]:
-            return kept[..., :n_trials]
-        block = draw()
-        size = sys.getsizeof(block) - (0 if kept is None else sys.getsizeof(kept))
-        if self.nbytes + size <= self.CAP_BYTES:
-            block.flags.writeable = False
-            self.nbytes += size
-            self.blocks[key] = block
-        return block
+        have = 0 if kept is None else kept.shape[-1]
+        if kept is not None and have >= n_trials:
+            block = kept
+        elif rows is not None and (row_draw_pays(len(rows), n_trials, words) or
+                                   self.nbytes + (n_trials - have) * trial_bytes
+                                   > self.CAP_BYTES):
+            return draw(start_trial, n_trials, rows)
+        else:
+            block = draw(start_trial + have, n_trials - have, None)
+            if kept is not None:
+                block = np.concatenate([kept, block], axis=-1)
+            size = sys.getsizeof(block) - (0 if kept is None else sys.getsizeof(kept))
+            if self.nbytes + size <= self.CAP_BYTES:
+                block.flags.writeable = False
+                self.nbytes += size
+                self.blocks[key] = block
+        return block[..., :n_trials] if rows is None else np.take(block, rows, axis=-1)
 
 
-_SLOT0 = _SlotZeroMemo()
+_DRAWS = _DrawMemo()
 
 
 def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
           rows: np.ndarray) -> np.ndarray:
     """The K=3 split's coin u < 0.5 from `slot`'s policy uniform for the
-    trial offsets `rows` of [start_trial, start_trial + n_trials); slot 0
-    through the memo, a later slot drawn for those rows alone."""
-    if slot == 0:
-        def draw():
-            return uniform_block(master_seed, 0, POLICY_BAND, start_trial, n_trials)[:, 0] < 0.5
-        return _SLOT0.get(("coin",), master_seed, start_trial, n_trials, draw)[rows]
-    return uniform_block(master_seed, slot, POLICY_BAND, start_trial, n_trials,
-                         rows=rows)[:, 0] < 0.5
+    trial offsets `rows` of [start_trial, start_trial + n_trials), read
+    through the memo of this seed's draws (_DRAWS)."""
+    def draw(first, count, rows):
+        return uniform_block(master_seed, slot, POLICY_BAND, first, count, rows=rows)[:, 0] < 0.5
+    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw, 1, 1)
 
 
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
@@ -191,12 +209,13 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     in 1..M or 0 for outage. Every other column resolves every user at
     round 1.
 
-    Slot 0's gains or Grams come from the memo of this seed's slot-0 blocks
-    (_SLOT0), drawn on a miss. A SISO user's slot-0 decision is a compare
-    of its gain with a threshold (_first_copy_decodes); MIMO works out
-    every (power, trial) pair's copy. From there on only live columns are
-    worked on: each (slot, band) draw covers the union of their trials, and
-    its copy is worked out once per live (power, trial) pair (columns that
+    Every (slot, band) block of gains or Grams, and every K=3 coin, is read
+    through the memo of this seed's draws (_DRAWS), so calls on one seed
+    draw each block once. A SISO user's slot-0 decision is a compare of its
+    gain with a threshold (_first_copy_decodes); MIMO works out every
+    (power, trial) pair's copy. From there on only live columns are worked
+    on: each (slot, band) read covers the union of their trials, and its
+    copy is worked out once per live (power, trial) pair (columns that
     share a power share pairs); only the decode check sees the rates. With
     one power the pairs are the trials and the power stays a float.
     """
@@ -213,12 +232,22 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     n_pow, powers = len(powers), np.array(powers, dtype=float)
     users = np.arange(k)
 
+    v_rx = profile.rx_antennas
+    # Philox words a trial's copy draws, and bytes its gain or packed Gram holds
+    words, trial_bytes = (1, 8) if siso else (2 * u_tx * v_rx, 8 * u_tx * u_tx)
+
     def draw(b, s, rows):
-        # the power-free part of one copy on band b at slot s, for trial offsets rows
-        if siso:
-            return gain_block(profile, b, s, master_seed, start_trial, n_trials, rows=rows)
-        return hermitian_gram(matrix_block(profile, b, s, master_seed, start_trial, n_trials,
-                                           rows=rows))
+        # the power-free part of one copy on band b at slot s, for trial offsets
+        # rows (all trials when None), read through the memo of this seed's draws
+        def make(first, count, rows):
+            if siso:
+                return gain_block(profile, b, s, master_seed, first, count, rows=rows)
+            return hermitian_gram(matrix_block(profile, b, s, master_seed, first, count,
+                                               rows=rows))
+        lam = profile.lambdas[b]
+        what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, v_rx)
+        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, words,
+                           trial_bytes)
 
     def carried(x, power):
         # what that copy adds to the accumulator at `power`
@@ -242,19 +271,15 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         # band b's copy at slot s for each column of the plan, drawn once per
         # trial and worked out once per pair
         rows, to_pair, power, to_col = planned
+        # slot 0's block is in hand, also when the memo had no room to keep it
         x = np.take(first[b], rows, axis=-1) if s == 0 else draw(b, s, rows)
         if to_pair is not None:
             x = np.take(x, to_pair, axis=-1)
         x = carried(x, power)
         return x if to_col is None else np.take(x, to_col, axis=-1)
 
-    # slot 0: every user sends its first copy on its own band. Each band's
-    # block is kept across calls on this seed (_SLOT0); won[u, g, t]
-    first = []
-    for b, lam in enumerate(profile.lambdas):
-        what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, profile.rx_antennas)
-        first.append(_SLOT0.get(what, master_seed, start_trial, n_trials,
-                                lambda: draw(b, 0, None)))
+    # slot 0: every user sends its first copy on its own band; won[u, g, t]
+    first = [draw(b, 0, None) for b in range(k)]
     if siso:
         col_powers = powers[power_of]
         won = np.stack([_first_copy_decodes(x, r, col_powers) for x, r in zip(first, rates)])
@@ -396,7 +421,8 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
         start += count
         live = [g for g in live if n_trials[g] > start]
     if n_jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        # the pool starts all its workers at once: no more than the chunks
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
             results = list(pool.map(_chunk_stats, tasks))
     else:
         results = map(_chunk_stats, tasks)

@@ -246,6 +246,8 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     short.write_text("[short]\nk = 3\nlambdas = 1,1\nrates = 1,1\nsnr_db = 0\ntrials = 10\n")
     typo = tmp_path / "typo.ini"     # a key that no sweep option matches
     typo.write_text("[typo]\nlamdas = 1,8\nsnr_db = 0\ntrials = 10\n")
+    seeded = tmp_path / "seeded.ini"     # a seed past 64 bits
+    seeded.write_text(f"[seeded]\nsnr_db = 0\ntrials = 10\nseed = {1 << 64}\n")
     for argv in (["run"],
                  ["sweep", "--policy", "psychic"],
                  ["sweep", "--snr-db", "10:0:20"],
@@ -275,7 +277,14 @@ def test_main_config_error_exit_2(tmp_path, capsys):
                  ["run", "--config", str(ini), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(bare), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(short), "--out", str(tmp_path / "x.csv")],
-                 ["run", "--config", str(typo), "--out", str(tmp_path / "x.csv")]):
+                 ["run", "--config", str(typo), "--out", str(tmp_path / "x.csv")],
+                 ["run", "--config", str(seeded), "--out", str(tmp_path / "x.csv")],
+                 # master seeds outside [0, 2^64)
+                 *([command, *flags, "--seed", seed, "--out", str(tmp_path / "x.csv")]
+                   for seed in ("-1", str(1 << 64))
+                   for command, *flags in (["sweep", "--trials", "10"],
+                                           ["optimize", "--trials", "10"],
+                                           ["run", "--preset", "fig2", "--trials", "10"]))):
         assert_config_error(argv, capsys)
     assert not (tmp_path / "x.csv").exists()
 

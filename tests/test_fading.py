@@ -140,9 +140,10 @@ def test_compacted_gain_path_matches_dense(monkeypatch):
     assert np.array_equal(gain_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_g[rows])
     dense_h = matrix_block(prof, 1, 2, SEED, 13, 100)
     assert np.array_equal(matrix_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_h[rows])
-    # row counts on both sides of the n / 64 cutoff (100 rows here), unsorted
-    # and repeated; one, three and eight words; the policy band; first words
-    # at every lane of a Philox block and counters past 2^32
+    # row counts on both sides of the row-draw cutoff, unsorted and repeated;
+    # one, three and eight words; the policy band; first words at every lane
+    # of a Philox block and counters past 2^32. With no per-call cost the
+    # row draw pays at this size for up to 352, 528 and 1408 rows.
     sparse = []
     real = fading._row_uniforms
 
@@ -151,6 +152,7 @@ def test_compacted_gain_path_matches_dense(monkeypatch):
         return real(key, first, words)
 
     monkeypatch.setattr(fading, "_row_uniforms", spy)
+    monkeypatch.setattr(fading, "_ROW_CALL_S", 0.0)
     n = 6400
     rng = np.random.default_rng(SEED)
     cases = list(itertools.product((1, 3, 8), (1, POLICY_BAND), (13, 2**32 + 1, 2**32 + 2,
@@ -162,7 +164,7 @@ def test_compacted_gain_path_matches_dense(monkeypatch):
             got = uniform_block(SEED, 2, band, start, n, words=words, rows=rows)
             assert got.shape == (count, words) and np.array_equal(got, dense[rows]), \
                 (words, band, start, count)
-    assert sparse == [1, 99] * len(cases)
+    assert sparse == [1, 99, 100] * len(cases)
     rows = rng.choice(n, size=50)
     for start in (13, 2**32 + 3):
         assert np.array_equal(gain_block(prof, 0, 3, SEED, start, n, rows=rows),
@@ -170,6 +172,41 @@ def test_compacted_gain_path_matches_dense(monkeypatch):
         assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, n, rows=rows),
                               matrix_block(prof, 1, 3, SEED, start, n)[rows])
     assert sparse[-4:] == [50] * 4
+
+
+def test_row_draw_pays_by_measured_cost():
+    """The row draw's fixed cost rules it out of small ranges; over 200k
+    one-word trials it pays up to about a 4% share (8500 rows), and rows
+    that span more Philox blocks pay at fewer rows."""
+    assert not fading.row_draw_pays(1, 40_000, 1)
+    assert fading.row_draw_pays(1, 50_000, 1)
+    assert fading.row_draw_pays(8_000, 200_000, 1)
+    assert not fading.row_draw_pays(9_000, 200_000, 1)
+    # the 2-3.4% shares of outage_sweep_k2's deep-SNR calls row-draw
+    for rows, n in ((4_280, 200_000), (6_755, 200_000), (4_823, 141_668)):
+        assert fading.row_draw_pays(rows, n, 1)
+    # eight words span two blocks, 0.4 us a row: over 20k trials (1.76 ms
+    # native) up to about 3150 rows
+    assert fading.row_draw_pays(3_000, 20_000, 8)
+    assert not fading.row_draw_pays(3_300, 20_000, 8)
+    # more rows never turn a native draw back into a row draw
+    pays = [fading.row_draw_pays(r, 200_000, 1) for r in range(0, 20_000, 500)]
+    assert pays == sorted(pays, reverse=True)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_seed_outside_64_bits_is_refused(seed):
+    with pytest.raises(ConfigurationError, match="master seed"):
+        uniform_block(seed, 0, 0, 0, 4)
+    with pytest.raises(ConfigurationError, match="master seed"):
+        sample_gain(FadingProfile(lambdas=(1.0,)), 0, Substream(seed, trial=0))
+
+
+def test_seeds_at_the_ends_of_the_range_draw_their_own_streams():
+    top = uniform_block((1 << 64) - 1, 0, 0, 0, 8)
+    assert not np.array_equal(top, uniform_block(0, 0, 0, 0, 8))
+    bg = Philox(key=(((1 << 64) - 1) << 64) | 0)
+    assert np.array_equal(top[:, 0], Generator(bg).random(8))
 
 
 def test_scalar_matches_block_at_odd_trials():

@@ -9,7 +9,7 @@ import pytest
 from coharq import fading, montecarlo
 from coharq.analytic import packets_per_slot
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
-                           uniform_block)
+                           matrix_block, uniform_block)
 from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
                                RangeError, SweepResult, _assignment_matrix,
                                _first_copy_decodes, _grid_rounds, analytic_counterparts,
@@ -21,7 +21,7 @@ from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                              policy_allocate, run_packet)
 from coharq.fading import Substream
-from coharq.rates import Scheme
+from coharq.rates import Scheme, hermitian_gram
 
 SEED = 20260826
 COORD = AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
@@ -51,9 +51,11 @@ def assert_engine_matches_oracle(cfg, policy, n):
 
 
 # Deep-SNR setups (30-35 dB): fewer than one trial in 64 has a user that
-# misses slot 0, so DEEP_TRIALS trials draw slot >= 1 for their live rows
-# alone (fading._row_uniforms).
+# misses slot 0. Over DEEP_ROW_TRIALS trials a cold call draws slot >= 1
+# for those live rows alone (fading._row_uniforms); over DEEP_TRIALS the
+# native draw is cheaper and the memo keeps it.
 DEEP_TRIALS = 5000
+DEEP_ROW_TRIALS = 200_000
 DEEP_SNR = [
     *[pytest.param(policy, dict(scheme=scheme, lambdas=(1.0, 2.0), power=power, max_rounds=3),
                    id=f"deep-k2-{scheme.value}-{name}")
@@ -94,31 +96,34 @@ def spy_row_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("policy,cfg_kwargs", DEEP_SNR)
-def test_deep_snr_draws_live_rows_alone(policy, cfg_kwargs, monkeypatch):
-    """At deep SNR slot >= 1 is drawn for the live rows alone, and rounds and
-    tables equal those of full draws."""
+def test_deep_snr_draws_live_rows_alone(policy, cfg_kwargs, monkeypatch, memo):
+    """At deep SNR a cold call draws slot >= 1 for the live rows alone and
+    keeps none of it, and rounds and tables equal those of full draws."""
     cfg = make_config(**cfg_kwargs)
+    n = DEEP_ROW_TRIALS
     drawn = spy_row_draws(monkeypatch)
-    rounds = simulate_rounds(cfg, policy, DEEP_TRIALS, SEED)
-    counts = simulate_batch(cfg, policy, DEEP_TRIALS, SEED, chunk=1000)
-    assert drawn and max(drawn) < DEEP_TRIALS / 64
+    rounds = simulate_rounds(cfg, policy, n, SEED)
+    assert drawn and max(drawn) < n / 64
+    assert {slot for _, slot, *_ in kept_blocks(memo)} == {0}
+    counts = simulate_batch(cfg, policy, n, SEED, chunk=n // 2)
     made = len(drawn)
-    monkeypatch.setattr(fading, "_SPARSE_ROW_SHARE", 0.0)
-    assert np.array_equal(simulate_rounds(cfg, policy, DEEP_TRIALS, SEED), rounds)
-    assert np.array_equal(simulate_batch(cfg, policy, DEEP_TRIALS, SEED, chunk=1000), counts)
+    memo.clear()
+    monkeypatch.setattr(fading, "_ROW_CALL_S", math.inf)
+    assert np.array_equal(simulate_rounds(cfg, policy, n, SEED), rounds)
+    assert np.array_equal(simulate_batch(cfg, policy, n, SEED, chunk=n // 2), counts)
     assert len(drawn) == made
 
 
-def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(monkeypatch):
+def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(monkeypatch, memo):
     """The K=3 split's coin of slot >= 1 is a row draw for few columns among
     many trials, and equals the full draw's coin."""
     patterns = [p for p in itertools.product((False, True), repeat=3) if sum(p) == 2]
     active = np.array(patterns * 4).T
-    n = 64 * 20
+    n = DEEP_ROW_TRIALS
     rows = np.random.default_rng(SEED).choice(n, size=active.shape[1])
     drawn = spy_row_draws(monkeypatch)
     assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)
-    assert drawn == [len(rows)]
+    assert drawn == [len(rows)] and not memo.blocks
     coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
     for j, coin in enumerate(coins.tolist()):
         failed = set(np.flatnonzero(active[:, j]).tolist())
@@ -349,6 +354,35 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
     for kwargs in (dict(chunk=1), dict(chunk=7), dict(chunk=140, n_jobs=2)):
         for a, b in zip(ests, estimate_grid(cfg, policy, grid, n, SEED, **kwargs)):
             assert_same_estimates(a, b)
+
+
+def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
+    """A process pool starts all its workers at once, so _batch_stats asks
+    for no more workers than it has chunks. A recording stand-in runs the
+    chunks in this process: no worker is started."""
+    opened = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    cfg = make_config()
+    serial = simulate_batch(cfg, COORD, 1000, SEED, chunk=300)
+    for n_jobs in (5000, 4, 2):
+        assert_same_stats(serial, simulate_batch(cfg, COORD, 1000, SEED, chunk=300,
+                                                 n_jobs=n_jobs))
+    sweep(cfg, COORD, [0.0, 10.0], 1000, SEED, chunk=500, n_jobs=5000)
+    assert opened == [4, 4, 2, 4]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -607,38 +641,53 @@ def test_db_to_linear():
 
 
 # ---------------------------------------------------------------------------
-# the memo of slot-0 blocks
+# the memo of draw blocks
 
 
 @pytest.fixture
 def memo():
-    """The engine's slot-0 memo, cleared before and after the test."""
-    montecarlo._SLOT0.clear()
-    yield montecarlo._SLOT0
-    montecarlo._SLOT0.clear()
+    """The engine's memo of draw blocks, cleared before and after the test."""
+    montecarlo._DRAWS.clear()
+    yield montecarlo._DRAWS
+    montecarlo._DRAWS.clear()
 
 
 def kept_blocks(memo):
-    return [(what, start, block) for (what, start), block in memo.blocks.items()]
+    return [(what, slot, start, block) for (what, slot, start), block in memo.blocks.items()]
 
 
-def count_slot0_draws(monkeypatch):
-    """Count the engine's slot-0 calls of gain_block, matrix_block and
-    uniform_block (the K=3 coin of slot 0)."""
+def count_draws(monkeypatch):
+    """Record (function, slot, first trial, trials) for each of the engine's
+    calls of gain_block, matrix_block and uniform_block (the K=3 coin)."""
     calls = []
     for name in ("gain_block", "matrix_block", "uniform_block"):
         def counted(*args, _real=getattr(montecarlo, name), _name=name, **kwargs):
-            slot = args[1] if _name == "uniform_block" else args[2]
-            calls.extend([_name] * (slot == 0))
+            # uniform_block(seed, slot, band, first, count), the others
+            # (profile, band, slot, seed, first, count)
+            at = (1, 3, 4) if _name == "uniform_block" else (2, 4, 5)
+            calls.append((_name, *(args[i] for i in at)))
             return _real(*args, **kwargs)
         monkeypatch.setattr(montecarlo, name, counted)
     return calls
 
 
-@pytest.mark.parametrize("policy,cfg", [*GRID_CASES, *deep_cases()])
+def slot0_draws(calls):
+    return [name for name, slot, *_ in calls if slot == 0]
+
+
+def assert_memo_accounts_its_blocks(memo):
+    assert memo.nbytes == sum(sys.getsizeof(block) for *_, block in kept_blocks(memo))
+    assert memo.nbytes <= memo.CAP_BYTES
+
+
+@pytest.mark.parametrize("policy,cfg", [
+    *GRID_CASES,
+    pytest.param(SPLIT, replace(K3_SPLIT, max_rounds=3), id="k3-inr-split-m3"),
+    *deep_cases()])
 def test_slot0_memo_is_invisible(policy, cfg, memo):
     """A call on a warm memo equals the same call on a cleared one, bit for
-    bit, whichever chunk plan filled the memo."""
+    bit, whichever chunk plan filled the memo. Later slots' blocks and, at
+    M = 3, the split's slot-1 coins are kept too."""
     n = 3000 if cfg.profile.is_siso else 1000
     plans = (dict(chunk=7), dict(chunk=1000), dict(), dict(chunk=1000, n_jobs=2))
     cold = []
@@ -648,7 +697,10 @@ def test_slot0_memo_is_invisible(policy, cfg, memo):
     for fill in plans[:3]:     # worker processes fill their own memo
         memo.clear()
         simulate_batch(cfg, policy, n, SEED, **fill)
-        assert kept_blocks(memo)
+        kept = {(what[0], slot) for what, slot, *_ in kept_blocks(memo)}
+        assert {slot for _, slot in kept} >= {0, 1}
+        if policy is SPLIT and cfg.max_rounds == 3 and cfg.power < 1e3:
+            assert {("coin", 0), ("coin", 1)} <= kept
         for kwargs, expected in zip(plans, cold):
             assert_same_stats(expected, simulate_batch(cfg, policy, n, SEED, **kwargs))
     # columns at two powers read one kept block
@@ -657,6 +709,100 @@ def test_slot0_memo_is_invisible(policy, cfg, memo):
     warm = _grid_rounds(configs, policy, 500, SEED, start_trial=100)
     memo.clear()
     assert np.array_equal(warm, _grid_rounds(configs, policy, 500, SEED, start_trial=100))
+
+
+def test_draw_memo_serves_mixed_calls_on_one_seed_like_a_cleared_memo(memo, monkeypatch):
+    """One sequence of calls on one seed meets every kind of read: dense
+    misses that keep blocks, sparse misses that keep none, hits, extended
+    blocks and ranges at another first trial. Each call equals the same
+    call on a cleared memo."""
+    deep = make_config(scheme=Scheme.RTD, lambdas=(1.0, 2.0), power=1e3, max_rounds=3)
+    split = replace(K3_SPLIT, max_rounds=3)
+    n = DEEP_ROW_TRIALS
+    calls = [(deep, COORD, n, 0), (deep, NONCOORD, n, 0),
+             (replace(deep, power=3.0), COORD, n, 0), (deep, COORD, n // 2, 0),
+             (deep, COORD, n + 5000, 0), (replace(deep, power=3.0), NONCOORD, 4000, 777),
+             (split, SPLIT, 30_000, 0), (split, SPLIT, 60_000, 0), (split, SPLIT, 20_000, 0),
+             (replace(split, power=1e3), SPLIT, n, 0)]
+    drawn = spy_row_draws(monkeypatch)
+    draws = count_draws(monkeypatch)
+    warm, kinds = [], []
+    for cfg, policy, count, start in calls:
+        before, rows_before = len(draws), len(drawn)
+        warm.append(simulate_rounds(cfg, policy, count, SEED, start_trial=start))
+        made = draws[before:]
+        kinds.append(("sparse" if len(drawn) > rows_before else "") +
+                     ("hit" if not made else "") +
+                     ("extend" if any(first > start for _, _, first, _ in made) else ""))
+        assert_memo_accounts_its_blocks(memo)
+    # the first deep call row-draws slot >= 1, a shallow one keeps it, the
+    # shorter range is served whole, the longer one extends its blocks
+    assert "sparse" in kinds[0] and kinds[3] == "hit" and "extend" in kinds[4]
+    assert kinds[8] == "hit" and "extend" in kinds[7]
+    for (cfg, policy, count, start), expected in zip(calls, warm):
+        memo.clear()
+        assert np.array_equal(simulate_rounds(cfg, policy, count, SEED, start_trial=start),
+                              expected)
+
+
+def test_draw_memo_extends_a_shorter_block_bit_for_bit(memo, monkeypatch):
+    """A longer range from a kept block's first trial draws only the trials
+    past it, and the joined block equals a cold draw of the longer range."""
+    for policy, cfg, n in ((SPLIT, replace(K3_SPLIT, max_rounds=3), 2000),
+                           (COORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0),
+                                               max_rounds=3), 500)):
+        memo.clear()
+        simulate_rounds(cfg, policy, n, SEED, start_trial=40)
+        short = {(what, slot) for what, slot, *_ in kept_blocks(memo)}
+        draws = count_draws(monkeypatch)
+        simulate_rounds(cfg, policy, n + 333, SEED, start_trial=40)
+        monkeypatch.undo()
+        assert {(first, count) for *_, first, count in draws} >= {(40 + n, 333)}
+        assert not any(first == 40 and count == n + 333 for *_, first, count in draws)
+        for what, slot, start, block in kept_blocks(memo):
+            assert start == 40 and block.shape[-1] == n + 333
+            assert (what, slot) in short
+            if what[0] == "coin":
+                cold = uniform_block(SEED, slot, POLICY_BAND, 40, n + 333)[:, 0] < 0.5
+            elif what[0] == "gain":
+                cold = gain_block(cfg.profile, what[1], slot, SEED, 40, n + 333)
+            else:
+                cold = hermitian_gram(matrix_block(cfg.profile, what[1], slot, SEED, 40, n + 333))
+            assert cold.dtype == block.dtype and np.array_equal(cold, block)
+        assert_memo_accounts_its_blocks(memo)
+
+
+def test_draw_memo_reads(memo, monkeypatch):
+    """A sparse miss row-draws and keeps nothing, a dense miss keeps its
+    block, and a hit draws nothing."""
+    made = []
+
+    def draw(first, count, rows):
+        made.append((first, count, rows is None))
+        return uniform_block(SEED, 1, 0, first, count, rows=rows)[:, 0]
+
+    n = DEEP_ROW_TRIALS
+    cold = uniform_block(SEED, 1, 0, 9, n)[:, 0]
+    rows = np.arange(0, n, 500)
+    drawn = spy_row_draws(monkeypatch)
+    read = montecarlo._DRAWS.read
+    assert np.array_equal(read(("x",), 1, SEED, 9, n, rows, draw, 1, 8), cold[rows])
+    assert drawn == [len(rows)] and made == [(9, n, False)] and not memo.blocks
+    many = np.arange(0, n, 10)
+    assert np.array_equal(read(("x",), 1, SEED, 9, n, many, draw, 1, 8), cold[many])
+    assert made[1:] == [(9, n, True)] and list(memo.blocks) == [(("x",), 1, 9)]
+    for r in (rows, many, None):
+        got = read(("x",), 1, SEED, 9, n, r, draw, 1, 8)
+        assert np.array_equal(got, cold if r is None else cold[r])
+    got = read(("x",), 1, SEED, 9, 1000, None, draw, 1, 8)
+    assert np.array_equal(got, cold[:1000]) and not got.flags.writeable
+    assert len(made) == 2 and drawn == [len(rows)]
+    assert_memo_accounts_its_blocks(memo)
+    # with no room for the block, a dense miss draws its rows alone
+    monkeypatch.setattr(memo, "CAP_BYTES", memo.nbytes + 8 * n - 1)
+    assert np.array_equal(read(("x",), 1, SEED, 10, n, many, draw, 1, 8),
+                          uniform_block(SEED, 1, 0, 10, n)[many, 0])
+    assert made[2:] == [(10, n, False)] and len(memo.blocks) == 1
 
 
 def test_slot0_memo_keys_fading_parameters_and_antennas(memo):
@@ -674,11 +820,13 @@ def test_slot0_memo_keys_fading_parameters_and_antennas(memo):
         memo.clear()
         simulate_rounds(first, COORD, 800, SEED)
         assert np.array_equal(simulate_rounds(second, COORD, 800, SEED), cold)
-        # one block per band and setup; a band whose lambda and antennas
-        # agree shares its block
+        # one block per band, slot and setup; a band whose lambda and
+        # antennas agree shares its blocks
         keys = {(b, lam, c.profile.tx_antennas, c.profile.rx_antennas)
                 for c in (first, second) for b, lam in enumerate(c.profile.lambdas)}
-        assert len(memo.blocks) == len(keys)
+        kept = kept_blocks(memo)
+        assert len([slot for _, slot, *_ in kept if slot == 0]) == len(keys)
+        assert len({what for what, *_ in kept}) == len(keys)
 
 
 def test_slot0_memo_serves_ranges_from_a_kept_blocks_first_trial(memo, monkeypatch):
@@ -690,21 +838,22 @@ def test_slot0_memo_serves_ranges_from_a_kept_blocks_first_trial(memo, monkeypat
         cold_inside = simulate_rounds(cfg, policy, 300, SEED, start_trial=150)
         memo.clear()
         simulate_rounds(cfg, policy, n, SEED)
-        n_kept = len(memo.blocks)
-        # a shorter range from the block's first trial draws nothing
-        calls = count_slot0_draws(monkeypatch)
+        n_kept = len([slot for _, slot, *_ in kept_blocks(memo) if slot == 0])
+        # a shorter range from the blocks' first trial draws nothing, in any slot
+        calls = count_draws(monkeypatch)
         assert np.array_equal(simulate_rounds(cfg, policy, 300, SEED), cold_head)
         assert calls == []
-        # a range that starts inside the block draws its own
+        # a range that starts inside the blocks draws its own
         assert np.array_equal(simulate_rounds(cfg, policy, 300, SEED, start_trial=150),
                               cold_inside)
-        assert len(calls) == n_kept
+        assert len(slot0_draws(calls)) == n_kept
+        assert all(first == 150 and count == 300 for *_, first, count in calls)
         monkeypatch.undo()
-        # a longer range from the same first trial replaces the block it outgrew
+        # a longer range from the same first trial extends the blocks it outgrew
         simulate_rounds(cfg, policy, n + 1, SEED)
-        assert {block.shape[-1] for _, start, block in kept_blocks(memo)
+        assert {block.shape[-1] for _, _, start, block in kept_blocks(memo)
                 if start == 0} == {n + 1}
-        assert memo.nbytes == sum(sys.getsizeof(block) for *_, block in kept_blocks(memo))
+        assert_memo_accounts_its_blocks(memo)
 
 
 def test_slot0_memo_drops_blocks_on_a_seed_switch(memo, monkeypatch):
@@ -713,13 +862,16 @@ def test_slot0_memo_drops_blocks_on_a_seed_switch(memo, monkeypatch):
     old = [block for *_, block in kept_blocks(memo)]
     other = simulate_rounds(cfg, COORD, 1000, SEED + 1)
     assert memo.seed == SEED + 1
-    kept = [block for *_, block in kept_blocks(memo)]
-    assert len(kept) == 2 and not any(b is a for b in kept for a in old)
-    calls = count_slot0_draws(monkeypatch)
+    kept = kept_blocks(memo)
+    # two bands at slots 0 and 1
+    assert sorted((what[1], slot) for what, slot, *_ in kept) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert not any(b is a for *_, b in kept for a in old)
+    calls = count_draws(monkeypatch)
     assert np.array_equal(simulate_rounds(cfg, COORD, 1000, SEED + 1), other)
     assert calls == []
     simulate_rounds(cfg, COORD, 1000, SEED)
-    assert calls == ["gain_block"] * 2
+    assert sorted((name, slot) for name, slot, *_ in calls) == \
+        [("gain_block", 0)] * 2 + [("gain_block", 1)] * 2
 
 
 def test_slot0_memo_blocks_are_read_only(memo):
@@ -727,26 +879,31 @@ def test_slot0_memo_blocks_are_read_only(memo):
     simulate_rounds(mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0)), COORD, 100, SEED)
     kept = kept_blocks(memo)
     assert {what[0] for what, *_ in kept} == {"gain", "gram", "coin"}
-    for what, start, block in kept:
+    for *_, block in kept:
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[..., 0] = 0
-    assert memo.nbytes == sum(sys.getsizeof(block) for *_, block in kept)
+    assert_memo_accounts_its_blocks(memo)
 
 
 def test_slot0_memo_does_not_keep_a_block_over_the_cap(memo, monkeypatch):
     cfg = make_config(scheme=Scheme.RTD, max_rounds=3)
     cold = simulate_rounds(cfg, COORD, 5000, SEED)
     memo.clear()
-    # room for the first band's 5000 gains only
+    # room for the first band's 5000 slot-0 gains only
     monkeypatch.setattr(memo, "CAP_BYTES", 50_000)
-    calls = count_slot0_draws(monkeypatch)
+    calls = count_draws(monkeypatch)
     assert np.array_equal(simulate_rounds(cfg, COORD, 5000, SEED), cold)
-    assert calls == ["gain_block"] * 2
-    assert [(what, start) for what, start, _ in kept_blocks(memo)] == [(("gain", 0, 1.0), 0)]
-    assert memo.nbytes <= memo.CAP_BYTES
+    assert slot0_draws(calls) == ["gain_block"] * 2
+    assert [(what, slot, start) for what, slot, start, _ in kept_blocks(memo)] == \
+        [(("gain", 0, 1.0), 0, 0)]
+    assert_memo_accounts_its_blocks(memo)
     assert np.array_equal(simulate_rounds(cfg, COORD, 5000, SEED), cold)
-    assert calls == ["gain_block"] * 3
+    assert slot0_draws(calls) == ["gain_block"] * 3
+    # a longer range cannot grow the kept block past the cap either
+    simulate_rounds(cfg, COORD, 6500, SEED)
+    assert [block.shape[-1] for *_, block in kept_blocks(memo)] == [5000]
+    assert_memo_accounts_its_blocks(memo)
 
 
 def test_snr_at_outage_without_a_positive_point_is_a_range_error():
