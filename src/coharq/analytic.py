@@ -377,8 +377,15 @@ def reduce_table(table: np.ndarray, rates, packets=1.0) -> dict:
 
 
 def diversity_gain(helpers: int, max_rounds: int) -> int:
-    """High-SNR outage-curve slope d = (J+1)(M-1)+1 for a user whose
-    coordination rule can hand it the free bands of J other users."""
+    """High-SNR outage-curve slope d = (J+1)(M-1)+1, the paper's diversity
+    gain of a user with M rounds and J = `helpers` helping users.
+
+    A helping user is another user whose band the coordination rule can
+    hand to this one once it decodes, so each of its copies is one more
+    copy that must fade for this user to end in outage. J = 0 is
+    non-coordinated HARQ (d = M); at K = 2 with coordination J = 1. At
+    K >= 3 a policy's slopes need not equal the formula at J = K - 1.
+    """
     if helpers < 0 or max_rounds < 1:
         raise ValueError("need helpers >= 0 and max_rounds >= 1")
     return (helpers + 1) * (max_rounds - 1) + 1

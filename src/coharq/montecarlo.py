@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .fading import POLICY_BAND, gain_block, matrix_block, row_draw_pays, uniform_block
+from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
 from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, check_rates,
                        policy_allocate)
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
@@ -52,11 +52,13 @@ class _DrawMemo:
     Grams (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the
     K=3 split's coin u < 0.5 of ("coin",), one byte per trial, kept under
     (what, slot, start). A block is read-only and serves its first n or
-    fewer trials. A call on another seed drops every block; a block that
-    would take the memo past CAP_BYTES is returned but not kept (nothing is
-    evicted). Worker processes fill their own memo, which ends with the
-    call's pool, and the scalar oracle draws through `fading` and never
-    reads it.
+    fewer trials, whole or at the live rows a read asks for: numpy's Philox
+    draws a whole range at a time, so a range is drawn once and every later
+    read of its rows takes them from the block. A call on another seed
+    drops every block; a block that would take the memo past CAP_BYTES is
+    returned but not kept (nothing is evicted). Worker processes fill their
+    own memo, which ends with the call's pool, and the scalar oracle draws
+    through `fading` and never reads it.
     """
 
     CAP_BYTES = 32 << 20
@@ -68,19 +70,17 @@ class _DrawMemo:
         self.seed, self.blocks, self.nbytes = master_seed, {}, 0
 
     def read(self, what: tuple, slot: int, master_seed: int, start_trial: int,
-             n_trials: int, rows, draw, words: int, trial_bytes: int):
+             n_trials: int, rows, draw, trial_bytes: int):
         """The block `what` of `slot` over trials [start_trial, start_trial +
         n_trials) at the trial offsets `rows`, or all of them when None.
         `draw(first, count, rows)` makes trials [first, first + count) at
-        `rows` from Philox draws of `words` words per trial; a block holds
-        `trial_bytes` bytes per trial.
+        `rows`; a block holds `trial_bytes` bytes per trial.
 
-        A kept block that covers the range serves it. Otherwise the rows
-        are drawn alone, and nothing is kept, when a row draw makes them
-        more cheaply (fading.row_draw_pays) or the memo has no room for the
-        block. Any other read draws the whole range, or the trials past a
-        shorter block kept at start_trial (draws are keyed by trial, so the
-        two join bit for bit), and keeps it.
+        A kept block that covers the range serves it. A read of `rows` whose
+        block the memo has no room for draws the range, transforms the rows
+        alone and keeps nothing. Any other read draws the whole range, or
+        the trials past a shorter block kept at start_trial (draws are keyed
+        by trial, so the two join bit for bit), and keeps it.
         """
         if master_seed != self.seed:
             self.clear(master_seed)
@@ -89,9 +89,7 @@ class _DrawMemo:
         have = 0 if kept is None else kept.shape[-1]
         if kept is not None and have >= n_trials:
             block = kept
-        elif rows is not None and (row_draw_pays(len(rows), n_trials, words) or
-                                   self.nbytes + (n_trials - have) * trial_bytes
-                                   > self.CAP_BYTES):
+        elif rows is not None and self.nbytes + (n_trials - have) * trial_bytes > self.CAP_BYTES:
             return draw(start_trial, n_trials, rows)
         else:
             block = draw(start_trial + have, n_trials - have, None)
@@ -115,7 +113,7 @@ def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
     through the memo of this seed's draws (_DRAWS)."""
     def draw(first, count, rows):
         return uniform_block(master_seed, slot, POLICY_BAND, first, count, rows=rows)[:, 0] < 0.5
-    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw, 1, 1)
+    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw, 1)
 
 
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
@@ -233,8 +231,8 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     users = np.arange(k)
 
     v_rx = profile.rx_antennas
-    # Philox words a trial's copy draws, and bytes its gain or packed Gram holds
-    words, trial_bytes = (1, 8) if siso else (2 * u_tx * v_rx, 8 * u_tx * u_tx)
+    # bytes a trial's gain or packed Gram holds
+    trial_bytes = 8 if siso else 8 * u_tx * u_tx
 
     def draw(b, s, rows):
         # the power-free part of one copy on band b at slot s, for trial offsets
@@ -246,8 +244,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
                                                rows=rows))
         lam = profile.lambdas[b]
         what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, v_rx)
-        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, words,
-                           trial_bytes)
+        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, trial_bytes)
 
     def carried(x, power):
         # what that copy adds to the accumulator at `power`
@@ -677,14 +674,18 @@ def energy_gain_at_outage(sweep_a: SweepResult, sweep_b: SweepResult,
 def dominance_violations(config: ProtocolConfig, coordinated_policy: AllocationPolicy,
                          n_trials: int, master_seed: int,
                          chunk: int = DEFAULT_CHUNK) -> int:
-    """Paired-seed check: count trials where a user decodes without
-    coordination but not with it, on identical fading draws. Coordination
-    only ever adds copies, so the count must be zero."""
+    """Paired-seed check: count user-trials whose decode round is later with
+    coordination than without, on identical fading draws, outage read as
+    round M+1. A failed user keeps its own band under every policy and
+    coordination only hands it more copies, so the count must be zero for
+    any K and policy."""
     noncoord = AllocationPolicy(PolicyKind.NON_COORDINATED)
+    outage = config.max_rounds + 1
     violations = 0
     for start in range(0, n_trials, chunk):
         count = min(chunk, n_trials - start)
-        r_nc = simulate_rounds(config, noncoord, count, master_seed, start_trial=start)
-        r_co = simulate_rounds(config, coordinated_policy, count, master_seed, start_trial=start)
-        violations += int(((r_nc > 0) & (r_co == 0)).sum())
+        r_nc, r_co = (simulate_rounds(config, policy, count, master_seed, start_trial=start)
+                      for policy in (noncoord, coordinated_policy))
+        violations += int(np.count_nonzero(np.where(r_co == 0, outage, r_co) >
+                                           np.where(r_nc == 0, outage, r_nc)))
     return violations

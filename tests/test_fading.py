@@ -6,7 +6,6 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from coharq import fading
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, Substream,
                            gain_block, matrix_block, sample_gain, sample_matrix,
                            uniform_block)
@@ -133,65 +132,32 @@ def test_packed_layout_is_the_philox_stream():
     assert np.array_equal(uniform_block(SEED, slot, band, 0, 1, words=8)[0], expect)
 
 
-def test_compacted_gain_path_matches_dense(monkeypatch):
+def test_compacted_gain_path_matches_dense():
     prof = FadingProfile(lambdas=(1.0, 0.5), tx_antennas=2, rx_antennas=2)
     rows = np.array([0, 3, 4, 9, 97, 98])
     dense_g = gain_block(prof, 1, 2, SEED, 13, 100)
     assert np.array_equal(gain_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_g[rows])
     dense_h = matrix_block(prof, 1, 2, SEED, 13, 100)
     assert np.array_equal(matrix_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_h[rows])
-    # row counts on both sides of the row-draw cutoff, unsorted and repeated;
-    # one, three and eight words; the policy band; first words at every lane
-    # of a Philox block and counters past 2^32. With no per-call cost the
-    # row draw pays at this size for up to 352, 528 and 1408 rows.
-    sparse = []
-    real = fading._row_uniforms
-
-    def spy(key, first, words):
-        sparse.append(len(first))
-        return real(key, first, words)
-
-    monkeypatch.setattr(fading, "_row_uniforms", spy)
-    monkeypatch.setattr(fading, "_ROW_CALL_S", 0.0)
+    # few and many rows, unsorted and repeated; one, three and eight words;
+    # the policy band; first words at every lane of a Philox block and
+    # counters past 2^32
     n = 6400
     rng = np.random.default_rng(SEED)
-    cases = list(itertools.product((1, 3, 8), (1, POLICY_BAND), (13, 2**32 + 1, 2**32 + 2,
-                                                                  2**32 + 3)))
-    for words, band, start in cases:
+    for words, band, start in itertools.product((1, 3, 8), (1, POLICY_BAND),
+                                                (13, 2**32 + 1, 2**32 + 2, 2**32 + 3)):
         dense = uniform_block(SEED, 2, band, start, n, words=words)
         for count in (1, 99, 100, 2000):
             rows = rng.choice(n, size=count)
             got = uniform_block(SEED, 2, band, start, n, words=words, rows=rows)
             assert got.shape == (count, words) and np.array_equal(got, dense[rows]), \
                 (words, band, start, count)
-    assert sparse == [1, 99, 100] * len(cases)
     rows = rng.choice(n, size=50)
     for start in (13, 2**32 + 3):
         assert np.array_equal(gain_block(prof, 0, 3, SEED, start, n, rows=rows),
                               gain_block(prof, 0, 3, SEED, start, n)[rows])
         assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, n, rows=rows),
                               matrix_block(prof, 1, 3, SEED, start, n)[rows])
-    assert sparse[-4:] == [50] * 4
-
-
-def test_row_draw_pays_by_measured_cost():
-    """The row draw's fixed cost rules it out of small ranges; over 200k
-    one-word trials it pays up to about a 4% share (8500 rows), and rows
-    that span more Philox blocks pay at fewer rows."""
-    assert not fading.row_draw_pays(1, 40_000, 1)
-    assert fading.row_draw_pays(1, 50_000, 1)
-    assert fading.row_draw_pays(8_000, 200_000, 1)
-    assert not fading.row_draw_pays(9_000, 200_000, 1)
-    # the 2-3.4% shares of outage_sweep_k2's deep-SNR calls row-draw
-    for rows, n in ((4_280, 200_000), (6_755, 200_000), (4_823, 141_668)):
-        assert fading.row_draw_pays(rows, n, 1)
-    # eight words span two blocks, 0.4 us a row: over 20k trials (1.76 ms
-    # native) up to about 3150 rows
-    assert fading.row_draw_pays(3_000, 20_000, 8)
-    assert not fading.row_draw_pays(3_300, 20_000, 8)
-    # more rows never turn a native draw back into a row draw
-    pays = [fading.row_draw_pays(r, 200_000, 1) for r in range(0, 20_000, 500)]
-    assert pays == sorted(pays, reverse=True)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coharq import fading, montecarlo
+from coharq import montecarlo
 from coharq.analytic import packets_per_slot
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
                            matrix_block, uniform_block)
@@ -51,11 +51,8 @@ def assert_engine_matches_oracle(cfg, policy, n):
 
 
 # Deep-SNR setups (30-35 dB): fewer than one trial in 64 has a user that
-# misses slot 0. Over DEEP_ROW_TRIALS trials a cold call draws slot >= 1
-# for those live rows alone (fading._row_uniforms); over DEEP_TRIALS the
-# native draw is cheaper and the memo keeps it.
+# misses slot 0, so slot >= 1 reads few live rows of each block.
 DEEP_TRIALS = 5000
-DEEP_ROW_TRIALS = 200_000
 DEEP_SNR = [
     *[pytest.param(policy, dict(scheme=scheme, lambdas=(1.0, 2.0), power=power, max_rounds=3),
                    id=f"deep-k2-{scheme.value}-{name}")
@@ -82,48 +79,35 @@ def test_vectorized_matches_scalar(policy, cfg_kwargs):
     assert_engine_matches_oracle(cfg, policy, DEEP_TRIALS if cfg.power >= 1e3 else 400)
 
 
-def spy_row_draws(monkeypatch):
-    """The row count of every draw fading computes row by row, as made."""
-    drawn = []
-    real = fading._row_uniforms
-
-    def spy(key, first, words):
-        drawn.append(len(first))
-        return real(key, first, words)
-
-    monkeypatch.setattr(fading, "_row_uniforms", spy)
-    return drawn
-
-
 @pytest.mark.parametrize("policy,cfg_kwargs", DEEP_SNR)
-def test_deep_snr_draws_live_rows_alone(policy, cfg_kwargs, monkeypatch, memo):
-    """At deep SNR a cold call draws slot >= 1 for the live rows alone and
-    keeps none of it, and rounds and tables equal those of full draws."""
+def test_deep_snr_draws_live_rows_alone(policy, cfg_kwargs, memo, monkeypatch):
+    """At deep SNR slot >= 1 works on the few live rows alone, read from the
+    blocks a cold call keeps; rounds equal the oracle, and rounds and tables
+    equal those of a memo with no room, which draws each range anew and
+    takes its rows."""
     cfg = make_config(**cfg_kwargs)
-    n = DEEP_ROW_TRIALS
-    drawn = spy_row_draws(monkeypatch)
-    rounds = simulate_rounds(cfg, policy, n, SEED)
-    assert drawn and max(drawn) < n / 64
-    assert {slot for _, slot, *_ in kept_blocks(memo)} == {0}
+    n = DEEP_TRIALS
+    rounds = assert_engine_matches_oracle(cfg, policy, n)
+    assert 0 < np.count_nonzero((rounds != 1).any(axis=1)) < n / 64
+    assert {slot for _, slot, *_ in kept_blocks(memo)} >= {0, 1}
     counts = simulate_batch(cfg, policy, n, SEED, chunk=n // 2)
-    made = len(drawn)
     memo.clear()
-    monkeypatch.setattr(fading, "_ROW_CALL_S", math.inf)
+    monkeypatch.setattr(memo, "CAP_BYTES", 0)
     assert np.array_equal(simulate_rounds(cfg, policy, n, SEED), rounds)
     assert np.array_equal(simulate_batch(cfg, policy, n, SEED, chunk=n // 2), counts)
-    assert len(drawn) == made
+    assert not memo.blocks
 
 
-def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(monkeypatch, memo):
-    """The K=3 split's coin of slot >= 1 is a row draw for few columns among
-    many trials, and equals the full draw's coin."""
+def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(memo, monkeypatch):
+    """The K=3 split's coin of slot >= 1 for few columns among many trials
+    equals the full draw's coin, read from the kept block or, with no room
+    to keep it, drawn for that read alone."""
     patterns = [p for p in itertools.product((False, True), repeat=3) if sum(p) == 2]
     active = np.array(patterns * 4).T
-    n = DEEP_ROW_TRIALS
+    n = DEEP_TRIALS
     rows = np.random.default_rng(SEED).choice(n, size=active.shape[1])
-    drawn = spy_row_draws(monkeypatch)
     assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)
-    assert drawn == [len(rows)] and not memo.blocks
+    assert list(memo.blocks) == [(("coin",), 1, 5)]
     coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
     for j, coin in enumerate(coins.tolist()):
         failed = set(np.flatnonzero(active[:, j]).tolist())
@@ -131,6 +115,10 @@ def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(monkeypatch, mem
         assert assign[:, j].tolist() == [mapping[b] if mapping[b] in failed else -1
                                          for b in range(3)]
     assert coins.any() and not coins.all()
+    memo.clear()
+    monkeypatch.setattr(memo, "CAP_BYTES", 0)
+    assert np.array_equal(_assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n), assign)
+    assert not memo.blocks
 
 
 def ulp_steps(x, steps=8):
@@ -533,8 +521,19 @@ def test_analytic_counterparts_unavailable_cases():
 
 
 def test_dominance_paired_seeds():
+    """On shared draws no user decodes later with coordination than
+    without, outage counting as round M+1: K=2, the K=3 split, K=4
+    round-robin and 2x2 MIMO."""
     cfg = make_config(rates=(1.0, 1.0), power=2.0, scheme=Scheme.RTD)
     assert dominance_violations(cfg, COORD, 100_000, SEED) == 0
+    for cfg, policy, n in ((replace(K3_SPLIT, max_rounds=3), SPLIT, 50_000),
+                           (K4_ROBIN, ROBIN, 50_000),
+                           (replace(K4_ROBIN, scheme=Scheme.INR, power=4.0), ROBIN, 50_000),
+                           (mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0), max_rounds=3),
+                            COORD, 20_000),
+                           (mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0), max_rounds=3),
+                            COORD, 20_000)):
+        assert dominance_violations(cfg, policy, n, SEED, chunk=n // 2) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -712,32 +711,30 @@ def test_slot0_memo_is_invisible(policy, cfg, memo):
 
 
 def test_draw_memo_serves_mixed_calls_on_one_seed_like_a_cleared_memo(memo, monkeypatch):
-    """One sequence of calls on one seed meets every kind of read: dense
-    misses that keep blocks, sparse misses that keep none, hits, extended
-    blocks and ranges at another first trial. Each call equals the same
-    call on a cleared memo."""
+    """One sequence of calls on one seed meets every kind of read: misses
+    that keep blocks, hits, extended blocks and ranges at another first
+    trial. Each call equals the same call on a cleared memo."""
     deep = make_config(scheme=Scheme.RTD, lambdas=(1.0, 2.0), power=1e3, max_rounds=3)
     split = replace(K3_SPLIT, max_rounds=3)
-    n = DEEP_ROW_TRIALS
+    n = DEEP_TRIALS
     calls = [(deep, COORD, n, 0), (deep, NONCOORD, n, 0),
              (replace(deep, power=3.0), COORD, n, 0), (deep, COORD, n // 2, 0),
              (deep, COORD, n + 5000, 0), (replace(deep, power=3.0), NONCOORD, 4000, 777),
              (split, SPLIT, 30_000, 0), (split, SPLIT, 60_000, 0), (split, SPLIT, 20_000, 0),
              (replace(split, power=1e3), SPLIT, n, 0)]
-    drawn = spy_row_draws(monkeypatch)
     draws = count_draws(monkeypatch)
     warm, kinds = [], []
     for cfg, policy, count, start in calls:
-        before, rows_before = len(draws), len(drawn)
+        before = len(draws)
         warm.append(simulate_rounds(cfg, policy, count, SEED, start_trial=start))
         made = draws[before:]
-        kinds.append(("sparse" if len(drawn) > rows_before else "") +
-                     ("hit" if not made else "") +
+        kinds.append(("hit" if not made else "") +
                      ("extend" if any(first > start for _, _, first, _ in made) else ""))
         assert_memo_accounts_its_blocks(memo)
-    # the first deep call row-draws slot >= 1, a shallow one keeps it, the
-    # shorter range is served whole, the longer one extends its blocks
-    assert "sparse" in kinds[0] and kinds[3] == "hit" and "extend" in kinds[4]
+    # the first deep call keeps slot >= 1 for its live rows, the shorter
+    # range is served whole, the longer one extends its blocks
+    assert {slot for _, slot, *_ in draws} == {0, 1, 2}
+    assert kinds[0] == "" and kinds[3] == "hit" and "extend" in kinds[4]
     assert kinds[8] == "hit" and "extend" in kinds[7]
     for (cfg, policy, count, start), expected in zip(calls, warm):
         memo.clear()
@@ -773,36 +770,34 @@ def test_draw_memo_extends_a_shorter_block_bit_for_bit(memo, monkeypatch):
 
 
 def test_draw_memo_reads(memo, monkeypatch):
-    """A sparse miss row-draws and keeps nothing, a dense miss keeps its
-    block, and a hit draws nothing."""
+    """A sparse read on a cold memo draws the whole range and keeps it, a
+    hit draws nothing, and a sparse read past the cap keeps nothing."""
     made = []
 
     def draw(first, count, rows):
         made.append((first, count, rows is None))
         return uniform_block(SEED, 1, 0, first, count, rows=rows)[:, 0]
 
-    n = DEEP_ROW_TRIALS
+    n = DEEP_TRIALS
     cold = uniform_block(SEED, 1, 0, 9, n)[:, 0]
     rows = np.arange(0, n, 500)
-    drawn = spy_row_draws(monkeypatch)
     read = montecarlo._DRAWS.read
-    assert np.array_equal(read(("x",), 1, SEED, 9, n, rows, draw, 1, 8), cold[rows])
-    assert drawn == [len(rows)] and made == [(9, n, False)] and not memo.blocks
+    assert np.array_equal(read(("x",), 1, SEED, 9, n, rows, draw, 8), cold[rows])
+    assert made == [(9, n, True)] and list(memo.blocks) == [(("x",), 1, 9)]
     many = np.arange(0, n, 10)
-    assert np.array_equal(read(("x",), 1, SEED, 9, n, many, draw, 1, 8), cold[many])
-    assert made[1:] == [(9, n, True)] and list(memo.blocks) == [(("x",), 1, 9)]
     for r in (rows, many, None):
-        got = read(("x",), 1, SEED, 9, n, r, draw, 1, 8)
+        got = read(("x",), 1, SEED, 9, n, r, draw, 8)
         assert np.array_equal(got, cold if r is None else cold[r])
-    got = read(("x",), 1, SEED, 9, 1000, None, draw, 1, 8)
+    got = read(("x",), 1, SEED, 9, 1000, None, draw, 8)
     assert np.array_equal(got, cold[:1000]) and not got.flags.writeable
-    assert len(made) == 2 and drawn == [len(rows)]
+    assert len(made) == 1
     assert_memo_accounts_its_blocks(memo)
-    # with no room for the block, a dense miss draws its rows alone
+    # with no room for the block, a sparse read draws the range, takes its
+    # rows and keeps nothing
     monkeypatch.setattr(memo, "CAP_BYTES", memo.nbytes + 8 * n - 1)
-    assert np.array_equal(read(("x",), 1, SEED, 10, n, many, draw, 1, 8),
+    assert np.array_equal(read(("x",), 1, SEED, 10, n, many, draw, 8),
                           uniform_block(SEED, 1, 0, 10, n)[many, 0])
-    assert made[2:] == [(10, n, False)] and len(memo.blocks) == 1
+    assert made[1:] == [(10, n, False)] and len(memo.blocks) == 1
 
 
 def test_slot0_memo_keys_fading_parameters_and_antennas(memo):
