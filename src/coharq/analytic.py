@@ -26,6 +26,11 @@ from .special import gammainc_lower
 # target; well under the double-precision spacing at 1.
 _NEGLIGIBLE = 1e-17
 
+# Most terms the RTD gamma mixture may need, about min(c lf / ls, lf z) (see
+# gain_sum_cdf): a few seconds of work per 10^6 terms, so fading ratios up
+# to 10^6 stay in budget for up to ten copies at the slower rate.
+_MAX_MIXTURE_TERMS = 10**7
+
 # Base grid resolution for the INR convolution (doubled once for Richardson
 # extrapolation, giving an effective O(h^4) scheme).
 _INR_GRID_N = 2048
@@ -65,7 +70,8 @@ def gain_sum_cdf(n: int, m: int, lambdas, z: float) -> float:
     at the first K whose remainder, at most min(1 - W_K, P(n+m+K, y)), is
     below 1e-17 of the partial sum; equal rates, or no copy at the slower
     rate, stop it at K = 0 (the Erlang CDF). The work grows with the rate
-    ratio lf / ls, as K does.
+    ratio lf / ls, as K does: K is about min(c lf / ls, lf z), and past
+    _MAX_MIXTURE_TERMS a ValueError names the two fading parameters.
     """
     lam1, lam2 = lambdas
     if z <= 0.0:
@@ -78,6 +84,10 @@ def gain_sum_cdf(n: int, m: int, lambdas, z: float) -> float:
     y = lam_f * z
     if y == math.inf:
         return 1.0
+    if min(c * lam_f / lam_s, y) > _MAX_MIXTURE_TERMS:
+        raise ValueError(
+            f"fading parameters {lam1:g} and {lam2:g} are too far apart for the RTD "
+            f"closed form: its mixture would need more than {_MAX_MIXTURE_TERMS:.0e} terms")
     log_y = math.log(y)
     p = r ** c  # NegBin pmf at k
     w = p  # NegBin CDF at k

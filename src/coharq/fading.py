@@ -8,9 +8,10 @@ therefore produce bit-identical draws no matter how trials are partitioned
 across workers, and paired-seed experiments see literally the same channel
 realizations.
 
-A draw for selected trials (`rows`) draws the whole range with numpy's
-native Philox4x64-10 and transforms only those trials' words, so it
-equals the full block at those rows bit for bit.
+A draw is always a block of consecutive trials of one (seed, slot, band),
+drawn with numpy's native Philox4x64-10; a caller that needs some trials
+of a range takes them from the block, and the scalar oracle reads
+one-trial blocks.
 """
 
 import math
@@ -79,81 +80,49 @@ def _philox_key(master_seed: int, slot: int, band: int) -> int:
 
 
 def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
-                  n_trials: int, words: int = 1, rows=None) -> np.ndarray:
+                  n_trials: int, words: int = 1) -> np.ndarray:
     """Uniform(0,1) draws for trials [start_trial, start_trial + n_trials).
 
     Returns shape (n_trials, words): row t - start_trial holds words
     [t*words, (t+1)*words) of the (master_seed, slot, band) Philox stream,
     so the result depends only on (master_seed, slot, band, trial), never
-    on how calls are chunked. `rows`, if given, selects trial offsets in
-    [0, n_trials): the result is the full block indexed by `rows`.
+    on how calls are chunked.
     """
     blocks, skip = divmod(start_trial * words, _WORDS_PER_BLOCK)
     bg = Philox(key=_philox_key(master_seed, slot, band))
     if blocks:
         bg.advance(blocks)
-    u = Generator(bg).random(skip + n_trials * words)[skip:].reshape(n_trials, words)
-    return u if rows is None else np.take(u, rows, axis=0)
+    return Generator(bg).random(skip + n_trials * words)[skip:].reshape(n_trials, words)
 
 
 def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
-               start_trial: int, n_trials: int, rows=None) -> np.ndarray:
-    """Channel gains (|h|^2) for a range of trials on one (slot, band).
-
-    `rows`, if given, selects trial offsets in [0, n_trials) as in
-    uniform_block: the result equals the full block indexed by `rows`, and
-    only those rows are transformed.
-    """
+               start_trial: int, n_trials: int) -> np.ndarray:
+    """Channel gains (|h|^2) for a range of trials on one (slot, band)."""
     profile.check_band(band)
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials, rows=rows)[:, 0]
+    u = uniform_block(master_seed, slot, band, start_trial, n_trials)[:, 0]
     return -np.log1p(-u) / profile.lambdas[band]
 
 
 def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
-                 start_trial: int, n_trials: int, rows=None) -> np.ndarray:
-    """Channel matrices, shape (n_trials, rx, tx), entries CN(0, 1/lambda).
-
-    `rows` selects trial offsets as in gain_block; the result then has
-    len(rows) matrices.
-    """
+                 start_trial: int, n_trials: int) -> np.ndarray:
+    """Channel matrices, shape (n_trials, rx, tx), entries CN(0, 1/lambda)."""
     # imported here so that SISO and closed-form runs load numpy alone
     from scipy.special import ndtri
 
     profile.check_band(band)
     v, u_tx = profile.rx_antennas, profile.tx_antennas
     words = 2 * v * u_tx
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=words, rows=rows)
+    u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=words)
     z = ndtri(u) * np.sqrt(0.5 / profile.lambdas[band])
     re = z[:, : v * u_tx].reshape(-1, v, u_tx)
     im = z[:, v * u_tx:].reshape(-1, v, u_tx)
     return re + 1j * im
 
 
-@dataclass
+@dataclass(frozen=True)
 class Substream:
-    """Per-trial handle for scalar (one draw at a time) sampling.
-
-    Carries a slot cursor advanced by the protocol loop, so consecutive
-    retransmission rounds see independent block-fading draws.
-    """
+    """One trial of one master seed: the scalar oracle's handle on the
+    draws of a packet, which it reads as one-trial blocks, slot by slot."""
 
     master_seed: int
     trial: int
-    slot: int = 0
-
-    def policy_uniform(self) -> float:
-        """Uniform(0,1) for randomized allocation policies at the current slot."""
-        return float(uniform_block(self.master_seed, self.slot, POLICY_BAND,
-                                   self.trial, 1, words=1)[0, 0])
-
-
-def sample_gain(profile: FadingProfile, band: int, substream: Substream) -> float:
-    """One Exponential(lambda_band) channel gain at the substream's slot."""
-    return float(gain_block(profile, band, substream.slot, substream.master_seed,
-                            substream.trial, 1)[0])
-
-
-def sample_matrix(profile: FadingProfile, band: int, substream: Substream) -> np.ndarray:
-    """One rx x tx complex channel matrix at the substream's slot."""
-    return matrix_block(profile, band, substream.slot, substream.master_seed,
-                        substream.trial, 1)[0]

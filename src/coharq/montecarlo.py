@@ -52,13 +52,13 @@ class _DrawMemo:
     Grams (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the
     K=3 split's coin u < 0.5 of ("coin",), one byte per trial, kept under
     (what, slot, start). A block is read-only and serves its first n or
-    fewer trials, whole or at the live rows a read asks for: numpy's Philox
-    draws a whole range at a time, so a range is drawn once and every later
-    read of its rows takes them from the block. A call on another seed
+    fewer trials, whole or at the live rows a read asks for: `fading` draws
+    whole ranges of trials only, so a range is drawn once and every read of
+    its rows takes them from the block, kept or not. A call on another seed
     drops every block; a block that would take the memo past CAP_BYTES is
     returned but not kept (nothing is evicted). Worker processes fill their
-    own memo, which ends with the call's pool, and the scalar oracle draws
-    through `fading` and never reads it.
+    own memo, which ends with the call's pool, and the scalar oracle reads
+    one-trial blocks of `fading` and never reads the memo.
     """
 
     CAP_BYTES = 32 << 20
@@ -70,29 +70,24 @@ class _DrawMemo:
         self.seed, self.blocks, self.nbytes = master_seed, {}, 0
 
     def read(self, what: tuple, slot: int, master_seed: int, start_trial: int,
-             n_trials: int, rows, draw, trial_bytes: int):
+             n_trials: int, rows, draw):
         """The block `what` of `slot` over trials [start_trial, start_trial +
         n_trials) at the trial offsets `rows`, or all of them when None.
-        `draw(first, count, rows)` makes trials [first, first + count) at
-        `rows`; a block holds `trial_bytes` bytes per trial.
+        `draw(first, count)` makes trials [first, first + count).
 
-        A kept block that covers the range serves it. A read of `rows` whose
-        block the memo has no room for draws the range, transforms the rows
-        alone and keeps nothing. Any other read draws the whole range, or
-        the trials past a shorter block kept at start_trial (draws are keyed
-        by trial, so the two join bit for bit), and keeps it.
+        A kept block that covers the range serves it. Otherwise the read
+        draws the range, or the trials past a shorter block kept at
+        start_trial (draws are keyed by trial, so the two join bit for
+        bit), and keeps it if it fits under CAP_BYTES.
         """
         if master_seed != self.seed:
             self.clear(master_seed)
         key = (what, slot, start_trial)
-        kept = self.blocks.get(key)
-        have = 0 if kept is None else kept.shape[-1]
-        if kept is not None and have >= n_trials:
-            block = kept
-        elif rows is not None and self.nbytes + (n_trials - have) * trial_bytes > self.CAP_BYTES:
-            return draw(start_trial, n_trials, rows)
-        else:
-            block = draw(start_trial + have, n_trials - have, None)
+        block = self.blocks.get(key)
+        have = 0 if block is None else block.shape[-1]
+        if have < n_trials:
+            kept = block
+            block = draw(start_trial + have, n_trials - have)
             if kept is not None:
                 block = np.concatenate([kept, block], axis=-1)
             size = sys.getsizeof(block) - (0 if kept is None else sys.getsizeof(kept))
@@ -111,9 +106,9 @@ def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
     """The K=3 split's coin u < 0.5 from `slot`'s policy uniform for the
     trial offsets `rows` of [start_trial, start_trial + n_trials), read
     through the memo of this seed's draws (_DRAWS)."""
-    def draw(first, count, rows):
-        return uniform_block(master_seed, slot, POLICY_BAND, first, count, rows=rows)[:, 0] < 0.5
-    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw, 1)
+    def draw(first, count):
+        return uniform_block(master_seed, slot, POLICY_BAND, first, count)[:, 0] < 0.5
+    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw)
 
 
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
@@ -222,7 +217,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     k, m_max = config.n_users, config.max_rounds
     rtd = config.scheme is Scheme.RTD
     siso = profile.is_siso
-    u_tx = profile.tx_antennas
+    u_tx, v_rx = profile.tx_antennas, profile.rx_antennas
     rates = np.array([c.rates for c in configs], dtype=float).T      # (K, G)
     n_cfg = rates.shape[1]
     powers = list(dict.fromkeys(c.power for c in configs))     # distinct, in order
@@ -230,21 +225,16 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     n_pow, powers = len(powers), np.array(powers, dtype=float)
     users = np.arange(k)
 
-    v_rx = profile.rx_antennas
-    # bytes a trial's gain or packed Gram holds
-    trial_bytes = 8 if siso else 8 * u_tx * u_tx
-
     def draw(b, s, rows):
         # the power-free part of one copy on band b at slot s, for trial offsets
         # rows (all trials when None), read through the memo of this seed's draws
-        def make(first, count, rows):
+        def make(first, count):
             if siso:
-                return gain_block(profile, b, s, master_seed, first, count, rows=rows)
-            return hermitian_gram(matrix_block(profile, b, s, master_seed, first, count,
-                                               rows=rows))
+                return gain_block(profile, b, s, master_seed, first, count)
+            return hermitian_gram(matrix_block(profile, b, s, master_seed, first, count))
         lam = profile.lambdas[b]
         what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, v_rx)
-        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, trial_bytes)
+        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make)
 
     def carried(x, power):
         # what that copy adds to the accumulator at `power`

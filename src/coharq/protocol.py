@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .fading import (ConfigurationError, FadingProfile, Substream,
-                     sample_gain, sample_matrix)
+from .fading import (POLICY_BAND, ConfigurationError, FadingProfile, Substream,
+                     gain_block, matrix_block, uniform_block)
 from .rates import Scheme, inr_nats, mimo_nats_inr, mimo_nats_rtd, rtd_nats
 # the per-use rates stay importable here: perfbench/tracing.py binds these names
 from .rates import mimo_rate_inr, mimo_rate_rtd, u_inr, u_rtd  # noqa: F401
@@ -79,6 +79,12 @@ def policy_allocate(failed, free_bands, policy: AllocationPolicy, n_users: int,
     With no failed users, bands revert to their owners (new packets). The
     K=3 random split deals its one free band between two failed users from
     the first if `coin` is true, else from the second.
+
+    At K >= 4 round-robin is not pathwise monotone: when a user resolves,
+    the deal starts again and can hand a failed user another band, and so
+    another draw, than the one it gets when fewer users resolve, so on
+    some trials more power or lower rates make a user decode later. This
+    says nothing against its law.
     """
     failed = sorted(failed)
     if not failed or policy.kind is PolicyKind.NON_COORDINATED:
@@ -187,15 +193,20 @@ def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
     """Run one packet to termination (at most M slots).
 
     With the non-coordinated policy each user's trajectory is statistically
-    identical to isolated single-user HARQ with M rounds.
+    identical to isolated single-user HARQ with M rounds. Each slot reads
+    one-trial blocks of the substream's trial: one draw per band, and for
+    the K=3 split the policy uniform behind the next slot's coin.
     """
     ledger = SlotLedger(config=config)
-    sample = sample_gain if config.profile.is_siso else sample_matrix
+    block = gain_block if config.profile.is_siso else matrix_block
     needs_coin = policy.kind is PolicyKind.RANDOM_SPLIT_K3
+    seed, trial = substream.master_seed, substream.trial
     while ledger.active:
-        substream.slot = ledger.slot
-        draws = [sample(config.profile, b, substream) for b in range(config.n_users)]
-        coin = substream.policy_uniform() < 0.5 if needs_coin else None
+        draws = [block(config.profile, b, ledger.slot, seed, trial, 1)[0]
+                 for b in range(config.n_users)]
+        coin = None
+        if needs_coin:
+            coin = uniform_block(seed, ledger.slot, POLICY_BAND, trial, 1)[0, 0] < 0.5
         advance_slot(ledger, draws, config, policy, coin=coin)
     return PacketOutcome(decode_round=tuple(ledger.decode_round),
                          slots_consumed=ledger.slot)

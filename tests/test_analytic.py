@@ -113,6 +113,18 @@ def test_phi_monte_carlo_oracle():
     assert abs(val - est) < 3 * math.sqrt(val * (1 - val) / n)
 
 
+def test_mixture_past_its_term_budget_is_refused():
+    """The mixture needs about min(c lf / ls, lf z) terms: past the budget
+    the CDF names both fading parameters instead of running for hours, and
+    a huge ratio with few terms still has its value."""
+    for n, m, lambdas, z in ((1, 1, (1e300, 1.0), 1.0), (1, 2, (1e7, 1.0), 1.5)):
+        with pytest.raises(ValueError, match=r"fading parameters .* and .* too far apart"):
+            gain_sum_cdf(n, m, lambdas, z)
+    # lf z = 10 terms: the slow copy must fall below z less the fast one,
+    # whose mean is 1e-300, so the CDF is about z - 1e-300
+    assert gain_sum_cdf(1, 1, (1e300, 1.0), 1e-299) == pytest.approx(9e-300, rel=1e-4)
+
+
 # ---------------------------------------------------------------------------
 # RTD accumulated-rate CDF
 

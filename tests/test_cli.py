@@ -1,9 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
+import coharq
 from coharq.cli import (CSV_HEADER, MAX_AXIS_POINTS, ResultRow, build_config,
                         default_rate_grid, emit_csv, main, optimize_rates, parse_axis,
                         resolve_policy, run_preset)
@@ -300,6 +305,23 @@ def test_main_unwritable_out_exit_2(command, tmp_path, capsys):
         err = assert_config_error([*argv, "--trials", "0", "--out", str(out)], capsys)
         assert "cannot write" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.ini"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--lambdas", "1e300,1", "--m", "2", "--snr-db", "0", "--trials", "1000"],
+    ["analytic", "--op", "cdf-rtd", "--n", "1", "--m", "1", "--lambdas", "1e300,1"],
+])
+def test_extreme_fading_ratio_is_refused_in_time(argv, tmp_path):
+    """A fading ratio whose RTD mixture would need more terms than the
+    budget ends in one config error line, not in a run that never ends."""
+    src = Path(coharq.__file__).resolve().parents[1]
+    done = subprocess.run([sys.executable, "-m", "coharq.cli", *argv], cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=10)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.count("\n") == 1 and done.stderr.startswith("config error: ")
+    assert "1e+300" in done.stderr and " 1 " in done.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_zero_trials_exit_2(capsys):

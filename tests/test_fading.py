@@ -6,9 +6,8 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, Substream,
-                           gain_block, matrix_block, sample_gain, sample_matrix,
-                           uniform_block)
+from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
+                           matrix_block, uniform_block)
 
 SEED = 20260826
 
@@ -73,11 +72,14 @@ def test_lag_one_autocorrelation():
 
 
 def test_scalar_matches_block():
+    """A one-trial block, the scalar oracle's read, at odd trials and slots
+    >= 1 equals that trial's row of the full block."""
     prof = FadingProfile(lambdas=(1.0, 0.5))
-    sub = Substream(master_seed=SEED, trial=41, slot=2)
-    draw = sample_gain(prof, 1, sub)
-    block = gain_block(prof, 1, 2, SEED, 41, 1)
-    assert type(draw) is float and draw == block[0]
+    for band, slot in ((0, 1), (1, 2)):
+        block = gain_block(prof, band, slot, SEED, 0, 48)
+        for trial in (*range(1, 16, 2), 41):
+            one = gain_block(prof, band, slot, SEED, trial, 1)
+            assert one.shape == (1,) and one[0] == block[trial]
 
 
 def test_mimo_siso_reduction():
@@ -102,9 +104,9 @@ def test_mimo_entry_second_moments():
 
 def test_sample_matrix_shape():
     prof = FadingProfile(lambdas=(1.0, 1.0), tx_antennas=3, rx_antennas=2)
-    draw = sample_matrix(prof, 0, Substream(SEED, trial=0))
+    draw = matrix_block(prof, 0, 1, SEED, 7, 1)[0]
     assert draw.shape == (2, 3) and draw.dtype == complex
-    assert np.array_equal(draw, matrix_block(prof, 0, 0, SEED, 0, 1)[0])
+    assert np.array_equal(draw, matrix_block(prof, 0, 1, SEED, 0, 8)[7])
 
 
 def test_uniform_block_is_pure_function_of_key():
@@ -132,32 +134,25 @@ def test_packed_layout_is_the_philox_stream():
     assert np.array_equal(uniform_block(SEED, slot, band, 0, 1, words=8)[0], expect)
 
 
-def test_compacted_gain_path_matches_dense():
+def test_block_at_any_start_is_a_slice_of_a_longer_block():
+    """Blocks whose first word sits at every lane of a Philox block, with
+    counters past 2^32, equal the matching slice of a longer block: one,
+    three and eight words, a fading band and the policy band."""
+    base, n = 2**32, 64
+    for words, band in itertools.product((1, 3, 8), (1, POLICY_BAND)):
+        whole = uniform_block(SEED, 2, band, base, n, words=words)
+        for start in (base + 1, base + 2, base + 3):
+            for count in (1, 5, n - 3):
+                got = uniform_block(SEED, 2, band, start, count, words=words)
+                assert got.shape == (count, words)
+                assert np.array_equal(got, whole[start - base:start - base + count]), \
+                    (words, band, start, count)
     prof = FadingProfile(lambdas=(1.0, 0.5), tx_antennas=2, rx_antennas=2)
-    rows = np.array([0, 3, 4, 9, 97, 98])
-    dense_g = gain_block(prof, 1, 2, SEED, 13, 100)
-    assert np.array_equal(gain_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_g[rows])
-    dense_h = matrix_block(prof, 1, 2, SEED, 13, 100)
-    assert np.array_equal(matrix_block(prof, 1, 2, SEED, 13, 100, rows=rows), dense_h[rows])
-    # few and many rows, unsorted and repeated; one, three and eight words;
-    # the policy band; first words at every lane of a Philox block and
-    # counters past 2^32
-    n = 6400
-    rng = np.random.default_rng(SEED)
-    for words, band, start in itertools.product((1, 3, 8), (1, POLICY_BAND),
-                                                (13, 2**32 + 1, 2**32 + 2, 2**32 + 3)):
-        dense = uniform_block(SEED, 2, band, start, n, words=words)
-        for count in (1, 99, 100, 2000):
-            rows = rng.choice(n, size=count)
-            got = uniform_block(SEED, 2, band, start, n, words=words, rows=rows)
-            assert got.shape == (count, words) and np.array_equal(got, dense[rows]), \
-                (words, band, start, count)
-    rows = rng.choice(n, size=50)
-    for start in (13, 2**32 + 3):
-        assert np.array_equal(gain_block(prof, 0, 3, SEED, start, n, rows=rows),
-                              gain_block(prof, 0, 3, SEED, start, n)[rows])
-        assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, n, rows=rows),
-                              matrix_block(prof, 1, 3, SEED, start, n)[rows])
+    for start in (13, base + 3):
+        assert np.array_equal(gain_block(prof, 0, 3, SEED, start, 50),
+                              gain_block(prof, 0, 3, SEED, start - 3, 60)[3:53])
+        assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, 50),
+                              matrix_block(prof, 1, 3, SEED, start - 3, 60)[3:53])
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
@@ -165,7 +160,7 @@ def test_seed_outside_64_bits_is_refused(seed):
     with pytest.raises(ConfigurationError, match="master seed"):
         uniform_block(seed, 0, 0, 0, 4)
     with pytest.raises(ConfigurationError, match="master seed"):
-        sample_gain(FadingProfile(lambdas=(1.0,)), 0, Substream(seed, trial=0))
+        gain_block(FadingProfile(lambdas=(1.0,)), 0, 0, seed, 0, 1)
 
 
 def test_seeds_at_the_ends_of_the_range_draw_their_own_streams():
@@ -174,9 +169,3 @@ def test_seeds_at_the_ends_of_the_range_draw_their_own_streams():
     bg = Philox(key=(((1 << 64) - 1) << 64) | 0)
     assert np.array_equal(top[:, 0], Generator(bg).random(8))
 
-
-def test_scalar_matches_block_at_odd_trials():
-    prof = FadingProfile(lambdas=(1.0, 0.5))
-    block = gain_block(prof, 0, 1, SEED, 0, 16)
-    for trial in range(1, 16, 2):
-        assert sample_gain(prof, 0, Substream(SEED, trial=trial, slot=1)) == block[trial]

@@ -770,34 +770,40 @@ def test_draw_memo_extends_a_shorter_block_bit_for_bit(memo, monkeypatch):
 
 
 def test_draw_memo_reads(memo, monkeypatch):
-    """A sparse read on a cold memo draws the whole range and keeps it, a
-    hit draws nothing, and a sparse read past the cap keeps nothing."""
+    """A read of some rows on a cold memo draws the whole range and keeps
+    it, a hit draws nothing, and a read with no room keeps nothing and
+    returns exactly the rows a kept block serves."""
     made = []
 
-    def draw(first, count, rows):
-        made.append((first, count, rows is None))
-        return uniform_block(SEED, 1, 0, first, count, rows=rows)[:, 0]
+    def draw(first, count):
+        made.append((first, count))
+        return uniform_block(SEED, 1, 0, first, count)[:, 0]
 
     n = DEEP_TRIALS
     cold = uniform_block(SEED, 1, 0, 9, n)[:, 0]
     rows = np.arange(0, n, 500)
     read = montecarlo._DRAWS.read
-    assert np.array_equal(read(("x",), 1, SEED, 9, n, rows, draw, 8), cold[rows])
-    assert made == [(9, n, True)] and list(memo.blocks) == [(("x",), 1, 9)]
-    many = np.arange(0, n, 10)
+    assert np.array_equal(read(("x",), 1, SEED, 9, n, rows, draw), cold[rows])
+    assert made == [(9, n)] and list(memo.blocks) == [(("x",), 1, 9)]
+    # unsorted and repeated
+    many = np.random.default_rng(SEED).choice(n, size=n // 10)
     for r in (rows, many, None):
-        got = read(("x",), 1, SEED, 9, n, r, draw, 8)
+        got = read(("x",), 1, SEED, 9, n, r, draw)
         assert np.array_equal(got, cold if r is None else cold[r])
-    got = read(("x",), 1, SEED, 9, 1000, None, draw, 8)
+    got = read(("x",), 1, SEED, 9, 1000, None, draw)
     assert np.array_equal(got, cold[:1000]) and not got.flags.writeable
     assert len(made) == 1
     assert_memo_accounts_its_blocks(memo)
-    # with no room for the block, a sparse read draws the range, takes its
-    # rows and keeps nothing
-    monkeypatch.setattr(memo, "CAP_BYTES", memo.nbytes + 8 * n - 1)
-    assert np.array_equal(read(("x",), 1, SEED, 10, n, many, draw, 8),
-                          uniform_block(SEED, 1, 0, 10, n)[many, 0])
-    assert made[1:] == [(10, n, False)] and len(memo.blocks) == 1
+    # with no room, a read draws the range, keeps nothing and returns the
+    # rows that the same block, once kept, serves
+    monkeypatch.setattr(memo, "CAP_BYTES", 0)
+    tight = read(("x",), 1, SEED, 10, n, many, draw)
+    assert made[1:] == [(10, n)] and list(memo.blocks) == [(("x",), 1, 9)]
+    monkeypatch.undo()
+    served = read(("x",), 1, SEED, 10, n, many, draw)
+    assert (("x",), 1, 10) in memo.blocks and len(made) == 3
+    assert tight.dtype == served.dtype and np.array_equal(tight, served)
+    assert np.array_equal(served, uniform_block(SEED, 1, 0, 10, n)[many, 0])
 
 
 def test_slot0_memo_keys_fading_parameters_and_antennas(memo):

@@ -235,16 +235,15 @@ def test_noncoordinated_matches_single_user_oracle():
     isolated single-user chase protocol on its own band (same draws)."""
     cfg = make_config(rates=(0.7, 0.9), lambdas=(1.0, 2.0), power=2.0,
                       max_rounds=3)
-    from coharq.fading import sample_gain
+    from coharq.fading import gain_block
     for trial in range(200):
         out = run_packet(cfg, NONCOORD, Substream(SEED, trial=trial))
         for user in range(2):
-            # brute-force single-user replay from the same substream draws
+            # brute-force single-user replay from the same one-trial draws
             acc = 0.0
             decided = 0
             for r in range(1, 4):
-                s = Substream(SEED, trial=trial, slot=r - 1)
-                acc += sample_gain(cfg.profile, user, s) * cfg.power
+                acc += gain_block(cfg.profile, user, r - 1, SEED, trial, 1)[0] * cfg.power
                 if math.log1p(acc) >= cfg.rates[user]:
                     decided = r
                     break
