@@ -35,9 +35,21 @@ _MAX_MIXTURE_TERMS = 10**7
 # extrapolation, giving an effective O(h^4) scheme).
 _INR_GRID_N = 2048
 
+# Fewest base-grid steps that a band's per-copy mutual information may span
+# in the INR convolution (_check_inr_grid). At 8 steps the CDF stays within
+# 4e-7 of a 2^16-step grid for up to six copies (an M <= 3 table holds
+# five); at 6 steps five copies err by 1.1e-6, and at 2 steps one copy per
+# band errs by 1.6e-5.
+_INR_MIN_STEPS = 8
+
 
 class ConsistencyError(ValueError):
     """Probabilities that should form a distribution do not."""
+
+
+class ClosedFormRangeError(ValueError):
+    """A closed form refuses parameters it cannot evaluate to its accuracy
+    in reasonable time; Monte Carlo still serves them."""
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +83,8 @@ def gain_sum_cdf(n: int, m: int, lambdas, z: float) -> float:
     below 1e-17 of the partial sum; equal rates, or no copy at the slower
     rate, stop it at K = 0 (the Erlang CDF). The work grows with the rate
     ratio lf / ls, as K does: K is about min(c lf / ls, lf z), and past
-    _MAX_MIXTURE_TERMS a ValueError names the two fading parameters.
+    _MAX_MIXTURE_TERMS a ClosedFormRangeError names the two fading
+    parameters.
     """
     lam1, lam2 = lambdas
     if z <= 0.0:
@@ -85,7 +98,7 @@ def gain_sum_cdf(n: int, m: int, lambdas, z: float) -> float:
     if y == math.inf:
         return 1.0
     if min(c * lam_f / lam_s, y) > _MAX_MIXTURE_TERMS:
-        raise ValueError(
+        raise ClosedFormRangeError(
             f"fading parameters {lam1:g} and {lam2:g} are too far apart for the RTD "
             f"closed form: its mixture would need more than {_MAX_MIXTURE_TERMS:.0e} terms")
     log_y = math.log(y)
@@ -191,6 +204,26 @@ def _inr_cdf_grids(copies, power: float, x: float, n_intervals: int) -> dict:
     return {t: float(np.trapezoid(conv[t], dx=h)) for t in copies}
 
 
+def _check_inr_grid(n: int, m: int, lam1: float, lam2: float, power: float,
+                    x: float) -> None:
+    """Refuse copy counts the INR convolution cannot resolve on its grid.
+
+    A copy's mutual information log(1 + gP), g ~ Exp(lam), spreads over
+    about log1p(P / lam) nats. Where that spans fewer than _INR_MIN_STEPS
+    of the x / _INR_GRID_N grid steps, the density is a spike at 0 that the
+    trapezoid rule misses, and the CDF is wrong with no sign of it (off by
+    0.18 at P = x = 1 and lam = 1e5). A ClosedFormRangeError names both
+    fading parameters and the power instead."""
+    for lam, copies in ((lam1, n), (lam2, m)):
+        spread = math.log1p(power / lam)
+        if copies and spread * _INR_GRID_N < _INR_MIN_STEPS * x:
+            raise ClosedFormRangeError(
+                f"fading parameters {lam1:g} and {lam2:g} at power {power:g} are out of "
+                f"reach of the INR closed form: a copy at {lam:g} carries about "
+                f"{spread:.3g} nats, under {_INR_MIN_STEPS} steps of its "
+                f"{x / _INR_GRID_N:.3g}-nat grid")
+
+
 # (n, m, l1, l2, power, x) -> CDF of the grid-evaluated counts, least
 # recently used first
 _INR_CACHE = OrderedDict()
@@ -202,7 +235,9 @@ def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
 
     The pairs not cached are evaluated together: one convolution pass over
     all their copy tuples on the base grid and one on the doubled grid,
-    then Richardson extrapolation of each.
+    then Richardson extrapolation of each. Saturated and one-copy pairs
+    are exact; the others are refused where the grid is too coarse
+    (_check_inr_grid).
     """
     for n, m in counts:
         if n < 0 or m < 0 or n + m < 1:
@@ -222,6 +257,7 @@ def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
             _INR_CACHE.move_to_end(key)
             out[n, m] = _INR_CACHE[key]
         else:
+            _check_inr_grid(n, m, lam1, lam2, power, x)
             missing[n, m] = (lam1,) * n + (lam2,) * m
     if missing:
         coarse = _inr_cdf_grids(missing.values(), power, x, _INR_GRID_N)
@@ -239,7 +275,9 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     log(1 + g*P), with n copies at rate l1 and m at rate l2.
 
     Evaluated by iterated numerical convolution of the single-copy densities
-    on [0, x] with Richardson extrapolation; absolute accuracy ~1e-6.
+    on [0, x] with Richardson extrapolation; absolute accuracy ~1e-6. A
+    ClosedFormRangeError refuses a band whose copies are too narrow for the
+    grid (_check_inr_grid).
     """
     return _cdf_inr_counts([(n, m)], lambdas, power, x)[n, m]
 

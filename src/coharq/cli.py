@@ -6,7 +6,10 @@ fading parameter (fig1b), throughput with exhaustively optimized rates
 (fig1c), and the three-user outage curves (fig2). All output is plot-ready
 CSV; plotting itself is out of process.
 
-Exit codes: 0 success, 2 configuration error, 3 fit/range error.
+Exit codes: 0 success, 2 configuration error. A closed form refuses
+parameters it cannot evaluate (analytic.ClosedFormRangeError): `analytic`
+and a closed-form `optimize` then exit 2, while a sweep point gets a NaN
+analytic_value and keeps its Monte Carlo value.
 """
 
 import argparse
@@ -23,9 +26,8 @@ import numpy as np
 
 from . import analytic
 from .fading import ConfigurationError, FadingProfile, check_seed
-from .montecarlo import (AllocationPolicy, FitWindowError, RangeError,
-                         analytic_counterparts, closed_form_tables, db_to_linear, estimate,
-                         estimate_grid, sweep)
+from .montecarlo import (AllocationPolicy, analytic_counterparts, closed_form_tables,
+                         db_to_linear, estimate, estimate_grid, sweep)
 from .protocol import PolicyKind, ProtocolConfig
 from .rates import Scheme
 
@@ -242,12 +244,6 @@ def preset_fig1b(trials: int, seed: int, n_jobs: int = 1):
     return rows
 
 
-def default_rate_grid(step: float = 0.25, stop: float = 8.0):
-    n = int(round(stop / step))
-    vals = [step * i for i in range(1, n + 1)]
-    return [(ra, rb) for ra in vals for rb in vals]
-
-
 def preset_fig1c(trials: int, seed: int, n_jobs: int = 1):
     """Throughput with exhaustively optimized rates vs SNR.
 
@@ -256,7 +252,8 @@ def preset_fig1c(trials: int, seed: int, n_jobs: int = 1):
     """
     rows = []
     axis = [float(s) for s in range(0, 33, 3)]
-    grid = default_rate_grid(step=0.5)
+    rates = [0.5 * i for i in range(1, 17)]
+    grid = [(ra, rb) for ra in rates for rb in rates]
     for scheme, policy_name in itertools.product(("rtd", "inr"), ("coord", "noncoord")):
         pol = resolve_policy(policy_name, 2)
         for snr_db in axis:
@@ -514,9 +511,6 @@ def main(argv=None) -> int:
         # configparser messages span several lines
         print("config error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
-    except (FitWindowError, RangeError) as exc:
-        print(f"range error: {exc}", file=sys.stderr)
-        return 3
     return 0
 
 

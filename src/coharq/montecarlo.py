@@ -26,7 +26,9 @@ from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, check_rates
                        policy_allocate)
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
-DEFAULT_CHUNK = 1_000_000
+# Trials a chunk plan runs at a time (see _batch_stats), and the trials of
+# each dominance_violations step.
+CHUNK = 1_000_000
 # Cells of the (M+1)^K table that Monte Carlo statistics count packets in;
 # simulate_rounds itself serves any K.
 MAX_TABLE_CELLS = 1 << 16
@@ -383,22 +385,21 @@ def _chunk_stats(task) -> list:
 
 
 def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
-                 chunk: int, n_jobs: int) -> list:
+                 n_jobs: int) -> list:
     """The count tables (_chunk_stats) of trials [0, n_trials[g]) of each
-    of `configs` (as in _live_rounds). A chunk runs ceil(min(chunk, max
+    of `configs` (as in _live_rounds). A chunk runs ceil(min(CHUNK, max
     n_trials) / G) trials of the G configurations short of their count, or
     fewer where one of them reaches it and so leaves the plan: it holds
     about as many columns as a one-configuration chunk. Tables add integer
     counts, so any chunk size or worker count gives identical tables."""
-    for name, value in (*(("n_trials", n) for n in n_trials), ("chunk", chunk),
-                        ("n_jobs", n_jobs)):
+    for name, value in (*(("n_trials", n) for n in n_trials), ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
     cells = (configs[0].max_rounds + 1) ** configs[0].n_users
     if cells > MAX_TABLE_CELLS:
         raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
                          f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
-    per_chunk = min(chunk, max(n_trials, default=0))
+    per_chunk = min(CHUNK, max(n_trials, default=0))
     plan, tasks, start = [], [], 0
     live = list(range(len(configs)))
     while live:
@@ -421,11 +422,11 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
 
 
 def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
-                   master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> np.ndarray:
+                   master_seed: int, n_jobs: int = 1) -> np.ndarray:
     """Run n_trials independent packets and count them by resolve rounds:
     the one-configuration case of the chunk plan that estimate_grid and
     sweep run on."""
-    return _batch_stats([config], policy, [n_trials], master_seed, chunk, n_jobs)[0]
+    return _batch_stats([config], policy, [n_trials], master_seed, n_jobs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +453,7 @@ def _bernoulli_ci(successes: int, trials: int) -> float:
 
 
 def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
-             master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> dict:
+             master_seed: int, n_jobs: int = 1) -> dict:
     """Point estimates with 95% confidence half-widths.
 
     Targets: per-user outage (per-slot, i.e. gamma-weighted, plus a
@@ -463,13 +464,12 @@ def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
     that `analytic_counterparts` applies to the closed-form table; the
     half-widths come from the same counts. Needs (M+1)^K <= MAX_TABLE_CELLS.
     """
-    counts = simulate_batch(config, policy, n_trials, master_seed, chunk=chunk, n_jobs=n_jobs)
+    counts = simulate_batch(config, policy, n_trials, master_seed, n_jobs=n_jobs)
     return estimates_from_stats(counts, config)
 
 
 def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
-                  n_trials: int, master_seed: int, chunk: int = DEFAULT_CHUNK,
-                  n_jobs: int = 1) -> list:
+                  n_trials: int, master_seed: int, n_jobs: int = 1) -> list:
     """estimate() for every rate vector of `rate_grid`, on shared draws.
 
     Returns one dict per vector, in grid order, equal to estimate() of
@@ -477,14 +477,14 @@ def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
     Draws are keyed by (seed, trial, slot, band), never by the rates, so
     the vectors share them (common random numbers): each trial's channels
     are drawn and transformed once for the whole grid. It shares the chunk
-    plan of simulate_batch and sweep: a chunk runs ceil(min(chunk,
+    plan of simulate_batch and sweep: a chunk runs ceil(min(CHUNK,
     n_trials) / G) trials of all G vectors, about as many columns as a
     one-vector chunk.
     """
     configs = [replace(config, rates=tuple(rates)) for rates in rate_grid]
     if not configs:
         raise ValueError("rate grid is empty")
-    tables = _batch_stats(configs, policy, [n_trials] * len(configs), master_seed, chunk, n_jobs)
+    tables = _batch_stats(configs, policy, [n_trials] * len(configs), master_seed, n_jobs)
     return [estimates_from_stats(t, cfg) for t, cfg in zip(tables, configs)]
 
 
@@ -556,10 +556,14 @@ def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> d
     `analytic.reduce_table` of the closed-form table.
 
     Available for K = 2 SISO under any policy defined for two users
-    (has_closed_form); returns {} otherwise (those cases are Monte Carlo
-    only).
+    (has_closed_form); returns {} otherwise, and where the closed form
+    refuses the parameters (analytic.ClosedFormRangeError): those cases
+    are Monte Carlo only.
     """
-    tables = closed_form_tables(config, policy, [config.rates])
+    try:
+        tables = closed_form_tables(config, policy, [config.rates])
+    except analytic.ClosedFormRangeError:
+        return {}
     return {} if tables is None else analytic.reduce_table(tables[0], config.rates)
 
 
@@ -575,9 +579,8 @@ class SweepResult:
     n_trials: list
     master_seed: int
 
-    def outage_curve(self, user: int, per_packet: bool = False):
-        key = f"outage_{'packet_' if per_packet else ''}user{user}"
-        return np.array([pt[key].point for pt in self.estimates])
+    def outage_curve(self, user: int):
+        return np.array([pt[f"outage_user{user}"].point for pt in self.estimates])
 
 
 def db_to_linear(snr_db: float) -> float:
@@ -589,7 +592,7 @@ def db_to_linear(snr_db: float) -> float:
 
 
 def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_db,
-          n_trials, master_seed: int, chunk: int = DEFAULT_CHUNK, n_jobs: int = 1) -> SweepResult:
+          n_trials, master_seed: int, n_jobs: int = 1) -> SweepResult:
     """estimate() and analytic_counterparts() at each SNR point, on shared
     draws. `n_trials` may be a scalar or one count per point; point i
     equals estimate() of the template at power db_to_linear(snr) with its
@@ -602,22 +605,21 @@ def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_
     if len(n_trials) != len(snr_points_db):
         raise ValueError(f"need one trial count per SNR point, got {len(n_trials)}")
     configs = [replace(config_template, power=db_to_linear(snr_db)) for snr_db in snr_points_db]
-    tables = _batch_stats(configs, policy, n_trials, master_seed, chunk, n_jobs)
+    tables = _batch_stats(configs, policy, n_trials, master_seed, n_jobs)
     return SweepResult(snr_db=snr_points_db,
                        estimates=[estimates_from_stats(t, cfg) for t, cfg in zip(tables, configs)],
                        analytic=[analytic_counterparts(cfg, policy) for cfg in configs],
                        n_trials=n_trials, master_seed=master_seed)
 
 
-def fit_diversity_slope(sweep_result: SweepResult, user: int,
-                        top_decades: float = 2.0) -> float:
+def fit_diversity_slope(sweep_result: SweepResult, user: int) -> float:
     """Least-squares slope of log10(outage) vs log10(P) over the deepest
-    `top_decades` decades of resolvable outage.
+    two decades of resolvable outage.
 
     Points need at least 10 observed outages to enter the fit (below that
     the relative CI explodes); among the reliable points, the window keeps
-    those within a factor 10^top_decades of the smallest outage, i.e. the
-    highest-SNR region where the slope has converged."""
+    those within a factor 100 of the smallest outage, i.e. the highest-SNR
+    region where the slope has converged."""
     snr_db = np.asarray(sweep_result.snr_db, dtype=float)
     outage = sweep_result.outage_curve(user)
     trials = np.asarray(sweep_result.n_trials, dtype=float)
@@ -627,10 +629,10 @@ def fit_diversity_slope(sweep_result: SweepResult, user: int,
                              "raise the trial count")
     log_p = snr_db / 10.0
     floor = outage[reliable].min()
-    window = reliable & (outage <= floor * 10.0 ** top_decades)
+    window = reliable & (outage <= floor * 100.0)
     if window.sum() < 3:
         raise FitWindowError("fewer than 3 reliable points in the fit window; "
-                             "raise the trial count or widen the window")
+                             "raise the trial count")
     slope = np.polyfit(log_p[window], np.log10(outage[window]), 1)[0]
     return float(slope)
 
@@ -662,8 +664,7 @@ def energy_gain_at_outage(sweep_a: SweepResult, sweep_b: SweepResult,
 
 
 def dominance_violations(config: ProtocolConfig, coordinated_policy: AllocationPolicy,
-                         n_trials: int, master_seed: int,
-                         chunk: int = DEFAULT_CHUNK) -> int:
+                         n_trials: int, master_seed: int) -> int:
     """Paired-seed check: count user-trials whose decode round is later with
     coordination than without, on identical fading draws, outage read as
     round M+1. A failed user keeps its own band under every policy and
@@ -672,8 +673,8 @@ def dominance_violations(config: ProtocolConfig, coordinated_policy: AllocationP
     noncoord = AllocationPolicy(PolicyKind.NON_COORDINATED)
     outage = config.max_rounds + 1
     violations = 0
-    for start in range(0, n_trials, chunk):
-        count = min(chunk, n_trials - start)
+    for start in range(0, n_trials, CHUNK):
+        count = min(CHUNK, n_trials - start)
         r_nc, r_co = (simulate_rounds(config, policy, count, master_seed, start_trial=start)
                       for policy in (noncoord, coordinated_policy))
         violations += int(np.count_nonzero(np.where(r_co == 0, outage, r_co) >

@@ -139,7 +139,7 @@ def _slope_for(scheme: str, policy_name: str) -> float:
         out = analytic_counterparts(cfg, policy)["outage_user1"]
         trials.append(int(np.clip(2000.0 / max(out, 1e-12), 1e5, 2e7)))
     res = sweep(cfg0, policy, axis, trials, SEED)
-    return fit_diversity_slope(res, user=1, top_decades=2.0)
+    return fit_diversity_slope(res, user=1)
 
 
 def test_criterion_4_diversity_slopes():

@@ -118,7 +118,8 @@ def test_mixture_past_its_term_budget_is_refused():
     the CDF names both fading parameters instead of running for hours, and
     a huge ratio with few terms still has its value."""
     for n, m, lambdas, z in ((1, 1, (1e300, 1.0), 1.0), (1, 2, (1e7, 1.0), 1.5)):
-        with pytest.raises(ValueError, match=r"fading parameters .* and .* too far apart"):
+        with pytest.raises(analytic.ClosedFormRangeError,
+                           match=r"fading parameters .* and .* too far apart"):
             gain_sum_cdf(n, m, lambdas, z)
     # lf z = 10 terms: the slow copy must fall below z less the fast one,
     # whose mean is 1e-300, so the CDF is about z - 1e-300
@@ -284,6 +285,28 @@ def test_cdf_inr_against_quadrature(n, m, lambdas, power):
     for x in (0.5, 1.5):
         assert cdf_inr_sum(n, m, lambdas, power, x) == pytest.approx(
             _inr_quad_oracle(n, m, lambdas, power, x), abs=1e-8)
+
+
+@pytest.mark.parametrize("n,m,power,x", [
+    (1, 1, 1.0, 1.0),
+    (2, 1, 0.1, 0.5),
+    (1, 2, 10.0, 2.0),
+])
+def test_cdf_inr_grid_boundary(n, m, power, x):
+    """Band 1 copies spanning _INR_MIN_STEPS grid steps, log1p(P / lambda)
+    = _INR_MIN_STEPS x / _INR_GRID_N, stay within 1e-6 of quadrature; 1%
+    fewer steps are refused, naming both fading parameters and the power.
+    A band without copies is not checked, and one copy stays exact."""
+    lam = power / math.expm1(analytic._INR_MIN_STEPS * x / analytic._INR_GRID_N)
+    lambdas = (lam * (1 - 1e-9), 1.0)
+    assert cdf_inr_sum(n, m, lambdas, power, x) == pytest.approx(
+        _inr_quad_oracle(n, m, lambdas, power, x), abs=1e-6)
+    far = (lam * 1.01, 1.0)
+    with pytest.raises(analytic.ClosedFormRangeError,
+                       match=rf"fading parameters {far[0]:g} and 1 at power {power:g} "):
+        cdf_inr_sum(n, m, far, power, x)
+    assert cdf_inr_sum(0, 2, far, power, x) == cdf_inr_sum(2, 0, (1.0, far[0]), power, x)
+    assert cdf_inr_sum(1, 0, far, power, x) == analytic._mi_cdf_single(far[0], power, x)
 
 
 @lru_cache(maxsize=None)

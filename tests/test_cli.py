@@ -9,11 +9,11 @@ from pathlib import Path
 import pytest
 
 import coharq
-from coharq.cli import (CSV_HEADER, MAX_AXIS_POINTS, ResultRow, build_config,
-                        default_rate_grid, emit_csv, main, optimize_rates, parse_axis,
-                        resolve_policy, run_preset)
+from coharq.analytic import cdf_inr_sum
+from coharq.cli import (CSV_HEADER, MAX_AXIS_POINTS, ResultRow, build_config, emit_csv,
+                        main, optimize_rates, parse_axis, resolve_policy, run_preset)
 from coharq.fading import ConfigurationError
-from coharq.montecarlo import estimate
+from coharq.montecarlo import analytic_counterparts, estimate
 from coharq.protocol import PolicyKind
 from coharq.rates import Scheme
 
@@ -166,13 +166,6 @@ def test_optimize_monte_carlo_ties_go_to_the_smaller_rate_sum():
     assert optimize_rates(cfg, pol, grid, n_trials=2000, master_seed=SEED) == expected
 
 
-def test_default_rate_grid():
-    grid = default_rate_grid(step=0.5, stop=2.0)
-    flat = sorted({r for pair in grid for r in pair})
-    assert flat == [0.5, 1.0, 1.5, 2.0]
-    assert len(grid) == 16
-
-
 # ---------------------------------------------------------------------------
 # CLI entry point (exit codes, determinism)
 
@@ -191,6 +184,12 @@ def test_main_analytic_op(capsys):
 def test_main_analytic_past_float_range(argv, capsys):
     assert main(["analytic", *argv]) == 0
     assert capsys.readouterr().out.strip() == "1.0"
+
+
+def test_main_analytic_cdf_inr_prints_the_closed_form(capsys):
+    argv = ["--n", "2", "--m", "1", "--lambdas", "1,2.5", "--power", "3", "--x", "1.5"]
+    assert main(["analytic", "--op", "cdf-inr", *argv]) == 0
+    assert capsys.readouterr().out == f"{cdf_inr_sum(2, 1, (1.0, 2.5), 3.0, 1.5)}\n"
 
 
 def test_main_analytic_events_golden(capsys):
@@ -240,6 +239,13 @@ def assert_config_error(argv, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("config error: "), err
     return err
+
+
+def test_main_missing_config_file_exit_2(tmp_path, capsys):
+    err = assert_config_error(["run", "--config", str(tmp_path / "absent.ini"),
+                               "--out", str(tmp_path / "x.csv")], capsys)
+    assert "cannot read config file" in err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_main_config_error_exit_2(tmp_path, capsys):
@@ -307,21 +313,43 @@ def test_main_unwritable_out_exit_2(command, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.ini"]
 
 
+def run_cli(argv, cwd):
+    """Run the CLI in a new process, at most 10 s."""
+    src = Path(coharq.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "coharq.cli", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=10)
+
+
 @pytest.mark.parametrize("argv", [
-    ["sweep", "--lambdas", "1e300,1", "--m", "2", "--snr-db", "0", "--trials", "1000"],
+    ["optimize", "--lambdas", "1e300,1", "--m", "2", "--snr-db", "0"],
     ["analytic", "--op", "cdf-rtd", "--n", "1", "--m", "1", "--lambdas", "1e300,1"],
+    ["analytic", "--op", "cdf-inr", "--n", "1", "--m", "1", "--lambdas", "1e300,1"],
+    ["optimize", "--scheme", "inr", "--lambdas", "1e5,1", "--m", "2", "--snr-db", "0"],
 ])
 def test_extreme_fading_ratio_is_refused_in_time(argv, tmp_path):
     """A fading ratio whose RTD mixture would need more terms than the
-    budget ends in one config error line, not in a run that never ends."""
-    src = Path(coharq.__file__).resolve().parents[1]
-    done = subprocess.run([sys.executable, "-m", "coharq.cli", *argv], cwd=tmp_path,
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=10)
+    budget, or whose INR copies are too narrow for the convolution grid,
+    ends in one config error line naming both fading parameters, not in a
+    run that never ends or in a wrong value."""
+    done = run_cli(argv, tmp_path)
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.count("\n") == 1 and done.stderr.startswith("config error: ")
-    assert "1e+300" in done.stderr and " 1 " in done.stderr
+    lam = float(argv[argv.index("--lambdas") + 1].split(",")[0])
+    assert f" {lam:g} and 1 " in done.stderr
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("scheme", ["rtd", "inr"])
+def test_sweep_past_the_closed_forms_keeps_its_monte_carlo_half(scheme, tmp_path):
+    """A point whose closed form is refused gets NaN analytic values, as a
+    K >= 3 point does, and its Monte Carlo values, with no numpy warning."""
+    done = run_cli(["sweep", "--scheme", scheme, "--lambdas", "1e300,1", "--m", "2",
+                    "--snr-db", "0", "--trials", "1000", "--out", "sweep.csv"], tmp_path)
+    assert done.returncode == 0 and done.stderr == ""
+    rows = read_csv(tmp_path / "sweep.csv")
+    assert rows and all(math.isfinite(float(r["mc_value"])) for r in rows)
+    assert all(math.isnan(float(r["analytic_value"])) for r in rows)
 
 
 def test_main_zero_trials_exit_2(capsys):
@@ -388,6 +416,60 @@ def test_main_config_file(tmp_path, capsys):
 def test_run_preset_unknown():
     with pytest.raises(ConfigurationError):
         run_preset("fig99", 100, 1, "/tmp/x.csv")
+
+
+def run_preset_main(name, tmp_path, capsys):
+    """`coharq run --preset name` at 2000 trials: its CSV rows, checked for
+    the header and the row count main reports."""
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", "--preset", name, "--trials", "2000", "--seed", str(SEED),
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[0] == ",".join(CSV_HEADER)
+    rows = read_csv(out)
+    assert capsys.readouterr().out == f"wrote {len(rows)} rows to {out}\n"
+    return rows
+
+
+def finite(row, *fields):
+    return all(math.isfinite(float(row[f])) for f in fields)
+
+
+def test_preset_fig1a_small(tmp_path, capsys):
+    rows = run_preset_main("fig1a", tmp_path, capsys)
+    # 16 SNR points x (M = 2, 3) x (coord, noncoord): gamma and per-slot
+    # and per-packet outage of both users, each with its closed form
+    assert len(rows) == 16 * 2 * 2 * 5
+    assert all(finite(r, "mc_value", "mc_ci95", "analytic_value") for r in rows)
+
+
+def test_preset_fig1b_small(tmp_path, capsys):
+    rows = run_preset_main("fig1b", tmp_path, capsys)
+    assert len(rows) == 4 * 2 * 2
+    for r in rows:
+        assert finite(r, "mc_value", "mc_ci95", "analytic_value")
+        lam2 = float(r["metric"].removeprefix("fairness_lambda2="))
+        cfg = build_config(r["scheme"], 2, 2, (1.0, lam2), (1.0, 1.0), 10.0)
+        ana = analytic_counterparts(cfg, resolve_policy(r["policy"], 2))
+        assert float(r["analytic_value"]) == ana["fairness"]
+
+
+def test_preset_fig1c_small(tmp_path, capsys):
+    rows = run_preset_main("fig1c", tmp_path, capsys)
+    # 11 SNR points x 4 setups: SISO throughput and rate sum, 2x2 MIMO
+    assert len(rows) == 11 * 4 * 3
+    rates = [0.5 * i for i in range(1, 17)]
+    grid = [(ra, rb) for ra in rates for rb in rates]
+    checked = 0
+    for r in rows:
+        siso = r["metric"] != "throughput_optimized_mimo2x2"
+        assert finite(r, "analytic_value" if siso else "mc_value")
+        if siso and r["snr_db"] == "9.0":
+            cfg = build_config(r["scheme"], 2, 2, (1.0, 1.0), (1.0, 1.0), 9.0)
+            pair, eta = optimize_rates(cfg, resolve_policy(r["policy"], 2), grid)
+            want = eta if r["metric"] == "throughput_optimized" else sum(pair)
+            assert float(r["analytic_value"]) == want
+            checked += 1
+    assert checked == 4 * 2
 
 
 def test_preset_fig2_small(tmp_path):

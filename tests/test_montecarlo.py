@@ -10,8 +10,7 @@ from coharq import montecarlo
 from coharq.analytic import packets_per_slot
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
                            matrix_block, uniform_block)
-from coharq.montecarlo import (DEFAULT_CHUNK, EstimateWithCI, FitWindowError,
-                               RangeError, SweepResult, _assignment_matrix,
+from coharq.montecarlo import (EstimateWithCI, FitWindowError, RangeError, SweepResult, _assignment_matrix,
                                _first_copy_decodes, _grid_rounds, analytic_counterparts,
                                db_to_linear, dominance_violations,
                                energy_gain_at_outage, estimate, estimate_grid,
@@ -90,11 +89,12 @@ def test_deep_snr_draws_live_rows_alone(policy, cfg_kwargs, memo, monkeypatch):
     rounds = assert_engine_matches_oracle(cfg, policy, n)
     assert 0 < np.count_nonzero((rounds != 1).any(axis=1)) < n / 64
     assert {slot for _, slot, *_ in kept_blocks(memo)} >= {0, 1}
-    counts = simulate_batch(cfg, policy, n, SEED, chunk=n // 2)
+    monkeypatch.setattr(montecarlo, "CHUNK", n // 2)
+    counts = simulate_batch(cfg, policy, n, SEED)
     memo.clear()
     monkeypatch.setattr(memo, "CAP_BYTES", 0)
     assert np.array_equal(simulate_rounds(cfg, policy, n, SEED), rounds)
-    assert np.array_equal(simulate_batch(cfg, policy, n, SEED, chunk=n // 2), counts)
+    assert np.array_equal(simulate_batch(cfg, policy, n, SEED), counts)
     assert not memo.blocks
 
 
@@ -225,10 +225,11 @@ def assert_same_stats(a, b):
     assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
-def test_chunking_is_invisible():
+def test_chunking_is_invisible(monkeypatch):
     cfg = make_config(scheme=Scheme.INR, max_rounds=3)
-    whole = simulate_batch(cfg, COORD, 5000, SEED, chunk=5000)
-    parts = simulate_batch(cfg, COORD, 5000, SEED, chunk=700)
+    whole = simulate_batch(cfg, COORD, 5000, SEED)
+    monkeypatch.setattr(montecarlo, "CHUNK", 700)
+    parts = simulate_batch(cfg, COORD, 5000, SEED)
     assert_same_stats(whole, parts)
 
 
@@ -326,21 +327,26 @@ def test_estimate_grid_rejects_bad_input():
     *deep_cases(),
 ], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord", "mimo2x2-inr-noncoord",
         "mimo3x2-rtd-coord", "k4-rtd-robin", *(p.id for p in DEEP_SNR)])
-def test_chunk_size_and_worker_count_are_invisible(policy, cfg):
+def test_chunk_size_and_worker_count_are_invisible(policy, cfg, monkeypatch):
     n = 5000
-    whole = simulate_batch(cfg, policy, n, SEED, chunk=n)
+    monkeypatch.setattr(montecarlo, "CHUNK", n)
+    whole = simulate_batch(cfg, policy, n, SEED)
     for chunk in (1, 7):
-        assert_same_stats(whole, simulate_batch(cfg, policy, n, SEED, chunk=chunk))
-    serial = simulate_batch(cfg, policy, n, SEED, chunk=700)
-    assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, chunk=700, n_jobs=2))
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        assert_same_stats(whole, simulate_batch(cfg, policy, n, SEED))
+    monkeypatch.setattr(montecarlo, "CHUNK", 700)
+    serial = simulate_batch(cfg, policy, n, SEED)
+    assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, n_jobs=2))
     assert_same_stats(whole, serial)
     # a rate grid splits its chunks by the grid size: still invisible
     n = 1000
     grid = [cfg.rates, *rate_grid(cfg.n_users)[1:]]
-    ests = estimate_grid(cfg, policy, grid, n, SEED, chunk=n)
+    monkeypatch.setattr(montecarlo, "CHUNK", n)
+    ests = estimate_grid(cfg, policy, grid, n, SEED)
     assert_same_estimates(ests[0], estimate(cfg, policy, n, SEED))
-    for kwargs in (dict(chunk=1), dict(chunk=7), dict(chunk=140, n_jobs=2)):
-        for a, b in zip(ests, estimate_grid(cfg, policy, grid, n, SEED, **kwargs)):
+    for chunk, n_jobs in ((1, 1), (7, 1), (140, 2)):
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        for a, b in zip(ests, estimate_grid(cfg, policy, grid, n, SEED, n_jobs=n_jobs)):
             assert_same_estimates(a, b)
 
 
@@ -364,31 +370,32 @@ def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(montecarlo, "CHUNK", 300)
     cfg = make_config()
-    serial = simulate_batch(cfg, COORD, 1000, SEED, chunk=300)
+    serial = simulate_batch(cfg, COORD, 1000, SEED)
     for n_jobs in (5000, 4, 2):
-        assert_same_stats(serial, simulate_batch(cfg, COORD, 1000, SEED, chunk=300,
-                                                 n_jobs=n_jobs))
-    sweep(cfg, COORD, [0.0, 10.0], 1000, SEED, chunk=500, n_jobs=5000)
+        assert_same_stats(serial, simulate_batch(cfg, COORD, 1000, SEED, n_jobs=n_jobs))
+    monkeypatch.setattr(montecarlo, "CHUNK", 500)
+    sweep(cfg, COORD, [0.0, 10.0], 1000, SEED, n_jobs=5000)
     assert opened == [4, 4, 2, 4]
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n_trials=0), dict(chunk=0), dict(n_jobs=0),
+    dict(n_trials=0), dict(n_jobs=0),
     # 2^17 table cells, past MAX_TABLE_CELLS
     dict(config=make_config(rates=(1.0,) * 17, lambdas=(1.0,) * 17, max_rounds=1),
          policy=ROBIN)])
 def test_simulate_batch_rejects_bad_counts(kwargs):
-    args = dict(config=make_config(), policy=COORD, n_trials=100, chunk=DEFAULT_CHUNK,
-                n_jobs=1) | kwargs
+    args = dict(config=make_config(), policy=COORD, n_trials=100, n_jobs=1) | kwargs
     with pytest.raises(ValueError):
         simulate_batch(master_seed=SEED, **args)
 
 
-def test_stats_match_per_packet_reference():
+def test_stats_match_per_packet_reference(monkeypatch):
     """The count table is the histogram of the scalar oracle's decode rounds;
     its slots held and the throughput CI from its moments match the
     oracle's per-packet slots and delivered nats."""
+    monkeypatch.setattr(montecarlo, "CHUNK", 700)
     k3 = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0, 0.5)), rates=(1.0, 0.7, 1.3),
                         power=1.5, scheme=Scheme.INR, max_rounds=2)
     k4 = make_config(rates=(1.0, 0.6, 1.2, 0.9), lambdas=(1.0, 2.0, 0.5, 1.0), power=2.0,
@@ -396,7 +403,7 @@ def test_stats_match_per_packet_reference():
     n = 2000
     for cfg, policy in ((make_config(rates=(0.8, 1.4), scheme=Scheme.INR, max_rounds=3), COORD),
                         (k3, SPLIT), (k4, ROBIN)):
-        counts = simulate_batch(cfg, policy, n, SEED, chunk=700)
+        counts = simulate_batch(cfg, policy, n, SEED)
         hist = np.zeros((cfg.max_rounds + 1,) * cfg.n_users, dtype=np.int64)
         slots, nats = [], []
         for trial in range(n):
@@ -497,10 +504,11 @@ def test_ci_shrinks_like_sqrt_n():
     assert ratio == pytest.approx(2.0, rel=0.15)
 
 
-def test_estimate_is_deterministic():
+def test_estimate_is_deterministic(monkeypatch):
     cfg = make_config(scheme=Scheme.INR)
     a = estimate(cfg, COORD, 10_000, SEED)
-    b = estimate(cfg, COORD, 10_000, SEED, chunk=1234)
+    monkeypatch.setattr(montecarlo, "CHUNK", 1234)
+    b = estimate(cfg, COORD, 10_000, SEED)
     for k in a:
         assert a[k].point == b[k].point or (math.isnan(a[k].point) and math.isnan(b[k].point))
 
@@ -520,7 +528,7 @@ def test_analytic_counterparts_unavailable_cases():
 # dominance
 
 
-def test_dominance_paired_seeds():
+def test_dominance_paired_seeds(monkeypatch):
     """On shared draws no user decodes later with coordination than
     without, outage counting as round M+1: K=2, the K=3 split, K=4
     round-robin and 2x2 MIMO."""
@@ -533,7 +541,8 @@ def test_dominance_paired_seeds():
                             COORD, 20_000),
                            (mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0), max_rounds=3),
                             COORD, 20_000)):
-        assert dominance_violations(cfg, policy, n, SEED, chunk=n // 2) == 0
+        monkeypatch.setattr(montecarlo, "CHUNK", n // 2)
+        assert dominance_violations(cfg, policy, n, SEED) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +574,7 @@ def test_fit_slope_uses_deep_outage_window():
     outage = 1.0 / (p_lin + 1e-4 * p_lin ** 3) * (1 + p_lin / 1e4) ** 0  # slope -1 then -3
     outage = 1.0 / (p_lin / 0.01 + (p_lin / 10) ** 3)
     sw = synthetic_sweep(snr_db, outage)
-    slope = fit_diversity_slope(sw, 0, top_decades=2.0)
+    slope = fit_diversity_slope(sw, 0)
     assert slope < -2.5
 
 
@@ -615,16 +624,17 @@ def test_sweep_real_run_and_axis_validation():
 
 
 @pytest.mark.parametrize("policy,cfg", GRID_CASES)
-def test_sweep_equals_per_point_estimates(policy, cfg):
+def test_sweep_equals_per_point_estimates(policy, cfg, monkeypatch):
     """Every point of a sweep equals a separate estimate at its power with
     its own trial count, at any chunk size and worker count."""
     snr_db = [0.0, 5.0, 11.0, 20.0]
     n = 600 if cfg.profile.is_siso else 120
-    for trials, kwargs in (([n, 1, n // 3, n - 5], dict()),
-                           ([n, 1, n // 3, n - 5], dict(chunk=7)),
-                           ([n, 1, n // 3, n - 5], dict(n_jobs=2)),
-                           ([40, 1, 13, 35], dict(chunk=1))):
-        res = sweep(cfg, policy, snr_db, trials, SEED, **kwargs)
+    for trials, chunk, n_jobs in (([n, 1, n // 3, n - 5], montecarlo.CHUNK, 1),
+                                  ([n, 1, n // 3, n - 5], 7, 1),
+                                  ([n, 1, n // 3, n - 5], montecarlo.CHUNK, 2),
+                                  ([40, 1, 13, 35], 1, 1)):
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        res = sweep(cfg, policy, snr_db, trials, SEED, n_jobs=n_jobs)
         assert res.snr_db == snr_db and res.n_trials == trials
         for i, (snr, t) in enumerate(zip(snr_db, trials)):
             point = replace(cfg, power=db_to_linear(snr))
@@ -683,25 +693,31 @@ def assert_memo_accounts_its_blocks(memo):
     *GRID_CASES,
     pytest.param(SPLIT, replace(K3_SPLIT, max_rounds=3), id="k3-inr-split-m3"),
     *deep_cases()])
-def test_slot0_memo_is_invisible(policy, cfg, memo):
+def test_slot0_memo_is_invisible(policy, cfg, memo, monkeypatch):
     """A call on a warm memo equals the same call on a cleared one, bit for
     bit, whichever chunk plan filled the memo. Later slots' blocks and, at
     M = 3, the split's slot-1 coins are kept too."""
     n = 3000 if cfg.profile.is_siso else 1000
-    plans = (dict(chunk=7), dict(chunk=1000), dict(), dict(chunk=1000, n_jobs=2))
+    # (trials per chunk, worker count)
+    plans = ((7, 1), (1000, 1), (montecarlo.CHUNK, 1), (1000, 2))
+
+    def batch(chunk, n_jobs):
+        monkeypatch.setattr(montecarlo, "CHUNK", chunk)
+        return simulate_batch(cfg, policy, n, SEED, n_jobs=n_jobs)
+
     cold = []
-    for kwargs in plans:
+    for plan in plans:
         memo.clear()
-        cold.append(simulate_batch(cfg, policy, n, SEED, **kwargs))
+        cold.append(batch(*plan))
     for fill in plans[:3]:     # worker processes fill their own memo
         memo.clear()
-        simulate_batch(cfg, policy, n, SEED, **fill)
+        batch(*fill)
         kept = {(what[0], slot) for what, slot, *_ in kept_blocks(memo)}
         assert {slot for _, slot in kept} >= {0, 1}
         if policy is SPLIT and cfg.max_rounds == 3 and cfg.power < 1e3:
             assert {("coin", 0), ("coin", 1)} <= kept
-        for kwargs, expected in zip(plans, cold):
-            assert_same_stats(expected, simulate_batch(cfg, policy, n, SEED, **kwargs))
+        for plan, expected in zip(plans, cold):
+            assert_same_stats(expected, batch(*plan))
     # columns at two powers read one kept block
     configs = [replace(cfg, power=p) for p in (6.0, 1.5)] * 2
     configs[2:] = [replace(c, rates=tuple(0.5 * r for r in c.rates)) for c in configs[2:]]
