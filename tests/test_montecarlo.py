@@ -384,7 +384,9 @@ def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
     dict(n_trials=0), dict(n_jobs=0),
     # 2^17 table cells, past MAX_TABLE_CELLS
     dict(config=make_config(rates=(1.0,) * 17, lambdas=(1.0,) * 17, max_rounds=1),
-         policy=ROBIN)])
+         policy=ROBIN),
+    # no joblib-style "-1 means every core": a worker count is at least 1
+    dict(n_jobs=-1)])
 def test_simulate_batch_rejects_bad_counts(kwargs):
     args = dict(config=make_config(), policy=COORD, n_trials=100, n_jobs=1) | kwargs
     with pytest.raises(ValueError):
