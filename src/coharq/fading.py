@@ -97,10 +97,20 @@ def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
 
 def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
                start_trial: int, n_trials: int) -> np.ndarray:
-    """Channel gains (|h|^2) for a range of trials on one (slot, band)."""
+    """Channel gains (|h|^2) for a range of trials on one (slot, band).
+
+    -log1p(-u) / lambda of the draw's uniforms, worked out in place on the
+    draw's own buffer with the same roundings in the same order (negate,
+    log1p, negate, divide). The result is a view of that buffer, so its
+    `nbytes`, not sys.getsizeof, is the memory it holds.
+    """
     profile.check_band(band)
     u = uniform_block(master_seed, slot, band, start_trial, n_trials)[:, 0]
-    return -np.log1p(-u) / profile.lambdas[band]
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    u /= profile.lambdas[band]
+    return u
 
 
 def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,

@@ -14,7 +14,6 @@ closed-form expressions.
 """
 
 import math
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -58,9 +57,11 @@ class _DrawMemo:
     whole ranges of trials only, so a range is drawn once and every read of
     its rows takes them from the block, kept or not. A call on another seed
     drops every block; a block that would take the memo past CAP_BYTES is
-    returned but not kept (nothing is evicted). Worker processes fill their
-    own memo, which ends with the call's pool, and the scalar oracle reads
-    one-trial blocks of `fading` and never reads the memo.
+    returned but not kept (nothing is evicted). A kept block owns its
+    memory, `nbytes` of it: a view, such as a gain block of its draw's
+    buffer, is copied when kept. Worker processes fill their own memo, which ends with the call's
+    pool, and the scalar oracle reads one-trial blocks of `fading` and never
+    reads the memo.
     """
 
     CAP_BYTES = 32 << 20
@@ -92,8 +93,14 @@ class _DrawMemo:
             block = draw(start_trial + have, n_trials - have)
             if kept is not None:
                 block = np.concatenate([kept, block], axis=-1)
-            size = sys.getsizeof(block) - (0 if kept is None else sys.getsizeof(kept))
+            size = block.nbytes - (0 if kept is None else kept.nbytes)
             if self.nbytes + size <= self.CAP_BYTES:
+                if block.base is not None:
+                    # a gain block is a view of its draw's buffer; kept as it
+                    # is, it sits below the heap that later chunks reuse, and
+                    # glibc trims and refaults that heap chunk after chunk
+                    # (criterion 4: 1.0M minor page faults, 0.5M with the copy)
+                    block = block.copy()
                 block.flags.writeable = False
                 self.nbytes += size
                 self.blocks[key] = block
@@ -113,17 +120,29 @@ def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
     return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw)
 
 
+# Codes an activity code may span before _assignment_matrix ranks it down:
+# K users and the K=3 split's coin fit under it for every K a count table
+# allows (MAX_TABLE_CELLS).
+_MAX_CODES = 1 << 16
+
+
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
-                       slot: int, master_seed: int, start_trial: int,
-                       n_trials: int) -> np.ndarray:
-    """Band -> user map, shape (K, len(rows)); -1 marks an idle band.
+                       slot: int, master_seed: int, start_trial: int, n_trials: int):
+    """Band -> user map, shape (K, len(rows)), -1 marking an idle band, and
+    for each band the users it goes to in some column, ascending.
 
     `active` is (K, len(rows)): user u is still active in column j, trial
     offset rows[j] in [0, n_trials); every column has an active user. Each
     column gets protocol.policy_allocate's map for its activity pattern and,
     for the random K=3 split, its trial's coin from the policy uniform of
     slot - 1 (`slot` >= 1 is the slot entered), with -1 for a band handed
-    back to a resolved owner. policy_allocate runs once per run of equal keys.
+    back to a resolved owner.
+
+    A column's activity code has bit u set while user u is active and bit K
+    set by the coin; where one more bit would take its range past
+    _MAX_CODES, the code is first ranked down to the codes present.
+    policy_allocate runs once per code present, on any column with that
+    code, and one np.take reads every column's map from that table.
     """
     k, n = active.shape
     keys = list(active)
@@ -131,22 +150,27 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
         coin = _coin(slot - 1, master_seed, start_trial, n_trials, rows)
         keys.append(coin)
-    order = np.lexsort(keys)
-    new_run = np.zeros(n, dtype=bool)
-    new_run[0] = True
-    # one key at a time: 1-D gathers beat a column gather of the 2-D array
-    for key in keys:
-        ranked = key[order]
-        new_run[1:] |= ranked[1:] != ranked[:-1]
-    maps = []
-    for j in order[new_run].tolist():
+    # the coin first and user 0 last, each key shifted in as the low bit;
+    # uint16 holds every code under _MAX_CODES, and a ranked code is intp
+    code, size = np.zeros(n, dtype=np.uint16), 1
+    for key in reversed(keys):
+        if 2 * size > _MAX_CODES:
+            distinct, code = _distinct(code, size)
+            size = len(distinct)
+        code <<= 1
+        code |= key
+        size *= 2
+    column = np.full(size, -1, dtype=np.intp)
+    column[code] = np.arange(n)
+    present = np.flatnonzero(column >= 0)
+    table = np.full((k, size), -1, dtype=np.min_scalar_type(-k))
+    for c, j in zip(present.tolist(), column[present].tolist()):
         failed = set(np.flatnonzero(active[:, j]).tolist())
         mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
                                   coin=None if coin is None else bool(coin[j]))
-        maps.append([mapping[b] if mapping[b] in failed else -1 for b in range(k)])
-    run = np.empty(n, dtype=np.intp)
-    run[order] = np.cumsum(new_run) - 1
-    return np.take(np.array(maps, dtype=np.int64).T, run, axis=1)
+        table[:, c] = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
+    receivers = [sorted(set(row) - {-1}) for row in table[:, present].tolist()]
+    return np.take(table, code, axis=1), receivers
 
 
 def _distinct(index: np.ndarray, size: int):
@@ -213,6 +237,12 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     copy is worked out once per live (power, trial) pair (columns that
     share a power share pairs); only the decode check sees the rates. With
     one power the pairs are the trials and the power stays a float.
+
+    Each slot from 1 on reads its band maps and, for each band, the users
+    it goes to in some column from _assignment_matrix. Band b's copy is
+    added only into those users' accumulators, zero in the columns where
+    another user or nobody gets it; bands go in ascending order, so every
+    accumulator adds its copies in the scalar oracle's order.
     """
     config = configs[0]
     profile = config.profile
@@ -225,7 +255,6 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     powers = list(dict.fromkeys(c.power for c in configs))     # distinct, in order
     power_of = np.array([powers.index(c.power) for c in configs])
     n_pow, powers = len(powers), np.array(powers, dtype=float)
-    users = np.arange(k)
 
     def draw(b, s, rows):
         # the power-free part of one copy on band b at slot s, for trial offsets
@@ -311,13 +340,13 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             if n_cfg > 1:
                 col_rates = np.take(col_rates, keep, axis=1)
         planned = plan(pairs)
-        assign = _assignment_matrix(active, pairs % n_trials if n_pow > 1 else pairs, policy,
-                                    s, master_seed, start_trial, n_trials)
-        for b in range(k):
-            if (assign[b] < 0).all():
-                continue
-            acc += np.where(users[:, None] == assign[b], copies(b, s, planned)[..., None, :],
-                            0.0)
+        assign, receivers = _assignment_matrix(active, pairs % n_trials if n_pow > 1 else pairs,
+                                               policy, s, master_seed, start_trial, n_trials)
+        for b, to in enumerate(receivers):
+            if to:
+                x = copies(b, s, planned)
+                for u in to:
+                    acc[..., u, :] += np.where(assign[b] == u, x, 0.0)
         col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
         won = active & (decoded_nats(acc, col_power) >= col_rates)
         for u in range(k):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -190,6 +191,19 @@ def test_main_analytic_cdf_inr_prints_the_closed_form(capsys):
     argv = ["--n", "2", "--m", "1", "--lambdas", "1,2.5", "--power", "3", "--x", "1.5"]
     assert main(["analytic", "--op", "cdf-inr", *argv]) == 0
     assert capsys.readouterr().out == f"{cdf_inr_sum(2, 1, (1.0, 2.5), 3.0, 1.5)}\n"
+
+
+def test_main_analytic_cdf_inr_past_exp_overflow(capsys):
+    # at x = 1000 nats e^z overflows a float; the density taken in logs
+    # still gives one finite probability, with no numpy warning
+    argv = ["--n", "1", "--m", "1", "--lambdas", "1,1", "--x", "1000", "--power", "1e217"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["analytic", "--op", "cdf-inr", *argv]) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and len(out.out.splitlines()) == 1
+    value = float(out.out)
+    assert math.isfinite(value) and 0.0 <= value <= 1.0
 
 
 def test_main_analytic_events_golden(capsys):

@@ -89,6 +89,19 @@ def test_scalar_matches_block_at_odd_trials():
         assert one.shape == (1,) and one[0] == block[trial]
 
 
+def test_gain_block_in_place_equals_the_expression():
+    """The in-place transform of the draw's buffer equals -log1p(-u) / lambda
+    of the same uniforms bit for bit, at two fading parameters and from a
+    trial inside a Philox block."""
+    prof = FadingProfile(lambdas=(1.0, 0.37))
+    for band, lam in enumerate(prof.lambdas):
+        for start in (0, 3):
+            got = gain_block(prof, band, 2, SEED, start, 1001)
+            u = uniform_block(SEED, 2, band, start, 1001)[:, 0]
+            expect = -np.log1p(-u) / lam
+            assert got.dtype == expect.dtype and np.array_equal(got, expect), (band, start)
+
+
 def test_mimo_siso_reduction():
     """With u = v = 1 the matrix magnitude-squared follows the gain law."""
     prof = FadingProfile(lambdas=(1.0,), tx_antennas=1, rx_antennas=1)

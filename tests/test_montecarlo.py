@@ -1,6 +1,5 @@
 import itertools
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -106,7 +105,7 @@ def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(memo, monkeypatc
     active = np.array(patterns * 4).T
     n = DEEP_TRIALS
     rows = np.random.default_rng(SEED).choice(n, size=active.shape[1])
-    assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)
+    assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)[0]
     assert list(memo.blocks) == [(("coin",), 1, 5)]
     coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
     for j, coin in enumerate(coins.tolist()):
@@ -117,7 +116,7 @@ def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(memo, monkeypatc
     assert coins.any() and not coins.all()
     memo.clear()
     monkeypatch.setattr(memo, "CAP_BYTES", 0)
-    assert np.array_equal(_assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n), assign)
+    assert np.array_equal(_assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)[0], assign)
     assert not memo.blocks
 
 
@@ -178,8 +177,10 @@ def test_vectorized_matches_scalar_round_robin_many_users():
     assert_engine_matches_oracle(cfg, ROBIN, 40)
 
 
-@pytest.mark.parametrize("policy,k", [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5)],
-                         ids=["coord-k2", "noncoord-k2", "split-k3", "robin-k5"])
+@pytest.mark.parametrize("policy,k", [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5),
+                                      (NONCOORD, 3), (ROBIN, 3), (ROBIN, 4)],
+                         ids=["coord-k2", "noncoord-k2", "split-k3", "robin-k5",
+                              "noncoord-k3", "robin-k3", "robin-k4"])
 def test_assignment_matrix_matches_policy_allocate(policy, k):
     # every nonempty activity pattern, eight columns each, in a shuffled
     # order and at reversed trial offsets
@@ -189,7 +190,7 @@ def test_assignment_matrix_matches_policy_allocate(policy, k):
     n = active.shape[1]
     rows = np.arange(n)[::-1]
     slot = 2
-    assign = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
+    assign = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)[0]
     uniforms = uniform_block(SEED, slot - 1, POLICY_BAND, 5, n)[rows, 0]
     for j in range(n):
         failed = set(np.flatnonzero(active[:, j]).tolist())
@@ -201,6 +202,42 @@ def test_assignment_matrix_matches_policy_allocate(policy, k):
         # the two-user patterns see the coin land both ways
         pairs = uniforms[active.sum(axis=0) == 2]
         assert (pairs < 0.5).any() and (pairs >= 0.5).any()
+
+
+def assert_assignment_matches_policy_allocate(active, policy, rows=None):
+    """_assignment_matrix of `active` (at slot 2, trials [5, 5 + n)) equals
+    policy_allocate column by column, and each band's receivers are the
+    users it goes to in some column."""
+    k, n = active.shape
+    rows = np.arange(n) if rows is None else rows
+    assign, receivers = _assignment_matrix(active, rows, policy, 2, SEED, 5, n)
+    coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
+    for j in range(n):
+        failed = set(np.flatnonzero(active[:, j]).tolist())
+        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
+                                  coin=bool(coins[j]))
+        expected = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
+        assert assign[:, j].tolist() == expected, (j, sorted(failed))
+    assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
+
+
+def test_assignment_matrix_ranks_a_wide_activity_code_down(monkeypatch):
+    """66 users take the activity code past montecarlo._MAX_CODES, so it is
+    ranked down on the way; about 200 random activity patterns, some of
+    them repeated, still get policy_allocate's map column by column. A
+    bound of 4 codes ranks the K=3 split's code too, coin included."""
+    rng = np.random.default_rng(SEED)
+    k = 66
+    assert 2 ** (k + 1) > montecarlo._MAX_CODES
+    active = rng.random((k, 160)) < rng.random(160)
+    active[rng.integers(k, size=160), np.arange(160)] = True
+    active = np.concatenate([active, active[:, rng.integers(160, size=40)]], axis=1)
+    assert_assignment_matches_policy_allocate(active, ROBIN)
+    patterns = [p for p in itertools.product((False, True), repeat=3) if any(p)]
+    active = np.array(patterns * 8).T
+    for bound in (montecarlo._MAX_CODES, 4):
+        monkeypatch.setattr(montecarlo, "_MAX_CODES", bound)
+        assert_assignment_matches_policy_allocate(active, SPLIT, rows=np.arange(56)[::-1])
 
 
 def mimo_config(tx, rx, scheme, rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=3.0,
@@ -687,7 +724,7 @@ def slot0_draws(calls):
 
 
 def assert_memo_accounts_its_blocks(memo):
-    assert memo.nbytes == sum(sys.getsizeof(block) for *_, block in kept_blocks(memo))
+    assert memo.nbytes == sum(block.nbytes for *_, block in kept_blocks(memo))
     assert memo.nbytes <= memo.CAP_BYTES
 
 
@@ -902,6 +939,21 @@ def test_slot0_memo_blocks_are_read_only(memo):
         assert not block.flags.writeable
         with pytest.raises(ValueError):
             block[..., 0] = 0
+    assert_memo_accounts_its_blocks(memo)
+
+
+def test_kept_gain_blocks_are_read_only_and_counted_by_nbytes(memo):
+    """gain_block returns a view of its draw's buffer; the memo keeps a
+    read-only copy that owns its memory and counts the 8 bytes of each of
+    its trials."""
+    simulate_rounds(make_config(scheme=Scheme.INR, max_rounds=3), COORD, 1000, SEED)
+    kept = kept_blocks(memo)
+    assert {what[0] for what, *_ in kept} == {"gain"} and len(kept) >= 4
+    for *_, block in kept:
+        assert block.shape == (1000,) and block.flags.owndata and not block.flags.writeable
+        with pytest.raises(ValueError):
+            block[0] = 0
+    assert memo.nbytes == 8000 * len(kept)
     assert_memo_accounts_its_blocks(memo)
 
 
