@@ -35,11 +35,11 @@ _MAX_MIXTURE_TERMS = 10**7
 # extrapolation, giving an effective O(h^4) scheme).
 _INR_GRID_N = 2048
 
-# Fewest base-grid steps that a band's per-copy mutual information may span
-# in the INR convolution (_check_inr_grid). At 8 steps the CDF stays within
-# 4e-7 of a 2^16-step grid for up to six copies (an M <= 3 table holds
-# five); at 6 steps five copies err by 1.1e-6, and at 2 steps one copy per
-# band errs by 1.6e-5.
+# Fewest base-grid steps that the width of a band's per-copy density may
+# span in the INR convolution (_check_inr_grid), two per copy past four
+# copies. At 8 steps the error grows with the copies (3.4e-7 at four,
+# 1.9e-6 at seven, 8.8e-5 at 24) and falls as steps^-4; at the floor it
+# stays within 4e-7 of a 2^16-step grid for 2 to 24 copies.
 _INR_MIN_STEPS = 8
 
 
@@ -211,19 +211,21 @@ def _check_inr_grid(n: int, m: int, lam1: float, lam2: float, power: float,
                     x: float) -> None:
     """Refuse copy counts the INR convolution cannot resolve on its grid.
 
-    A copy's mutual information log(1 + gP), g ~ Exp(lam), spreads over
-    about log1p(P / lam) nats. Where that spans fewer than _INR_MIN_STEPS
-    of the x / _INR_GRID_N grid steps, the density is a spike at 0 that the
-    trapezoid rule misses, and the CDF is wrong with no sign of it (off by
-    0.18 at P = x = 1 and lam = 1e5). A ClosedFormRangeError names both
-    fading parameters and the power instead."""
+    A copy's mutual information log(1 + gP), g ~ Exp(lam), has a density
+    about P / (P + lam) nats wide: an exponential of mean P / lam at low
+    power, a unit-scale Gumbel density at high power. Where that spans
+    fewer than max(_INR_MIN_STEPS, 2 copies) of the x / _INR_GRID_N grid
+    steps, the CDF is wrong with no sign of it (off by 0.18 at P = x = 1
+    and lam = 1e5, by 2.6e-6 at P = 1e217 and x = 1000). A
+    ClosedFormRangeError names both fading parameters and the power."""
     for lam, copies in ((lam1, n), (lam2, m)):
-        spread = math.log1p(power / lam)
-        if copies and spread * _INR_GRID_N < _INR_MIN_STEPS * x:
+        width = 1.0 / (1.0 + lam / power)
+        steps = max(_INR_MIN_STEPS, 2 * copies)
+        if copies and width * _INR_GRID_N < steps * x:
             raise ClosedFormRangeError(
                 f"fading parameters {lam1:g} and {lam2:g} at power {power:g} are out of "
-                f"reach of the INR closed form: a copy at {lam:g} carries about "
-                f"{spread:.3g} nats, under {_INR_MIN_STEPS} steps of its "
+                f"reach of the INR closed form: a copy at {lam:g} spreads over about "
+                f"{width:.3g} nats, under {steps} steps of its "
                 f"{x / _INR_GRID_N:.3g}-nat grid")
 
 

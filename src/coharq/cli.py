@@ -152,12 +152,12 @@ def grid_throughputs(config_template: ProtocolConfig, policy: AllocationPolicy,
     """Long-run throughput of every (R_A, R_B) pair of `rate_grid` at the
     template's SNR, in grid order.
 
-    Closed form wherever montecarlo.has_closed_form says so: each pair's
-    throughput is `analytic.throughput_closed` of its table from
-    `closed_form_tables`, the value `analytic_counterparts` reports. The
-    policy's rule and the tables' donated-copy pattern are decided once for
-    the grid, and the tables reuse each user's resolve table per rate
-    (`analytic.event_table`), so a G x G grid builds 2G of them, not 2G^2.
+    Closed form wherever `montecarlo.closed_form_tables` has tables: each
+    pair's throughput is `analytic.throughput_closed` of its table, the
+    value `analytic_counterparts` reports. The policy's rule and the
+    tables' donated-copy pattern are decided once for the grid, and the
+    tables reuse each user's resolve table per rate (`analytic.event_table`),
+    so a G x G grid builds 2G of them, not 2G^2.
     Otherwise one montecarlo.estimate_grid call decides every pair on
     shared draws, each pair's throughput equal to a separate estimate with
     the same trials and seed.
@@ -459,19 +459,15 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    lambdas = FadingProfile(lambdas=[float(v) for v in args.lambdas.split(",")]).lambdas
-    if len(lambdas) != 2:
+    profile = FadingProfile(lambdas=[float(v) for v in args.lambdas.split(",")])
+    if profile.n_bands != 2:
         raise ConfigurationError(f"--lambdas needs two values, got {args.lambdas!r}")
-    for name in ("x", "power", "rate_a", "rate_b"):
-        if not math.isfinite(getattr(args, name)):
-            raise ConfigurationError(f"--{name.replace('_', '-')} must be finite, "
-                                     f"got {getattr(args, name)}")
-    if not args.power > 0:
-        raise ConfigurationError(f"--power must be positive, got {args.power}")
-    if args.max_rounds < 1:
-        raise ConfigurationError(f"--max-rounds must be at least 1, got {args.max_rounds}")
-    if args.rate_a < 0 or args.rate_b < 0:
-        raise ConfigurationError("--rate-a and --rate-b must be nonnegative")
+    if not math.isfinite(args.x):
+        raise ConfigurationError(f"--x must be finite, got {args.x}")
+    # the power, rates and rounds are checked as a two-user link's
+    ProtocolConfig(profile, (args.rate_a, args.rate_b), args.power, Scheme(args.scheme),
+                   args.max_rounds)
+    lambdas = profile.lambdas
     if args.op == "cdf-rtd":
         print(analytic.cdf_rtd_sum(args.n, args.m, lambdas, args.power, args.x))
     elif args.op == "cdf-inr":

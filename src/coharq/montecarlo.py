@@ -25,11 +25,10 @@ from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, check_rates
                        policy_allocate)
 from .rates import Scheme, hermitian_gram, log_det_eye_plus
 
-# Trials a chunk plan runs at a time (see _batch_stats), and the trials of
-# each dominance_violations step.
+# Trials a chunk plan runs at a time (see _batch_stats).
 CHUNK = 1_000_000
 # Cells of the (M+1)^K table that Monte Carlo statistics count packets in;
-# simulate_rounds itself serves any K.
+# the engine refuses larger shapes too (_check_shape), so K <= 16.
 MAX_TABLE_CELLS = 1 << 16
 
 
@@ -120,12 +119,6 @@ def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
     return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw)
 
 
-# Codes an activity code may span before _assignment_matrix ranks it down:
-# K users and the K=3 split's coin fit under it for every K a count table
-# allows (MAX_TABLE_CELLS).
-_MAX_CODES = 1 << 16
-
-
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
                        slot: int, master_seed: int, start_trial: int, n_trials: int):
     """Band -> user map, shape (K, len(rows)), -1 marking an idle band, and
@@ -139,10 +132,9 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     back to a resolved owner.
 
     A column's activity code has bit u set while user u is active and bit K
-    set by the coin; where one more bit would take its range past
-    _MAX_CODES, the code is first ranked down to the codes present.
-    policy_allocate runs once per code present, on any column with that
-    code, and one np.take reads every column's map from that table.
+    set by the coin. policy_allocate runs once per code present, on any
+    column with that code, and one np.take reads every column's map from
+    that table.
     """
     k, n = active.shape
     keys = list(active)
@@ -150,16 +142,13 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
         coin = _coin(slot - 1, master_seed, start_trial, n_trials, rows)
         keys.append(coin)
-    # the coin first and user 0 last, each key shifted in as the low bit;
-    # uint16 holds every code under _MAX_CODES, and a ranked code is intp
-    code, size = np.zeros(n, dtype=np.uint16), 1
+    # the coin first and user 0 last, each key shifted in as the low bit; a
+    # shape the engine admits (_check_shape) has K <= 16, so a uint16 holds it
+    code = np.zeros(n, dtype=np.uint16)
     for key in reversed(keys):
-        if 2 * size > _MAX_CODES:
-            distinct, code = _distinct(code, size)
-            size = len(distinct)
         code <<= 1
         code |= key
-        size *= 2
+    size = 1 << len(keys)
     column = np.full(size, -1, dtype=np.intp)
     column[code] = np.arange(n)
     present = np.flatnonzero(column >= 0)
@@ -196,23 +185,20 @@ def _first_copy_decodes(gains: np.ndarray, rates: np.ndarray,
 
     One compare with the threshold C = expm1(R) / P, g >= C (1 + guard),
     decides a gain. Gains in [C (1 - guard), C (1 + guard)) are decided by
-    the exact expression, and so is every gain of a pair whose expm1(R) or
-    C is not a normal finite float (a zero rate, a rate whose expm1
-    overflows, a threshold past float range), where the compare's relative
-    error has no bound.
+    the exact expression. So is every gain of a pair whose expm1(R) or C is
+    not a normal finite float (a zero rate, a rate whose expm1 overflows, a
+    threshold past float range), where the compare's relative error has no
+    bound: its band is (-inf, inf).
     """
     with np.errstate(over="ignore"):
         head = np.expm1(rates)
         c = head / powers
         fast = (head >= _TINY) & (c >= _TINY) & np.isfinite(c)
         won = gains >= np.where(fast, c * (1 + _THRESHOLD_GUARD), np.inf)[:, None]
-        near = gains >= np.where(fast, c * (1 - _THRESHOLD_GUARD), np.inf)[:, None]
+        near = gains >= np.where(fast, c * (1 - _THRESHOLD_GUARD), -np.inf)[:, None]
         if np.count_nonzero(near) != np.count_nonzero(won):
             pair, t = np.nonzero(near & ~won)
             won[pair, t] = np.log1p(gains[t] * powers[pair]) >= rates[pair]
-        slow = np.flatnonzero(~fast)
-        if slow.size:
-            won[slow] = np.log1p(gains * powers[slow, None]) >= rates[slow, None]
     return won
 
 
@@ -355,6 +341,14 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     return cols, rounds
 
 
+def _check_shape(config: ProtocolConfig) -> None:
+    """Refuse K and M whose (M+1)^K table passes MAX_TABLE_CELLS."""
+    cells = (config.max_rounds + 1) ** config.n_users
+    if cells > MAX_TABLE_CELLS:
+        raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
+                         f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
+
+
 def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
                  start_trial: int = 0) -> np.ndarray:
     """Decode rounds of trials [start_trial, start_trial + n_trials) for each
@@ -362,8 +356,10 @@ def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
 
     Returns shape (G, n_trials, K): round in 1..M, or 0 for outage. Row g
     equals simulate_rounds of configs[g]. The rounds of _live_rounds, with
-    every column it leaves out filled in as resolved at round 1.
+    every column it leaves out filled in as resolved at round 1. Refuses
+    the shapes the count tables refuse (_check_shape).
     """
+    _check_shape(configs[0])
     cols, live = _live_rounds(configs, policy, n_trials, master_seed, start_trial)
     k = configs[0].n_users
     rounds = np.ones((k, len(configs) * n_trials), dtype=np.int16)
@@ -399,15 +395,11 @@ def _chunk_stats(task) -> list:
     configs, policy, start, count, master_seed = task
     cols, rounds = _live_rounds(configs, policy, count, master_seed, start_trial=start)
     k, radix, n_cfg = configs[0].n_users, configs[0].max_rounds + 1, len(configs)
-    code = np.zeros(len(cols), dtype=np.intp)
+    code = cols // count
+    live = np.bincount(code, minlength=n_cfg)
     for r in rounds:
         code *= radix
         code += r
-    live = len(cols)
-    if n_cfg > 1:
-        cfg = cols // count
-        code += cfg * radix ** k
-        live = np.bincount(cfg, minlength=n_cfg)
     tables = np.bincount(code, minlength=n_cfg * radix ** k).reshape((n_cfg,) + (radix,) * k)
     tables[(slice(None),) + (1,) * k] += count - live
     return list(tables)
@@ -424,10 +416,7 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
     for name, value in (*(("n_trials", n) for n in n_trials), ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    cells = (configs[0].max_rounds + 1) ** configs[0].n_users
-    if cells > MAX_TABLE_CELLS:
-        raise ValueError(f"statistics need (M+1)^K = {cells} cells, more than "
-                         f"{MAX_TABLE_CELLS}; lower the number of users or rounds")
+    _check_shape(configs[0])
     per_chunk = min(CHUNK, max(n_trials, default=0))
     plan, tasks, start = [], [], 0
     live = list(range(len(configs)))
@@ -557,19 +546,14 @@ def _throughput_half_width(counts: np.ndarray, n: int, rates, eta: float,
     return 1.96 * math.sqrt(max(resid_var, 0.0) / n) * gamma
 
 
-def has_closed_form(config: ProtocolConfig) -> bool:
-    """Whether analytic_counterparts has closed forms for this setup; the
-    rates, power and policy do not enter."""
-    return config.n_users == 2 and config.profile.is_siso
-
-
 def closed_form_tables(config: ProtocolConfig, policy: AllocationPolicy,
                        rate_grid) -> list | None:
     """The closed-form terminal-event table (`analytic.event_table`) of
-    `config` at each rate vector of `rate_grid`, for a setup that has them
-    (has_closed_form), else None. The vectors are checked as
-    ProtocolConfig checks its rates; the policy's rule is decided once."""
-    if not has_closed_form(config):
+    `config` at each rate vector of `rate_grid`, or None for a setup that
+    has none: the tables cover two SISO users, whatever the rates, power
+    and policy. The vectors are checked as ProtocolConfig checks its rates;
+    the policy's rule is decided once."""
+    if config.n_users != 2 or not config.profile.is_siso:
         return None
     grid = [check_rates(rates, config.n_users) for rates in rate_grid]
     # the two-user tables cover both rules policy_allocate can apply to a
@@ -585,7 +569,7 @@ def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> d
     `analytic.reduce_table` of the closed-form table.
 
     Available for K = 2 SISO under any policy defined for two users
-    (has_closed_form); returns {} otherwise, and where the closed form
+    (closed_form_tables); returns {} otherwise, and where the closed form
     refuses the parameters (analytic.ClosedFormRangeError): those cases
     are Monte Carlo only.
     """
@@ -690,22 +674,3 @@ def energy_gain_at_outage(sweep_a: SweepResult, sweep_b: SweepResult,
     """SNR_a(eps) - SNR_b(eps) in dB: how much less power curve b needs to
     reach the same outage level."""
     return snr_at_outage(sweep_a, user, epsilon) - snr_at_outage(sweep_b, user, epsilon)
-
-
-def dominance_violations(config: ProtocolConfig, coordinated_policy: AllocationPolicy,
-                         n_trials: int, master_seed: int) -> int:
-    """Paired-seed check: count user-trials whose decode round is later with
-    coordination than without, on identical fading draws, outage read as
-    round M+1. A failed user keeps its own band under every policy and
-    coordination only hands it more copies, so the count must be zero for
-    any K and policy."""
-    noncoord = AllocationPolicy(PolicyKind.NON_COORDINATED)
-    outage = config.max_rounds + 1
-    violations = 0
-    for start in range(0, n_trials, CHUNK):
-        count = min(CHUNK, n_trials - start)
-        r_nc, r_co = (simulate_rounds(config, policy, count, master_seed, start_trial=start)
-                      for policy in (noncoord, coordinated_policy))
-        violations += int(np.count_nonzero(np.where(r_co == 0, outage, r_co) >
-                                           np.where(r_nc == 0, outage, r_nc)))
-    return violations

@@ -16,10 +16,11 @@ from scipy.linalg import expm
 
 from coharq.analytic import cdf_inr_sum, cdf_rtd_sum, event_table
 from coharq.cli import build_config, optimize_rates, resolve_policy
-from coharq.montecarlo import (analytic_counterparts, dominance_violations,
-                               db_to_linear, energy_gain_at_outage, estimate,
-                               fit_diversity_slope, sweep)
+from coharq.montecarlo import (analytic_counterparts, db_to_linear,
+                               energy_gain_at_outage, estimate, fit_diversity_slope,
+                               simulate_rounds, sweep)
 from coharq.rates import Scheme
+from test_pathwise import later
 
 SEED = 20260826
 
@@ -179,8 +180,9 @@ def test_criterion_5_k3_energy_gap():
 
 def test_criterion_6_dominance():
     cfg = build_config("rtd", 2, 2, (1.0, 1.0), (1.0, 1.0), 5.0)
-    coord = resolve_policy("coord", 2)
-    v = dominance_violations(cfg, coord, 10**6, SEED)
+    alone, coordinated = (simulate_rounds(cfg, resolve_policy(name, 2), 10**6, SEED)
+                          for name in ("noncoord", "coord"))
+    v = later(alone, coordinated, cfg.max_rounds)
     report(6, v == 0,
            f"coordination never un-decodes a user on identical draws over "
            f"1e6 paired trials ({v} violations)")

@@ -293,11 +293,14 @@ def test_cdf_inr_against_quadrature(n, m, lambdas, power):
     (1, 2, 10.0, 2.0),
 ])
 def test_cdf_inr_grid_boundary(n, m, power, x):
-    """Band 1 copies spanning _INR_MIN_STEPS grid steps, log1p(P / lambda)
-    = _INR_MIN_STEPS x / _INR_GRID_N, stay within 1e-6 of quadrature; 1%
-    fewer steps are refused, naming both fading parameters and the power.
-    A band without copies is not checked, and one copy stays exact."""
-    lam = power / math.expm1(analytic._INR_MIN_STEPS * x / analytic._INR_GRID_N)
+    """Band 1 copies whose density width spans the fewest grid steps the
+    check admits, P / (P + lambda) = max(8, 2n) x / _INR_GRID_N,
+    stay within 1e-6 of quadrature; 1% fewer steps are refused, naming both
+    fading parameters and the power. A band without copies is not checked,
+    and one copy stays exact. Seven copies at 8 steps, 1.9e-6 off a
+    2^16-step grid, are refused: the floor grows with the copies."""
+    steps = max(analytic._INR_MIN_STEPS, 2 * n)
+    lam = power * (analytic._INR_GRID_N / (steps * x) - 1)
     lambdas = (lam * (1 - 1e-9), 1.0)
     assert cdf_inr_sum(n, m, lambdas, power, x) == pytest.approx(
         _inr_quad_oracle(n, m, lambdas, power, x), abs=1e-6)
@@ -307,6 +310,22 @@ def test_cdf_inr_grid_boundary(n, m, power, x):
         cdf_inr_sum(n, m, far, power, x)
     assert cdf_inr_sum(0, 2, far, power, x) == cdf_inr_sum(2, 0, (1.0, far[0]), power, x)
     assert cdf_inr_sum(1, 0, far, power, x) == analytic._mi_cdf_single(far[0], power, x)
+    with pytest.raises(analytic.ClosedFormRangeError, match="under 14 steps"):
+        cdf_inr_sum(7, 0, (25.6, 1.0), 0.01, 0.1)
+
+
+def test_cdf_inr_grid_boundary_at_high_power():
+    """At P / lambda = e^128 a copy's density is a unit-scale Gumbel density
+    near 128 nats, far narrower than log1p(P / lambda): two copies on a
+    grid of 8 steps per nat (x = 256) stay within 1e-6 of quadrature, a
+    257-nat target is refused, and so is the 0.49-nat step at P = 1e217,
+    x = 1000, 2.6e-6 off quadrature."""
+    lambdas = (math.exp(-128.0), math.exp(-128.0))
+    assert cdf_inr_sum(1, 1, lambdas, 1.0, 256.0) == pytest.approx(
+        _inr_quad_oracle(1, 1, lambdas, 1.0, 256.0), abs=1e-6)
+    for args in ((lambdas, 1.0, 257.0), ((1.0, 1.0), 1e217, 1000.0)):
+        with pytest.raises(analytic.ClosedFormRangeError, match="under 8 steps"):
+            cdf_inr_sum(1, 1, *args)
 
 
 @lru_cache(maxsize=None)

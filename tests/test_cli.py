@@ -194,16 +194,16 @@ def test_main_analytic_cdf_inr_prints_the_closed_form(capsys):
 
 
 def test_main_analytic_cdf_inr_past_exp_overflow(capsys):
-    # at x = 1000 nats e^z overflows a float; the density taken in logs
-    # still gives one finite probability, with no numpy warning
+    # at x = 1000 nats e^z overflows a float, and the grid's 0.49-nat step
+    # is too coarse for a copy's density, about one nat wide at this power:
+    # the closed form refuses it with one line and no numpy warning
     argv = ["--n", "1", "--m", "1", "--lambdas", "1,1", "--x", "1000", "--power", "1e217"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(["analytic", "--op", "cdf-inr", *argv]) == 0
+        assert main(["analytic", "--op", "cdf-inr", *argv]) == 2
     out = capsys.readouterr()
-    assert out.err == "" and len(out.out.splitlines()) == 1
-    value = float(out.out)
-    assert math.isfinite(value) and 0.0 <= value <= 1.0
+    assert out.out == "" and len(out.err.splitlines()) == 1
+    assert out.err.startswith("config error: ")
 
 
 def test_main_analytic_events_golden(capsys):

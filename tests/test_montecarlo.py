@@ -11,15 +11,16 @@ from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_
                            matrix_block, uniform_block)
 from coharq.montecarlo import (EstimateWithCI, FitWindowError, RangeError, SweepResult, _assignment_matrix,
                                _first_copy_decodes, _grid_rounds, analytic_counterparts,
-                               db_to_linear, dominance_violations,
+                               closed_form_tables, db_to_linear,
                                energy_gain_at_outage, estimate, estimate_grid,
                                estimates_from_stats,
-                               fit_diversity_slope, has_closed_form, simulate_batch,
+                               fit_diversity_slope, simulate_batch,
                                simulate_rounds, snr_at_outage, sweep)
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                              policy_allocate, run_packet)
 from coharq.fading import Substream
 from coharq.rates import Scheme, hermitian_gram
+from test_pathwise import later
 
 SEED = 20260826
 COORD = AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
@@ -170,11 +171,14 @@ def test_vectorized_matches_scalar_k3_split():
     assert_engine_matches_oracle(cfg, SPLIT, 500)
 
 
-def test_vectorized_matches_scalar_round_robin_many_users():
-    # more users than bits in a 64-bit activity code
-    k = 66
-    cfg = make_config(rates=(1.0,) * k, lambdas=(1.0,) * k, power=3.0, max_rounds=3)
-    assert_engine_matches_oracle(cfg, ROBIN, 40)
+def test_vectorized_matches_scalar_at_the_largest_admitted_shape():
+    # K = 10 at M = 2 fills 3^10 of the 2^16 table cells; one more user is
+    # refused (test_simulate_batch_rejects_bad_counts)
+    k = 10
+    cfg = make_config(rates=(1.0,) * k, lambdas=(1.0,) * k, power=3.0)
+    assert (cfg.max_rounds + 1) ** (k + 1) > montecarlo.MAX_TABLE_CELLS
+    rounds = assert_engine_matches_oracle(cfg, ROBIN, 300)
+    assert set(np.unique(rounds).tolist()) == {0, 1, 2}
 
 
 @pytest.mark.parametrize("policy,k", [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5),
@@ -190,7 +194,8 @@ def test_assignment_matrix_matches_policy_allocate(policy, k):
     n = active.shape[1]
     rows = np.arange(n)[::-1]
     slot = 2
-    assign = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)[0]
+    assign, receivers = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
+    assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
     uniforms = uniform_block(SEED, slot - 1, POLICY_BAND, 5, n)[rows, 0]
     for j in range(n):
         failed = set(np.flatnonzero(active[:, j]).tolist())
@@ -202,42 +207,6 @@ def test_assignment_matrix_matches_policy_allocate(policy, k):
         # the two-user patterns see the coin land both ways
         pairs = uniforms[active.sum(axis=0) == 2]
         assert (pairs < 0.5).any() and (pairs >= 0.5).any()
-
-
-def assert_assignment_matches_policy_allocate(active, policy, rows=None):
-    """_assignment_matrix of `active` (at slot 2, trials [5, 5 + n)) equals
-    policy_allocate column by column, and each band's receivers are the
-    users it goes to in some column."""
-    k, n = active.shape
-    rows = np.arange(n) if rows is None else rows
-    assign, receivers = _assignment_matrix(active, rows, policy, 2, SEED, 5, n)
-    coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
-    for j in range(n):
-        failed = set(np.flatnonzero(active[:, j]).tolist())
-        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                  coin=bool(coins[j]))
-        expected = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
-        assert assign[:, j].tolist() == expected, (j, sorted(failed))
-    assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
-
-
-def test_assignment_matrix_ranks_a_wide_activity_code_down(monkeypatch):
-    """66 users take the activity code past montecarlo._MAX_CODES, so it is
-    ranked down on the way; about 200 random activity patterns, some of
-    them repeated, still get policy_allocate's map column by column. A
-    bound of 4 codes ranks the K=3 split's code too, coin included."""
-    rng = np.random.default_rng(SEED)
-    k = 66
-    assert 2 ** (k + 1) > montecarlo._MAX_CODES
-    active = rng.random((k, 160)) < rng.random(160)
-    active[rng.integers(k, size=160), np.arange(160)] = True
-    active = np.concatenate([active, active[:, rng.integers(160, size=40)]], axis=1)
-    assert_assignment_matches_policy_allocate(active, ROBIN)
-    patterns = [p for p in itertools.product((False, True), repeat=3) if any(p)]
-    active = np.array(patterns * 8).T
-    for bound in (montecarlo._MAX_CODES, 4):
-        monkeypatch.setattr(montecarlo, "_MAX_CODES", bound)
-        assert_assignment_matches_policy_allocate(active, SPLIT, rows=np.arange(56)[::-1])
 
 
 def mimo_config(tx, rx, scheme, rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=3.0,
@@ -423,11 +392,15 @@ def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
     dict(config=make_config(rates=(1.0,) * 17, lambdas=(1.0,) * 17, max_rounds=1),
          policy=ROBIN),
     # no joblib-style "-1 means every core": a worker count is at least 1
-    dict(n_jobs=-1)])
+    dict(n_jobs=-1),
+    # 3^11 cells: the engine refuses the shapes the count tables refuse
+    dict(entry=simulate_rounds, policy=ROBIN,
+         config=make_config(rates=(1.0,) * 11, lambdas=(1.0,) * 11))])
 def test_simulate_batch_rejects_bad_counts(kwargs):
-    args = dict(config=make_config(), policy=COORD, n_trials=100, n_jobs=1) | kwargs
+    args = dict(entry=simulate_batch, config=make_config(), policy=COORD, n_trials=100) | kwargs
+    entry = args.pop("entry")
     with pytest.raises(ValueError):
-        simulate_batch(master_seed=SEED, **args)
+        entry(master_seed=SEED, **args)
 
 
 def test_stats_match_per_packet_reference(monkeypatch):
@@ -567,21 +540,20 @@ def test_analytic_counterparts_unavailable_cases():
 # dominance
 
 
-def test_dominance_paired_seeds(monkeypatch):
+def test_dominance_paired_seeds():
     """On shared draws no user decodes later with coordination than
     without, outage counting as round M+1: K=2, the K=3 split, K=4
     round-robin and 2x2 MIMO."""
-    cfg = make_config(rates=(1.0, 1.0), power=2.0, scheme=Scheme.RTD)
-    assert dominance_violations(cfg, COORD, 100_000, SEED) == 0
-    for cfg, policy, n in ((replace(K3_SPLIT, max_rounds=3), SPLIT, 50_000),
+    for cfg, policy, n in ((make_config(rates=(1.0, 1.0), power=2.0), COORD, 100_000),
+                           (replace(K3_SPLIT, max_rounds=3), SPLIT, 50_000),
                            (K4_ROBIN, ROBIN, 50_000),
                            (replace(K4_ROBIN, scheme=Scheme.INR, power=4.0), ROBIN, 50_000),
                            (mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0), max_rounds=3),
                             COORD, 20_000),
                            (mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0), max_rounds=3),
                             COORD, 20_000)):
-        monkeypatch.setattr(montecarlo, "CHUNK", n // 2)
-        assert dominance_violations(cfg, policy, n, SEED) == 0
+        alone, coordinated = (simulate_rounds(cfg, p, n, SEED) for p in (NONCOORD, policy))
+        assert later(alone, coordinated, cfg.max_rounds) == 0, (cfg, policy)
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +651,7 @@ def test_sweep_equals_per_point_estimates(policy, cfg, monkeypatch):
             point = replace(cfg, power=db_to_linear(snr))
             assert_same_estimates(res.estimates[i], estimate(point, policy, t, SEED))
             assert res.analytic[i] == analytic_counterparts(point, policy)
-    assert bool(res.analytic[0]) == has_closed_form(cfg)
+    assert bool(res.analytic[0]) == (closed_form_tables(cfg, policy, []) is not None)
 
 
 def test_db_to_linear():

@@ -51,8 +51,10 @@ def setups(draw, users, policies):
 
 def assert_orderings_hold(config, policy, seed):
     """INR decodes no later than RTD; +1 dB of power and rates x 0.8 decode
-    no later than the base. Each scheme runs the base and both changes as
-    configurations of one _grid_rounds call, so all of them share draws."""
+    no later than the base; a coordinated policy decodes no later than
+    non-coordination. Each scheme runs the base and both changes as
+    configurations of one _grid_rounds call per policy, so all of them
+    share draws."""
     m = config.max_rounds
     changes = [config, replace(config, power=config.power * ONE_DB),
                replace(config, rates=tuple(0.8 * r for r in config.rates))]
@@ -62,6 +64,12 @@ def assert_orderings_hold(config, policy, seed):
     for scheme, (base, louder, slower) in rounds.items():
         assert later(base, louder, m) == 0, (scheme, "+1 dB")
         assert later(base, slower, m) == 0, (scheme, "rates x 0.8")
+        if policy != NONCOORD:
+            # a failed user keeps its own band, and coordination only adds copies
+            alone = _grid_rounds([replace(c, scheme=scheme) for c in changes],
+                                 NONCOORD, TRIALS, seed)
+            for g, (own, helped) in enumerate(zip(alone, rounds[scheme])):
+                assert later(own, helped, m) == 0, (scheme, "coordination", g)
     for g, (rtd, inr) in enumerate(zip(rounds[Scheme.RTD], rounds[Scheme.INR])):
         assert later(rtd, inr, m) == 0, ("INR against RTD", g)
 
