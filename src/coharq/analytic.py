@@ -155,10 +155,9 @@ def cdf_rtd_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
 
 def _mi_density(z: np.ndarray, lam: float, power: float) -> np.ndarray:
     # density of log(1 + g*P), g ~ Exp(lam): (lam/P) e^z exp(-lam (e^z - 1)/P),
-    # taken in logs so that e^z past ~709.8 nats meets its vanishing factor
-    # before it overflows (where expm1 does overflow, the density is 0)
-    with np.errstate(over="ignore"):
-        return np.exp(math.log(lam) - math.log(power) + z - (lam / power) * np.expm1(z))
+    # taken in logs as one exponent; _check_inr_grid admits targets under 256
+    # nats only, so expm1(z) and the exponent stay finite on every grid
+    return np.exp(math.log(lam) - math.log(power) + z - (lam / power) * np.expm1(z))
 
 
 def _mi_cdf_single(lam: float, power: float, x: float) -> float:

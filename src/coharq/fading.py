@@ -80,32 +80,45 @@ def _philox_key(master_seed: int, slot: int, band: int) -> int:
 
 
 def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
-                  n_trials: int, words: int = 1) -> np.ndarray:
+                  n_trials: int, words: int = 1, out=None) -> np.ndarray:
     """Uniform(0,1) draws for trials [start_trial, start_trial + n_trials).
 
     Returns shape (n_trials, words): row t - start_trial holds words
     [t*words, (t+1)*words) of the (master_seed, slot, band) Philox stream,
     so the result depends only on (master_seed, slot, band, trial), never
-    on how calls are chunked.
+    on how calls are chunked. A range that starts inside a Philox block
+    consumes that block's leading words raw; then exactly n_trials * words
+    doubles are drawn, into `out` when given (a C-contiguous float64 array
+    of that many values, returned reshaped).
     """
+    size = n_trials * words
+    if out is not None and not (out.dtype == np.float64 and out.size == size
+                                and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous float64 array of {size} values, "
+                         f"got {out.size} {out.dtype}")
     blocks, skip = divmod(start_trial * words, _WORDS_PER_BLOCK)
     bg = Philox(key=_philox_key(master_seed, slot, band))
     if blocks:
         bg.advance(blocks)
-    return Generator(bg).random(skip + n_trials * words)[skip:].reshape(n_trials, words)
+    if skip:
+        bg.random_raw(skip)
+    if out is None:
+        return Generator(bg).random(size).reshape(n_trials, words)
+    Generator(bg).random(out=out)
+    return out.reshape(n_trials, words)
 
 
 def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
-               start_trial: int, n_trials: int) -> np.ndarray:
+               start_trial: int, n_trials: int, out=None) -> np.ndarray:
     """Channel gains (|h|^2) for a range of trials on one (slot, band).
 
     -log1p(-u) / lambda of the draw's uniforms, worked out in place on the
-    draw's own buffer with the same roundings in the same order (negate,
-    log1p, negate, divide). The result is a view of that buffer, so its
-    `nbytes`, not sys.getsizeof, is the memory it holds.
+    n_trials doubles drawn, into `out` when given (as uniform_block), with
+    the same roundings in the same order (negate, log1p, negate, divide).
+    The result holds those doubles and no more.
     """
     profile.check_band(band)
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials)[:, 0]
+    u = uniform_block(master_seed, slot, band, start_trial, n_trials, out=out).reshape(n_trials)
     np.negative(u, out=u)
     np.log1p(u, out=u)
     np.negative(u, out=u)

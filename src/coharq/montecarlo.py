@@ -15,6 +15,7 @@ closed-form expressions.
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,21 +46,34 @@ class RangeError(RuntimeError):
 
 
 class _DrawMemo:
-    """Whole draw blocks of one master seed, kept across engine calls.
+    """Whole draw blocks of one master seed, in buffers the memo owns.
 
     A block holds, batch last, one kind of draw of one slot over trials
     [start, start + n): the SISO gains of ("gain", band, lambda), the packed
     Grams (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the
-    K=3 split's coin u < 0.5 of ("coin",), one byte per trial, kept under
-    (what, slot, start). A block is read-only and serves its first n or
-    fewer trials, whole or at the live rows a read asks for: `fading` draws
-    whole ranges of trials only, so a range is drawn once and every read of
-    its rows takes them from the block, kept or not. A call on another seed
-    drops every block; a block that would take the memo past CAP_BYTES is
-    returned but not kept (nothing is evicted). A kept block owns its
-    memory, `nbytes` of it: a view, such as a gain block of its draw's
-    buffer, is copied when kept. Worker processes fill their own memo, which ends with the call's
-    pool, and the scalar oracle reads one-trial blocks of `fading` and never
+    K=3 split's coin u < 0.5 of ("coin",), one byte per trial, under the
+    key (what, slot, start). `fading` draws whole ranges of trials only,
+    so a range is drawn once and every read of its rows takes them from
+    the block. A read returns a read-only view of the block or a copy of
+    some of its rows.
+
+    - Kept: `blocks` maps a key to its buffer and the trials drawn into it
+      so far. A longer read draws the missing trials into the buffer's
+      tail (draws are keyed by trial, so the two join bit for bit); the
+      buffer is reallocated only to grow.
+    - Recycled: a call on another seed forgets the values and moves the
+      buffers to `spare`, so the new seed's block for a key is drawn into
+      the memory of the old one. Kept and spare buffers together hold at
+      most CAP_BYTES (`nbytes`, counted once a draw has landed); the memo
+      releases spare buffers, oldest first, when that makes room.
+    - Scratch: a block that does not fit, even with every spare buffer
+      released, is drawn into a reused buffer and not kept: one per slot-0
+      band, which the engine reads whole and holds for its call, and one
+      for reads of rows, which take them at once. Scratch grows to the
+      largest such block and lives for one chunk plan (`plan`).
+
+    Worker processes fill their own memo, which ends with the call's pool,
+    and the scalar oracle reads one-trial blocks of `fading` and never
     reads the memo.
     """
 
@@ -68,42 +82,77 @@ class _DrawMemo:
     def __init__(self):
         self.clear()
 
-    def clear(self, master_seed=None) -> None:
-        self.seed, self.blocks, self.nbytes = master_seed, {}, 0
+    def clear(self) -> None:
+        """Release every buffer."""
+        self.seed, self.blocks, self.spare, self.nbytes = None, {}, {}, 0
+        self.scratch = {}
+
+    @contextmanager
+    def plan(self):
+        """Scratch for the reads of one chunk plan, released when it ends."""
+        try:
+            yield
+        finally:
+            self.scratch = {}
 
     def read(self, what: tuple, slot: int, master_seed: int, start_trial: int,
-             n_trials: int, rows, draw):
+             n_trials: int, rows, draw, lead: tuple = (), dtype=np.float64):
         """The block `what` of `slot` over trials [start_trial, start_trial +
         n_trials) at the trial offsets `rows`, or all of them when None.
-        `draw(first, count)` makes trials [first, first + count).
-
-        A kept block that covers the range serves it. Otherwise the read
-        draws the range, or the trials past a shorter block kept at
-        start_trial (draws are keyed by trial, so the two join bit for
-        bit), and keeps it if it fits under CAP_BYTES.
+        A block has shape lead + (trials,) and `dtype`; `draw(first, count,
+        out)` draws trials [first, first + count) into `out`.
         """
         if master_seed != self.seed:
-            self.clear(master_seed)
+            self.spare.update((key, buf) for key, (buf, _) in self.blocks.items())
+            self.seed, self.blocks = master_seed, {}
         key = (what, slot, start_trial)
-        block = self.blocks.get(key)
-        have = 0 if block is None else block.shape[-1]
+        kept, have = self.blocks.get(key, (None, 0))
+        buf = kept
         if have < n_trials:
-            kept = block
-            block = draw(start_trial + have, n_trials - have)
-            if kept is not None:
-                block = np.concatenate([kept, block], axis=-1)
-            size = block.nbytes - (0 if kept is None else kept.nbytes)
-            if self.nbytes + size <= self.CAP_BYTES:
-                if block.base is not None:
-                    # a gain block is a view of its draw's buffer; kept as it
-                    # is, it sits below the heap that later chunks reuse, and
-                    # glibc trims and refaults that heap chunk after chunk
-                    # (criterion 4: 1.0M minor page faults, 0.5M with the copy)
-                    block = block.copy()
-                block.flags.writeable = False
-                self.nbytes += size
-                self.blocks[key] = block
-        return block[..., :n_trials] if rows is None else np.take(block, rows, axis=-1)
+            keep = True
+            if kept is None or kept.shape[-1] < n_trials:
+                buf, keep = self._buffer(key, kept, have, lead + (n_trials,), np.dtype(dtype),
+                                         what if rows is None else None)
+            draw(start_trial + have, n_trials - have, buf[..., have:n_trials])
+            if keep:
+                if buf is not kept:
+                    self.nbytes += buf.nbytes - (0 if kept is None else kept.nbytes)
+                self.blocks[key] = (buf, n_trials)
+        if rows is not None:
+            return np.take(buf, rows, axis=-1)
+        block = buf[..., :n_trials]
+        block.flags.writeable = False
+        return block
+
+    def _buffer(self, key, kept, have: int, shape: tuple, dtype, role):
+        """A buffer of `shape` to draw `key`'s block into, holding the first
+        `have` trials of `kept` (the key's kept buffer, too short, or None),
+        and whether the memo keeps it: the key's spare buffer if long enough,
+        else a new one if it fits under CAP_BYTES once enough spare buffers
+        are released, oldest first, else the scratch of `role`. A spare taken
+        or released stops counting; `read` counts a kept buffer once its draw
+        has landed."""
+        if kept is None and key in self.spare:
+            spare = self.spare.pop(key)
+            self.nbytes -= spare.nbytes
+            if spare.shape[-1] >= shape[-1]:
+                return spare, True
+        size = math.prod(shape) * dtype.itemsize
+        need = size - (0 if kept is None else kept.nbytes)
+        spares = sum(spare.nbytes for spare in self.spare.values())
+        keep = self.nbytes - spares + need <= self.CAP_BYTES
+        if keep:
+            while self.nbytes + need > self.CAP_BYTES:
+                self.nbytes -= self.spare.pop(next(iter(self.spare))).nbytes
+            buf = np.empty(shape, dtype)
+        else:
+            raw = self.scratch.get(role)
+            if raw is None or raw.nbytes < size:
+                raw = self.scratch[role] = np.empty(size, np.uint8)
+            buf = raw[:size].view(dtype).reshape(shape)
+        if have:
+            buf[..., :have] = kept[..., :have]
+        return buf, keep
 
 
 _DRAWS = _DrawMemo()
@@ -114,9 +163,10 @@ def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
     """The K=3 split's coin u < 0.5 from `slot`'s policy uniform for the
     trial offsets `rows` of [start_trial, start_trial + n_trials), read
     through the memo of this seed's draws (_DRAWS)."""
-    def draw(first, count):
-        return uniform_block(master_seed, slot, POLICY_BAND, first, count)[:, 0] < 0.5
-    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw)
+    def draw(first, count, out):
+        np.less(uniform_block(master_seed, slot, POLICY_BAND, first, count)[:, 0], 0.5, out=out)
+    return _DRAWS.read(("coin",), slot, master_seed, start_trial, n_trials, rows, draw,
+                       dtype=bool)
 
 
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
@@ -245,18 +295,22 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     def draw(b, s, rows):
         # the power-free part of one copy on band b at slot s, for trial offsets
         # rows (all trials when None), read through the memo of this seed's draws
-        def make(first, count):
+        def make(first, count, out):
             if siso:
-                return gain_block(profile, b, s, master_seed, first, count)
-            return hermitian_gram(matrix_block(profile, b, s, master_seed, first, count))
+                gain_block(profile, b, s, master_seed, first, count, out=out)
+            else:
+                hermitian_gram(matrix_block(profile, b, s, master_seed, first, count), out=out)
         lam = profile.lambdas[b]
-        what = ("gain", b, lam) if siso else ("gram", b, lam, u_tx, v_rx)
-        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make)
+        what, lead = (("gain", b, lam), ()) if siso else (("gram", b, lam, u_tx, v_rx),
+                                                          (u_tx, u_tx))
+        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, lead)
 
     def carried(x, power):
-        # what that copy adds to the accumulator at `power`
+        # what that copy adds to the accumulator at `power`; a SISO copy is a
+        # gathered array of its own, worked out in place
         if siso:
-            return x * power if rtd else np.log1p(x * power)
+            np.multiply(x, power, out=x)
+            return x if rtd else np.log1p(x, out=x)
         return x if rtd else log_det_eye_plus(power / u_tx, x)
 
     def decoded_nats(acc, power):
@@ -312,16 +366,20 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             pairs += power_of[col_cfg] * n_trials
     if siso:
         planned = plan(pairs)
-        acc = np.stack([copies(b, 0, planned) for b in range(k)])
+        acc = np.empty((k, len(cols)))
+        for b in range(k):
+            acc[b] = copies(b, 0, planned)
     else:
         acc = np.take(acc, pairs, axis=-1)
-    at = np.arange(len(cols))     # where the working columns sit in rounds
+    at = None     # where the working columns sit in rounds, when not all of them
     for s in range(1, m_max):
-        keep = np.flatnonzero(active.any(axis=0))
-        if keep.size == 0:
+        working = active.any(axis=0)
+        n_work = np.count_nonzero(working)
+        if n_work == 0:
             break
-        if keep.size < at.size:
-            at, pairs = at[keep], pairs[keep]
+        if n_work < len(pairs):
+            keep = np.flatnonzero(working)
+            at, pairs = keep if at is None else at[keep], pairs[keep]
             active, acc = np.take(active, keep, axis=1), np.take(acc, keep, axis=-1)
             if n_cfg > 1:
                 col_rates = np.take(col_rates, keep, axis=1)
@@ -336,7 +394,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
         won = active & (decoded_nats(acc, col_power) >= col_rates)
         for u in range(k):
-            rounds[u, at[won[u]]] = s + 1
+            rounds[u, won[u] if at is None else at[won[u]]] = s + 1
         active &= ~won
     return cols, rounds
 
@@ -360,7 +418,8 @@ def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     the shapes the count tables refuse (_check_shape).
     """
     _check_shape(configs[0])
-    cols, live = _live_rounds(configs, policy, n_trials, master_seed, start_trial)
+    with _DRAWS.plan():
+        cols, live = _live_rounds(configs, policy, n_trials, master_seed, start_trial)
     k = configs[0].n_users
     rounds = np.ones((k, len(configs) * n_trials), dtype=np.int16)
     rounds[:, cols] = live
@@ -426,16 +485,17 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
         tasks.append(([configs[g] for g in live], policy, start, count, master_seed))
         start += count
         live = [g for g in live if n_trials[g] > start]
-    if n_jobs > 1 and len(tasks) > 1:
-        # the pool starts all its workers at once: no more than the chunks
-        with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-            results = list(pool.map(_chunk_stats, tasks))
-    else:
-        results = map(_chunk_stats, tasks)
     totals = [None] * len(configs)
-    for live, tables in zip(plan, results):
-        for g, t in zip(live, tables):
-            totals[g] = t if totals[g] is None else totals[g] + t
+    with _DRAWS.plan():
+        if n_jobs > 1 and len(tasks) > 1:
+            # the pool starts all its workers at once: no more than the chunks
+            with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+                results = list(pool.map(_chunk_stats, tasks))
+        else:
+            results = map(_chunk_stats, tasks)
+        for live, tables in zip(plan, results):
+            for g, t in zip(live, tables):
+                totals[g] = t if totals[g] is None else totals[g] + t
     return totals
 
 

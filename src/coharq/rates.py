@@ -60,19 +60,28 @@ def _copies(snr_terms) -> list:
     return terms
 
 
-def hermitian_gram(h) -> np.ndarray:
+def hermitian_gram(h, out=None) -> np.ndarray:
     """Gram matrices G = H*H of complex v x u channel matrices, packed real.
 
     `h` has shape (..., v, u); the result has shape (u, u, ...), the batch
-    last. A Hermitian u x u matrix is held in u^2 reals: g[i, j] is
-    Re G[i, j] for i <= j and g[j, i] is Im G[i, j] for i < j. Entries are
-    summed over the v rows in order, so a batch and a single matrix give
+    last, and is built in `out` when given (a float64 array of that shape).
+    A Hermitian u x u matrix is held in u^2 reals: g[i, j] is Re G[i, j]
+    for i <= j and g[j, i] is Im G[i, j] for i < j. Entries are summed
+    over the v rows in order, so a batch and a single matrix give
     bit-identical Grams.
     """
     h = h.transpose(h.ndim - 2, h.ndim - 1, *range(h.ndim - 2))  # batch last
     re, im = h.real, h.imag
     v, u = h.shape[:2]
-    g = np.zeros((u, u) + h.shape[2:])
+    shape = (u, u) + h.shape[2:]
+    if out is None:
+        g = np.zeros(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of shape {shape}, "
+                         f"got {out.shape} {out.dtype}")
+    else:
+        g = out
+        g[...] = 0.0
     for i in range(u):
         for j in range(i, u):
             for k in range(v):

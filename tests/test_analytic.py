@@ -328,6 +328,18 @@ def test_cdf_inr_grid_boundary_at_high_power():
             cdf_inr_sum(1, 1, *args)
 
 
+def test_inr_density_stays_finite_up_to_the_admitted_target():
+    """_check_inr_grid admits targets under 256 nats only, so the INR
+    density's exponent never overflows: at P = 1e217 and a target just under
+    the limit, the (1, 1) and (2, 0) CDFs raise no floating-point error and
+    lie in [0, 1]."""
+    x = math.nextafter(analytic._INR_GRID_N / analytic._INR_MIN_STEPS, 0.0)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        cdf = analytic._cdf_inr_counts([(1, 1), (2, 0)], (1.0, 1.0), 1e217, x)
+    assert set(cdf) == {(1, 1), (2, 0)}
+    assert all(0.0 <= p <= 1.0 for p in cdf.values())
+
+
 @lru_cache(maxsize=None)
 def _inr_cdf_grid_fftconvolve(rates, power, x, n_intervals):
     # the convolution as scipy's fftconvolve computes it, one density per copy

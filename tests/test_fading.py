@@ -6,8 +6,9 @@ import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
-                           matrix_block, uniform_block)
+from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, _philox_key,
+                           gain_block, matrix_block, uniform_block)
+from coharq.rates import hermitian_gram
 
 SEED = 20260826
 
@@ -173,6 +174,50 @@ def test_block_at_any_start_is_a_slice_of_a_longer_block():
                               gain_block(prof, 0, 3, SEED, start - 3, 60)[3:53])
         assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, 50),
                               matrix_block(prof, 1, 3, SEED, start - 3, 60)[3:53])
+
+
+def test_draws_into_a_given_buffer_equal_the_allocating_draws():
+    """From every lane of a Philox block (start trials 0-12) and for one,
+    two, three and eight words a trial, uniform_block equals a draw of the
+    stream from its first word sliced at the range, and uniform_block,
+    gain_block and hermitian_gram give the same bits into `out` as into
+    arrays of their own; `out` may be the tail of a larger buffer."""
+    n = 37
+    prof = FadingProfile(lambdas=(1.0, 2.5))
+    mimo = FadingProfile(lambdas=(1.0, 2.5), tx_antennas=2, rx_antennas=3)
+    for words, start in itertools.product((1, 2, 3, 8), range(13)):
+        stream = Generator(Philox(key=_philox_key(SEED, 2, 1))).random((start + n) * words)
+        got = uniform_block(SEED, 2, 1, start, n, words=words)
+        assert np.array_equal(got, stream[start * words:].reshape(n, words))
+        out = np.full(n * words, np.nan)
+        into = uniform_block(SEED, 2, 1, start, n, words=words, out=out)
+        assert into.shape == (n, words) and np.shares_memory(into, out)
+        assert np.array_equal(into, got)
+    for start in range(13):
+        buf = np.full(n + 5, np.nan)
+        into = gain_block(prof, 1, 2, SEED, start, n, out=buf[5:])
+        assert np.shares_memory(into, buf) and np.isnan(buf[:5]).all()
+        assert np.array_equal(into, gain_block(prof, 1, 2, SEED, start, n))
+        h = matrix_block(mimo, 0, 1, SEED, start, n)
+        big = np.full((3, 3, n + 5), np.nan)[:2, :2]
+        into = hermitian_gram(h, out=big[..., 5:])
+        assert np.shares_memory(into, big) and np.isnan(big[..., :5]).all()
+        assert np.array_equal(into, hermitian_gram(h))
+
+
+def test_a_buffer_of_the_wrong_length_or_type_is_refused():
+    prof = FadingProfile(lambdas=(1.0,))
+    for out in (np.empty(11), np.empty(13), np.empty(12, dtype=np.float32),
+                np.empty(24)[::2]):
+        with pytest.raises(ValueError, match="out"):
+            uniform_block(SEED, 0, 0, 0, 4, words=3, out=out)
+    with pytest.raises(ValueError, match="out"):
+        gain_block(prof, 0, 0, SEED, 0, 12, out=np.empty(13))
+    h = matrix_block(FadingProfile(lambdas=(1.0,), tx_antennas=2, rx_antennas=2), 0, 0, SEED,
+                     0, 6)
+    for out in (np.empty((2, 2, 5)), np.empty((2, 2, 6), dtype=complex)):
+        with pytest.raises(ValueError, match="out"):
+            hermitian_gram(h, out=out)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])

@@ -673,7 +673,15 @@ def memo():
 
 
 def kept_blocks(memo):
-    return [(what, slot, start, block) for (what, slot, start), block in memo.blocks.items()]
+    """(what, slot, first trial, block) of each block the memo keeps for its
+    seed: the trials drawn so far into the buffer it owns."""
+    return [(what, slot, start, buf[..., :n])
+            for (what, slot, start), (buf, n) in memo.blocks.items()]
+
+
+def memo_buffers(memo):
+    """Every buffer the memo owns: kept blocks' and spare ones."""
+    return [buf for buf, _ in memo.blocks.values()] + list(memo.spare.values())
 
 
 def count_draws(monkeypatch):
@@ -696,8 +704,20 @@ def slot0_draws(calls):
 
 
 def assert_memo_accounts_its_blocks(memo):
-    assert memo.nbytes == sum(block.nbytes for *_, block in kept_blocks(memo))
+    """Kept and spare buffers own their memory, hold every trial drawn into
+    them, and count, all together, as `nbytes`, within the cap."""
+    buffers = memo_buffers(memo)
+    assert all(buf.flags.owndata for buf in buffers)
+    assert all(n <= buf.shape[-1] for buf, n in memo.blocks.values())
+    assert memo.nbytes == sum(buf.nbytes for buf in buffers)
     assert memo.nbytes <= memo.CAP_BYTES
+
+
+def served(memo, what, slot, start, n):
+    """The memo's read of a kept block whole: it draws nothing."""
+    def draw(first, count, out):
+        raise AssertionError(f"drew trials [{first}, {first + count})")
+    return memo.read(what, slot, memo.seed, start, n, None, draw)
 
 
 @pytest.mark.parametrize("policy,cfg", [
@@ -802,9 +822,9 @@ def test_draw_memo_reads(memo, monkeypatch):
     returns exactly the rows a kept block serves."""
     made = []
 
-    def draw(first, count):
+    def draw(first, count, out):
         made.append((first, count))
-        return uniform_block(SEED, 1, 0, first, count)[:, 0]
+        uniform_block(SEED, 1, 0, first, count, out=out)
 
     n = DEEP_TRIALS
     cold = uniform_block(SEED, 1, 0, 9, n)[:, 0]
@@ -885,15 +905,22 @@ def test_slot0_memo_serves_ranges_from_a_kept_blocks_first_trial(memo, monkeypat
 
 
 def test_slot0_memo_drops_blocks_on_a_seed_switch(memo, monkeypatch):
+    """A call on another seed drops every block's values and draws the new
+    seed's blocks into the old blocks' buffers: each kept block equals a
+    cold draw of the new seed."""
     cfg = make_config(scheme=Scheme.INR)
     simulate_rounds(cfg, COORD, 1000, SEED)
-    old = [block for *_, block in kept_blocks(memo)]
+    old = {key: buf for key, (buf, _) in memo.blocks.items()}
     other = simulate_rounds(cfg, COORD, 1000, SEED + 1)
     assert memo.seed == SEED + 1
     kept = kept_blocks(memo)
     # two bands at slots 0 and 1
     assert sorted((what[1], slot) for what, slot, *_ in kept) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert not any(b is a for *_, b in kept for a in old)
+    assert all(memo.blocks[key][0] is buf for key, buf in old.items()) and not memo.spare
+    for what, slot, start, block in kept:
+        assert np.array_equal(block, gain_block(cfg.profile, what[1], slot, SEED + 1, start,
+                                                block.shape[-1]))
+    assert_memo_accounts_its_blocks(memo)
     calls = count_draws(monkeypatch)
     assert np.array_equal(simulate_rounds(cfg, COORD, 1000, SEED + 1), other)
     assert calls == []
@@ -903,28 +930,32 @@ def test_slot0_memo_drops_blocks_on_a_seed_switch(memo, monkeypatch):
 
 
 def test_slot0_memo_blocks_are_read_only(memo):
+    """Every kind of block is served as a read-only view."""
     simulate_rounds(K3_SPLIT, SPLIT, 1000, SEED)
     simulate_rounds(mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0)), COORD, 100, SEED)
     kept = kept_blocks(memo)
     assert {what[0] for what, *_ in kept} == {"gain", "gram", "coin"}
-    for *_, block in kept:
-        assert not block.flags.writeable
+    for what, slot, start, block in kept:
+        view = served(memo, what, slot, start, block.shape[-1])
+        assert not view.flags.writeable and np.array_equal(view, block)
         with pytest.raises(ValueError):
-            block[..., 0] = 0
+            view[..., 0] = 0
     assert_memo_accounts_its_blocks(memo)
 
 
 def test_kept_gain_blocks_are_read_only_and_counted_by_nbytes(memo):
-    """gain_block returns a view of its draw's buffer; the memo keeps a
-    read-only copy that owns its memory and counts the 8 bytes of each of
-    its trials."""
+    """gain_block draws its gains straight into a buffer the memo owns,
+    which counts the 8 bytes of each of its trials; the memo serves it as a
+    read-only view."""
     simulate_rounds(make_config(scheme=Scheme.INR, max_rounds=3), COORD, 1000, SEED)
     kept = kept_blocks(memo)
     assert {what[0] for what, *_ in kept} == {"gain"} and len(kept) >= 4
-    for *_, block in kept:
-        assert block.shape == (1000,) and block.flags.owndata and not block.flags.writeable
+    for what, slot, start, block in kept:
+        assert block.shape == (1000,) and memo.blocks[what, slot, start][0].flags.owndata
+        view = served(memo, what, slot, start, 1000)
+        assert not view.flags.writeable
         with pytest.raises(ValueError):
-            block[0] = 0
+            view[0] = 0
     assert memo.nbytes == 8000 * len(kept)
     assert_memo_accounts_its_blocks(memo)
 
@@ -947,6 +978,121 @@ def test_slot0_memo_does_not_keep_a_block_over_the_cap(memo, monkeypatch):
     simulate_rounds(cfg, COORD, 6500, SEED)
     assert [block.shape[-1] for *_, block in kept_blocks(memo)] == [5000]
     assert_memo_accounts_its_blocks(memo)
+
+
+def ramp(first, count, out):
+    """A stand-in draw: trial t's value is t."""
+    out[...] = np.arange(first, first + count)
+
+
+def test_a_failed_draw_leaves_the_memo_accounting_for_its_blocks(memo):
+    """A draw that raises counts no buffer the memo does not hold, whether
+    it was to land in a grown buffer, a recycled spare or a new buffer, and
+    leaves the kept trials as they were."""
+    def fail(first, count, out):
+        raise MemoryError
+    for name in ("x", "y"):
+        memo.read((name,), 0, SEED, 0, 1000, None, ramp)
+    for seed, what, n in ((SEED, "x", 2000), (SEED + 1, "x", 1000), (SEED + 1, "z", 500)):
+        with pytest.raises(MemoryError):
+            memo.read((what,), 0, seed, 0, n, None, fail)
+        assert_memo_accounts_its_blocks(memo)
+        if seed == SEED:
+            assert np.array_equal(served(memo, ("x",), 0, 0, 1000), np.arange(1000))
+    # only y's buffer is left, a spare
+    assert not memo.blocks and list(memo.spare) == [(("y",), 0, 0)] and memo.nbytes == 8000
+    assert np.array_equal(memo.read(("x",), 0, SEED + 1, 0, 1000, None, ramp), np.arange(1000))
+    assert_memo_accounts_its_blocks(memo)
+
+
+def test_spare_buffers_are_released_only_to_make_room(memo, monkeypatch):
+    """A block that would not fit even with every spare buffer released
+    leaves the spares in place; one that fits once some are released
+    releases those, oldest first."""
+    monkeypatch.setattr(memo, "CAP_BYTES", 20_000)
+    for name in ("x", "y"):
+        memo.read((name,), 0, SEED, 0, 1000, None, ramp)
+    spares = {key: buf for key, (buf, _) in memo.blocks.items()}
+    # 24 kB is past the cap on its own
+    assert np.array_equal(memo.read(("z",), 0, SEED + 1, 0, 3000, None, ramp), np.arange(3000))
+    assert not memo.blocks and memo.spare == spares and memo.nbytes == 16_000
+    # x takes its own spare back; z's 12 kB fits once y's spare is released
+    memo.read(("x",), 0, SEED + 1, 0, 1000, None, ramp)
+    assert memo.blocks[("x",), 0, 0][0] is spares[("x",), 0, 0]
+    memo.read(("z",), 0, SEED + 1, 0, 1500, None, ramp)
+    assert list(memo.blocks) == [(("x",), 0, 0), (("z",), 0, 0)] and not memo.spare
+    assert memo.nbytes == 20_000
+    assert_memo_accounts_its_blocks(memo)
+
+
+def test_blocks_past_the_cap_reuse_scratch_across_a_plans_chunks(memo, monkeypatch):
+    """With no room, every chunk of a count-table plan draws a band's
+    slot-0 block into one scratch buffer, and the plan releases its scratch
+    when it ends; the table equals a cold memo's."""
+    cfg = make_config(scheme=Scheme.RTD, max_rounds=3)
+    monkeypatch.setattr(montecarlo, "CHUNK", 1000)
+    cold = simulate_batch(cfg, COORD, 4000, SEED)
+    memo.clear()
+    monkeypatch.setattr(memo, "CAP_BYTES", 0)
+    seen = {}
+
+    def read(what, slot, master_seed, start, n, rows, draw, *args, _real=memo.read):
+        out = _real(what, slot, master_seed, start, n, rows, draw, *args)
+        if rows is None:
+            # holding each scratch buffer keeps a new one from reusing its address
+            seen.setdefault(what, []).append(memo.scratch[what])
+            assert np.shares_memory(out, memo.scratch[what])
+        return out
+    monkeypatch.setattr(memo, "read", read)
+    assert np.array_equal(simulate_batch(cfg, COORD, 4000, SEED), cold)
+    assert sorted(what[1] for what in seen) == [0, 1]
+    assert all(len(bufs) == 4 and all(b is bufs[0] for b in bufs) for bufs in seen.values())
+    assert memo.scratch == {} and not memo.blocks and memo.nbytes == 0
+
+
+def snapshot(outputs):
+    """Copies of what simulate_rounds, simulate_batch and sweep returned."""
+    rounds, table, swept = outputs
+    return (rounds.copy(), table.copy(),
+            [sorted((k, e.point, e.half_width_95) for k, e in pt.items())
+             for pt in swept.estimates])
+
+
+@pytest.mark.parametrize("cap", [0, 50_000, montecarlo._DrawMemo.CAP_BYTES])
+def test_recycled_memory_is_never_visible_to_callers(cap, memo, monkeypatch):
+    """Rounds, count tables and sweep estimates returned on seed A share no
+    memory with the memo's buffers and stay as they were after calls on
+    seeds B and C, whose blocks are drawn into the buffers A's blocks used;
+    and the calls on A after A -> B -> C -> A equal those on a cold memo.
+    With no room, with room for a few blocks (spare buffers released to
+    make room) and at the default cap."""
+    monkeypatch.setattr(memo, "CAP_BYTES", cap)
+    cfg = make_config(scheme=Scheme.INR, power=3.0, max_rounds=3)
+    split = replace(K3_SPLIT, max_rounds=3)
+
+    def outputs(seed):
+        out = (simulate_rounds(cfg, COORD, 3000, seed),
+               simulate_batch(split, SPLIT, 4000, seed),
+               sweep(cfg, NONCOORD, [0.0, 5.0], 3000, seed))
+        assert_memo_accounts_its_blocks(memo)
+        return out
+
+    seeds = (SEED, SEED + 1, SEED + 2, SEED)
+    cold = []
+    for seed in seeds:
+        memo.clear()
+        cold.append(snapshot(outputs(seed)))
+    memo.clear()
+    first = outputs(SEED)
+    held = snapshot(first)
+    warm = [first] + [outputs(seed) for seed in seeds[1:]]
+    if cap:
+        assert memo_buffers(memo)
+    for out in warm:
+        assert not any(np.shares_memory(x, buf) for x in out[:2] for buf in memo_buffers(memo))
+    for got, expected in zip([held] + [snapshot(out) for out in warm], [cold[0]] + cold):
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+        assert got[2] == expected[2]
 
 
 def test_snr_at_outage_without_a_positive_point_is_a_range_error():
