@@ -160,6 +160,14 @@ def _mi_density(z: np.ndarray, lam: float, power: float) -> np.ndarray:
     return np.exp(math.log(lam) - math.log(power) + z - (lam / power) * np.expm1(z))
 
 
+def _inr_lower_tail(n: int, m: int, lam1: float, lam2: float, power: float, x: float) -> float:
+    """An upper bound on the INR CDF at x: mutual informations are
+    nonnegative, so the sum of n + m copies is below x only when every copy
+    is, and P(sum < x) <= F1(x)^n F2(x)^m, F the one-copy CDF."""
+    gain = _gain_threshold(x, power)
+    return (-math.expm1(-lam1 * gain)) ** n * (-math.expm1(-lam2 * gain)) ** m
+
+
 def _mi_cdf_single(lam: float, power: float, x: float) -> float:
     return -math.expm1(-(lam / power) * math.expm1(x)) if x > 0 else 0.0
 
@@ -240,7 +248,8 @@ def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
     The pairs not cached are evaluated together: one convolution pass over
     all their copy tuples on the base grid and one on the doubled grid,
     then Richardson extrapolation of each. Saturated and one-copy pairs
-    are exact; the others are refused where the grid is too coarse
+    are exact, and pairs whose lower-tail bound (_inr_lower_tail) is
+    negligible are 0; the others are refused where the grid is too coarse
     (_check_inr_grid).
     """
     for n, m in counts:
@@ -257,6 +266,8 @@ def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
             out[n, m] = 1.0
         elif n + m == 1:
             out[n, m] = _mi_cdf_single(lam1 if n else lam2, power, x)
+        elif _inr_lower_tail(n, m, lam1, lam2, power, x) < _NEGLIGIBLE:
+            out[n, m] = 0.0
         elif key in _INR_CACHE:
             _INR_CACHE.move_to_end(key)
             out[n, m] = _INR_CACHE[key]

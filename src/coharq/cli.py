@@ -38,19 +38,19 @@ _USER_NAMES = string.ascii_uppercase
 MAX_AXIS_POINTS = 1000
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, kw_only=True)
 class ResultRow:
     snr_db: float
     scheme: str
     policy: str
     k: int
     m: int
-    user: str           # "A", "B", ... or "" for system-level metrics
+    user: str = ""      # "A", "B", ... or "" for system-level metrics
     metric: str
-    mc_value: float     # NaN when analytic-only
-    mc_ci95: float
-    analytic_value: float  # NaN when Monte Carlo only
-    trials: int
+    mc_value: float = math.nan     # NaN when analytic-only
+    mc_ci95: float = math.nan
+    analytic_value: float = math.nan  # NaN when Monte Carlo only
+    trials: int = 0
     seed: int
 
 
@@ -106,22 +106,17 @@ def per_user_values(spec, k: int, name: str) -> list:
 
 
 def resolve_policy(name: str, k: int) -> AllocationPolicy:
-    """'coord' selects the natural coordinated policy for K users: the
-    random split at K = 3, else round-robin (full coordination at K = 2)."""
+    """A PolicyKind value in any case, or an alias: 'non-coordinated' for
+    'noncoord', and 'coord' for the natural coordinated policy for K users,
+    the random split at K = 3, else round-robin (full coordination at K = 2)."""
     name = name.lower()
-    if name in ("noncoord", "non-coordinated"):
-        return AllocationPolicy(PolicyKind.NON_COORDINATED)
-    if name == "coord":
-        if k == 3:
-            return AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
-        return AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
-    if name == "random-split":
-        if k != 3:
-            raise ConfigurationError(f"policy 'random-split' needs k = 3, got k = {k}")
-        return AllocationPolicy(PolicyKind.RANDOM_SPLIT_K3)
-    if name == "round-robin":
-        return AllocationPolicy(PolicyKind.ROUND_ROBIN_GENERAL)
-    raise ConfigurationError(f"unknown policy {name!r}")
+    value = {"non-coordinated": "noncoord",
+             "coord": "random-split" if k == 3 else "round-robin"}.get(name, name)
+    if value not in {kind.value for kind in PolicyKind}:
+        raise ConfigurationError(f"unknown policy {name!r}")
+    if value == "random-split" and k != 3:
+        raise ConfigurationError(f"policy 'random-split' needs k = 3, got k = {k}")
+    return AllocationPolicy(PolicyKind(value))
 
 
 def _output_path(path: str) -> str:
@@ -207,7 +202,7 @@ def _sweep_rows(result, scheme, policy_name, k, m, seed,
             rows.append(ResultRow(
                 snr_db=snr_db, scheme=scheme, policy=policy_name, k=k, m=m,
                 user=user, metric=key, mc_value=e.point, mc_ci95=e.half_width_95,
-                analytic_value=ana.get(key, float("nan")),
+                analytic_value=ana.get(key, math.nan),
                 trials=result.n_trials[i], seed=seed))
     return rows
 
@@ -236,10 +231,9 @@ def preset_fig1b(trials: int, seed: int, n_jobs: int = 1):
             ana = analytic_counterparts(cfg, pol)
             e = est["fairness"]
             rows.append(ResultRow(
-                snr_db=10.0, scheme=scheme, policy=policy_name, k=2, m=2, user="",
+                snr_db=10.0, scheme=scheme, policy=policy_name, k=2, m=2,
                 metric=f"fairness_lambda2={lam2:g}", mc_value=e.point,
-                mc_ci95=e.half_width_95,
-                analytic_value=ana.get("fairness", float("nan")),
+                mc_ci95=e.half_width_95, analytic_value=ana.get("fairness", math.nan),
                 trials=trials, seed=seed))
     return rows
 
@@ -259,14 +253,9 @@ def preset_fig1c(trials: int, seed: int, n_jobs: int = 1):
         for snr_db in axis:
             cfg = build_config(scheme, 2, 2, (1.0, 1.0), (1.0, 1.0), snr_db)
             pair, eta = optimize_rates(cfg, pol, grid)
-            rows.append(ResultRow(
-                snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
-                metric="throughput_optimized", mc_value=float("nan"), mc_ci95=float("nan"),
-                analytic_value=eta, trials=0, seed=seed))
-            rows.append(ResultRow(
-                snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
-                metric="rate_sum_optimal", mc_value=float("nan"), mc_ci95=float("nan"),
-                analytic_value=pair[0] + pair[1], trials=0, seed=seed))
+            for metric, value in (("throughput_optimized", eta), ("rate_sum_optimal", sum(pair))):
+                rows.append(ResultRow(snr_db=snr_db, scheme=scheme, policy=policy_name, k=2,
+                                      m=2, metric=metric, analytic_value=value, seed=seed))
     sym_grid = [(0.5 * i, 0.5 * i) for i in range(1, 33)]
     mimo_trials = min(trials, 20_000)
     for scheme, policy_name in itertools.product(("rtd", "inr"), ("coord", "noncoord")):
@@ -276,9 +265,8 @@ def preset_fig1c(trials: int, seed: int, n_jobs: int = 1):
             pair, eta = optimize_rates(cfg, pol, sym_grid, n_trials=mimo_trials,
                                        master_seed=seed, n_jobs=n_jobs)
             rows.append(ResultRow(
-                snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2, user="",
+                snr_db=snr_db, scheme=scheme, policy=policy_name, k=2, m=2,
                 metric="throughput_optimized_mimo2x2", mc_value=eta,
-                mc_ci95=float("nan"), analytic_value=float("nan"),
                 trials=mimo_trials, seed=seed))
     return rows
 
@@ -292,14 +280,8 @@ def preset_fig2(trials: int, seed: int, n_jobs: int = 1):
         cfg = build_config(scheme, 3, 2, (1.0, 1.0, 1.0), (rate, rate, rate), 0.0)
         pol = resolve_policy(policy_name, 3)
         res = sweep(cfg, pol, axis, trials, seed, n_jobs=n_jobs)
-        for i, snr_db in enumerate(res.snr_db):
-            for u in range(3):
-                e = res.estimates[i][f"outage_user{u}"]
-                rows.append(ResultRow(
-                    snr_db=snr_db, scheme=scheme, policy=policy_name, k=3, m=2,
-                    user=_USER_NAMES[u], metric=f"outage_R={rate:g}",
-                    mc_value=e.point, mc_ci95=e.half_width_95,
-                    analytic_value=float("nan"), trials=trials, seed=seed))
+        rows += [dataclasses.replace(row, metric=f"outage_R={rate:g}")
+                 for row in _sweep_rows(res, scheme, policy_name, 3, 2, seed, ("outage_user",))]
     return rows
 
 
@@ -309,14 +291,6 @@ PRESETS = {
     "fig1c": preset_fig1c,
     "fig2": preset_fig2,
 }
-
-
-def run_preset(name: str, trials: int, seed: int, out_path, n_jobs: int = 1):
-    if name not in PRESETS:
-        raise ConfigurationError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    rows = PRESETS[name](trials, seed, n_jobs=n_jobs)
-    emit_csv(rows, out_path)
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -417,32 +391,31 @@ def _section_options(section, args) -> dict:
     return opts
 
 
+def _write(rows, out) -> int:
+    """Write `rows` to `out`, checked by _output_path before they were made."""
+    emit_csv(rows, out)
+    print(f"wrote {len(rows)} rows to {out}")
+    return 0
+
+
 def _cmd_run(args) -> int:
     if args.preset:
         out = _output_path(args.out or f"{args.preset}.csv")
-        rows = run_preset(args.preset, args.trials, args.seed, out, n_jobs=args.jobs)
-        print(f"wrote {len(rows)} rows to {out}")
-        return 0
+        return _write(PRESETS[args.preset](args.trials, args.seed, n_jobs=args.jobs), out)
     if args.config:
         cp = configparser.ConfigParser()
         if not cp.read(args.config):
             raise ConfigurationError(f"cannot read config file {args.config!r}")
         runs = [_plan_sweep(_section_options(cp[name], args)) for name in cp.sections()]
         out = _output_path(args.out or "results.csv")
-        all_rows = [row for run in runs for row in run(args.jobs)]
-        emit_csv(all_rows, out)
-        print(f"wrote {len(all_rows)} rows to {out}")
-        return 0
+        return _write([row for run in runs for row in run(args.jobs)], out)
     raise ConfigurationError("run needs --preset or --config")
 
 
 def _cmd_sweep(args) -> int:
     run = _plan_sweep(vars(args))
     out = _output_path(args.out or "sweep.csv")
-    rows = run(args.jobs)
-    emit_csv(rows, out)
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    return _write(run(args.jobs), out)
 
 
 def _cmd_optimize(args) -> int:
@@ -490,24 +463,20 @@ def _cmd_analytic(args) -> int:
     return 0
 
 
+_COMMANDS = {"run": _cmd_run, "sweep": _cmd_sweep, "optimize": _cmd_optimize,
+             "analytic": _cmd_analytic}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         if args.command != "analytic":
             check_seed(args.seed)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "optimize":
-            return _cmd_optimize(args)
-        if args.command == "analytic":
-            return _cmd_analytic(args)
+        return _COMMANDS[args.command](args)
     except (ConfigurationError, ValueError, configparser.Error) as exc:
         # configparser messages span several lines
         print("config error: " + " ".join(str(exc).splitlines()), file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -269,8 +269,8 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     draw each block once. A SISO user's slot-0 decision is a compare of its
     gain with a threshold (_first_copy_decodes); MIMO works out every
     (power, trial) pair's copy. From there on only live columns are worked
-    on: each (slot, band) read covers the union of their trials, and its
-    copy is worked out once per live (power, trial) pair (columns that
+    on: each (slot, band) read takes each live (power, trial) pair's trial
+    from the block, and its copy is worked out once per pair (columns that
     share a power share pairs); only the decode check sees the rates. With
     one power the pairs are the trials and the power stays a float.
 
@@ -319,20 +319,19 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         return np.log1p(acc) if siso else log_det_eye_plus(power / u_tx, acc)
 
     def plan(pairs):
-        # the distinct (power, trial) pairs of the columns, the trials they draw
-        # and their power
+        # the distinct (power, trial) pairs of the columns, the trial and the
+        # power of each
         live, to_col = _distinct(pairs, n_pow * n_trials) if n_pow < n_cfg else (pairs, None)
-        rows, to_pair = _distinct(live % n_trials, n_trials) if n_pow > 1 else (live, None)
-        return rows, to_pair, config.power if n_pow == 1 else powers[live // n_trials], to_col
+        if n_pow == 1:
+            return live, config.power, to_col
+        return live % n_trials, powers[live // n_trials], to_col
 
     def copies(b, s, planned):
-        # band b's copy at slot s for each column of the plan, drawn once per
-        # trial and worked out once per pair
-        rows, to_pair, power, to_col = planned
+        # band b's copy at slot s for each column of the plan, worked out once
+        # per pair
+        rows, power, to_col = planned
         # slot 0's block is in hand, also when the memo had no room to keep it
         x = np.take(first[b], rows, axis=-1) if s == 0 else draw(b, s, rows)
-        if to_pair is not None:
-            x = np.take(x, to_pair, axis=-1)
         x = carried(x, power)
         return x if to_col is None else np.take(x, to_col, axis=-1)
 

@@ -314,18 +314,28 @@ def test_cdf_inr_grid_boundary(n, m, power, x):
         cdf_inr_sum(7, 0, (25.6, 1.0), 0.01, 0.1)
 
 
-def test_cdf_inr_grid_boundary_at_high_power():
+def test_cdf_inr_grid_boundary_at_high_power(monkeypatch):
     """At P / lambda = e^128 a copy's density is a unit-scale Gumbel density
     near 128 nats, far narrower than log1p(P / lambda): two copies on a
     grid of 8 steps per nat (x = 256) stay within 1e-6 of quadrature, a
     257-nat target is refused, and so is the 0.49-nat step at P = 1e217,
-    x = 1000, 2.6e-6 off quadrature."""
+    x = 1000, 2.6e-6 off quadrature. Copies whose lower-tail bound
+    F1(x)^n F2(x)^m is negligible are 0 without the grid, and the bound
+    reads a threshold past float range as a one-copy CDF of 1."""
     lambdas = (math.exp(-128.0), math.exp(-128.0))
     assert cdf_inr_sum(1, 1, lambdas, 1.0, 256.0) == pytest.approx(
         _inr_quad_oracle(1, 1, lambdas, 1.0, 256.0), abs=1e-6)
     for args in ((lambdas, 1.0, 257.0), ((1.0, 1.0), 1e217, 1000.0)):
         with pytest.raises(analytic.ClosedFormRangeError, match="under 8 steps"):
             cdf_inr_sum(1, 1, *args)
+
+    def no_grid(*args):
+        raise AssertionError("the grid ran")
+    monkeypatch.setattr(analytic, "_inr_cdf_grids", no_grid)
+    assert cdf_inr_sum(2000, 0, (1.0, 1.0), 1.0, 1e-4) == 0.0
+    assert cdf_inr_sum(3, 4, (1.0, 1.0), 1.0, 1e-4) == 0.0
+    with pytest.raises(analytic.ClosedFormRangeError, match="under 8 steps"):
+        cdf_inr_sum(2, 0, (1.0, 1.0), 1e217, 1000.0)
 
 
 def test_inr_density_stays_finite_up_to_the_admitted_target():

@@ -12,9 +12,9 @@ import pytest
 import coharq
 from coharq.analytic import cdf_inr_sum
 from coharq.cli import (CSV_HEADER, MAX_AXIS_POINTS, ResultRow, build_config, emit_csv,
-                        main, optimize_rates, parse_axis, resolve_policy, run_preset)
+                        main, optimize_rates, parse_axis, resolve_policy)
 from coharq.fading import ConfigurationError
-from coharq.montecarlo import analytic_counterparts, estimate
+from coharq.montecarlo import analytic_counterparts, estimate, sweep
 from coharq.protocol import PolicyKind
 from coharq.rates import Scheme
 
@@ -88,10 +88,14 @@ def test_resolve_policy():
     assert resolve_policy("coord", 3).kind is PolicyKind.RANDOM_SPLIT_K3
     assert resolve_policy("coord", 5).kind is PolicyKind.ROUND_ROBIN_GENERAL
     assert resolve_policy("noncoord", 2).kind is PolicyKind.NON_COORDINATED
+    assert resolve_policy("non-coordinated", 3).kind is PolicyKind.NON_COORDINATED
     assert resolve_policy("round-robin", 4).kind is PolicyKind.ROUND_ROBIN_GENERAL
     assert resolve_policy("random-split", 3).kind is PolicyKind.RANDOM_SPLIT_K3
-    with pytest.raises(ConfigurationError):
-        resolve_policy("psychic", 2)
+    # names are read in any case
+    assert resolve_policy("Round-Robin", 2).kind is PolicyKind.ROUND_ROBIN_GENERAL
+    assert resolve_policy("COORD", 3).kind is PolicyKind.RANDOM_SPLIT_K3
+    with pytest.raises(ConfigurationError, match="^unknown policy 'psychic'$"):
+        resolve_policy("Psychic", 2)
     with pytest.raises(ConfigurationError):
         resolve_policy("random-split", 2)
 
@@ -427,9 +431,11 @@ def test_main_config_file(tmp_path, capsys):
     assert rows and all(r["seed"] == "7" for r in rows)
 
 
-def test_run_preset_unknown():
-    with pytest.raises(ConfigurationError):
-        run_preset("fig99", 100, 1, "/tmp/x.csv")
+def test_run_preset_unknown(tmp_path, capsys):
+    err = assert_config_error(["run", "--preset", "fig99", "--trials", "100",
+                               "--out", str(tmp_path / "x.csv")], capsys)
+    assert "invalid choice: 'fig99'" in err
+    assert not list(tmp_path.iterdir())
 
 
 def run_preset_main(name, tmp_path, capsys):
@@ -486,10 +492,23 @@ def test_preset_fig1c_small(tmp_path, capsys):
     assert checked == 4 * 2
 
 
-def test_preset_fig2_small(tmp_path):
-    out = tmp_path / "fig2.csv"
-    rows = run_preset("fig2", 2000, SEED, out)
-    back = read_csv(out)
-    assert len(back) == len(rows)
-    assert all(r["k"] == "3" for r in back)
-    assert {r["policy"] for r in back} == {"coord", "noncoord"}
+def test_preset_fig2_small(tmp_path, capsys):
+    """fig2's rows: rate, scheme, policy, SNR point, then user A to C, each
+    a Monte Carlo outage with no closed form, equal to a sweep of its curve."""
+    rows = run_preset_main("fig2", tmp_path, capsys)
+    axis = [float(s) for s in range(0, 32, 2)]
+    assert [(r["metric"], r["scheme"], r["policy"], float(r["snr_db"]), r["user"])
+            for r in rows] == [(f"outage_R={rate}", scheme, policy, snr_db, user)
+                               for rate in (1, 2) for scheme in ("rtd", "inr")
+                               for policy in ("coord", "noncoord")
+                               for snr_db in axis for user in "ABC"]
+    assert len(rows) == 384
+    assert all(r["k"] == "3" and r["m"] == "2" and r["trials"] == "2000"
+               and r["seed"] == str(SEED) and math.isnan(float(r["analytic_value"]))
+               for r in rows)
+    cfg = build_config("inr", 3, 2, (1.0, 1.0, 1.0), (1.0, 1.0, 1.0), 0.0)
+    res = sweep(cfg, resolve_policy("coord", 3), axis, 2000, SEED)
+    curve = [r for r in rows
+             if r["metric"] == "outage_R=1" and r["scheme"] == "inr" and r["policy"] == "coord"]
+    assert [float(r["mc_value"]) for r in curve] == [
+        est[f"outage_user{u}"].point for est in res.estimates for u in range(3)]
