@@ -370,6 +370,14 @@ def event_label(i: int, j: int) -> str:
 
 
 @lru_cache(maxsize=64)
+def event_keys(max_rounds: int) -> tuple:
+    """`event_<label>` of each cell of a two-user (M+1)^2 table, row by row:
+    the keys of reduce_table and of the Monte Carlo estimates."""
+    cells = range(max_rounds + 1)
+    return tuple(f"event_{event_label(i, j)}" for i in cells for j in cells)
+
+
+@lru_cache(maxsize=64)
 def table_cells(max_rounds: int, n_users: int) -> tuple:
     """(flat indices, (K, cells) decoded flags, slots held) of the cells of
     an (M+1)^K table, each axis running rounds 1..M, then outage (index 0),
@@ -385,57 +393,58 @@ def table_cells(max_rounds: int, n_users: int) -> tuple:
     return parts
 
 
-def user_masses(table: np.ndarray) -> tuple:
-    """(outage, decoded): for each user, the table's mass in its outage
-    slice (index 0 on its axis) and in the rest; exact for a count table."""
-    flat, decodes, _ = table_cells(table.shape[0] - 1, table.ndim)
+def table_sums(table: np.ndarray) -> tuple:
+    """(outage, decoded, slots) from one read of the table's cells: for
+    each user, the mass in its outage slice (index 0 on its axis) and in
+    the rest, and the slots its packets held, summed in `table_cells`
+    order; exact for a count table."""
+    flat, decodes, slots = table_cells(table.shape[0] - 1, table.ndim)
     cells = table.ravel()[flat]
-    return ~decodes @ cells, decodes @ cells
+    return ~decodes @ cells, decodes @ cells, sum((slots * cells).tolist())
 
 
 def packets_per_slot(table: np.ndarray, packets=1.0) -> float:
     """Long-run packet-start rate gamma = packets / slots held, for an
     (M+1)^K table of probabilities (packets = 1) or of packet counts
-    (packets = their total); the slots are summed in `table_cells` order.
-    Per-slot frequencies are the per-packet values times gamma. Any other
-    total over the table's packets, such as delivered nats, gives its rate
-    per slot the same way.
+    (packets = their total). Per-slot frequencies are the per-packet
+    values times gamma.
     """
-    flat, _, slots = table_cells(table.shape[0] - 1, table.ndim)
-    return packets / sum((slots * table.ravel()[flat]).tolist())
+    return packets / table_sums(table)[2]
 
 
-def throughput_closed(table: np.ndarray, *rates, packets=1.0) -> float:
+def throughput_closed(table: np.ndarray, *rates, packets=1.0, sums=None) -> float:
     """Long-run throughput in npcu: delivered nats per slot held, one rate
-    per user."""
+    per user; `sums` as in reduce_table."""
     total = table.sum() / packets
     if abs(total - 1.0) > 1e-6:
         raise ConsistencyError(f"event probabilities sum to {total}, not 1")
-    return packets_per_slot(table, float(np.asarray(rates) @ user_masses(table)[1]))
+    _, decoded, slots = table_sums(table) if sums is None else sums
+    return float(np.asarray(rates) @ decoded) / slots
 
 
-def reduce_table(table: np.ndarray, rates, packets=1.0) -> dict:
+def reduce_table(table: np.ndarray, rates, packets=1.0, sums=None) -> dict:
     """Every per-packet and per-slot measure of an (M+1)^K terminal-event
     table, of probabilities (packets = 1) or of packet counts (packets =
     their total): gamma, per-user outage per packet (`outage_packet_user<u>`)
     and per slot (`outage_user<u>`), throughput, and for K = 2 the fairness
     ratio of A's to B's throughput (NaN when B delivers nothing) and every
-    cell as `event_<label>`.
+    cell as `event_<label>`. `sums` is the table's table_sums, read here
+    when not given.
     """
-    gamma = packets_per_slot(table, packets)
-    outage, decoded = user_masses(table)
+    sums = table_sums(table) if sums is None else sums
+    outage, decoded, slots = sums
+    gamma = packets / slots
     vals = {"gamma": gamma}
     for u, mass in enumerate(outage.tolist()):
         p = mass / packets
         vals[f"outage_packet_user{u}"] = p
         vals[f"outage_user{u}"] = gamma * p
-    vals["throughput"] = throughput_closed(table, *rates, packets=packets)
+    vals["throughput"] = throughput_closed(table, *rates, packets=packets, sums=sums)
     if table.ndim == 2:
         eta_a, eta_b = (rate * mass for rate, mass in zip(rates, decoded.tolist()))
         vals["fairness"] = eta_a / eta_b if eta_b > 0 else math.nan
-        for i, row in enumerate(table.tolist()):
-            for j, x in enumerate(row):
-                vals[f"event_{event_label(i, j)}"] = x / packets
+        for key, x in zip(event_keys(table.shape[0] - 1), table.ravel().tolist()):
+            vals[key] = x / packets
     return vals
 
 

@@ -327,8 +327,9 @@ def _build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     pr = sub.add_parser("run", help="run a named experiment preset or a config file")
-    pr.add_argument("--preset", default=None, choices=sorted(PRESETS))
-    pr.add_argument("--config", default=None, help="INI file with one section per run")
+    source = pr.add_mutually_exclusive_group()
+    source.add_argument("--preset", default=None, choices=sorted(PRESETS))
+    source.add_argument("--config", default=None, help="INI file with one section per run")
     _add_common(pr)
 
     ps = sub.add_parser("sweep", help="outage/throughput sweep over an SNR axis")

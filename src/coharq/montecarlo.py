@@ -46,7 +46,8 @@ class RangeError(RuntimeError):
 
 
 class _DrawMemo:
-    """Whole draw blocks of one master seed, in buffers the memo owns.
+    """Whole draw blocks of one master seed, in buffers the memo owns, and
+    the SISO slot-0 outcomes decided from them.
 
     A block holds, batch last, one kind of draw of one slot over trials
     [start, start + n): the SISO gains of ("gain", band, lambda), the packed
@@ -61,17 +62,23 @@ class _DrawMemo:
       so far. A longer read draws the missing trials into the buffer's
       tail (draws are keyed by trial, so the two join bit for bit); the
       buffer is reallocated only to grow.
+    - Outcomes: `outcomes` keeps each SISO configuration's slot-0 outcome
+      (`first_outcome`), which no scheme or policy changes, for the trials
+      decided so far; it goes, not to `spare`, on a seed switch.
     - Recycled: a call on another seed forgets the values and moves the
       buffers to `spare`, so the new seed's block for a key is drawn into
-      the memory of the old one. Kept and spare buffers together hold at
-      most CAP_BYTES (`nbytes`, counted once a draw has landed); the memo
-      releases spare buffers, oldest first, when that makes room.
+      the memory of the old one. Kept and spare buffers and kept outcomes
+      together hold at most CAP_BYTES (`nbytes`, counted once a draw has
+      landed); the memo releases spare buffers, oldest first, when that
+      makes room.
     - Scratch: a block that does not fit, even with every spare buffer
       released, is drawn into a reused buffer and not kept: one per slot-0
       band, which the engine reads whole and holds for its call, and one
       for reads of rows, which take them at once. Scratch grows to the
       largest such block and lives for one chunk plan (`plan`).
 
+    `band_maps` holds each (policy kind, K)'s band map of every activity
+    code (_assignment_matrix); no draw enters it, so it outlives a seed.
     Worker processes fill their own memo, which ends with the call's pool,
     and the scalar oracle reads one-trial blocks of `fading` and never
     reads the memo.
@@ -85,7 +92,7 @@ class _DrawMemo:
     def clear(self) -> None:
         """Release every buffer."""
         self.seed, self.blocks, self.spare, self.nbytes = None, {}, {}, 0
-        self.scratch = {}
+        self.outcomes, self.scratch, self.band_maps = {}, {}, {}
 
     @contextmanager
     def plan(self):
@@ -95,6 +102,24 @@ class _DrawMemo:
         finally:
             self.scratch = {}
 
+    def _switch(self, master_seed: int) -> None:
+        """Forget the values of another seed: blocks go to `spare`,
+        outcomes go."""
+        if master_seed != self.seed:
+            self.spare.update((key, buf) for key, (buf, _) in self.blocks.items())
+            self.nbytes -= sum(t.nbytes + won.nbytes for t, won, _ in self.outcomes.values())
+            self.seed, self.blocks, self.outcomes = master_seed, {}, {}
+
+    def _room(self, need: int) -> bool:
+        """Whether `need` more bytes fit under CAP_BYTES once enough spare
+        buffers are released, oldest first; releases them only then."""
+        if self.nbytes - sum(spare.nbytes for spare in self.spare.values()) + need \
+                > self.CAP_BYTES:
+            return False
+        while self.nbytes + need > self.CAP_BYTES:
+            self.nbytes -= self.spare.pop(next(iter(self.spare))).nbytes
+        return True
+
     def read(self, what: tuple, slot: int, master_seed: int, start_trial: int,
              n_trials: int, rows, draw, lead: tuple = (), dtype=np.float64):
         """The block `what` of `slot` over trials [start_trial, start_trial +
@@ -102,9 +127,7 @@ class _DrawMemo:
         A block has shape lead + (trials,) and `dtype`; `draw(first, count,
         out)` draws trials [first, first + count) into `out`.
         """
-        if master_seed != self.seed:
-            self.spare.update((key, buf) for key, (buf, _) in self.blocks.items())
-            self.seed, self.blocks = master_seed, {}
+        self._switch(master_seed)
         key = (what, slot, start_trial)
         kept, have = self.blocks.get(key, (None, 0))
         buf = kept
@@ -138,12 +161,8 @@ class _DrawMemo:
             if spare.shape[-1] >= shape[-1]:
                 return spare, True
         size = math.prod(shape) * dtype.itemsize
-        need = size - (0 if kept is None else kept.nbytes)
-        spares = sum(spare.nbytes for spare in self.spare.values())
-        keep = self.nbytes - spares + need <= self.CAP_BYTES
+        keep = self._room(size - (0 if kept is None else kept.nbytes))
         if keep:
-            while self.nbytes + need > self.CAP_BYTES:
-                self.nbytes -= self.spare.pop(next(iter(self.spare))).nbytes
             buf = np.empty(shape, dtype)
         else:
             raw = self.scratch.get(role)
@@ -153,6 +172,40 @@ class _DrawMemo:
         if have:
             buf[..., :have] = kept[..., :have]
         return buf, keep
+
+    def first_outcome(self, keys, master_seed: int, start_trial: int, n_trials: int,
+                      decide) -> list:
+        """The read-only slot-0 outcome (offsets, won) over trials
+        [start_trial, start_trial + n_trials) of each configuration keys[g]
+        (lambdas, rates, power): _first_copies' columns and flags, offsets
+        counted from start_trial. A shorter count takes a kept outcome's
+        prefix; `decide(group, first)` gives the outcomes of the trials from
+        start_trial + first on of keys[group], offsets counted from there,
+        which join the kept ones."""
+        self._switch(master_seed)
+        out, todo, kept = [None] * len(keys), {}, [None] * len(keys)
+        for g, key in enumerate(keys):
+            kept[g] = self.outcomes.get((key, start_trial))
+            have = 0 if kept[g] is None else kept[g][2]
+            if have >= n_trials:
+                t, won, _ = kept[g]
+                j = np.searchsorted(t, n_trials)
+                out[g] = t[:j], won[:, :j]
+            else:
+                todo.setdefault(have, []).append(g)
+        for have, group in todo.items():
+            for g, (t, won) in zip(group, decide(group, have)):
+                if have:
+                    t, won = np.concatenate((kept[g][0], t + have)), np.hstack((kept[g][1], won))
+                t.flags.writeable = won.flags.writeable = False
+                out[g] = t, won
+                key = (keys[g], start_trial)
+                now = self.outcomes.get(key)    # kept[g], or this call's twin of keys[g]
+                held = 0 if now is None else now[0].nbytes + now[1].nbytes
+                if self._room(t.nbytes + won.nbytes - held):
+                    self.nbytes += t.nbytes + won.nbytes - held
+                    self.outcomes[key] = t, won, n_trials
+        return out
 
 
 _DRAWS = _DrawMemo()
@@ -182,33 +235,32 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     back to a resolved owner.
 
     A column's activity code has bit u set while user u is active and bit K
-    set by the coin. policy_allocate runs once per code present, on any
-    column with that code, and one np.take reads every column's map from
-    that table.
+    set by the coin; one np.take reads every column's map from a table of
+    every code's map, made once per (policy kind, K) in the memo (_DRAWS).
     """
     k, n = active.shape
     keys = list(active)
-    coin = None
-    if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
-        coin = _coin(slot - 1, master_seed, start_trial, n_trials, rows)
-        keys.append(coin)
+    split = policy.kind is PolicyKind.RANDOM_SPLIT_K3
+    if split:
+        keys.append(_coin(slot - 1, master_seed, start_trial, n_trials, rows))
     # the coin first and user 0 last, each key shifted in as the low bit; a
     # shape the engine admits (_check_shape) has K <= 16, so a uint16 holds it
     code = np.zeros(n, dtype=np.uint16)
     for key in reversed(keys):
         code <<= 1
         code |= key
-    size = 1 << len(keys)
-    column = np.full(size, -1, dtype=np.intp)
-    column[code] = np.arange(n)
-    present = np.flatnonzero(column >= 0)
-    table = np.full((k, size), -1, dtype=np.min_scalar_type(-k))
-    for c, j in zip(present.tolist(), column[present].tolist()):
-        failed = set(np.flatnonzero(active[:, j]).tolist())
-        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                  coin=None if coin is None else bool(coin[j]))
-        table[:, c] = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
-    receivers = [sorted(set(row) - {-1}) for row in table[:, present].tolist()]
+    table = _DRAWS.band_maps.get((policy.kind, k))
+    if table is None:
+        table = np.empty((k, 1 << (k + split)), dtype=np.min_scalar_type(-k))
+        for c in range(table.shape[1]):
+            failed = {u for u in range(k) if c >> u & 1}
+            mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
+                                      coin=bool(c >> k & 1) if split else None)
+            table[:, c] = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
+        _DRAWS.band_maps[policy.kind, k] = table
+    seen = np.zeros(table.shape[1], dtype=bool)
+    seen[code] = True
+    receivers = [sorted(set(row) - {-1}) for row in table[:, seen].tolist()]
     return np.take(table, code, axis=1), receivers
 
 
@@ -221,35 +273,56 @@ def _distinct(index: np.ndarray, size: int):
 
 
 # Relative half-width of the band around a SISO slot-0 threshold inside
-# which _first_copy_decodes checks a gain with the exact expression: far
-# wider than the few ulps by which the compare and the expression can part.
+# which _first_copies checks a gain with the exact expression: far wider
+# than the few ulps by which the compare and the expression can part.
 _THRESHOLD_GUARD = 1e-12
 _TINY = np.finfo(float).tiny
 
 
-def _first_copy_decodes(gains: np.ndarray, rates: np.ndarray,
-                        powers: np.ndarray) -> np.ndarray:
-    """Whether a SISO user decodes its first copy, log1p(g * P) >= R, for
-    each gain g of `gains` and each pair (R, P) of `rates` and `powers`:
-    shape (len(rates), len(gains)), equal to that expression bit for bit.
+def _first_copies(gains, rates: np.ndarray, powers: np.ndarray) -> list:
+    """SISO slot 0 of G configurations on the same trials, where user u
+    decodes its first copy, gain gains[u][t], when log1p(g * P) >= R at
+    R = rates[u, c], P = powers[c]: for each configuration, (trials, won),
+    the trials where some user does not decode, ascending, and each user's
+    outcome there, equal to that expression bit for bit.
 
-    One compare with the threshold C = expm1(R) / P, g >= C (1 + guard),
-    decides a gain. Gains in [C (1 - guard), C (1 + guard)) are decided by
-    the exact expression. So is every gain of a pair whose expm1(R) or C is
-    not a normal finite float (a zero rate, a rate whose expm1 overflows, a
-    threshold past float range), where the compare's relative error has no
-    bound: its band is (-inf, inf).
+    Only a gain below the upper edge of its threshold C = expm1(R) / P's
+    guard band, C (1 + guard), may miss, and one in [C (1 - guard),
+    C (1 + guard)) is decided by the exact expression. So is every gain of
+    a pair whose expm1(R) or C is not a normal finite float (a zero rate, a
+    rate whose expm1 overflows, a threshold past float range), where the
+    compare's relative error has no bound: its band is (-inf, inf).
     """
     with np.errstate(over="ignore"):
         head = np.expm1(rates)
         c = head / powers
         fast = (head >= _TINY) & (c >= _TINY) & np.isfinite(c)
-        won = gains >= np.where(fast, c * (1 + _THRESHOLD_GUARD), np.inf)[:, None]
-        near = gains >= np.where(fast, c * (1 - _THRESHOLD_GUARD), -np.inf)[:, None]
-        if np.count_nonzero(near) != np.count_nonzero(won):
-            pair, t = np.nonzero(near & ~won)
-            won[pair, t] = np.log1p(gains[t] * powers[pair]) >= rates[pair]
-    return won
+        upper = np.where(fast, c * (1 + _THRESHOLD_GUARD), np.inf)
+        lower = np.where(fast, c * (1 - _THRESHOLD_GUARD), -np.inf)
+    live, below = np.empty((2, len(gains[0])), dtype=bool)
+    out = []
+    for g, power in enumerate(powers):
+        for u, x in enumerate(gains):
+            np.less(x, upper[u, g], out=below if u else live)
+            if u:
+                live |= below
+        t = np.flatnonzero(live)
+        won = np.empty((len(gains), len(t)), dtype=bool)
+        rechecked = False
+        for u, x in enumerate(gains):
+            x = np.take(x, t)
+            np.greater_equal(x, upper[u, g], out=won[u])
+            near = np.flatnonzero((x >= lower[u, g]) & ~won[u])
+            if len(near):
+                with np.errstate(over="ignore"):
+                    won[u, near] = np.log1p(x[near] * power) >= rates[u, g]
+                rechecked = True
+        if rechecked:
+            # a trial whose users all pass the exact check is not live
+            keep = np.flatnonzero(~won.all(axis=0))
+            t, won = t[keep], np.take(won, keep, axis=1)
+        out.append((t, won))
+    return out
 
 
 def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
@@ -266,13 +339,16 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
 
     Every (slot, band) block of gains or Grams, and every K=3 coin, is read
     through the memo of this seed's draws (_DRAWS), so calls on one seed
-    draw each block once. A SISO user's slot-0 decision is a compare of its
-    gain with a threshold (_first_copy_decodes); MIMO works out every
-    (power, trial) pair's copy. From there on only live columns are worked
-    on: each (slot, band) read takes each live (power, trial) pair's trial
-    from the block, and its copy is worked out once per pair (columns that
-    share a power share pairs); only the decode check sees the rates. With
-    one power the pairs are the trials and the power stays a float.
+    draw each block once. SISO slot 0 is one compare of each gain with its
+    threshold (_first_copies), and its outcome is kept in the memo beside
+    the gains, so a later call on the seed with the same lambdas, rates and
+    power, under any scheme or policy, decides only trials no call decided
+    (_DrawMemo.first_outcome). MIMO works out every (power, trial) pair's
+    copy. From there on only live columns are worked on: each (slot, band)
+    read takes each live (power, trial) pair's trial from the block, and
+    its copy is worked out once per pair (columns that share a power share
+    pairs); only the decode check sees the rates. With one power the pairs
+    are the trials and the power stays a float.
 
     Each slot from 1 on reads its band maps and, for each band, the users
     it goes to in some column from _assignment_matrix. Band b's copy is
@@ -335,11 +411,18 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         x = carried(x, power)
         return x if to_col is None else np.take(x, to_col, axis=-1)
 
-    # slot 0: every user sends its first copy on its own band; won[u, g, t]
+    # slot 0: every user sends its first copy on its own band
     first = [draw(b, 0, None) for b in range(k)]
     if siso:
         col_powers = powers[power_of]
-        won = np.stack([_first_copy_decodes(x, r, col_powers) for x, r in zip(first, rates)])
+
+        def decide(group, start):
+            # the outcomes of trials [start, n_trials) of configs[group]
+            return _first_copies([x[start:] for x in first], rates[:, group], col_powers[group])
+        keys = [(profile.lambdas, c.rates, c.power) for c in configs]
+        outcome = _DRAWS.first_outcome(keys, master_seed, start_trial, n_trials, decide)
+        cols = np.concatenate([t + g * n_trials for g, (t, _) in enumerate(outcome)])
+        won = np.hstack([w for _, w in outcome])
     else:
         # acc is user-major, then (power, trial); RTD sums each user's Grams in
         # a (u, u, K, ...) array, packed as in rates.hermitian_gram
@@ -350,11 +433,11 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         at_power = power_of if n_pow > 1 else slice(None)
         won = decoded_nats(acc, power)[:, at_power] >= rates[:, :, None]
         acc = acc.reshape(acc.shape[:-2] + (-1,))
-    won = won.reshape(k, -1)
-    cols = np.flatnonzero(~np.logical_and.reduce(won, axis=0))
-    # np.take keeps the gathered columns C-ordered, where fancy indexing of a
-    # trailing axis does not and slows every later pass over them
-    won = np.take(won, cols, axis=1)
+        won = won.reshape(k, -1)
+        cols = np.flatnonzero(~np.logical_and.reduce(won, axis=0))
+        # np.take keeps the gathered columns C-ordered, where fancy indexing of
+        # a trailing axis does not and slows every later pass over them
+        won = np.take(won, cols, axis=1)
     rounds = won.astype(np.int16)
     active = ~won
     pairs, col_rates = cols, rates
@@ -434,6 +517,8 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     same channel, under any policy, rates, power or chunking. The
     one-configuration case of the grid engine (_grid_rounds), every trial
     filled in; the count tables read the engine's live columns directly.
+    A SISO call keeps its slot-0 outcome in the memo of this seed's draws,
+    and a later call with the same lambdas, rates and power reads it.
     """
     return _grid_rounds([config], policy, n_trials, master_seed, start_trial)[0]
 
@@ -567,13 +652,14 @@ def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
 
 def estimates_from_stats(counts: np.ndarray, config: ProtocolConfig) -> dict:
     n = int(counts.sum())
-    vals = analytic.reduce_table(counts, config.rates, packets=n)
+    sums = analytic.table_sums(counts)
+    vals = analytic.reduce_table(counts, config.rates, packets=n, sums=sums)
     gamma = vals["gamma"]
     half = {"gamma": 0.0,
             "throughput": _throughput_half_width(counts, n, config.rates, vals["throughput"],
                                                  gamma)}
     p_decoded = []
-    for u, fails in enumerate(analytic.user_masses(counts)[0].tolist()):
+    for u, fails in enumerate(sums[0].tolist()):
         half[f"outage_packet_user{u}"] = _bernoulli_ci(fails, n)
         half[f"outage_user{u}"] = gamma * half[f"outage_packet_user{u}"]
         p_decoded.append((n - fails) / n)
@@ -584,9 +670,8 @@ def estimates_from_stats(counts: np.ndarray, config: ProtocolConfig) -> dict:
         else:
             rel = sum((1 - p) / (p * n) for p in p_decoded)
             half["fairness"] = 1.96 * fairness * math.sqrt(rel)
-        for i, row in enumerate(counts.tolist()):
-            for j, c in enumerate(row):
-                half[f"event_{analytic.event_label(i, j)}"] = _bernoulli_ci(c, n)
+        for key, c in zip(analytic.event_keys(config.max_rounds), counts.ravel().tolist()):
+            half[key] = _bernoulli_ci(c, n)
     return {key: EstimateWithCI(v, n, half[key], key) for key, v in vals.items()}
 
 

@@ -431,6 +431,15 @@ def test_main_config_file(tmp_path, capsys):
     assert rows and all(r["seed"] == "7" for r in rows)
 
 
+def test_run_refuses_a_preset_and_a_config_file_together(tmp_path, capsys):
+    ini = tmp_path / "runs.ini"
+    ini.write_text("[small]\nsnr_db = 0\ntrials = 10\n")
+    err = assert_config_error(["run", "--preset", "fig1b", "--config", str(ini),
+                               "--trials", "100", "--out", str(tmp_path / "both.csv")], capsys)
+    assert "--preset" in err and "--config" in err
+    assert not (tmp_path / "both.csv").exists()
+
+
 def test_run_preset_unknown(tmp_path, capsys):
     err = assert_config_error(["run", "--preset", "fig99", "--trials", "100",
                                "--out", str(tmp_path / "x.csv")], capsys)

@@ -10,7 +10,7 @@ from coharq.analytic import packets_per_slot
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
                            matrix_block, uniform_block)
 from coharq.montecarlo import (EstimateWithCI, FitWindowError, RangeError, SweepResult, _assignment_matrix,
-                               _first_copy_decodes, _grid_rounds, analytic_counterparts,
+                               _first_copies, _grid_rounds, analytic_counterparts,
                                closed_form_tables, db_to_linear,
                                energy_gain_at_outage, estimate, estimate_grid,
                                estimates_from_stats,
@@ -131,10 +131,12 @@ def ulp_steps(x, steps=8):
 
 
 def test_first_copy_decision_is_exact_at_its_threshold():
-    """The slot-0 compare equals log1p(g * P) >= R for gains stepped ulp by
-    ulp around C = expm1(R) / P and around the guard band's edges, for
-    normal thresholds and for subnormal, zero and infinite ones, all pairs
-    in one call."""
+    """Slot 0's live columns and won flags equal log1p(g * P) >= R for gains
+    stepped ulp by ulp around C = expm1(R) / P and around the guard band's
+    edges, for normal thresholds and for subnormal, zero and infinite ones:
+    all pairs in one call, and each pair alone. Two users see the same
+    gains in opposite trial orders, so columns mix users that decode with
+    users that do not."""
     guard = montecarlo._THRESHOLD_GUARD
     pairs = list(itertools.product((1e-9, 1.0, 50.0, 700.0), (1e-3, 1.0, 1e6, 1e30)))
     # a subnormal threshold, a zero one (zero rate), expm1 overflowing, a
@@ -148,12 +150,20 @@ def test_first_copy_decision_is_exact_at_its_threshold():
                 if 0 < center < math.inf:
                     gains += ulp_steps(center)
         gains = np.array(gains)
+        users = [gains, gains[::-1].copy()]
         rates, powers = (np.array(v) for v in zip(*pairs))
-        want = np.log1p(gains * powers[:, None]) >= rates[:, None]
-    got = _first_copy_decodes(gains, rates, powers)
-    assert got.shape == want.shape and np.array_equal(got, want)
-    # every normal threshold splits its steps
-    assert want[:16].any(axis=1).all() and not want[:16].all(axis=1).any()
+        # want[u, pair, trial]
+        want = np.stack([np.log1p(x * powers[:, None]) >= rates[:, None] for x in users])
+    for at in [slice(None)] + [slice(c, c + 1) for c in range(len(pairs))]:
+        got = _first_copies(users, np.stack([rates[at]] * 2), powers[at])
+        assert len(got) == len(powers[at])
+        for expected, (t, won) in zip(want[:, at].transpose(1, 0, 2), got):
+            assert np.array_equal(t, np.flatnonzero(~expected.all(axis=0)))
+            assert won.shape == (2, len(t)) and np.array_equal(won, expected[:, t])
+    assert len(gains) > 16 * 3 * 17
+    # every normal threshold splits its steps, and columns mix the users
+    assert want[0, :16].any(axis=1).all() and not want[0, :16].all(axis=1).any()
+    assert (want[0] & ~want[1]).any() and (want[1] & ~want[0]).any()
     # end to end: a rate at a drawn slot-0 gain's boundary decides as the oracle
     g = float(gain_block(FadingProfile(lambdas=(1.0, 2.0)), 0, 0, SEED, 0, 1)[0])
     for scheme in (Scheme.RTD, Scheme.INR):
@@ -181,28 +191,41 @@ def test_vectorized_matches_scalar_at_the_largest_admitted_shape():
     assert set(np.unique(rounds).tolist()) == {0, 1, 2}
 
 
-@pytest.mark.parametrize("policy,k", [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5),
-                                      (NONCOORD, 3), (ROBIN, 3), (ROBIN, 4)],
+ASSIGNMENT_CASES = [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5), (NONCOORD, 3),
+                    (ROBIN, 3), (ROBIN, 4)]
+
+
+@pytest.mark.parametrize("policy,k", ASSIGNMENT_CASES,
                          ids=["coord-k2", "noncoord-k2", "split-k3", "robin-k5",
                               "noncoord-k3", "robin-k3", "robin-k4"])
-def test_assignment_matrix_matches_policy_allocate(policy, k):
+def test_assignment_matrix_matches_policy_allocate(policy, k, memo):
     # every nonempty activity pattern, eight columns each, in a shuffled
-    # order and at reversed trial offsets
+    # order and at reversed trial offsets; on a cleared memo, and after every
+    # other case has filled its band maps
     patterns = [p for p in itertools.product((False, True), repeat=k) if any(p)]
     active = np.array(patterns * 8).T
     active = active[:, np.random.default_rng(SEED).permutation(active.shape[1])]
     n = active.shape[1]
     rows = np.arange(n)[::-1]
     slot = 2
-    assign, receivers = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
-    assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
     uniforms = uniform_block(SEED, slot - 1, POLICY_BAND, 5, n)[rows, 0]
-    for j in range(n):
-        failed = set(np.flatnonzero(active[:, j]).tolist())
-        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                  coin=bool(uniforms[j] < 0.5))
-        expected = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
-        assert assign[:, j].tolist() == expected, (j, sorted(failed))
+    for filled in (False, True):
+        memo.clear()
+        if filled:
+            others = [case for case in ASSIGNMENT_CASES if case != (policy, k)]
+            for other, other_k in others:
+                _assignment_matrix(np.ones((other_k, 1), dtype=bool), np.zeros(1, dtype=int),
+                                   other, slot, SEED, 5, 1)
+            assert set(memo.band_maps) == {(p.kind, kk) for p, kk in others}
+        assign, receivers = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
+        assert (policy.kind, k) in memo.band_maps
+        assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
+        for j in range(n):
+            failed = set(np.flatnonzero(active[:, j]).tolist())
+            mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
+                                      coin=bool(uniforms[j] < 0.5))
+            expected = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
+            assert assign[:, j].tolist() == expected, (j, sorted(failed))
     if policy is SPLIT:
         # the two-user patterns see the coin land both ways
         pairs = uniforms[active.sum(axis=0) == 2]
@@ -679,9 +702,16 @@ def kept_blocks(memo):
             for (what, slot, start), (buf, n) in memo.blocks.items()]
 
 
+def kept_outcomes(memo):
+    """The offsets and won flags of each slot-0 outcome the memo keeps."""
+    return [a for t, won, _ in memo.outcomes.values() for a in (t, won)]
+
+
 def memo_buffers(memo):
-    """Every buffer the memo owns: kept blocks' and spare ones."""
-    return [buf for buf, _ in memo.blocks.values()] + list(memo.spare.values())
+    """Every buffer the memo owns: kept blocks', spare ones and kept
+    outcomes'."""
+    return [buf for buf, _ in memo.blocks.values()] + list(memo.spare.values()) + \
+        kept_outcomes(memo)
 
 
 def count_draws(monkeypatch):
@@ -704,11 +734,18 @@ def slot0_draws(calls):
 
 
 def assert_memo_accounts_its_blocks(memo):
-    """Kept and spare buffers own their memory, hold every trial drawn into
-    them, and count, all together, as `nbytes`, within the cap."""
+    """Kept and spare buffers own their memory and kept outcomes hold no
+    memory past their own bytes; they hold every trial drawn or decided
+    into them, and count, all together, as `nbytes`, within the cap;
+    outcomes are read-only."""
     buffers = memo_buffers(memo)
-    assert all(buf.flags.owndata for buf in buffers)
+    assert all(buf.flags.owndata for buf in buffers[:len(buffers) - len(kept_outcomes(memo))])
+    assert all(a.base is None or a.base.nbytes == a.nbytes for a in kept_outcomes(memo))
     assert all(n <= buf.shape[-1] for buf, n in memo.blocks.values())
+    for t, won, n in memo.outcomes.values():
+        assert won.shape == (won.shape[0], len(t)) and not won.all(axis=0).any()
+        assert np.all(np.diff(t) > 0) and (len(t) == 0 or 0 <= t[0] and t[-1] < n)
+        assert not t.flags.writeable and not won.flags.writeable
     assert memo.nbytes == sum(buf.nbytes for buf in buffers)
     assert memo.nbytes <= memo.CAP_BYTES
 
@@ -787,6 +824,94 @@ def test_draw_memo_serves_mixed_calls_on_one_seed_like_a_cleared_memo(memo, monk
         memo.clear()
         assert np.array_equal(simulate_rounds(cfg, policy, count, SEED, start_trial=start),
                               expected)
+
+
+def count_decisions(monkeypatch):
+    """Record (trials, configurations) of each slot-0 decision the engine
+    makes (_first_copies)."""
+    decided = []
+
+    def counted(gains, rates, powers, _real=montecarlo._first_copies):
+        decided.append((len(gains[0]), len(powers)))
+        return _real(gains, rates, powers)
+    monkeypatch.setattr(montecarlo, "_first_copies", counted)
+    return decided
+
+
+def test_kept_slot0_outcome_is_invisible(memo, monkeypatch):
+    """Calls on one seed that share lambdas, rates and power read one kept
+    slot-0 outcome, whatever their scheme and policy: a shorter count takes
+    its prefix, a longer one decides only the new trials, a power grid
+    decides only the powers no call decided, and another first trial,
+    rates or lambdas decide their own. Each count table equals the same
+    call on a cleared memo."""
+    n = 3000
+    rtd = make_config(scheme=Scheme.RTD, lambdas=(1.0, 2.0), power=3.0, max_rounds=3)
+    inr = replace(rtd, scheme=Scheme.INR)
+    grid = [0.75, 3.0, 12.0]
+    # (configs, policy, first trial, trials) and the decisions each makes
+    calls = [([rtd], NONCOORD, 0, n, [(n, 1)]), ([rtd], COORD, 0, n, []),
+             ([inr], COORD, 0, n, []), ([inr], NONCOORD, 0, 3 * n, [(2 * n, 1)]),
+             ([rtd], COORD, 0, n // 2, []),
+             ([replace(inr, power=p) for p in grid], COORD, 0, n, [(n, 2)]),
+             ([replace(rtd, power=p) for p in grid], NONCOORD, 0, 2 * n, [(n, 2)]),
+             ([inr], COORD, 700, n, [(n, 1)]), ([rtd], NONCOORD, 700, n // 2, []),
+             # twins in one call decide together and keep one outcome
+             ([replace(rtd, power=24.0)] * 2, COORD, 0, n, [(n, 2)]),
+             ([replace(inr, rates=(1.0, 1.5))], COORD, 0, n, [(n, 1)]),
+             ([replace(rtd, profile=FadingProfile(lambdas=(1.0, 0.5)))], COORD, 0, n,
+              [(n, 1)])]
+    decided = count_decisions(monkeypatch)
+    warm = []
+    for configs, policy, start, count, decisions in calls:
+        before = len(decided)
+        warm.append(montecarlo._chunk_stats((configs, policy, start, count, SEED)))
+        assert decided[before:] == decisions, (configs[0].scheme, policy, start, count)
+        assert_memo_accounts_its_blocks(memo)
+    assert len(memo.outcomes) == 1 + len(grid) - 1 + 4
+    # a seed switch drops every outcome: the first call decides again
+    before = len(decided)
+    montecarlo._chunk_stats(([rtd], NONCOORD, 0, n, SEED + 1))
+    assert decided[before:] == [(n, 1)] and len(memo.outcomes) == 1
+    assert_memo_accounts_its_blocks(memo)
+    for (configs, policy, start, count, _), expected in zip(calls, warm):
+        memo.clear()
+        got = montecarlo._chunk_stats((configs, policy, start, count, SEED))
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert_same_stats(a, b)
+
+
+def test_kept_slot0_outcomes_are_read_only_counted_and_capped(memo, monkeypatch):
+    """A kept outcome is served read-only, counts in `nbytes` and is never
+    kept past the cap: with no room for it every call decides slot 0
+    again, with the same rounds."""
+    cfg = make_config(scheme=Scheme.INR, power=3.0, max_rounds=3)
+    cold = simulate_rounds(cfg, COORD, 4000, SEED)
+    (key, (t, won, n)), = memo.outcomes.items()
+    assert key == ((cfg.profile.lambdas, cfg.rates, cfg.power), 0) and n == 4000
+    assert 0 < len(t) < 4000 and won.shape == (2, len(t))
+    blocks = sum(buf.nbytes for buf, _ in memo.blocks.values())
+    assert memo.nbytes == blocks + t.nbytes + won.nbytes
+    for a, b in zip(memo.first_outcome([key[0]], SEED, 0, 4000, None)[0], (t, won)):
+        assert np.shares_memory(a, b) and np.array_equal(a, b) and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[..., 0] = 0
+    prefix = memo.first_outcome([key[0]], SEED, 0, 1000, None)[0]
+    assert all(not a.flags.writeable and np.shares_memory(a, b) for a, b in zip(prefix, (t, won)))
+    assert np.array_equal(prefix[0], t[t < 1000])
+    # room for the slot-0 blocks alone
+    slot0 = 2 * 8 * 4000
+    for cap in (0, slot0, slot0 + t.nbytes + won.nbytes - 1):
+        memo.clear()
+        monkeypatch.setattr(memo, "CAP_BYTES", cap)
+        decided = count_decisions(monkeypatch)
+        for _ in range(2):
+            assert np.array_equal(simulate_rounds(cfg, COORD, 4000, SEED), cold)
+            assert not memo.outcomes
+            assert_memo_accounts_its_blocks(memo)
+        assert decided == [(4000, 1)] * 2
+        monkeypatch.undo()
 
 
 def test_draw_memo_extends_a_shorter_block_bit_for_bit(memo, monkeypatch):
@@ -956,7 +1081,7 @@ def test_kept_gain_blocks_are_read_only_and_counted_by_nbytes(memo):
         assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 0
-    assert memo.nbytes == 8000 * len(kept)
+    assert memo.nbytes == 8000 * len(kept) + sum(a.nbytes for a in kept_outcomes(memo))
     assert_memo_accounts_its_blocks(memo)
 
 
