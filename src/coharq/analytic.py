@@ -22,8 +22,9 @@ from .rates import Scheme
 from .special import gammainc_lower
 
 # Size, relative to the value computed, below which a remainder is dropped:
-# the tail of the RTD gamma mixture, or the chance of falling short of a
-# target; well under the double-precision spacing at 1.
+# the tail of the RTD gamma mixture, or the chance that copies reach a
+# target they almost surely fall short of (_saturated); well under the
+# double-precision spacing at 1.
 _NEGLIGIBLE = 1e-17
 
 # Most terms the RTD gamma mixture may need, about min(c lf / ls, lf z) (see
@@ -248,9 +249,9 @@ def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
     The pairs not cached are evaluated together: one convolution pass over
     all their copy tuples on the base grid and one on the doubled grid,
     then Richardson extrapolation of each. Saturated and one-copy pairs
-    are exact, and pairs whose lower-tail bound (_inr_lower_tail) is
-    negligible are 0; the others are refused where the grid is too coarse
-    (_check_inr_grid).
+    are exact, and pairs whose lower-tail bound (_inr_lower_tail)
+    underflows to 0 are 0; the others, however small, are refused where
+    the grid is too coarse (_check_inr_grid).
     """
     for n, m in counts:
         if n < 0 or m < 0 or n + m < 1:
@@ -266,7 +267,7 @@ def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
             out[n, m] = 1.0
         elif n + m == 1:
             out[n, m] = _mi_cdf_single(lam1 if n else lam2, power, x)
-        elif _inr_lower_tail(n, m, lam1, lam2, power, x) < _NEGLIGIBLE:
+        elif _inr_lower_tail(n, m, lam1, lam2, power, x) == 0.0:
             out[n, m] = 0.0
         elif key in _INR_CACHE:
             _INR_CACHE.move_to_end(key)

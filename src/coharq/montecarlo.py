@@ -17,6 +17,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -47,7 +48,7 @@ class RangeError(RuntimeError):
 
 class _DrawMemo:
     """Whole draw blocks of one master seed, in buffers the memo owns, and
-    the SISO slot-0 outcomes decided from them.
+    the slot-0 outcomes decided from them.
 
     A block holds, batch last, one kind of draw of one slot over trials
     [start, start + n): the SISO gains of ("gain", band, lambda), the packed
@@ -62,9 +63,10 @@ class _DrawMemo:
       so far. A longer read draws the missing trials into the buffer's
       tail (draws are keyed by trial, so the two join bit for bit); the
       buffer is reallocated only to grow.
-    - Outcomes: `outcomes` keeps each SISO configuration's slot-0 outcome
-      (`first_outcome`), which no scheme or policy changes, for the trials
-      decided so far; it goes, not to `spare`, on a seed switch.
+    - Outcomes: `outcomes` keeps each SISO or MIMO configuration's slot-0
+      outcome (`first_outcome`), keyed by the whole fading profile, rates
+      and power, which no scheme or policy changes, for the trials decided
+      so far; it goes, not to `spare`, on a seed switch.
     - Recycled: a call on another seed forgets the values and moves the
       buffers to `spare`, so the new seed's block for a key is drawn into
       the memory of the old one. Kept and spare buffers and kept outcomes
@@ -77,8 +79,6 @@ class _DrawMemo:
       for reads of rows, which take them at once. Scratch grows to the
       largest such block and lives for one chunk plan (`plan`).
 
-    `band_maps` holds each (policy kind, K)'s band map of every activity
-    code (_assignment_matrix); no draw enters it, so it outlives a seed.
     Worker processes fill their own memo, which ends with the call's pool,
     and the scalar oracle reads one-trial blocks of `fading` and never
     reads the memo.
@@ -92,7 +92,7 @@ class _DrawMemo:
     def clear(self) -> None:
         """Release every buffer."""
         self.seed, self.blocks, self.spare, self.nbytes = None, {}, {}, 0
-        self.outcomes, self.scratch, self.band_maps = {}, {}, {}
+        self.outcomes, self.scratch = {}, {}
 
     @contextmanager
     def plan(self):
@@ -177,11 +177,11 @@ class _DrawMemo:
                       decide) -> list:
         """The read-only slot-0 outcome (offsets, won) over trials
         [start_trial, start_trial + n_trials) of each configuration keys[g]
-        (lambdas, rates, power): _first_copies' columns and flags, offsets
-        counted from start_trial. A shorter count takes a kept outcome's
-        prefix; `decide(group, first)` gives the outcomes of the trials from
-        start_trial + first on of keys[group], offsets counted from there,
-        which join the kept ones."""
+        (profile, rates, power): the columns and flags of _first_copies or
+        _first_log_dets, offsets counted from start_trial. A shorter count
+        takes a kept outcome's prefix; `decide(group, first)` gives the
+        outcomes of the trials from start_trial + first on of keys[group],
+        offsets counted from there, which join the kept ones."""
         self._switch(master_seed)
         out, todo, kept = [None] * len(keys), {}, [None] * len(keys)
         for g, key in enumerate(keys):
@@ -236,7 +236,7 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
 
     A column's activity code has bit u set while user u is active and bit K
     set by the coin; one np.take reads every column's map from a table of
-    every code's map, made once per (policy kind, K) in the memo (_DRAWS).
+    every code's map (_band_maps).
     """
     k, n = active.shape
     keys = list(active)
@@ -249,19 +249,26 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     for key in reversed(keys):
         code <<= 1
         code |= key
-    table = _DRAWS.band_maps.get((policy.kind, k))
-    if table is None:
-        table = np.empty((k, 1 << (k + split)), dtype=np.min_scalar_type(-k))
-        for c in range(table.shape[1]):
-            failed = {u for u in range(k) if c >> u & 1}
-            mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
-                                      coin=bool(c >> k & 1) if split else None)
-            table[:, c] = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
-        _DRAWS.band_maps[policy.kind, k] = table
+    table = _band_maps(policy, k)
     seen = np.zeros(table.shape[1], dtype=bool)
     seen[code] = True
     receivers = [sorted(set(row) - {-1}) for row in table[:, seen].tolist()]
     return np.take(table, code, axis=1), receivers
+
+
+@lru_cache(maxsize=64)
+def _band_maps(policy: AllocationPolicy, k: int) -> np.ndarray:
+    """Every activity code's band map (_assignment_matrix) under `policy`
+    at K = k, shape (K, codes), -1 marking an idle band; read-only."""
+    split = policy.kind is PolicyKind.RANDOM_SPLIT_K3
+    table = np.empty((k, 1 << (k + split)), dtype=np.min_scalar_type(-k))
+    for c in range(table.shape[1]):
+        failed = {u for u in range(k) if c >> u & 1}
+        mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
+                                  coin=bool(c >> k & 1) if split else None)
+        table[:, c] = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
+    table.flags.writeable = False
+    return table
 
 
 def _distinct(index: np.ndarray, size: int):
@@ -325,6 +332,18 @@ def _first_copies(gains, rates: np.ndarray, powers: np.ndarray) -> list:
     return out
 
 
+def _first_log_dets(grams, rates: np.ndarray, powers: np.ndarray) -> list:
+    """MIMO slot 0 as _first_copies gives SISO's: user u decodes its first
+    copy, packed Gram grams[u][..., t], when log_det_eye_plus(P / u, G) >= R,
+    as RTD and INR both read one copy. Each log-det is taken once a power,
+    and one compare decides the group: won[g, u, t]."""
+    at = {p: i for i, p in enumerate(dict.fromkeys(powers.tolist()))}
+    nats = np.array([[log_det_eye_plus(p / len(grams[0]), x) for x in grams] for p in at])
+    won = (nats if len(at) == 1 else nats[[at[p] for p in powers.tolist()]]) >= rates.T[:, :, None]
+    live = [np.flatnonzero(w) for w in ~won.all(axis=1)]
+    return [(t, np.take(w, t, axis=1)) for t, w in zip(live, won)]
+
+
 def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
                  start_trial: int = 0):
     """Decode rounds of trials [start_trial, start_trial + n_trials) for each
@@ -339,16 +358,17 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
 
     Every (slot, band) block of gains or Grams, and every K=3 coin, is read
     through the memo of this seed's draws (_DRAWS), so calls on one seed
-    draw each block once. SISO slot 0 is one compare of each gain with its
-    threshold (_first_copies), and its outcome is kept in the memo beside
-    the gains, so a later call on the seed with the same lambdas, rates and
-    power, under any scheme or policy, decides only trials no call decided
-    (_DrawMemo.first_outcome). MIMO works out every (power, trial) pair's
-    copy. From there on only live columns are worked on: each (slot, band)
-    read takes each live (power, trial) pair's trial from the block, and
-    its copy is worked out once per pair (columns that share a power share
-    pairs); only the decode check sees the rates. With one power the pairs
-    are the trials and the power stays a float.
+    draw each block once. Slot 0 is decided from the first copies alone:
+    SISO by one compare of each gain with its threshold (_first_copies),
+    MIMO by each user's log-det once per power (_first_log_dets). The
+    outcome is kept in the memo beside the draws, so a later call on the
+    seed with the same profile, rates and power, under any scheme or
+    policy, decides only trials no call decided (_DrawMemo.first_outcome).
+    From there on only live columns are worked on, slot 0's accumulators
+    included: each (slot, band) read takes each live (power, trial) pair's
+    trial from the block, and its copy is worked out once per pair (columns
+    that share a power share pairs); only the decode check sees the rates.
+    With one power the pairs are the trials and the power stays a float.
 
     Each slot from 1 on reads its band maps and, for each band, the users
     it goes to in some column from _assignment_matrix. Band b's copy is
@@ -381,19 +401,6 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
                                                           (u_tx, u_tx))
         return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, lead)
 
-    def carried(x, power):
-        # what that copy adds to the accumulator at `power`; a SISO copy is a
-        # gathered array of its own, worked out in place
-        if siso:
-            np.multiply(x, power, out=x)
-            return x if rtd else np.log1p(x, out=x)
-        return x if rtd else log_det_eye_plus(power / u_tx, x)
-
-    def decoded_nats(acc, power):
-        if not rtd:
-            return acc
-        return np.log1p(acc) if siso else log_det_eye_plus(power / u_tx, acc)
-
     def plan(pairs):
         # the distinct (power, trial) pairs of the columns, the trial and the
         # power of each
@@ -403,41 +410,30 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         return live % n_trials, powers[live // n_trials], to_col
 
     def copies(b, s, planned):
-        # band b's copy at slot s for each column of the plan, worked out once
-        # per pair
+        # what band b's copy at slot s adds to the accumulator of each column
+        # of the plan, worked out once per pair
         rows, power, to_col = planned
         # slot 0's block is in hand, also when the memo had no room to keep it
         x = np.take(first[b], rows, axis=-1) if s == 0 else draw(b, s, rows)
-        x = carried(x, power)
+        if siso:    # a gathered array of its own, worked out in place
+            np.multiply(x, power, out=x)
+            x = x if rtd else np.log1p(x, out=x)
+        elif not rtd:
+            x = log_det_eye_plus(power / u_tx, x)
         return x if to_col is None else np.take(x, to_col, axis=-1)
 
     # slot 0: every user sends its first copy on its own band
     first = [draw(b, 0, None) for b in range(k)]
-    if siso:
-        col_powers = powers[power_of]
+    decide_first = _first_copies if siso else _first_log_dets
 
-        def decide(group, start):
-            # the outcomes of trials [start, n_trials) of configs[group]
-            return _first_copies([x[start:] for x in first], rates[:, group], col_powers[group])
-        keys = [(profile.lambdas, c.rates, c.power) for c in configs]
-        outcome = _DRAWS.first_outcome(keys, master_seed, start_trial, n_trials, decide)
-        cols = np.concatenate([t + g * n_trials for g, (t, _) in enumerate(outcome)])
-        won = np.hstack([w for _, w in outcome])
-    else:
-        # acc is user-major, then (power, trial); RTD sums each user's Grams in
-        # a (u, u, K, ...) array, packed as in rates.hermitian_gram
-        power = config.power if n_pow == 1 else powers[:, None]
-        acc = np.empty(((k,) if not rtd else (u_tx, u_tx, k)) + (n_pow, n_trials))
-        for b in range(k):
-            acc[..., b, :, :] = carried(first[b][..., None, :], power)
-        at_power = power_of if n_pow > 1 else slice(None)
-        won = decoded_nats(acc, power)[:, at_power] >= rates[:, :, None]
-        acc = acc.reshape(acc.shape[:-2] + (-1,))
-        won = won.reshape(k, -1)
-        cols = np.flatnonzero(~np.logical_and.reduce(won, axis=0))
-        # np.take keeps the gathered columns C-ordered, where fancy indexing of
-        # a trailing axis does not and slows every later pass over them
-        won = np.take(won, cols, axis=1)
+    def decide(group, start):
+        # the outcomes of trials [start, n_trials) of configs[group]
+        return decide_first([x[..., start:] for x in first], rates[:, group],
+                            powers[power_of[group]])
+    keys = [(profile, c.rates, c.power) for c in configs]
+    outcome = _DRAWS.first_outcome(keys, master_seed, start_trial, n_trials, decide)
+    cols = np.concatenate([t + g * n_trials for g, (t, _) in enumerate(outcome)])
+    won = np.hstack([w for _, w in outcome])
     rounds = won.astype(np.int16)
     active = ~won
     pairs, col_rates = cols, rates
@@ -446,13 +442,12 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         pairs, col_rates = cols % n_trials, np.take(rates, col_cfg, axis=1)
         if n_pow > 1:
             pairs += power_of[col_cfg] * n_trials
-    if siso:
-        planned = plan(pairs)
-        acc = np.empty((k, len(cols)))
-        for b in range(k):
-            acc[b] = copies(b, 0, planned)
-    else:
-        acc = np.take(acc, pairs, axis=-1)
+    # acc is user-major; RTD sums each MIMO user's Grams in a (u, u, K, ...)
+    # array, packed as in rates.hermitian_gram
+    planned = plan(pairs)
+    acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (len(cols),))
+    for b in range(k):
+        acc[..., b, :] = copies(b, 0, planned)
     at = None     # where the working columns sit in rounds, when not all of them
     for s in range(1, m_max):
         working = active.any(axis=0)
@@ -465,7 +460,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             active, acc = np.take(active, keep, axis=1), np.take(acc, keep, axis=-1)
             if n_cfg > 1:
                 col_rates = np.take(col_rates, keep, axis=1)
-        planned = plan(pairs)
+            planned = plan(pairs)
         assign, receivers = _assignment_matrix(active, pairs % n_trials if n_pow > 1 else pairs,
                                                policy, s, master_seed, start_trial, n_trials)
         for b, to in enumerate(receivers):
@@ -473,8 +468,11 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
                 x = copies(b, s, planned)
                 for u in to:
                     acc[..., u, :] += np.where(assign[b] == u, x, 0.0)
-        col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
-        won = active & (decoded_nats(acc, col_power) >= col_rates)
+        nats = acc
+        if rtd:     # decoded on the summed gains or Grams
+            col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
+            nats = np.log1p(acc) if siso else log_det_eye_plus(col_power / u_tx, acc)
+        won = active & (nats >= col_rates)
         for u in range(k):
             rounds[u, won[u] if at is None else at[won[u]]] = s + 1
         active &= ~won
@@ -517,8 +515,8 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     same channel, under any policy, rates, power or chunking. The
     one-configuration case of the grid engine (_grid_rounds), every trial
     filled in; the count tables read the engine's live columns directly.
-    A SISO call keeps its slot-0 outcome in the memo of this seed's draws,
-    and a later call with the same lambdas, rates and power reads it.
+    A call keeps its slot-0 outcome in the memo of this seed's draws, and a
+    later call with the same profile, rates and power reads it.
     """
     return _grid_rounds([config], policy, n_trials, master_seed, start_trial)[0]
 

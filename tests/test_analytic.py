@@ -257,7 +257,7 @@ def test_cdf_rtd_validity_grid():
 # INR accumulated-rate CDF
 
 
-def _inr_quad_oracle(n, m, lambdas, power, x):
+def _inr_quad_oracle(n, m, lambdas, power, x, epsabs=1e-11):
     lam1, lam2 = lambdas
 
     def density(lam):
@@ -270,7 +270,7 @@ def _inr_quad_oracle(n, m, lambdas, power, x):
             return 1.0 if v >= 0 else 0.0
         f = density(rates[level - 1])
         val, _ = integrate.quad(lambda t: f(t) * cdf(level - 1, v - t), 0, max(v, 0),
-                                epsabs=1e-11, limit=200)
+                                epsabs=epsabs, limit=200)
         return val
 
     return cdf(len(rates), x)
@@ -285,6 +285,19 @@ def test_cdf_inr_against_quadrature(n, m, lambdas, power):
     for x in (0.5, 1.5):
         assert cdf_inr_sum(n, m, lambdas, power, x) == pytest.approx(
             _inr_quad_oracle(n, m, lambdas, power, x), abs=1e-8)
+
+
+def test_cdf_inr_deep_tail_against_quadrature():
+    """In deep outage the convolution keeps its relative accuracy: three
+    copies at up to 60 dB, down to about 1e-19, match quadrature taken to a
+    relative tolerance alone within 1e-10."""
+    smallest = 1.0
+    for (n, m), lambdas, power, x in itertools.product(
+            ((2, 1), (1, 2)), ((1.0, 1.0), (0.5, 2.0)), (1e2, 1e4, 1e6), (1.0, 3.0)):
+        want = _inr_quad_oracle(n, m, lambdas, power, x, epsabs=0.0)
+        assert cdf_inr_sum(n, m, lambdas, power, x) == pytest.approx(want, rel=1e-10, abs=0.0)
+        smallest = min(smallest, want)
+    assert smallest < 2e-19
 
 
 @pytest.mark.parametrize("n,m,power,x", [
@@ -319,21 +332,23 @@ def test_cdf_inr_grid_boundary_at_high_power(monkeypatch):
     near 128 nats, far narrower than log1p(P / lambda): two copies on a
     grid of 8 steps per nat (x = 256) stay within 1e-6 of quadrature, a
     257-nat target is refused, and so is the 0.49-nat step at P = 1e217,
-    x = 1000, 2.6e-6 off quadrature. Copies whose lower-tail bound
-    F1(x)^n F2(x)^m is negligible are 0 without the grid, and the bound
-    reads a threshold past float range as a one-copy CDF of 1."""
+    x = 1000, 2.6e-6 off quadrature. Seven copies at 1e-4 nats, about
+    2e-32, match the small-target series (10^-4)^7 / 7!; copies whose
+    lower-tail bound F1(x)^n F2(x)^m underflows are 0 without the grid, and
+    the bound reads a threshold past float range as a one-copy CDF of 1."""
     lambdas = (math.exp(-128.0), math.exp(-128.0))
     assert cdf_inr_sum(1, 1, lambdas, 1.0, 256.0) == pytest.approx(
         _inr_quad_oracle(1, 1, lambdas, 1.0, 256.0), abs=1e-6)
     for args in ((lambdas, 1.0, 257.0), ((1.0, 1.0), 1e217, 1000.0)):
         with pytest.raises(analytic.ClosedFormRangeError, match="under 8 steps"):
             cdf_inr_sum(1, 1, *args)
+    assert cdf_inr_sum(3, 4, (1.0, 1.0), 1.0, 1e-4) == pytest.approx(
+        1e-4 ** 7 / math.factorial(7), rel=1e-6, abs=0.0)
 
     def no_grid(*args):
         raise AssertionError("the grid ran")
     monkeypatch.setattr(analytic, "_inr_cdf_grids", no_grid)
     assert cdf_inr_sum(2000, 0, (1.0, 1.0), 1.0, 1e-4) == 0.0
-    assert cdf_inr_sum(3, 4, (1.0, 1.0), 1.0, 1e-4) == 0.0
     with pytest.raises(analytic.ClosedFormRangeError, match="under 8 steps"):
         cdf_inr_sum(2, 0, (1.0, 1.0), 1e217, 1000.0)
 
@@ -639,3 +654,20 @@ def test_diversity_gain_examples():
         diversity_gain(-1, 2)
     with pytest.raises(ValueError):
         diversity_gain(1, 0)
+
+
+@pytest.mark.parametrize("coordinated", [True, False], ids=["coord", "noncoord"])
+@pytest.mark.parametrize("max_rounds", [2, 3])
+@pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR], ids=["rtd", "inr"])
+def test_closed_form_outage_slope_is_the_diversity_gain(scheme, max_rounds, coordinated):
+    """From 40 to 50 dB and from 50 to 60 dB the closed-form packet outage
+    of user 0 falls by 10^-d per decade of power, d = diversity_gain(J, M),
+    with J = 1 helper when coordinated and none when not (lambdas (1, 1),
+    rates 1 nat)."""
+    outage = [analytic.reduce_table(event_table(scheme, max_rounds, (1.0, 1.0), 10.0 ** (db / 10),
+                                                1.0, 1.0, coordinated=coordinated),
+                                    (1.0, 1.0))["outage_packet_user0"]
+              for db in (40, 50, 60)]
+    gain = diversity_gain(1 if coordinated else 0, max_rounds)
+    for low, high in zip(outage, outage[1:]):
+        assert math.log10(high / low) == pytest.approx(-gain, abs=0.01)

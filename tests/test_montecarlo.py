@@ -200,8 +200,8 @@ ASSIGNMENT_CASES = [(COORD, 2), (NONCOORD, 2), (SPLIT, 3), (ROBIN, 5), (NONCOORD
                               "noncoord-k3", "robin-k3", "robin-k4"])
 def test_assignment_matrix_matches_policy_allocate(policy, k, memo):
     # every nonempty activity pattern, eight columns each, in a shuffled
-    # order and at reversed trial offsets; on a cleared memo, and after every
-    # other case has filled its band maps
+    # order and at reversed trial offsets; on a cleared memo and band-map
+    # cache, and after every other case has filled its band maps
     patterns = [p for p in itertools.product((False, True), repeat=k) if any(p)]
     active = np.array(patterns * 8).T
     active = active[:, np.random.default_rng(SEED).permutation(active.shape[1])]
@@ -211,14 +211,16 @@ def test_assignment_matrix_matches_policy_allocate(policy, k, memo):
     uniforms = uniform_block(SEED, slot - 1, POLICY_BAND, 5, n)[rows, 0]
     for filled in (False, True):
         memo.clear()
-        if filled:
-            others = [case for case in ASSIGNMENT_CASES if case != (policy, k)]
-            for other, other_k in others:
-                _assignment_matrix(np.ones((other_k, 1), dtype=bool), np.zeros(1, dtype=int),
-                                   other, slot, SEED, 5, 1)
-            assert set(memo.band_maps) == {(p.kind, kk) for p, kk in others}
+        montecarlo._band_maps.cache_clear()
+        others = [case for case in ASSIGNMENT_CASES if case != (policy, k)] if filled else []
+        for other, other_k in others:
+            _assignment_matrix(np.ones((other_k, 1), dtype=bool), np.zeros(1, dtype=int),
+                               other, slot, SEED, 5, 1)
+        assert montecarlo._band_maps.cache_info().currsize == len(others)
         assign, receivers = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
-        assert (policy.kind, k) in memo.band_maps
+        cached = montecarlo._band_maps.cache_info()
+        assert cached.currsize == cached.misses == len(others) + 1
+        assert not montecarlo._band_maps(policy, k).flags.writeable
         assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
         for j in range(n):
             failed = set(np.flatnonzero(active[:, j]).tolist())
@@ -828,26 +830,28 @@ def test_draw_memo_serves_mixed_calls_on_one_seed_like_a_cleared_memo(memo, monk
 
 def count_decisions(monkeypatch):
     """Record (trials, configurations) of each slot-0 decision the engine
-    makes (_first_copies)."""
+    makes (_first_copies for SISO, _first_log_dets for MIMO)."""
     decided = []
-
-    def counted(gains, rates, powers, _real=montecarlo._first_copies):
-        decided.append((len(gains[0]), len(powers)))
-        return _real(gains, rates, powers)
-    monkeypatch.setattr(montecarlo, "_first_copies", counted)
+    for name in ("_first_copies", "_first_log_dets"):
+        def counted(first, rates, powers, _real=getattr(montecarlo, name)):
+            decided.append((first[0].shape[-1], len(powers)))
+            return _real(first, rates, powers)
+        monkeypatch.setattr(montecarlo, name, counted)
     return decided
 
 
 def test_kept_slot0_outcome_is_invisible(memo, monkeypatch):
-    """Calls on one seed that share lambdas, rates and power read one kept
-    slot-0 outcome, whatever their scheme and policy: a shorter count takes
-    its prefix, a longer one decides only the new trials, a power grid
-    decides only the powers no call decided, and another first trial,
-    rates or lambdas decide their own. Each count table equals the same
-    call on a cleared memo."""
+    """Calls on one seed that share a profile, rates and power read one
+    kept slot-0 outcome, whatever their scheme and policy, SISO and MIMO
+    alike: a shorter count takes its prefix, a longer one decides only the
+    new trials, a power grid decides only the powers no call decided, and
+    another first trial, rates, lambdas or antenna counts decide their own.
+    Each count table equals the same call on a cleared memo."""
     n = 3000
     rtd = make_config(scheme=Scheme.RTD, lambdas=(1.0, 2.0), power=3.0, max_rounds=3)
     inr = replace(rtd, scheme=Scheme.INR)
+    mimo_inr = mimo_config(2, 2, Scheme.INR, rates=(2.0, 2.4), lambdas=(1.0, 2.0), max_rounds=3)
+    mimo_rtd = replace(mimo_inr, scheme=Scheme.RTD)
     grid = [0.75, 3.0, 12.0]
     # (configs, policy, first trial, trials) and the decisions each makes
     calls = [([rtd], NONCOORD, 0, n, [(n, 1)]), ([rtd], COORD, 0, n, []),
@@ -860,7 +864,14 @@ def test_kept_slot0_outcome_is_invisible(memo, monkeypatch):
              ([replace(rtd, power=24.0)] * 2, COORD, 0, n, [(n, 2)]),
              ([replace(inr, rates=(1.0, 1.5))], COORD, 0, n, [(n, 1)]),
              ([replace(rtd, profile=FadingProfile(lambdas=(1.0, 0.5)))], COORD, 0, n,
-              [(n, 1)])]
+              [(n, 1)]),
+             # 2x2 on the SISO lambdas: RTD after INR, coordinated after not
+             ([mimo_inr], NONCOORD, 0, n, [(n, 1)]), ([mimo_rtd], NONCOORD, 0, n, []),
+             ([mimo_rtd], COORD, 0, n // 2, []),
+             ([replace(mimo_inr, power=p) for p in grid], COORD, 0, n, [(n, 2)]),
+             # 3x2 on the same lambdas shares no outcome with 2x2
+             ([mimo_config(3, 2, Scheme.RTD, rates=(2.0, 2.4), lambdas=(1.0, 2.0),
+                           max_rounds=3)], COORD, 0, n, [(n, 1)])]
     decided = count_decisions(monkeypatch)
     warm = []
     for configs, policy, start, count, decisions in calls:
@@ -868,7 +879,7 @@ def test_kept_slot0_outcome_is_invisible(memo, monkeypatch):
         warm.append(montecarlo._chunk_stats((configs, policy, start, count, SEED)))
         assert decided[before:] == decisions, (configs[0].scheme, policy, start, count)
         assert_memo_accounts_its_blocks(memo)
-    assert len(memo.outcomes) == 1 + len(grid) - 1 + 4
+    assert len(memo.outcomes) == 1 + len(grid) - 1 + 4 + len(grid) + 1
     # a seed switch drops every outcome: the first call decides again
     before = len(decided)
     montecarlo._chunk_stats(([rtd], NONCOORD, 0, n, SEED + 1))
@@ -889,7 +900,7 @@ def test_kept_slot0_outcomes_are_read_only_counted_and_capped(memo, monkeypatch)
     cfg = make_config(scheme=Scheme.INR, power=3.0, max_rounds=3)
     cold = simulate_rounds(cfg, COORD, 4000, SEED)
     (key, (t, won, n)), = memo.outcomes.items()
-    assert key == ((cfg.profile.lambdas, cfg.rates, cfg.power), 0) and n == 4000
+    assert key == ((cfg.profile, cfg.rates, cfg.power), 0) and n == 4000
     assert 0 < len(t) < 4000 and won.shape == (2, len(t))
     blocks = sum(buf.nbytes for buf, _ in memo.blocks.values())
     assert memo.nbytes == blocks + t.nbytes + won.nbytes
