@@ -234,26 +234,30 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
     slot - 1 (`slot` >= 1 is the slot entered), with -1 for a band handed
     back to a resolved owner.
 
-    A column's activity code has bit u set while user u is active and bit K
-    set by the coin; one np.take reads every column's map from a table of
-    every code's map (_band_maps).
+    A column's code is its activity code (_activity_code) with bit K set by
+    the coin; one np.take reads every column's map from a table of every
+    code's map (_band_maps).
     """
     k, n = active.shape
-    keys = list(active)
-    split = policy.kind is PolicyKind.RANDOM_SPLIT_K3
-    if split:
-        keys.append(_coin(slot - 1, master_seed, start_trial, n_trials, rows))
-    # the coin first and user 0 last, each key shifted in as the low bit; a
-    # shape the engine admits (_check_shape) has K <= 16, so a uint16 holds it
-    code = np.zeros(n, dtype=np.uint16)
-    for key in reversed(keys):
-        code <<= 1
-        code |= key
+    code = _activity_code(active)
+    if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
+        code |= _coin(slot - 1, master_seed, start_trial, n_trials, rows).astype(np.uint16) << k
     table = _band_maps(policy, k)
     seen = np.zeros(table.shape[1], dtype=bool)
     seen[code] = True
     receivers = [sorted(set(row) - {-1}) for row in table[:, seen].tolist()]
     return np.take(table, code, axis=1), receivers
+
+
+def _activity_code(active: np.ndarray) -> np.ndarray:
+    """Each column's activity code: bit u set while user u is active. A
+    shape the engine admits (_check_shape) has K <= 16, so a uint16 holds
+    it with the K=3 split's coin bit."""
+    code = np.zeros(active.shape[1], dtype=np.uint16)
+    for key in active[::-1]:    # user 0 last, each key shifted in as the low bit
+        code <<= 1
+        code |= key
+    return code
 
 
 @lru_cache(maxsize=64)
@@ -273,7 +277,10 @@ def _band_maps(policy: AllocationPolicy, k: int) -> np.ndarray:
 
 def _distinct(index: np.ndarray, size: int):
     """The sorted distinct values of `index` (each in [0, size)) and, for
-    each entry, its position among them."""
+    each entry, its position among them: from a table of `size` flags, or
+    by sorting where that table would be more than four times `index`."""
+    if size > 4 * len(index):
+        return np.unique(index, return_inverse=True)
     seen = np.zeros(size, dtype=bool)
     seen[index] = True
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[index]
@@ -364,16 +371,28 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     outcome is kept in the memo beside the draws, so a later call on the
     seed with the same profile, rates and power, under any scheme or
     policy, decides only trials no call decided (_DrawMemo.first_outcome).
-    From there on only live columns are worked on, slot 0's accumulators
-    included: each (slot, band) read takes each live (power, trial) pair's
-    trial from the block, and its copy is worked out once per pair (columns
-    that share a power share pairs); only the decode check sees the rates.
-    With one power the pairs are the trials and the power stays a float.
+    From there on only live columns are worked on, and the engine state is
+    held per row. Under RTD, where columns share a (power, trial) pair, a
+    row holds the columns of one pair whose active sets agreed at every
+    slot so far: they got the same band maps, so their accumulators are
+    bit-identical and only their rates differ. Slot 0's rows are the
+    distinct pairs; each later slot splits a row by the active set each of
+    its columns enters the slot with, keyed by (row, index of the distinct
+    set), so no table grows with rows times 2^K. The band maps, the
+    accumulator adds and the decode's log1p or log-det run per row, and
+    one take gives each column its row's nats for the decode check, the
+    only step that sees the rates. Everywhere else the rows are the
+    columns: INR decodes on the accumulators as they are, so a row would
+    save only the adds, which cost less than splitting the rows (on a
+    2-vCPU Xeon, 2x2 MIMO INR grid chunks ran 5-19% slower with rows).
+    Each (slot, band) read takes each pair's trial from the block and its
+    copy is worked out once per pair. With one power the pairs are the
+    trials and the power stays a float.
 
     Each slot from 1 on reads its band maps and, for each band, the users
-    it goes to in some column from _assignment_matrix. Band b's copy is
-    added only into those users' accumulators, zero in the columns where
-    another user or nobody gets it; bands go in ascending order, so every
+    it goes to in some row from _assignment_matrix. Band b's copy is added
+    only into those users' accumulators, zero in the rows where another
+    user or nobody gets it; bands go in ascending order, so every
     accumulator adds its copies in the scalar oracle's order.
     """
     config = configs[0]
@@ -402,17 +421,22 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, lead)
 
     def plan(pairs):
-        # the distinct (power, trial) pairs of the columns, the trial and the
-        # power of each
-        live, to_col = _distinct(pairs, n_pow * n_trials) if n_pow < n_cfg else (pairs, None)
+        # the distinct (power, trial) pairs of the rows, the trial and the
+        # power of each, and each row's position among them, None where no
+        # two rows share a pair; with one power the pairs are the trials and
+        # the power stays a float
+        to_row = None
+        if n_pow < n_cfg:
+            live, to_row = _distinct(pairs, n_pow * n_trials)
+            pairs, to_row = (live, to_row) if len(live) < len(pairs) else (pairs, None)
         if n_pow == 1:
-            return live, config.power, to_col
-        return live % n_trials, powers[live // n_trials], to_col
+            return pairs, config.power, to_row
+        return pairs % n_trials, powers[pairs // n_trials], to_row
 
     def copies(b, s, planned):
-        # what band b's copy at slot s adds to the accumulator of each column
-        # of the plan, worked out once per pair
-        rows, power, to_col = planned
+        # what band b's copy at slot s adds to the accumulator of each row,
+        # worked out once per pair
+        rows, power, to_row = planned
         # slot 0's block is in hand, also when the memo had no room to keep it
         x = np.take(first[b], rows, axis=-1) if s == 0 else draw(b, s, rows)
         if siso:    # a gathered array of its own, worked out in place
@@ -420,7 +444,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             x = x if rtd else np.log1p(x, out=x)
         elif not rtd:
             x = log_det_eye_plus(power / u_tx, x)
-        return x if to_col is None else np.take(x, to_col, axis=-1)
+        return x if to_row is None else np.take(x, to_row, axis=-1)
 
     # slot 0: every user sends its first copy on its own band
     first = [draw(b, 0, None) for b in range(k)]
@@ -442,10 +466,15 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         pairs, col_rates = cols % n_trials, np.take(rates, col_cfg, axis=1)
         if n_pow > 1:
             pairs += power_of[col_cfg] * n_trials
+    # pairs[r] is row r's (power, trial) pair and row_of[j] column j's row,
+    # None where the rows are the columns
+    row_of = None
+    if n_pow < n_cfg and rtd:
+        pairs, row_of = _distinct(pairs, n_pow * n_trials)
+    planned = plan(pairs)
     # acc is user-major; RTD sums each MIMO user's Grams in a (u, u, K, ...)
     # array, packed as in rates.hermitian_gram
-    planned = plan(pairs)
-    acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (len(cols),))
+    acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (len(pairs),))
     for b in range(k):
         acc[..., b, :] = copies(b, 0, planned)
     at = None     # where the working columns sit in rounds, when not all of them
@@ -454,14 +483,27 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         n_work = np.count_nonzero(working)
         if n_work == 0:
             break
-        if n_work < len(pairs):
+        if n_work < active.shape[1]:
             keep = np.flatnonzero(working)
-            at, pairs = keep if at is None else at[keep], pairs[keep]
-            active, acc = np.take(active, keep, axis=1), np.take(acc, keep, axis=-1)
+            at, active = keep if at is None else at[keep], np.take(active, keep, axis=1)
             if n_cfg > 1:
                 col_rates = np.take(col_rates, keep, axis=1)
+            if row_of is None:
+                pairs, acc = pairs[keep], np.take(acc, keep, axis=-1)
+                planned = plan(pairs)
+            else:
+                row_of = row_of[keep]
+        row_active = active
+        if row_of is not None:
+            # each row splits by the active sets its columns enter slot s with
+            codes, which = _distinct(_activity_code(active), 1 << k)
+            split, row_of = _distinct(row_of * len(codes) + which, len(pairs) * len(codes))
+            old = split // len(codes)
+            which = split - old * len(codes)
+            pairs, acc = pairs[old], np.take(acc, old, axis=-1)
             planned = plan(pairs)
-        assign, receivers = _assignment_matrix(active, pairs % n_trials if n_pow > 1 else pairs,
+            row_active = np.take((codes & (1 << np.arange(k))[:, None]) != 0, which, axis=1)
+        assign, receivers = _assignment_matrix(row_active, pairs % n_trials if n_pow > 1 else pairs,
                                                policy, s, master_seed, start_trial, n_trials)
         for b, to in enumerate(receivers):
             if to:
@@ -470,8 +512,10 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
                     acc[..., u, :] += np.where(assign[b] == u, x, 0.0)
         nats = acc
         if rtd:     # decoded on the summed gains or Grams
-            col_power = config.power if n_pow == 1 else powers[pairs // n_trials]
-            nats = np.log1p(acc) if siso else log_det_eye_plus(col_power / u_tx, acc)
+            row_power = config.power if n_pow == 1 else powers[pairs // n_trials]
+            nats = np.log1p(acc) if siso else log_det_eye_plus(row_power / u_tx, acc)
+        if row_of is not None:
+            nats = np.take(nats, row_of, axis=-1)
         won = active & (nats >= col_rates)
         for u in range(k):
             rounds[u, won[u] if at is None else at[won[u]]] = s + 1

@@ -123,7 +123,7 @@ def test_mixture_past_its_term_budget_is_refused():
             gain_sum_cdf(n, m, lambdas, z)
     # lf z = 10 terms: the slow copy must fall below z less the fast one,
     # whose mean is 1e-300, so the CDF is about z - 1e-300
-    assert gain_sum_cdf(1, 1, (1e300, 1.0), 1e-299) == pytest.approx(9e-300, rel=1e-4)
+    assert gain_sum_cdf(1, 1, (1e300, 1.0), 1e-299) == pytest.approx(9e-300, rel=1e-4, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +204,7 @@ def test_gain_sum_cdf_deep_tail(lambdas, z):
             if n + m == 0:
                 continue
             lead = lam1 ** n * lam2 ** m * z ** (n + m) / math.factorial(n + m)
-            assert gain_sum_cdf(n, m, lambdas, z) == pytest.approx(lead, rel=1e-6)
+            assert gain_sum_cdf(n, m, lambdas, z) == pytest.approx(lead, rel=1e-6, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -320,13 +320,17 @@ def test_estimate_grid_equals_per_vector_estimates(policy, cfg):
     (COORD, make_config(scheme=Scheme.INR, lambdas=(1.0, 2.0), max_rounds=3)),
     (NONCOORD, make_config(scheme=Scheme.RTD, lambdas=(1.0, 2.0), max_rounds=3)),
     (SPLIT, K3_SPLIT),
+    (ROBIN, make_config(rates=(1.0, 0.6, 1.2, 0.9, 0.8), lambdas=(1.0, 2.0, 0.5, 1.0, 1.5),
+                        power=2.0)),
     (COORD, mimo_config(2, 2, Scheme.RTD, rates=(3.0, 3.0))),
     (COORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
-], ids=["k2-inr-coord", "k2-rtd-noncoord", "k3-inr-split", "mimo2x2-rtd-coord",
-        "mimo2x2-inr-coord"])
+], ids=["k2-inr-coord", "k2-rtd-noncoord", "k3-inr-split", "k5-rtd-robin",
+        "mimo2x2-rtd-coord", "mimo2x2-inr-coord"])
 def test_grid_rounds_over_rates_and_powers(policy, cfg):
     # two rate vectors at two powers, the powers out of order: each
-    # (power, trial) pair serves two columns
+    # (power, trial) pair serves two columns. At K=5 the columns enter slot
+    # 1 with up to 31 active sets, and (row, set) keys past four times the
+    # columns are sorted (_distinct), not flagged in a table.
     low = tuple(0.5 * r for r in cfg.rates)
     configs = [replace(cfg, rates=rates, power=power)
                for rates, power in ((cfg.rates, 6.0), (low, 1.5), (cfg.rates, 1.5), (low, 6.0))]
@@ -336,6 +340,42 @@ def test_grid_rounds_over_rates_and_powers(policy, cfg):
     for c, row in zip(configs, rounds):
         assert np.array_equal(row, simulate_rounds(c, policy, n, SEED, start_trial=300))
     assert len(np.unique(rounds)) == cfg.max_rounds + 1
+
+
+@pytest.mark.parametrize("cfg,a,b", [
+    (make_config(power=3.0, max_rounds=3), (1.5, 3.0), (0.3, 3.0)),
+    (mimo_config(2, 2, Scheme.RTD, max_rounds=3), (3.0, 6.0), (0.6, 6.0)),
+], ids=["k2-rtd-coord", "mimo2x2-rtd-coord"])
+def test_grid_rows_follow_the_activity_history(cfg, a, b):
+    # under `a` both users often miss slot 0 and user 0 decodes at slot 1;
+    # under `b` user 0 decodes at slot 0. Where user 1 is still active, the
+    # trial's two columns enter slot 2 with one active set, {1}, after
+    # different slot-1 sets, {0, 1} and {1}: user 1 got its own band at
+    # slot 1 under `a` and both bands under `b`, so the columns hold
+    # different accumulators, and a row keyed by the current set alone
+    # would merge them
+    configs = [replace(cfg, rates=a), replace(cfg, rates=b)]
+    n = 400
+    rounds = _grid_rounds(configs, COORD, n, SEED)
+    for c, row in zip(configs, rounds):
+        assert np.array_equal(row, simulate_rounds(c, COORD, n, SEED))
+    (a0, a1), (b0, b1) = rounds.transpose(0, 2, 1)
+    rejoined = (a0 == 2) & (b0 == 1) & np.isin(a1, (0, 3)) & np.isin(b1, (0, 3))
+    assert rejoined.any()
+    # user 1, at one rate under both vectors, ends differently in some of them
+    assert (rejoined & (a1 != b1)).any()
+
+
+def test_distinct_flags_or_sorts_alike():
+    # a table of flags up to four times the index, a sort past it
+    rng = np.random.default_rng(SEED)
+    index = rng.integers(0, 3000, 1000)
+    want, inverse = np.unique(index, return_inverse=True)
+    for size in (3000, 4000, 4001, 1 << 40):
+        values, position = montecarlo._distinct(index, size)
+        assert np.array_equal(values, want) and np.array_equal(position, inverse)
+    values, position = montecarlo._distinct(index.astype(np.uint16), 4000)
+    assert np.array_equal(values, want) and np.array_equal(position, inverse)
 
 
 def test_estimate_grid_rejects_bad_input():
