@@ -300,7 +300,6 @@ PRESETS = {
 def _add_common(p):
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--out", default=None)
     p.add_argument("--jobs", type=int, default=1)
 
 
@@ -330,6 +329,7 @@ def _build_parser():
     source = pr.add_mutually_exclusive_group()
     source.add_argument("--preset", default=None, choices=sorted(PRESETS))
     source.add_argument("--config", default=None, help="INI file with one section per run")
+    pr.add_argument("--out", default=None)
     _add_common(pr)
 
     ps = sub.add_parser("sweep", help="outage/throughput sweep over an SNR axis")
@@ -337,6 +337,7 @@ def _build_parser():
     ps.add_argument("--k", type=int, default=2)
     ps.add_argument("--rates", default=None, help="comma-separated, default all 1")
     ps.add_argument("--snr-db", default="0:2:30")
+    ps.add_argument("--out", default=None)
     _add_common(ps)
 
     po = sub.add_parser("optimize", help="exhaustive rate search at one SNR")
@@ -473,6 +474,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command != "analytic":
             check_seed(args.seed)
+            for name in ("trials", "jobs"):
+                value = getattr(args, name)
+                if value < 1:
+                    raise ConfigurationError(f"--{name} must be at least 1, got {value}")
         return _COMMANDS[args.command](args)
     except (ConfigurationError, ValueError, configparser.Error) as exc:
         # configparser messages span several lines

@@ -127,19 +127,46 @@ def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
 
 
 def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
-                 start_trial: int, n_trials: int) -> np.ndarray:
-    """Channel matrices, shape (n_trials, rx, tx), entries CN(0, 1/lambda)."""
+                 start_trial: int, n_trials: int, out=None) -> np.ndarray:
+    """Packed channel Grams H*H (_packed_gram) for a range of trials on one
+    (slot, band), shape (tx, tx, n_trials), built in `out` when given.
+
+    H is rx x tx with CN(0, 1/lambda) entries: a trial's 2 rx tx uniforms,
+    as normal quantiles times sqrt(1 / (2 lambda)) worked out in place on
+    the draw's buffer, are Re H row by row, then Im H.
+    """
     # imported here so that SISO and closed-form runs load numpy alone
     from scipy.special import ndtri
 
     profile.check_band(band)
     v, u_tx = profile.rx_antennas, profile.tx_antennas
-    words = 2 * v * u_tx
-    u = uniform_block(master_seed, slot, band, start_trial, n_trials, words=words)
-    z = ndtri(u) * np.sqrt(0.5 / profile.lambdas[band])
-    re = z[:, : v * u_tx].reshape(-1, v, u_tx)
-    im = z[:, v * u_tx:].reshape(-1, v, u_tx)
-    return re + 1j * im
+    shape = (u_tx, u_tx, n_trials)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out must be float64 of shape {shape}, got {out.shape} {out.dtype}")
+    z = uniform_block(master_seed, slot, band, start_trial, n_trials, words=2 * v * u_tx)
+    ndtri(z, out=z)
+    z *= np.sqrt(0.5 / profile.lambdas[band])
+    return _packed_gram(*z.T.reshape(2, v, u_tx, n_trials), out)
+
+
+def _packed_gram(re, im, out) -> np.ndarray:
+    """The Grams G = H*H of v x u matrices H = re + i im, packed real into
+    `out`: re and im have shape (v, u, ...), out (u, u, ...), the batch last.
+    out[i, j] is Re G[i, j] for i <= j and out[j, i] is Im G[i, j] for i < j.
+    Entries are summed over the v rows in order, so a batch and a single
+    matrix give bit-identical Grams.
+    """
+    v, u = re.shape[:2]
+    out[...] = 0.0
+    for i in range(u):
+        for j in range(i, u):
+            for k in range(v):
+                out[i, j] += re[k, i] * re[k, j] + im[k, i] * im[k, j]
+                if j > i:
+                    out[j, i] += re[k, i] * im[k, j] - im[k, i] * re[k, j]
+    return out
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from . import analytic
 from .fading import POLICY_BAND, gain_block, matrix_block, uniform_block
 from .protocol import (AllocationPolicy, PolicyKind, ProtocolConfig, check_rates,
                        policy_allocate)
-from .rates import Scheme, hermitian_gram, log_det_eye_plus
+from .rates import Scheme, log_det_eye_plus
 
 # Trials a chunk plan runs at a time (see _batch_stats).
 CHUNK = 1_000_000
@@ -52,7 +52,7 @@ class _DrawMemo:
 
     A block holds, batch last, one kind of draw of one slot over trials
     [start, start + n): the SISO gains of ("gain", band, lambda), the packed
-    Grams (rates.hermitian_gram) of ("gram", band, lambda, tx, rx), or the
+    Grams (fading.matrix_block) of ("gram", band, lambda, tx, rx), or the
     K=3 split's coin u < 0.5 of ("coin",), one byte per trial, under the
     key (what, slot, start). `fading` draws whole ranges of trials only,
     so a range is drawn once and every read of its rows takes them from
@@ -406,19 +406,16 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     powers = list(dict.fromkeys(c.power for c in configs))     # distinct, in order
     power_of = np.array([powers.index(c.power) for c in configs])
     n_pow, powers = len(powers), np.array(powers, dtype=float)
+    block = gain_block if siso else matrix_block
 
     def draw(b, s, rows):
         # the power-free part of one copy on band b at slot s, for trial offsets
         # rows (all trials when None), read through the memo of this seed's draws
-        def make(first, count, out):
-            if siso:
-                gain_block(profile, b, s, master_seed, first, count, out=out)
-            else:
-                hermitian_gram(matrix_block(profile, b, s, master_seed, first, count), out=out)
         lam = profile.lambdas[b]
         what, lead = (("gain", b, lam), ()) if siso else (("gram", b, lam, u_tx, v_rx),
                                                           (u_tx, u_tx))
-        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows, make, lead)
+        return _DRAWS.read(what, s, master_seed, start_trial, n_trials, rows,
+                           partial(block, profile, b, s, master_seed), lead)
 
     def plan(pairs):
         # the distinct (power, trial) pairs of the rows, the trial and the
@@ -473,7 +470,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         pairs, row_of = _distinct(pairs, n_pow * n_trials)
     planned = plan(pairs)
     # acc is user-major; RTD sums each MIMO user's Grams in a (u, u, K, ...)
-    # array, packed as in rates.hermitian_gram
+    # array, packed as fading.matrix_block packs them
     acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (len(pairs),))
     for b in range(k):
         acc[..., b, :] = copies(b, 0, planned)
@@ -517,8 +514,11 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         if row_of is not None:
             nats = np.take(nats, row_of, axis=-1)
         won = active & (nats >= col_rates)
-        for u in range(k):
-            rounds[u, won[u] if at is None else at[won[u]]] = s + 1
+        if at is None:  # an active column's rounds are 0: one add records them
+            rounds += won * np.int16(s + 1)
+        else:
+            for u in range(k):
+                rounds[u, at[won[u]]] = s + 1
         active &= ~won
     return cols, rounds
 

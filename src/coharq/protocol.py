@@ -108,8 +108,8 @@ def policy_allocate(failed, free_bands, policy: AllocationPolicy, n_users: int,
 @dataclass
 class SlotLedger:
     """Mutable per-packet record: the current assignment, the users still
-    active, each user's received copies (SNRs for SISO, channel matrices for
-    MIMO) and its decode round, 0 until it decodes and for outage."""
+    active, each user's received copies (SNRs, or the packed MIMO Grams of
+    fading.matrix_block) and its decode round, 0 until it decodes and for outage."""
 
     config: ProtocolConfig
     slot: int = 0
@@ -150,7 +150,7 @@ def advance_slot(ledger: SlotLedger, draws: list, config: ProtocolConfig,
     decoding checks, retire resolved users, and compute the next slot's
     assignment.
 
-    `draws` holds one draw per band, a gain (SISO) or a channel matrix
+    `draws` holds one draw per band, a gain (SISO) or a packed channel Gram
     (MIMO), and must cover every band (unused draws are simply discarded,
     which keeps the fading process identical across policies). `coin` is
     the K=3 split's coin for the next slot's assignment.
@@ -202,7 +202,7 @@ def run_packet(config: ProtocolConfig, policy: AllocationPolicy,
     needs_coin = policy.kind is PolicyKind.RANDOM_SPLIT_K3
     seed, trial = substream.master_seed, substream.trial
     while ledger.active:
-        draws = [block(config.profile, b, ledger.slot, seed, trial, 1)[0]
+        draws = [block(config.profile, b, ledger.slot, seed, trial, 1)[..., 0]
                  for b in range(config.n_users)]
         coin = None
         if needs_coin:

@@ -3,9 +3,9 @@
 All rates are in nats per channel use (natural logs). RTD maximum-ratio-
 combines repeated copies, so received SNRs add inside a single log; INR
 sends fresh parity, so per-copy mutual informations add across logs.
-MIMO rates go through one batched log-det in real arithmetic
-(`log_det_eye_plus`), which the scalar reference and the vectorized engine
-both call.
+MIMO rates read the channel through its packed Gram (fading.matrix_block)
+and go through one batched log-det in real arithmetic (`log_det_eye_plus`),
+which the scalar reference and the vectorized engine both call.
 """
 
 from enum import Enum
@@ -60,41 +60,10 @@ def _copies(snr_terms) -> list:
     return terms
 
 
-def hermitian_gram(h, out=None) -> np.ndarray:
-    """Gram matrices G = H*H of complex v x u channel matrices, packed real.
-
-    `h` has shape (..., v, u); the result has shape (u, u, ...), the batch
-    last, and is built in `out` when given (a float64 array of that shape).
-    A Hermitian u x u matrix is held in u^2 reals: g[i, j] is Re G[i, j]
-    for i <= j and g[j, i] is Im G[i, j] for i < j. Entries are summed
-    over the v rows in order, so a batch and a single matrix give
-    bit-identical Grams.
-    """
-    h = h.transpose(h.ndim - 2, h.ndim - 1, *range(h.ndim - 2))  # batch last
-    re, im = h.real, h.imag
-    v, u = h.shape[:2]
-    shape = (u, u) + h.shape[2:]
-    if out is None:
-        g = np.zeros(shape)
-    elif out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out must be a float64 array of shape {shape}, "
-                         f"got {out.shape} {out.dtype}")
-    else:
-        g = out
-        g[...] = 0.0
-    for i in range(u):
-        for j in range(i, u):
-            for k in range(v):
-                g[i, j] += re[k, i] * re[k, j] + im[k, i] * im[k, j]
-                if j > i:
-                    g[j, i] += re[k, i] * im[k, j] - im[k, i] * re[k, j]
-    return g
-
-
 def log_det_eye_plus(q: float, gram) -> np.ndarray:
     """log det(I_u + q G) for a batch of Hermitian PSD Grams G, in nats.
 
-    `gram` holds the Grams in the packed form of `hermitian_gram`, shape
+    `gram` holds the Grams in the packed form of fading._packed_gram, shape
     (u, u, ...). An unrolled LDL* factorization of I + qG: each step takes
     pivot 1 + d_k and forms the Schur complement of the rest, one numpy
     pass over the batch per entry. The product of the pivots is carried as
@@ -119,38 +88,37 @@ def log_det_eye_plus(q: float, gram) -> np.ndarray:
     return np.log1p(p)
 
 
-def mimo_nats_rtd(matrices, q: float) -> float:
+def mimo_nats_rtd(grams, q: float) -> float:
     """log det(I + q H_stack H_stack*) for m vertically stacked copies, with
-    q = P/u.
+    q = P/u, from the copies' packed Grams H_i* H_i (fading.matrix_block).
 
     Computed through the u x u Gram form det(I_u + q sum_i H_i* H_i),
     which equals the stacked (mv x mv) determinant by Sylvester's identity.
     The Grams are summed in copy order, as the engine sums them.
     """
     gram = 0.0
-    for h in matrices:
-        gram = gram + hermitian_gram(np.asarray(h, dtype=complex))
+    for g in grams:
+        gram = gram + g
     return float(log_det_eye_plus(q, gram))
 
 
-def mimo_nats_inr(matrices, q: float) -> float:
+def mimo_nats_inr(grams, q: float) -> float:
     """sum_i log det(I_v + q H_i H_i*) with q = P/u, added in copy order.
 
-    Each copy's determinant is taken in the u x u form det(I_u + q H_i* H_i),
-    equal by Sylvester's identity.
+    Each copy's determinant is taken from its packed Gram (fading.matrix_block)
+    in the u x u form det(I_u + q H_i* H_i), equal by Sylvester's identity.
     """
     total = 0.0
-    for h in matrices:
-        gram = hermitian_gram(np.asarray(h, dtype=complex))
-        total += float(log_det_eye_plus(q, gram))
+    for g in grams:
+        total += float(log_det_eye_plus(q, g))
     return total
 
 
-def mimo_rate_rtd(matrices, q: float) -> float:
-    """Per-use rate (1/m) log det(I + q H_stack H_stack*)."""
-    return mimo_nats_rtd(matrices, q) / len(matrices)
+def mimo_rate_rtd(grams, q: float) -> float:
+    """Per-use rate (1/m) log det(I + q H_stack H_stack*), from packed Grams."""
+    return mimo_nats_rtd(grams, q) / len(grams)
 
 
-def mimo_rate_inr(matrices, q: float) -> float:
-    """Per-use rate (1/m) sum_i log det(I_v + q H_i H_i*)."""
-    return mimo_nats_inr(matrices, q) / len(matrices)
+def mimo_rate_inr(grams, q: float) -> float:
+    """Per-use rate (1/m) sum_i log det(I_v + q H_i H_i*), from packed Grams."""
+    return mimo_nats_inr(grams, q) / len(grams)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import coharq
+from coharq import cli
 from coharq.analytic import cdf_inr_sum
 from coharq.cli import (CSV_HEADER, MAX_AXIS_POINTS, ResultRow, build_config, emit_csv,
                         main, optimize_rates, parse_axis, resolve_policy)
@@ -277,6 +278,7 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     typo.write_text("[typo]\nlamdas = 1,8\nsnr_db = 0\ntrials = 10\n")
     seeded = tmp_path / "seeded.ini"     # a seed past 64 bits
     seeded.write_text(f"[seeded]\nsnr_db = 0\ntrials = 10\nseed = {1 << 64}\n")
+    x_csv = str(tmp_path / "x.csv")
     for argv in (["run"],
                  ["sweep", "--policy", "psychic"],
                  ["sweep", "--snr-db", "10:0:20"],
@@ -309,24 +311,30 @@ def test_main_config_error_exit_2(tmp_path, capsys):
                  ["run", "--config", str(typo), "--out", str(tmp_path / "x.csv")],
                  ["run", "--config", str(seeded), "--out", str(tmp_path / "x.csv")],
                  # master seeds outside [0, 2^64)
-                 *([command, *flags, "--seed", seed, "--out", str(tmp_path / "x.csv")]
+                 *([command, *flags, "--seed", seed]
                    for seed in ("-1", str(1 << 64))
-                   for command, *flags in (["sweep", "--trials", "10"],
+                   for command, *flags in (["sweep", "--trials", "10", "--out", x_csv],
                                            ["optimize", "--trials", "10"],
-                                           ["run", "--preset", "fig2", "--trials", "10"]))):
+                                           ["run", "--preset", "fig2", "--trials", "10",
+                                            "--out", x_csv]))):
         assert_config_error(argv, capsys)
     assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("command", [
     ["sweep"], ["run", "--preset", "fig1a"], ["run", "--config", "CONFIG"]])
-def test_main_unwritable_out_exit_2(command, tmp_path, capsys):
+def test_main_unwritable_out_exit_2(command, tmp_path, capsys, monkeypatch):
     ini = tmp_path / "runs.ini"
     ini.write_text("[small]\nsnr_db = 0\n")
     argv = [str(ini) if a == "CONFIG" else a for a in command]
-    # --trials 0 would fail in the simulation: the path is refused before it
+
+    def simulated(*args, **kwargs):
+        raise AssertionError("the simulation ran before the output path was checked")
+    # every one of these commands simulates through cli.sweep: the path is
+    # refused before it
+    monkeypatch.setattr(cli, "sweep", simulated)
     for out in (tmp_path / "missing" / "x.csv", tmp_path):
-        err = assert_config_error([*argv, "--trials", "0", "--out", str(out)], capsys)
+        err = assert_config_error([*argv, "--trials", "1", "--out", str(out)], capsys)
         assert "cannot write" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.ini"]
 
@@ -373,7 +381,31 @@ def test_sweep_past_the_closed_forms_keeps_its_monte_carlo_half(scheme, tmp_path
 def test_main_zero_trials_exit_2(capsys):
     assert main(["sweep", "--trials", "0"]) == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "n_trials must be at least 1" in err
+    assert err.count("\n") == 1 and "--trials must be at least 1" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"], ["optimize", "--grid", "1:1:2"], ["optimize", "--grid", "1:1:2", "--tx", "2"],
+    ["run", "--preset", "fig2"]])
+@pytest.mark.parametrize("option", ["--trials", "--jobs"])
+def test_main_counts_below_one_exit_2(command, option, tmp_path, capsys):
+    """A trial or worker count below 1 is refused before any work, on the
+    closed-form path of a SISO `optimize` as on the simulating ones, and
+    nothing is written."""
+    out = ["--out", str(tmp_path / "x.csv")] if command[0] != "optimize" else []
+    for value in ("0", "-3"):
+        err = assert_config_error([*command, option, value, *out], capsys)
+        assert f"{option} must be at least 1, got {value}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_main_optimize_takes_no_out(tmp_path, capsys):
+    """`optimize` prints its best pair and writes no file, so it has no
+    --out to ignore."""
+    err = assert_config_error(["optimize", "--grid", "1:1:2", "--trials", "100",
+                               "--out", str(tmp_path / "o.csv")], capsys)
+    assert "--out" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_sweep_and_rerun_identical(tmp_path):

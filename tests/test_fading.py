@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
+from scipy.special import ndtri
 
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, _philox_key,
                            gain_block, matrix_block, uniform_block)
-from coharq.rates import hermitian_gram
 
 SEED = 20260826
 
@@ -104,30 +104,70 @@ def test_gain_block_in_place_equals_the_expression():
 
 
 def test_mimo_siso_reduction():
-    """With u = v = 1 the matrix magnitude-squared follows the gain law."""
+    """With u = v = 1 the Gram |h|^2 follows the gain law."""
     prof = FadingProfile(lambdas=(1.0,), tx_antennas=1, rx_antennas=1)
-    h = matrix_block(prof, 0, 0, SEED, 0, 500_000)
-    g = np.abs(h[:, 0, 0]) ** 2
+    g = matrix_block(prof, 0, 0, SEED, 0, 500_000)[0, 0]
     _, pvalue = stats.kstest(g, "expon")
     assert pvalue > 0.01
 
 
 def test_mimo_entry_second_moments():
+    """The Gram's trace is the squared Frobenius norm of H: 4 entries of
+    mean 1/lambda; with one receive antenna its diagonal is |h_j|^2."""
     prof = FadingProfile(lambdas=(1.0,), tx_antennas=2, rx_antennas=2)
-    h = matrix_block(prof, 0, 0, SEED, 0, 200_000)
-    fro = (np.abs(h) ** 2).sum(axis=(1, 2))
+    g = matrix_block(prof, 0, 0, SEED, 0, 200_000)
+    fro = g[0, 0] + g[1, 1]
     assert fro.mean() == pytest.approx(4.0, abs=0.05)
 
     prof2 = FadingProfile(lambdas=(2.0,), tx_antennas=2, rx_antennas=1)
-    h2 = matrix_block(prof2, 0, 0, SEED, 0, 200_000)
-    assert (np.abs(h2[:, 0, 0]) ** 2).mean() == pytest.approx(0.5, abs=0.01)
+    g2 = matrix_block(prof2, 0, 0, SEED, 0, 200_000)
+    assert g2[0, 0].mean() == pytest.approx(0.5, abs=0.01)
 
 
 def test_sample_matrix_shape():
+    """A one-trial block is the trial's (tx, tx) Gram in a batch of one,
+    bit for bit the trial's slice of a longer block."""
     prof = FadingProfile(lambdas=(1.0, 1.0), tx_antennas=3, rx_antennas=2)
-    draw = matrix_block(prof, 0, 1, SEED, 7, 1)[0]
-    assert draw.shape == (2, 3) and draw.dtype == complex
-    assert np.array_equal(draw, matrix_block(prof, 0, 1, SEED, 0, 8)[7])
+    block = matrix_block(prof, 0, 1, SEED, 7, 1)
+    assert block.shape == (3, 3, 1) and block.dtype == np.float64
+    assert np.array_equal(block[..., 0], matrix_block(prof, 0, 1, SEED, 0, 8)[..., 7])
+
+
+def packed_gram(h) -> np.ndarray:
+    """H*H of complex (..., v, u) matrices by numpy's complex matmul,
+    packed with the batch last: Re G[i, j] at [i, j] for i <= j and
+    Im G[i, j] at [j, i] for i < j."""
+    full = np.swapaxes(h.conj(), -1, -2) @ h
+    u = full.shape[-1]
+    out = np.empty((u, u) + full.shape[:-2])
+    for i, j in itertools.combinations_with_replacement(range(u), 2):
+        out[i, j] = full[..., i, j].real
+        if j > i:
+            out[j, i] = full[..., i, j].imag
+    return out
+
+
+@pytest.mark.parametrize("tx, rx", [(1, 1), (2, 2), (3, 2), (2, 3)])
+def test_matrix_block_is_the_packed_gram_of_the_documented_draw(tx, rx):
+    """Built here from the uniforms alone: a trial's 2 rx tx words, as
+    normal quantiles scaled by sqrt(1 / (2 lambda)), are Re H row by row,
+    then Im H. matrix_block holds H*H packed, at two fading parameters and
+    from trial 0 and trial 5 (whose first word, for 1x1, sits inside a
+    Philox block). Entry (i, j) is held to 1e-14 of sqrt(G_ii G_jj), which
+    bounds the sum of its terms' magnitudes: an entry the terms nearly
+    cancel in has no relative precision in either sum."""
+    n = 257
+    prof = FadingProfile(lambdas=(1.0, 0.37), tx_antennas=tx, rx_antennas=rx)
+    for band, lam in enumerate(prof.lambdas):
+        for start in (0, 5):
+            z = ndtri(uniform_block(SEED, 3, band, start, n, words=2 * rx * tx))
+            z *= math.sqrt(0.5 / lam)
+            h = (z[:, :rx * tx] + 1j * z[:, rx * tx:]).reshape(n, rx, tx)
+            got, want = matrix_block(prof, band, 3, SEED, start, n), packed_gram(h)
+            d = np.sqrt(np.diagonal(want)).T
+            scale = d[:, None] * d[None, :]
+            assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-14 * scale), \
+                (band, start)
 
 
 def test_uniform_block_is_pure_function_of_key():
@@ -173,14 +213,14 @@ def test_block_at_any_start_is_a_slice_of_a_longer_block():
         assert np.array_equal(gain_block(prof, 0, 3, SEED, start, 50),
                               gain_block(prof, 0, 3, SEED, start - 3, 60)[3:53])
         assert np.array_equal(matrix_block(prof, 1, 3, SEED, start, 50),
-                              matrix_block(prof, 1, 3, SEED, start - 3, 60)[3:53])
+                              matrix_block(prof, 1, 3, SEED, start - 3, 60)[..., 3:53])
 
 
 def test_draws_into_a_given_buffer_equal_the_allocating_draws():
     """From every lane of a Philox block (start trials 0-12) and for one,
     two, three and eight words a trial, uniform_block equals a draw of the
     stream from its first word sliced at the range, and uniform_block,
-    gain_block and hermitian_gram give the same bits into `out` as into
+    gain_block and matrix_block give the same bits into `out` as into
     arrays of their own; `out` may be the tail of a larger buffer."""
     n = 37
     prof = FadingProfile(lambdas=(1.0, 2.5))
@@ -198,11 +238,10 @@ def test_draws_into_a_given_buffer_equal_the_allocating_draws():
         into = gain_block(prof, 1, 2, SEED, start, n, out=buf[5:])
         assert np.shares_memory(into, buf) and np.isnan(buf[:5]).all()
         assert np.array_equal(into, gain_block(prof, 1, 2, SEED, start, n))
-        h = matrix_block(mimo, 0, 1, SEED, start, n)
         big = np.full((3, 3, n + 5), np.nan)[:2, :2]
-        into = hermitian_gram(h, out=big[..., 5:])
+        into = matrix_block(mimo, 0, 1, SEED, start, n, out=big[..., 5:])
         assert np.shares_memory(into, big) and np.isnan(big[..., :5]).all()
-        assert np.array_equal(into, hermitian_gram(h))
+        assert np.array_equal(into, matrix_block(mimo, 0, 1, SEED, start, n))
 
 
 def test_a_buffer_of_the_wrong_length_or_type_is_refused():
@@ -213,11 +252,10 @@ def test_a_buffer_of_the_wrong_length_or_type_is_refused():
             uniform_block(SEED, 0, 0, 0, 4, words=3, out=out)
     with pytest.raises(ValueError, match="out"):
         gain_block(prof, 0, 0, SEED, 0, 12, out=np.empty(13))
-    h = matrix_block(FadingProfile(lambdas=(1.0,), tx_antennas=2, rx_antennas=2), 0, 0, SEED,
-                     0, 6)
+    mimo = FadingProfile(lambdas=(1.0,), tx_antennas=2, rx_antennas=2)
     for out in (np.empty((2, 2, 5)), np.empty((2, 2, 6), dtype=complex)):
         with pytest.raises(ValueError, match="out"):
-            hermitian_gram(h, out=out)
+            matrix_block(mimo, 0, 0, SEED, 0, 6, out=out)
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])

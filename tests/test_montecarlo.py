@@ -19,7 +19,7 @@ from coharq.montecarlo import (EstimateWithCI, FitWindowError, RangeError, Sweep
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                              policy_allocate, run_packet)
 from coharq.fading import Substream
-from coharq.rates import Scheme, hermitian_gram
+from coharq.rates import Scheme
 from test_pathwise import later
 
 SEED = 20260826
@@ -987,7 +987,7 @@ def test_draw_memo_extends_a_shorter_block_bit_for_bit(memo, monkeypatch):
             elif what[0] == "gain":
                 cold = gain_block(cfg.profile, what[1], slot, SEED, 40, n + 333)
             else:
-                cold = hermitian_gram(matrix_block(cfg.profile, what[1], slot, SEED, 40, n + 333))
+                cold = matrix_block(cfg.profile, what[1], slot, SEED, 40, n + 333)
             assert cold.dtype == block.dtype and np.array_equal(cold, block)
         assert_memo_accounts_its_blocks(memo)
 
