@@ -514,11 +514,8 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         if row_of is not None:
             nats = np.take(nats, row_of, axis=-1)
         won = active & (nats >= col_rates)
-        if at is None:  # an active column's rounds are 0: one add records them
-            rounds += won * np.int16(s + 1)
-        else:
-            for u in range(k):
-                rounds[u, at[won[u]]] = s + 1
+        # an active column's rounds are 0, so one add records them (at repeats no column)
+        rounds[:, slice(None) if at is None else at] += won * np.int16(s + 1)
         active &= ~won
     return cols, rounds
 

@@ -7,8 +7,8 @@ from numpy.random import Generator, Philox
 from scipy import stats
 from scipy.special import ndtri
 
-from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, _philox_key,
-                           gain_block, matrix_block, uniform_block)
+from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, _packed_gram,
+                           _philox_key, gain_block, matrix_block, uniform_block)
 
 SEED = 20260826
 
@@ -168,6 +168,18 @@ def test_matrix_block_is_the_packed_gram_of_the_documented_draw(tx, rx):
             scale = d[:, None] * d[None, :]
             assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-14 * scale), \
                 (band, start)
+
+
+def test_gram_packing_matches_complex_matmul():
+    """On seeded 3x2 matrices the packing holds each entry of H*H, real part
+    on and above the diagonal and imaginary part below it, at rtol 1e-14."""
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(50, 3, 2)) + 1j * rng.normal(size=(50, 3, 2))
+    gram = _packed_gram(np.moveaxis(h.real, 0, -1), np.moveaxis(h.imag, 0, -1), np.empty((2, 2, 50)))
+    full = np.swapaxes(h.conj(), -1, -2) @ h
+    np.testing.assert_allclose(gram[0, 0], full[:, 0, 0].real, rtol=1e-14)
+    np.testing.assert_allclose(gram[1, 1], full[:, 1, 1].real, rtol=1e-14)
+    np.testing.assert_allclose(gram[0, 1] + 1j * gram[1, 0], full[:, 0, 1], rtol=1e-14)
 
 
 def test_uniform_block_is_pure_function_of_key():
