@@ -173,6 +173,7 @@ def _mi_cdf_single(lam: float, power: float, x: float) -> float:
     return -math.expm1(-(lam / power) * math.expm1(x)) if x > 0 else 0.0
 
 
+@lru_cache(maxsize=64)
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, n >= 1: a length at which a real FFT is
     fast (lengths with a large prime factor run several times slower)."""
@@ -210,9 +211,22 @@ def _inr_cdf_grids(copies, power: float, x: float, n_intervals: int) -> dict:
         if p[:-1] not in spec:
             spec[p[:-1]] = np.fft.rfft(c, length)
         full = np.fft.irfft(spec[p[:-1]] * spec[p[-1:]], length)[: n_intervals + 1]
-        # trapezoid-corrected discrete convolution on [0, x]
-        conv[p] = h * (full - 0.5 * (c[0] * f + c * f[0]))
-    return {t: float(np.trapezoid(conv[t], dx=h)) for t in copies}
+        # trapezoid-corrected discrete convolution on [0, x], in place:
+        # h * (full - 0.5 * (c[0] * f + c * f[0]))
+        ends = c * f[0]
+        ends += c[0] * f
+        ends *= 0.5
+        full -= ends
+        full *= h
+        conv[p] = full
+    out = {}
+    for t in copies:
+        # np.trapezoid(conv[t], dx=h): its float operations, in place
+        area = conv[t][1:] + conv[t][:-1]
+        area *= h
+        area /= 2.0
+        out[t] = float(area.sum())
+    return out
 
 
 def _check_inr_grid(n: int, m: int, lam1: float, lam2: float, power: float,
@@ -243,44 +257,45 @@ _INR_CACHE = OrderedDict()
 _INR_CACHE_SIZE = 4096
 
 
-def _cdf_inr_counts(counts, lambdas, power: float, x: float) -> dict:
-    """{(n, m): cdf_inr_sum(n, m, lambdas, power, x)} for every count pair.
+def _cdf_inr_counts(keys, power: float, x: float) -> dict:
+    """{(n, m, l1, l2): cdf_inr_sum(n, m, (l1, l2), power, x)} for every key.
 
-    The pairs not cached are evaluated together: one convolution pass over
-    all their copy tuples on the base grid and one on the doubled grid,
-    then Richardson extrapolation of each. Saturated and one-copy pairs
-    are exact, and pairs whose lower-tail bound (_inr_lower_tail)
-    underflows to 0 are 0; the others, however small, are refused where
-    the grid is too coarse (_check_inr_grid).
+    The keys not cached are evaluated together, whatever their fading
+    parameters: one convolution pass over all their copy tuples on the
+    base grid and one on the doubled grid, then Richardson extrapolation
+    of each. Saturated and one-copy counts are exact, and counts whose
+    lower-tail bound (_inr_lower_tail) underflows to 0 are 0; the others,
+    however small, are refused where the grid is too coarse
+    (_check_inr_grid).
     """
-    for n, m in counts:
+    for n, m, *_ in keys:
         if n < 0 or m < 0 or n + m < 1:
             raise ValueError(f"invalid copy counts ({n}, {m})")
     if x <= 0.0:
-        return dict.fromkeys(counts, 0.0)
-    lam1, lam2 = float(lambdas[0]), float(lambdas[1])
+        return dict.fromkeys(keys, 0.0)
     power, x = float(power), float(x)
     out, missing = {}, {}
-    for n, m in counts:
-        key = (n, m, lam1, lam2, power, x)
+    for key in keys:
+        n, m, lam1, lam2 = key
+        cached = key + (power, x)
         if _saturated(n, m, (lam1, lam2), power, x):
-            out[n, m] = 1.0
+            out[key] = 1.0
         elif n + m == 1:
-            out[n, m] = _mi_cdf_single(lam1 if n else lam2, power, x)
+            out[key] = _mi_cdf_single(lam1 if n else lam2, power, x)
         elif _inr_lower_tail(n, m, lam1, lam2, power, x) == 0.0:
-            out[n, m] = 0.0
-        elif key in _INR_CACHE:
-            _INR_CACHE.move_to_end(key)
-            out[n, m] = _INR_CACHE[key]
+            out[key] = 0.0
+        elif cached in _INR_CACHE:
+            _INR_CACHE.move_to_end(cached)
+            out[key] = _INR_CACHE[cached]
         else:
             _check_inr_grid(n, m, lam1, lam2, power, x)
-            missing[n, m] = (lam1,) * n + (lam2,) * m
+            missing[key] = (lam1,) * n + (lam2,) * m
     if missing:
         coarse = _inr_cdf_grids(missing.values(), power, x, _INR_GRID_N)
         fine = _inr_cdf_grids(missing.values(), power, x, 2 * _INR_GRID_N)
-        for (n, m), rates in missing.items():
+        for key, rates in missing.items():
             val = (4.0 * fine[rates] - coarse[rates]) / 3.0
-            out[n, m] = _INR_CACHE[n, m, lam1, lam2, power, x] = float(min(max(val, 0.0), 1.0))
+            out[key] = _INR_CACHE[key + (power, x)] = float(min(max(val, 0.0), 1.0))
         while len(_INR_CACHE) > _INR_CACHE_SIZE:
             _INR_CACHE.popitem(last=False)
     return out
@@ -295,7 +310,8 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     ClosedFormRangeError refuses a band whose copies are too narrow for the
     grid (_check_inr_grid).
     """
-    return _cdf_inr_counts([(n, m)], lambdas, power, x)[n, m]
+    key = (n, m, float(lambdas[0]), float(lambdas[1]))
+    return _cdf_inr_counts([key], power, x)[key]
 
 
 def _accumulated_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -> dict:
@@ -308,12 +324,27 @@ def _accumulated_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -
     if scheme is Scheme.RTD:
         out.update({c: cdf_rtd_sum(*c, lambdas, power, x) for c in rest})
     else:
-        out.update(_cdf_inr_counts(rest, lambdas, power, x))
+        lam = float(lambdas[0]), float(lambdas[1])
+        cdfs = _cdf_inr_counts([c + lam for c in rest], power, x)
+        out.update({c: cdfs[c + lam] for c in rest})
     return out
 
 
 # ---------------------------------------------------------------------------
 # two-user event algebra
+
+
+@lru_cache(maxsize=64)
+def _donated(max_rounds: int, coordinated: bool) -> tuple:
+    """(donated, counts): donated[c][j] is the other band's copies the user
+    holds after round c when the other user resolves at round j, and counts
+    every (own, donated) copy count a resolve table reads. Under
+    coordination a user that resolves at round j >= 1 donates its band from
+    round j+1 on, so by round c the other holds max(c - j, 0)."""
+    rounds = range(max_rounds + 1)
+    donated = tuple(tuple(max(c - j, 0) if j and coordinated else 0 for j in rounds)
+                    for c in rounds)
+    return donated, frozenset((own, d) for own, row in enumerate(donated) for d in row)
 
 
 @lru_cache(maxsize=4096)
@@ -325,14 +356,9 @@ def _resolve_given(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: 
     own rate alone, so a rate search builds it once per rate, not once per
     rate pair.
     """
-    rounds = range(max_rounds + 1)
-    # donated[c][j]: the other band's copies the user holds after round c.
-    # Under coordination a user that resolves at round j >= 1 donates its
-    # band from round j+1 on, so by round c the other holds max(c - j, 0)
-    donated = [[max(c - j, 0) if j and coordinated else 0 for j in rounds] for c in rounds]
+    donated, counts = _donated(max_rounds, coordinated)
     # each (own, donated) copy count's CDF at the rate, evaluated once
-    short = _accumulated_cdfs(scheme, {(own, d) for own, row in enumerate(donated) for d in row},
-                               lambdas, power, rate)
+    short = _accumulated_cdfs(scheme, counts, lambdas, power, rate)
     # g[c][j]: still short after round c; outage is short after the last
     # round, resolving at round i is short after round i-1 but not after i
     g = [[short[own, d] for d in row] for own, row in enumerate(donated)]
@@ -342,8 +368,25 @@ def _resolve_given(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: 
     return q
 
 
+@lru_cache(maxsize=4096)
+def _resolve_both(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: tuple,
+                  power: float, rate: float) -> tuple:
+    """(Q_A, Q_B) at a rate both users hold, lambdas in A's order: each
+    user's _resolve_given, cached as a pair. Under INR with unequal fading
+    the two users' copy counts differ, and one convolution pass evaluates
+    them all first, leaving them in _INR_CACHE for both Qs: the one-copy
+    densities and spectra are taken once, not once per user."""
+    lam_a, lam_b = lambdas
+    orders = lambdas, (lam_b, lam_a)
+    if scheme is Scheme.INR and lam_a != lam_b:
+        counts = _donated(max_rounds, coordinated)[1] - {(0, 0)}
+        _cdf_inr_counts([c + lam for lam in orders for c in counts], power, rate)
+    return tuple(_resolve_given(scheme, max_rounds, coordinated, lam, power, rate)
+                 for lam in orders)
+
+
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
-                rate_a: float, rate_b: float, *, coordinated: bool = True) -> np.ndarray:
+                rate_a, rate_b, *, coordinated: bool = True) -> np.ndarray:
     """Per-packet terminal-event distribution for K = 2 users.
 
     Cell [i, j] is the probability that user A resolves at round i and user
@@ -355,14 +398,36 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     later slots (the donated copies), so the two conditions are independent
     and cell [i, j] is Q_A[i, j] Q_B[j, i]. Each user's Q depends on its own
     rate only and is built once per (user, rate); under INR, all of a Q's
-    copy counts are evaluated in one convolution pass.
+    copy counts are evaluated in one convolution pass, and at a rate both
+    users hold, both Qs' counts in one (_resolve_both).
     `coordinated=False` gives independent single-user HARQ on each band.
+
+    A rate grid passes equal-shaped arrays of rates, and gets one table per
+    rate pair, stacked on the arrays' axes: each user's Q is built once
+    per distinct rate, and every table equals the one-pair call's.
     """
     lam_a, lam_b = map(float, lambdas)
     power = float(power)
-    q_a = _resolve_given(scheme, max_rounds, coordinated, (lam_a, lam_b), power, float(rate_a))
-    q_b = _resolve_given(scheme, max_rounds, coordinated, (lam_b, lam_a), power, float(rate_b))
-    return q_a * q_b.T
+    rate_a, rate_b = np.asarray(rate_a, dtype=float), np.asarray(rate_b, dtype=float)
+    if rate_a.shape != rate_b.shape:
+        raise ValueError(f"rate arrays of shapes {rate_a.shape} and {rate_b.shape}")
+    wanted = rate_a.ravel().tolist(), rate_b.ravel().tolist()
+    q_a, q_b = dict.fromkeys(wanted[0]), dict.fromkeys(wanted[1])
+    for rate in q_a:
+        if rate in q_b:
+            q_a[rate], q_b[rate] = _resolve_both(scheme, max_rounds, coordinated,
+                                                 (lam_a, lam_b), power, rate)
+        else:
+            q_a[rate] = _resolve_given(scheme, max_rounds, coordinated, (lam_a, lam_b),
+                                       power, rate)
+    for rate, q in q_b.items():
+        if q is None:
+            q_b[rate] = _resolve_given(scheme, max_rounds, coordinated, (lam_b, lam_a),
+                                       power, rate)
+    shape = (-1,) + (max_rounds + 1,) * 2
+    stack_a = np.array([q_a[r] for r in wanted[0]]).reshape(shape)
+    stack_b = np.array([q_b[r] for r in wanted[1]]).reshape(shape)
+    return (stack_a * stack_b.swapaxes(1, 2)).reshape(rate_a.shape + shape[1:])
 
 
 def event_label(i: int, j: int) -> str:
@@ -394,14 +459,24 @@ def table_cells(max_rounds: int, n_users: int) -> tuple:
     return parts
 
 
-def table_sums(table: np.ndarray) -> tuple:
+def table_sums(table: np.ndarray, n_users: int | None = None) -> tuple:
     """(outage, decoded, slots) from one read of the table's cells: for
     each user, the mass in its outage slice (index 0 on its axis) and in
-    the rest, and the slots its packets held, summed in `table_cells`
-    order; exact for a count table."""
-    flat, decodes, slots = table_cells(table.shape[0] - 1, table.ndim)
-    cells = table.ravel()[flat]
-    return ~decodes @ cells, decodes @ cells, sum((slots * cells).tolist())
+    the rest, and the slots its packets held; exact for a count table.
+
+    The table's last `n_users` axes are its users (all of them by default),
+    and any leading axes stack tables, which give arrays of sums. The
+    per-user masses are one matrix-vector product per table, in the order
+    the BLAS takes; the slots are summed in `table_cells` order.
+    """
+    n_users = table.ndim if n_users is None else n_users
+    stack = table.shape[:table.ndim - n_users]
+    flat, decodes, slots = table_cells(table.shape[-1] - 1, n_users)
+    cells = table.reshape(-1, flat.size).take(flat, axis=1)  # one row per table
+    outage = np.matmul(~decodes, cells[..., None]).reshape(stack + (n_users,))
+    decoded = np.matmul(decodes, cells[..., None]).reshape(stack + (n_users,))
+    held = [sum(row) for row in (slots * cells).tolist()]
+    return outage, decoded, np.reshape(held, stack) if stack else held[0]
 
 
 def packets_per_slot(table: np.ndarray, packets=1.0) -> float:
@@ -413,14 +488,23 @@ def packets_per_slot(table: np.ndarray, packets=1.0) -> float:
     return packets / table_sums(table)[2]
 
 
-def throughput_closed(table: np.ndarray, *rates, packets=1.0, sums=None) -> float:
+def throughput_closed(table: np.ndarray, *rates, packets=1.0, sums=None):
     """Long-run throughput in npcu: delivered nats per slot held, one rate
-    per user; `sums` as in reduce_table."""
-    total = table.sum() / packets
-    if abs(total - 1.0) > 1e-6:
-        raise ConsistencyError(f"event probabilities sum to {total}, not 1")
-    _, decoded, slots = table_sums(table) if sums is None else sums
-    return float(np.asarray(rates) @ decoded) / slots
+    per user; `sums` as in reduce_table. The users are the table's last
+    len(rates) axes: a stack of tables (table_sums) gives an array, and
+    each user's rate may be an array over the stack. Every table's
+    probabilities (counts over `packets`) must sum to 1."""
+    n_users = len(rates)
+    totals = np.ravel(table.sum(axis=tuple(range(-n_users, 0))) / packets).tolist()
+    off = [total for total in totals if abs(total - 1.0) > 1e-6]
+    if off:
+        raise ConsistencyError(f"event probabilities sum to {off[0]}, not 1")
+    _, decoded, slots = table_sums(table, n_users) if sums is None else sums
+    rates = np.array(rates, dtype=float)
+    rates = rates.transpose(tuple(range(1, rates.ndim)) + (0,)).copy()  # a row per table
+    # one dot product per table, as rates @ decoded takes it
+    nats = np.matmul(rates[..., None, :], decoded[..., None])[..., 0, 0]
+    return nats / slots if isinstance(slots, np.ndarray) else float(nats) / slots
 
 
 def reduce_table(table: np.ndarray, rates, packets=1.0, sums=None) -> dict:

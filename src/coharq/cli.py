@@ -147,12 +147,11 @@ def grid_throughputs(config_template: ProtocolConfig, policy: AllocationPolicy,
     """Long-run throughput of every (R_A, R_B) pair of `rate_grid` at the
     template's SNR, in grid order.
 
-    Closed form wherever `montecarlo.closed_form_tables` has tables: each
-    pair's throughput is `analytic.throughput_closed` of its table, the
-    value `analytic_counterparts` reports. The policy's rule and the
-    tables' donated-copy pattern are decided once for the grid, and the
-    tables reuse each user's resolve table per rate (`analytic.event_table`),
-    so a G x G grid builds 2G of them, not 2G^2.
+    Closed form wherever `montecarlo.closed_form_tables` has tables: it
+    stacks the grid's tables, building each user's resolve table once per
+    distinct rate (a G x G grid builds 2G of them, not 2G^2), and one
+    `analytic.throughput_closed` call reduces the stack. Each pair's
+    throughput equals the value `analytic_counterparts` reports for it.
     Otherwise one montecarlo.estimate_grid call decides every pair on
     shared draws, each pair's throughput equal to a separate estimate with
     the same trials and seed.
@@ -162,8 +161,7 @@ def grid_throughputs(config_template: ProtocolConfig, policy: AllocationPolicy,
         raise ConfigurationError("empty rate grid")
     tables = closed_form_tables(config_template, policy, rate_grid)
     if tables is not None:
-        return [analytic.throughput_closed(table, *map(float, pair))
-                for table, pair in zip(tables, rate_grid)]
+        return analytic.throughput_closed(tables, *zip(*rate_grid)).tolist()
     return [est["throughput"].point for est in
             estimate_grid(config_template, policy, rate_grid, n_trials, master_seed,
                           n_jobs=n_jobs)]

@@ -14,7 +14,6 @@ closed-form expressions.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -611,6 +610,9 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
     totals = [None] * len(configs)
     with _DRAWS.plan():
         if n_jobs > 1 and len(tasks) > 1:
+            # imported here: the pool's modules (multiprocessing, socket,
+            # logging) cost every run that never starts one
+            from concurrent.futures import ProcessPoolExecutor
             # the pool starts all its workers at once: no more than the chunks
             with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
                 results = list(pool.map(_chunk_stats, tasks))
@@ -730,21 +732,23 @@ def _throughput_half_width(counts: np.ndarray, n: int, rates, eta: float,
 
 
 def closed_form_tables(config: ProtocolConfig, policy: AllocationPolicy,
-                       rate_grid) -> list | None:
-    """The closed-form terminal-event table (`analytic.event_table`) of
-    `config` at each rate vector of `rate_grid`, or None for a setup that
-    has none: the tables cover two SISO users, whatever the rates, power
-    and policy. The vectors are checked as ProtocolConfig checks its rates;
-    the policy's rule is decided once."""
+                       rate_grid) -> np.ndarray | None:
+    """The closed-form terminal-event tables (`analytic.event_table`) of
+    `config` at the rate vectors of `rate_grid`, stacked in grid order,
+    or None for a setup that has none: the tables cover two SISO users,
+    whatever the rates, power and policy. The vectors are checked as
+    ProtocolConfig checks its rates; the policy's rule is decided once,
+    and one event_table call builds the stack, each user's resolve table
+    once per distinct rate."""
     if config.n_users != 2 or not config.profile.is_siso:
         return None
     grid = [check_rates(rates, config.n_users) for rates in rate_grid]
     # the two-user tables cover both rules policy_allocate can apply to a
     # lone failing user: it receives the free band, or keeps only its own
     coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
-    return [analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
-                                 config.power, *rates, coordinated=coordinated)
-            for rates in grid]
+    return analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
+                                config.power, [a for a, _ in grid], [b for _, b in grid],
+                                coordinated=coordinated)
 
 
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:

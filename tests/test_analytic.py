@@ -15,7 +15,7 @@ from coharq.analytic import (ConsistencyError, cdf_inr_sum, cdf_rtd_sum,
                              packets_per_slot, throughput_closed)
 from coharq.cli import grid_throughputs, optimize_rates, resolve_policy
 from coharq.fading import ConfigurationError, FadingProfile
-from coharq.montecarlo import analytic_counterparts
+from coharq.montecarlo import analytic_counterparts, closed_form_tables
 from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
 from coharq.rates import Scheme
 from test_acceptance import _hypoexp_cdf_oracle
@@ -360,8 +360,8 @@ def test_inr_density_stays_finite_up_to_the_admitted_target():
     lie in [0, 1]."""
     x = math.nextafter(analytic._INR_GRID_N / analytic._INR_MIN_STEPS, 0.0)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cdf = analytic._cdf_inr_counts([(1, 1), (2, 0)], (1.0, 1.0), 1e217, x)
-    assert set(cdf) == {(1, 1), (2, 0)}
+        cdf = analytic._cdf_inr_counts([(1, 1, 1.0, 1.0), (2, 0, 1.0, 1.0)], 1e217, x)
+    assert set(cdf) == {(1, 1, 1.0, 1.0), (2, 0, 1.0, 1.0)}
     assert all(0.0 <= p <= 1.0 for p in cdf.values())
 
 
@@ -524,6 +524,12 @@ def test_noncoordinated_table_is_product_of_marginals(scheme, max_rounds):
     assert (coord[0, 0] == got[0, 0]) and (coord[1, 1] == got[1, 1])
 
 
+def _clear_closed_form_caches():
+    analytic._resolve_given.cache_clear()
+    analytic._resolve_both.cache_clear()
+    analytic._INR_CACHE.clear()
+
+
 @pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
 def test_event_table_cold_equals_warm(scheme):
     args = (scheme, 3, (1.0, 2.0), 4.0)
@@ -531,8 +537,7 @@ def test_event_table_cold_equals_warm(scheme):
     # the earlier rate pairs
     for pair in ((1.0, 0.5), (0.5, 1.5), (1.0, 1.5)):
         warm = event_table(*args, *pair)
-    analytic._resolve_given.cache_clear()
-    analytic._INR_CACHE.clear()
+    _clear_closed_form_caches()
     cold = event_table(*args, 1.0, 1.5)
     assert analytic._resolve_given.cache_info().misses == 2
     assert cold.tobytes() == warm.tobytes()
@@ -571,6 +576,15 @@ def test_optimize_rates_equals_per_pair_counterparts(scheme, policy, max_rounds)
         assert optimize_rates(cfg, pol, grid) == (grid[best], etas[best])
 
 
+def _convolved(count, lambdas, power, x):
+    """Whether the INR closed form convolves this copy count, rather than
+    taking it exact: saturated, one copy, or a lower-tail bound that
+    underflows to 0."""
+    n, m = count
+    return not (analytic._saturated(n, m, lambdas, power, x) or n + m == 1
+                or analytic._inr_lower_tail(n, m, *lambdas, power, x) == 0.0)
+
+
 @pytest.mark.parametrize("scheme", ["rtd", "inr"])
 @pytest.mark.parametrize("policy", ["coord", "noncoord", "round-robin"])
 def test_grid_throughputs_equal_per_pair_counterparts(scheme, policy):
@@ -582,6 +596,24 @@ def test_grid_throughputs_equal_per_pair_counterparts(scheme, policy):
         etas = grid_throughputs(cfg, pol, grid)
         assert etas == [analytic_counterparts(replace(cfg, rates=pair), pol)["throughput"]
                         for pair in grid]
+    # At these powers and rates a copy count that one user's band makes
+    # exact (saturated at lambda = 100, or a lower-tail bound that underflows
+    # at lambda = 1e-120) is convolved for the other user, and one-copy
+    # counts sit beside convolved ones: the grid, cold, equals each pair
+    # evaluated cold on its own, in both lambda orders
+    for lambdas, power, rates in (((1.0, 100.0), 1.0, (1.0, 1.5, 2.0)),
+                                  ((1e-50, 1e-120), 1.0, (1e-50, 2e-50))):
+        assert any(_convolved(c, lambdas, power, x) != _convolved(c, lambdas[::-1], power, x)
+                   for c in analytic._donated(3, True)[1] - {(0, 0)} for x in rates)
+        pairs = list(itertools.product(rates, rates))
+        for order in (lambdas, lambdas[::-1]):
+            cfg = ProtocolConfig(profile=FadingProfile(lambdas=order), rates=(1.0, 1.0),
+                                 power=power, scheme=Scheme(scheme), max_rounds=3)
+            _clear_closed_form_caches()
+            etas = grid_throughputs(cfg, pol, pairs)
+            for pair, eta in zip(pairs, etas):
+                _clear_closed_form_caches()
+                assert eta == analytic_counterparts(replace(cfg, rates=pair), pol)["throughput"]
     for bad in ((1.0, -0.5), (1.0, math.nan), (1.0,), (1.0, 1.0, 1.0)):
         with pytest.raises(ConfigurationError):
             grid_throughputs(cfg, pol, [(1.0, 1.0), bad])
@@ -589,11 +621,104 @@ def test_grid_throughputs_equal_per_pair_counterparts(scheme, policy):
 
 def test_rate_search_builds_one_resolve_table_per_user_and_rate():
     rates = (0.5, 1.0, 1.5)
+    for scheme in Scheme:
+        cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0)), rates=(1.0, 1.0),
+                             power=3.0, scheme=scheme, max_rounds=3)
+        _clear_closed_form_caches()
+        optimize_rates(cfg, resolve_policy("coord", 2), list(itertools.product(rates, rates)))
+        assert analytic._resolve_given.cache_info().misses == 2 * len(rates)
+
+
+def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
+    """With unequal fading the two users' INR copy counts differ; at each
+    rate of a search both users' counts go through one coarse and one fine
+    convolution pass, and each user's resolve table equals the one its own
+    pass builds."""
+    calls = []
+    grids = analytic._inr_cdf_grids
+
+    def counted(copies, power, x, n_intervals):
+        calls.append((x, n_intervals))
+        return grids(copies, power, x, n_intervals)
+
+    monkeypatch.setattr(analytic, "_inr_cdf_grids", counted)
+    rates, power = (0.5, 1.0, 1.5), 5.5  # a power no other test uses
     cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0)), rates=(1.0, 1.0),
-                         power=3.0, scheme=Scheme.RTD, max_rounds=3)
-    analytic._resolve_given.cache_clear()
-    optimize_rates(cfg, resolve_policy("coord", 2), list(itertools.product(rates, rates)))
-    assert analytic._resolve_given.cache_info().misses == 2 * len(rates)
+                         power=power, scheme=Scheme.INR, max_rounds=3)
+    grid = list(itertools.product(rates, rates))
+    _clear_closed_form_caches()
+    tables = closed_form_tables(cfg, resolve_policy("coord", 2), grid)
+    assert sorted(calls) == sorted((x, n) for x in rates
+                                   for n in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N))
+    for (rate_a, rate_b), table in zip(grid, tables):
+        _clear_closed_form_caches()
+        q_a = analytic._resolve_given(Scheme.INR, 3, True, (1.0, 2.0), power, rate_a)
+        _clear_closed_form_caches()
+        q_b = analytic._resolve_given(Scheme.INR, 3, True, (2.0, 1.0), power, rate_b)
+        assert table.tobytes() == (q_a * q_b.T).tobytes()
+
+
+def _table_sums_oracle(table):
+    # one table's reduction: each user mass one matrix-vector product, the
+    # slots summed one cell at a time in table_cells order
+    flat, decodes, slots = analytic.table_cells(table.shape[0] - 1, table.ndim)
+    cells = table.ravel()[flat]
+    return ~decodes @ cells, decodes @ cells, sum((slots * cells).tolist())
+
+
+def _assert_stack_reduces_per_table(tables, rates, packets):
+    k = len(rates)
+    outage, decoded, slots = analytic.table_sums(tables, k)
+    etas = throughput_closed(tables, *rates, packets=packets)
+    assert outage.shape == decoded.shape == (len(tables), k) and slots.shape == etas.shape
+    for i, table in enumerate(tables):
+        want = _table_sums_oracle(table)
+        pair = [r[i] for r in rates]
+        n = packets if np.isscalar(packets) else packets[i]
+        assert outage[i].tobytes() == want[0].tobytes()
+        assert decoded[i].tobytes() == want[1].tobytes()
+        assert slots[i] == want[2]
+        assert etas[i] == float(np.asarray(pair) @ want[1]) / want[2]
+        assert etas[i] == throughput_closed(table, *pair, packets=n)
+        vals = analytic.reduce_table(table, pair, packets=n)
+        assert analytic.reduce_table(table, pair, packets=n,
+                                     sums=(outage[i], decoded[i], slots[i])) == vals
+
+
+def test_stacked_reductions_equal_per_table():
+    """table_sums, throughput_closed and reduce_table on a stack of tables
+    equal the per-table values bit for bit. The closed-form stacks hold
+    tables whose user masses a gemm, or a sequential sum of the decoded
+    cells, changes in the last bits; the count stacks are exact."""
+    grid = np.array([(0.5 * a, 0.5 * b) for a in range(1, 5) for b in range(1, 5)])
+    naive_differs = 0
+    for scheme, (lambdas, m), db in itertools.product(
+            Scheme, (((1.0, 2.0), 2), ((1.0, 3.0), 3), ((2.0, 1.0), 4)), (0.0, 7.0, 12.0)):
+        power = 10.0 ** (db / 10.0)
+        tables = event_table(scheme, m, lambdas, power, grid[:, 0], grid[:, 1])
+        for table, pair in zip(tables, grid):
+            assert table.tobytes() == event_table(scheme, m, lambdas, power, *pair).tobytes()
+        _assert_stack_reduces_per_table(tables, tuple(grid.T), 1.0)
+        flat, decodes, _ = analytic.table_cells(m, 2)
+        cells = tables.reshape(len(grid), -1)[:, flat]
+        per_table = analytic.table_sums(tables, 2)[1]
+        sequential = np.array([[sum(c[d].tolist()) for d in decodes] for c in cells])
+        naive_differs += ((cells @ decodes.T != per_table).any(axis=1)
+                          | (sequential != per_table).any(axis=1)).sum()
+    assert naive_differs > 0
+    rng = np.random.default_rng(7)
+    for k, m in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        counts = rng.integers(0, 10**6, size=(12,) + (m + 1,) * k)
+        rates = tuple(rng.uniform(0.1, 3.0, size=12) for _ in range(k))
+        packets = counts.reshape(12, -1).sum(axis=1)
+        _assert_stack_reduces_per_table(counts, rates, packets)
+        assert analytic.table_sums(counts, k)[0].dtype == np.int64
+
+
+def test_event_table_refuses_rate_arrays_of_unequal_shapes():
+    with pytest.raises(ValueError, match="shapes"):
+        event_table(Scheme.RTD, 2, (1.0, 1.0), 1.0, [1.0, 2.0], [1.0])
+    assert event_table(Scheme.RTD, 2, (1.0, 1.0), 1.0, [], []).shape == (0, 3, 3)
 
 
 # ---------------------------------------------------------------------------

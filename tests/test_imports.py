@@ -15,15 +15,30 @@ PROBE = """
 import sys
 from coharq import analytic, cli, montecarlo
 
+
+def pool_modules(names):
+    # the process pool's modules, and multiprocessing's
+    return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
+                  or any(m == n or m.startswith(n + ".") for n in names))
+
+
 cfg = cli.build_config("inr", 2, 2, (1.0, 1.0), (1.0, 1.0), 10.0)
 montecarlo.simulate_batch(cfg, cli.resolve_policy("coord", 2), 1, 1)
 analytic.event_table(cfg.scheme, cfg.max_rounds, cfg.profile.lambdas, cfg.power, 1.0, 1.0)
+cli.optimize_rates(cfg, cli.resolve_policy("noncoord", 2), [(1.0, 1.0), (1.0, 2.0)])
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+# the pool is imported only where a run starts one
+loaded = pool_modules(["concurrent.futures"])
 assert not loaded, loaded
 
 mimo = cli.build_config("rtd", 2, 2, (1.0, 1.0), (2.0, 2.0), 10.0, u=2, v=2)
 counts = montecarlo.simulate_batch(mimo, cli.resolve_policy("coord", 2), 16, 1)
 assert counts.sum() == 16
+# MIMO draws import scipy.special, which loads concurrent.futures' base
+# module but not the pool's
+loaded = pool_modules(["concurrent.futures.process"])
+assert not loaded, loaded
 """
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import math
 from dataclasses import replace
@@ -424,7 +425,8 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg, monkeypatch):
 def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
     """A process pool starts all its workers at once, so _batch_stats asks
     for no more workers than it has chunks. A recording stand-in runs the
-    chunks in this process: no worker is started."""
+    chunks in this process: no worker is started. _batch_stats imports
+    the pool where it starts one, so the stand-in replaces it there."""
     opened = []
 
     class RecordingPool:
@@ -440,7 +442,7 @@ def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo, "CHUNK", 300)
     cfg = make_config()
     serial = simulate_batch(cfg, COORD, 1000, SEED)
