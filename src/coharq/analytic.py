@@ -411,23 +411,28 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     rate_a, rate_b = np.asarray(rate_a, dtype=float), np.asarray(rate_b, dtype=float)
     if rate_a.shape != rate_b.shape:
         raise ValueError(f"rate arrays of shapes {rate_a.shape} and {rate_b.shape}")
-    wanted = rate_a.ravel().tolist(), rate_b.ravel().tolist()
-    q_a, q_b = dict.fromkeys(wanted[0]), dict.fromkeys(wanted[1])
-    for rate in q_a:
-        if rate in q_b:
+    wanted_a, wanted_b = rate_a.ravel().tolist(), rate_b.ravel().tolist()
+    held_b = set(wanted_b)
+    q_a, q_b = {}, {}
+    for rate in wanted_a:
+        if rate in q_a:
+            continue
+        if rate in held_b:
             q_a[rate], q_b[rate] = _resolve_both(scheme, max_rounds, coordinated,
                                                  (lam_a, lam_b), power, rate)
         else:
             q_a[rate] = _resolve_given(scheme, max_rounds, coordinated, (lam_a, lam_b),
                                        power, rate)
-    for rate, q in q_b.items():
-        if q is None:
+    for rate in wanted_b:
+        if rate not in q_b:
             q_b[rate] = _resolve_given(scheme, max_rounds, coordinated, (lam_b, lam_a),
                                        power, rate)
-    shape = (-1,) + (max_rounds + 1,) * 2
-    stack_a = np.array([q_a[r] for r in wanted[0]]).reshape(shape)
-    stack_b = np.array([q_b[r] for r in wanted[1]]).reshape(shape)
-    return (stack_a * stack_b.swapaxes(1, 2)).reshape(rate_a.shape + shape[1:])
+    if not rate_a.ndim:  # one pair
+        return q_a[wanted_a[0]] * q_b[wanted_b[0]].T
+    shape = rate_a.shape + (max_rounds + 1,) * 2
+    stack_a = np.array([q_a[r] for r in wanted_a]).reshape(shape)
+    stack_b = np.array([q_b[r] for r in wanted_b]).reshape(shape)
+    return stack_a * stack_b.swapaxes(-1, -2)
 
 
 def event_label(i: int, j: int) -> str:
@@ -465,18 +470,22 @@ def table_sums(table: np.ndarray, n_users: int | None = None) -> tuple:
     the rest, and the slots its packets held; exact for a count table.
 
     The table's last `n_users` axes are its users (all of them by default),
-    and any leading axes stack tables, which give arrays of sums. The
-    per-user masses are one matrix-vector product per table, in the order
-    the BLAS takes; the slots are summed in `table_cells` order.
+    and any leading axes stack tables, which give arrays of sums. Each
+    table's per-user masses are one matrix-vector product, in the order the
+    BLAS takes; its slots are summed one cell at a time, in `table_cells`
+    order. A stack takes the same products and sums table by table, so each
+    of its sums equals that table's own, bit for bit.
     """
     n_users = table.ndim if n_users is None else n_users
-    stack = table.shape[:table.ndim - n_users]
     flat, decodes, slots = table_cells(table.shape[-1] - 1, n_users)
-    cells = table.reshape(-1, flat.size).take(flat, axis=1)  # one row per table
-    outage = np.matmul(~decodes, cells[..., None]).reshape(stack + (n_users,))
-    decoded = np.matmul(decodes, cells[..., None]).reshape(stack + (n_users,))
-    held = [sum(row) for row in (slots * cells).tolist()]
-    return outage, decoded, np.reshape(held, stack) if stack else held[0]
+    if table.ndim == n_users:  # one table: the lean form of the stack's arithmetic
+        cells = table.ravel()[flat]
+        return ~decodes @ cells, decodes @ cells, sum((slots * cells).tolist())
+    stack = table.shape[:table.ndim - n_users]
+    cells = table.reshape(-1, flat.size)[:, flat, None]  # a column per table
+    held = [sum(row) for row in (slots * cells[..., 0]).tolist()]
+    return (np.matmul(~decodes, cells).reshape(stack + (n_users,)),
+            np.matmul(decodes, cells).reshape(stack + (n_users,)), np.reshape(held, stack))
 
 
 def packets_per_slot(table: np.ndarray, packets=1.0) -> float:
@@ -491,20 +500,25 @@ def packets_per_slot(table: np.ndarray, packets=1.0) -> float:
 def throughput_closed(table: np.ndarray, *rates, packets=1.0, sums=None):
     """Long-run throughput in npcu: delivered nats per slot held, one rate
     per user; `sums` as in reduce_table. The users are the table's last
-    len(rates) axes: a stack of tables (table_sums) gives an array, and
-    each user's rate may be an array over the stack. Every table's
+    len(rates) axes: a stack of tables (table_sums) gives an array, and a
+    user's rate may be an array over the stack. Every table's
     probabilities (counts over `packets`) must sum to 1."""
     n_users = len(rates)
-    totals = np.ravel(table.sum(axis=tuple(range(-n_users, 0))) / packets).tolist()
-    off = [total for total in totals if abs(total - 1.0) > 1e-6]
-    if off:
-        raise ConsistencyError(f"event probabilities sum to {off[0]}, not 1")
+    if table.ndim == n_users:  # one table
+        total = table.sum() / packets
+        if abs(total - 1.0) > 1e-6:
+            raise ConsistencyError(f"event probabilities sum to {total}, not 1")
+        _, decoded, slots = table_sums(table) if sums is None else sums
+        return float(np.asarray(rates) @ decoded) / slots
+    total = table.sum(axis=tuple(range(-n_users, 0))) / packets
+    off = abs(total - 1.0) > 1e-6
+    if off.any():
+        raise ConsistencyError(f"event probabilities sum to {total[off][0]}, not 1")
     _, decoded, slots = table_sums(table, n_users) if sums is None else sums
     rates = np.array(rates, dtype=float)
     rates = rates.transpose(tuple(range(1, rates.ndim)) + (0,)).copy()  # a row per table
-    # one dot product per table, as rates @ decoded takes it
-    nats = np.matmul(rates[..., None, :], decoded[..., None])[..., 0, 0]
-    return nats / slots if isinstance(slots, np.ndarray) else float(nats) / slots
+    # one dot product per table, as rates @ decoded takes it for one table
+    return np.vecdot(rates, decoded) / slots
 
 
 def reduce_table(table: np.ndarray, rates, packets=1.0, sums=None) -> dict:

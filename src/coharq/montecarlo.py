@@ -731,21 +731,29 @@ def _throughput_half_width(counts: np.ndarray, n: int, rates, eta: float,
     return 1.96 * math.sqrt(max(resid_var, 0.0) / n) * gamma
 
 
+def _coordinated(config: ProtocolConfig, policy: AllocationPolicy) -> bool | None:
+    """Whether the closed-form tables of `config` give a lone failing user
+    the free band, or None for a setup that has none: the tables cover two
+    SISO users, whatever the rates, power and policy. They cover both rules
+    policy_allocate can apply to a lone failing user: it receives the free
+    band, or keeps only its own."""
+    if config.n_users != 2 or not config.profile.is_siso:
+        return None
+    return policy_allocate({0}, {1}, policy, 2)[1] == 0
+
+
 def closed_form_tables(config: ProtocolConfig, policy: AllocationPolicy,
                        rate_grid) -> np.ndarray | None:
     """The closed-form terminal-event tables (`analytic.event_table`) of
-    `config` at the rate vectors of `rate_grid`, stacked in grid order,
-    or None for a setup that has none: the tables cover two SISO users,
-    whatever the rates, power and policy. The vectors are checked as
-    ProtocolConfig checks its rates; the policy's rule is decided once,
+    `config` at the rate vectors of `rate_grid`, stacked in grid order, or
+    None for a setup that has none (_coordinated). The vectors are checked
+    as ProtocolConfig checks its rates; the policy's rule is decided once,
     and one event_table call builds the stack, each user's resolve table
     once per distinct rate."""
-    if config.n_users != 2 or not config.profile.is_siso:
+    coordinated = _coordinated(config, policy)
+    if coordinated is None:
         return None
     grid = [check_rates(rates, config.n_users) for rates in rate_grid]
-    # the two-user tables cover both rules policy_allocate can apply to a
-    # lone failing user: it receives the free band, or keeps only its own
-    coordinated = policy_allocate({0}, {1}, policy, 2)[1] == 0
     return analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
                                 config.power, [a for a, _ in grid], [b for _, b in grid],
                                 coordinated=coordinated)
@@ -753,18 +761,23 @@ def closed_form_tables(config: ProtocolConfig, policy: AllocationPolicy,
 
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
     """Closed-form / semi-numerical values matching the estimate() targets:
-    `analytic.reduce_table` of the closed-form table.
+    `analytic.reduce_table` of the closed-form table, the one-pair case of
+    closed_form_tables.
 
     Available for K = 2 SISO under any policy defined for two users
-    (closed_form_tables); returns {} otherwise, and where the closed form
+    (_coordinated); returns {} otherwise, and where the closed form
     refuses the parameters (analytic.ClosedFormRangeError): those cases
     are Monte Carlo only.
     """
+    coordinated = _coordinated(config, policy)
+    if coordinated is None:
+        return {}
     try:
-        tables = closed_form_tables(config, policy, [config.rates])
+        table = analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
+                                     config.power, *config.rates, coordinated=coordinated)
     except analytic.ClosedFormRangeError:
         return {}
-    return {} if tables is None else analytic.reduce_table(tables[0], config.rates)
+    return analytic.reduce_table(table, config.rates)
 
 
 # ---------------------------------------------------------------------------
