@@ -314,19 +314,18 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     return _cdf_inr_counts([key], power, x)[key]
 
 
-def _accumulated_cdfs(scheme: Scheme, counts, lambdas, power: float, x: float) -> dict:
-    """{(n_band1, n_band2): CDF at x nats of the accumulated decodable rate
-    from n_band1 copies on band 1 and n_band2 copies on band 2} for every
-    count pair, the INR ones evaluated together. With zero copies nothing
-    has been received, so the user is undecoded at any nonnegative target."""
-    out = {c: 1.0 if x >= 0 else 0.0 for c in counts if c == (0, 0)}
-    rest = [c for c in counts if c != (0, 0)]
+def _accumulated_cdfs(scheme: Scheme, keys, power: float, x: float) -> dict:
+    """{(n, m, l1, l2): CDF at x nats of the accumulated decodable rate
+    from n copies at fading parameter l1 and m at l2} for every key, the
+    INR ones evaluated together whatever their fading parameters. With zero
+    copies nothing has been received, so the user is undecoded at any
+    nonnegative target."""
+    out = {key: 1.0 if x >= 0 else 0.0 for key in keys if key[0] == key[1] == 0}
+    rest = [key for key in keys if key not in out]
     if scheme is Scheme.RTD:
-        out.update({c: cdf_rtd_sum(*c, lambdas, power, x) for c in rest})
+        out.update({(n, m, *lam): cdf_rtd_sum(n, m, lam, power, x) for n, m, *lam in rest})
     else:
-        lam = float(lambdas[0]), float(lambdas[1])
-        cdfs = _cdf_inr_counts([c + lam for c in rest], power, x)
-        out.update({c: cdfs[c + lam] for c in rest})
+        out.update(_cdf_inr_counts(rest, power, x))
     return out
 
 
@@ -348,41 +347,47 @@ def _donated(max_rounds: int, coordinated: bool) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _resolve_given(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: tuple,
-                   power: float, rate: float) -> np.ndarray:
-    """Q[i, j]: probability that the user resolves at round i when the other
-    user resolves at round j, index 0 meaning outage; lambdas[0] is the
-    user's own band. Cached, and read-only: the table depends on the user's
-    own rate alone, so a rate search builds it once per rate, not once per
-    rate pair.
+def _resolve_pair(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: tuple,
+                  power: float, rate: float) -> tuple:
+    """(Q_A, Q_B) at `rate`, lambdas in A's order: Q_A[i, j] is the
+    probability that A resolves at round i when B resolves at round j,
+    index 0 meaning outage, and Q_B the same with the users swapped. A
+    user's Q depends on its own rate alone, so a rate search builds it once
+    per rate, not once per rate pair. Both users' copy counts are evaluated
+    in one _accumulated_cdfs call: under INR one convolution pass per grid,
+    the one-copy densities and spectra taken once; with equal fading
+    parameters both users hold the same one Q. Cached, and read-only.
+
+    Where the closed form refuses a user's counts at the rate, that user's
+    Q is its ClosedFormRangeError, which event_table raises only where the
+    user holds the rate: the other user's Q stands.
     """
     donated, counts = _donated(max_rounds, coordinated)
-    # each (own, donated) copy count's CDF at the rate, evaluated once
-    short = _accumulated_cdfs(scheme, counts, lambdas, power, rate)
-    # g[c][j]: still short after round c; outage is short after the last
-    # round, resolving at round i is short after round i-1 but not after i
-    g = [[short[own, d] for d in row] for own, row in enumerate(donated)]
-    resolved = [[a - b for a, b in zip(before, after)] for before, after in zip(g, g[1:])]
-    q = np.array([g[-1]] + resolved)
-    q.flags.writeable = False
-    return q
-
-
-@lru_cache(maxsize=4096)
-def _resolve_both(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: tuple,
-                  power: float, rate: float) -> tuple:
-    """(Q_A, Q_B) at a rate both users hold, lambdas in A's order: each
-    user's _resolve_given, cached as a pair. Under INR with unequal fading
-    the two users' copy counts differ, and one convolution pass evaluates
-    them all first, leaving them in _INR_CACHE for both Qs: the one-copy
-    densities and spectra are taken once, not once per user."""
-    lam_a, lam_b = lambdas
-    orders = lambdas, (lam_b, lam_a)
-    if scheme is Scheme.INR and lam_a != lam_b:
-        counts = _donated(max_rounds, coordinated)[1] - {(0, 0)}
-        _cdf_inr_counts([c + lam for lam in orders for c in counts], power, rate)
-    return tuple(_resolve_given(scheme, max_rounds, coordinated, lam, power, rate)
-                 for lam in orders)
+    orders = (lambdas,) if lambdas[0] == lambdas[1] else (lambdas, lambdas[::-1])
+    users = [[c + lam for c in counts] for lam in orders]
+    try:
+        # each (own, donated) copy count's CDF at the rate, evaluated once
+        shorts = [_accumulated_cdfs(scheme, sum(users, []), power, rate)] * len(users)
+    except ClosedFormRangeError:
+        shorts = []
+        for keys in users:  # each user alone, to tell which one is refused
+            try:
+                shorts.append(_accumulated_cdfs(scheme, keys, power, rate))
+            except ClosedFormRangeError as refusal:
+                shorts.append(refusal.with_traceback(None))
+    qs = []
+    for lam, short in zip(orders, shorts):
+        if isinstance(short, ClosedFormRangeError):
+            qs.append(short)
+            continue
+        # g[c][j]: still short after round c; outage is short after the last
+        # round, resolving at round i is short after round i-1 but not after i
+        g = [[short[(own, d) + lam] for d in row] for own, row in enumerate(donated)]
+        resolved = [[a - b for a, b in zip(before, after)] for before, after in zip(g, g[1:])]
+        q = np.array([g[-1]] + resolved)
+        q.flags.writeable = False
+        qs.append(q)
+    return qs[0], qs[-1]
 
 
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
@@ -397,41 +402,32 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     round, and the B-side condition only band-2 gains plus band-1 gains from
     later slots (the donated copies), so the two conditions are independent
     and cell [i, j] is Q_A[i, j] Q_B[j, i]. Each user's Q depends on its own
-    rate only and is built once per (user, rate); under INR, all of a Q's
-    copy counts are evaluated in one convolution pass, and at a rate both
-    users hold, both Qs' counts in one (_resolve_both).
-    `coordinated=False` gives independent single-user HARQ on each band.
+    rate only, and both users' Qs at a rate are built together, once
+    (_resolve_pair). `coordinated=False` gives independent single-user
+    HARQ on each band.
 
     A rate grid passes equal-shaped arrays of rates, and gets one table per
-    rate pair, stacked on the arrays' axes: each user's Q is built once
-    per distinct rate, and every table equals the one-pair call's.
+    rate pair, stacked on the arrays' axes: the Qs are built once per
+    distinct rate, and every table equals the one-pair call's.
     """
-    lam_a, lam_b = map(float, lambdas)
+    lambdas = tuple(map(float, lambdas))
     power = float(power)
     rate_a, rate_b = np.asarray(rate_a, dtype=float), np.asarray(rate_b, dtype=float)
     if rate_a.shape != rate_b.shape:
         raise ValueError(f"rate arrays of shapes {rate_a.shape} and {rate_b.shape}")
     wanted_a, wanted_b = rate_a.ravel().tolist(), rate_b.ravel().tolist()
-    held_b = set(wanted_b)
-    q_a, q_b = {}, {}
-    for rate in wanted_a:
-        if rate in q_a:
-            continue
-        if rate in held_b:
-            q_a[rate], q_b[rate] = _resolve_both(scheme, max_rounds, coordinated,
-                                                 (lam_a, lam_b), power, rate)
-        else:
-            q_a[rate] = _resolve_given(scheme, max_rounds, coordinated, (lam_a, lam_b),
-                                       power, rate)
-    for rate in wanted_b:
-        if rate not in q_b:
-            q_b[rate] = _resolve_given(scheme, max_rounds, coordinated, (lam_b, lam_a),
-                                       power, rate)
+    held = set(wanted_a), set(wanted_b)
+    q = {}
+    for rate in dict.fromkeys(wanted_a + wanted_b):
+        q[rate] = _resolve_pair(scheme, max_rounds, coordinated, lambdas, power, rate)
+        for user, table in enumerate(q[rate]):
+            if rate in held[user] and isinstance(table, ClosedFormRangeError):
+                raise table.with_traceback(None)
     if not rate_a.ndim:  # one pair
-        return q_a[wanted_a[0]] * q_b[wanted_b[0]].T
+        return q[wanted_a[0]][0] * q[wanted_b[0]][1].T
     shape = rate_a.shape + (max_rounds + 1,) * 2
-    stack_a = np.array([q_a[r] for r in wanted_a]).reshape(shape)
-    stack_b = np.array([q_b[r] for r in wanted_b]).reshape(shape)
+    stack_a = np.array([q[r][0] for r in wanted_a]).reshape(shape)
+    stack_b = np.array([q[r][1] for r in wanted_b]).reshape(shape)
     return stack_a * stack_b.swapaxes(-1, -2)
 
 

@@ -26,8 +26,8 @@ import numpy as np
 
 from . import analytic
 from .fading import ConfigurationError, FadingProfile, check_seed
-from .montecarlo import (AllocationPolicy, analytic_counterparts, closed_form_tables,
-                         db_to_linear, estimate, estimate_grid, sweep)
+from .montecarlo import (AllocationPolicy, analytic_counterparts, db_to_linear, estimate,
+                         grid_tables, sweep)
 from .protocol import PolicyKind, ProtocolConfig
 from .rates import Scheme
 
@@ -147,24 +147,18 @@ def grid_throughputs(config_template: ProtocolConfig, policy: AllocationPolicy,
     """Long-run throughput of every (R_A, R_B) pair of `rate_grid` at the
     template's SNR, in grid order.
 
-    Closed form wherever `montecarlo.closed_form_tables` has tables: it
-    stacks the grid's tables, building each user's resolve table once per
-    distinct rate (a G x G grid builds 2G of them, not 2G^2), and one
-    `analytic.throughput_closed` call reduces the stack. Each pair's
-    throughput equals the value `analytic_counterparts` reports for it.
-    Otherwise one montecarlo.estimate_grid call decides every pair on
-    shared draws, each pair's throughput equal to a separate estimate with
-    the same trials and seed.
+    One `montecarlo.grid_tables` stack, reduced by one
+    `analytic.throughput_closed` call. In closed form each user's resolve
+    table is built once per distinct rate (a G x G grid builds 2G of them,
+    not 2G^2), and each pair's throughput equals the value
+    `analytic_counterparts` reports for it. Otherwise the Monte Carlo count
+    tables share their draws, and each pair's throughput equals a separate
+    estimate with the same trials and seed.
     """
     rate_grid = [tuple(pair) for pair in rate_grid]
-    if not rate_grid:
-        raise ConfigurationError("empty rate grid")
-    tables = closed_form_tables(config_template, policy, rate_grid)
-    if tables is not None:
-        return analytic.throughput_closed(tables, *zip(*rate_grid)).tolist()
-    return [est["throughput"].point for est in
-            estimate_grid(config_template, policy, rate_grid, n_trials, master_seed,
-                          n_jobs=n_jobs)]
+    tables, packets = grid_tables(config_template, policy, rate_grid, n_trials, master_seed,
+                                  n_jobs)
+    return analytic.throughput_closed(tables, *zip(*rate_grid), packets=packets).tolist()
 
 
 def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,

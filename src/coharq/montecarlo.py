@@ -627,7 +627,7 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
 def simulate_batch(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
                    master_seed: int, n_jobs: int = 1) -> np.ndarray:
     """Run n_trials independent packets and count them by resolve rounds:
-    the one-configuration case of the chunk plan that estimate_grid and
+    the one-configuration case of the chunk plan that grid_tables and
     sweep run on."""
     return _batch_stats([config], policy, [n_trials], master_seed, n_jobs)[0]
 
@@ -669,26 +669,6 @@ def estimate(config: ProtocolConfig, policy: AllocationPolicy, n_trials: int,
     """
     counts = simulate_batch(config, policy, n_trials, master_seed, n_jobs=n_jobs)
     return estimates_from_stats(counts, config)
-
-
-def estimate_grid(config: ProtocolConfig, policy: AllocationPolicy, rate_grid,
-                  n_trials: int, master_seed: int, n_jobs: int = 1) -> list:
-    """estimate() for every rate vector of `rate_grid`, on shared draws.
-
-    Returns one dict per vector, in grid order, equal to estimate() of
-    `config` with that vector as its rates and the same other arguments.
-    Draws are keyed by (seed, trial, slot, band), never by the rates, so
-    the vectors share them (common random numbers): each trial's channels
-    are drawn and transformed once for the whole grid. It shares the chunk
-    plan of simulate_batch and sweep: a chunk runs ceil(min(CHUNK,
-    n_trials) / G) trials of all G vectors, about as many columns as a
-    one-vector chunk.
-    """
-    configs = [replace(config, rates=tuple(rates)) for rates in rate_grid]
-    if not configs:
-        raise ValueError("rate grid is empty")
-    tables = _batch_stats(configs, policy, [n_trials] * len(configs), master_seed, n_jobs)
-    return [estimates_from_stats(t, cfg) for t, cfg in zip(tables, configs)]
 
 
 def estimates_from_stats(counts: np.ndarray, config: ProtocolConfig) -> dict:
@@ -742,27 +722,43 @@ def _coordinated(config: ProtocolConfig, policy: AllocationPolicy) -> bool | Non
     return policy_allocate({0}, {1}, policy, 2)[1] == 0
 
 
-def closed_form_tables(config: ProtocolConfig, policy: AllocationPolicy,
-                       rate_grid) -> np.ndarray | None:
-    """The closed-form terminal-event tables (`analytic.event_table`) of
-    `config` at the rate vectors of `rate_grid`, stacked in grid order, or
-    None for a setup that has none (_coordinated). The vectors are checked
-    as ProtocolConfig checks its rates; the policy's rule is decided once,
-    and one event_table call builds the stack, each user's resolve table
-    once per distinct rate."""
+def grid_tables(config: ProtocolConfig, policy: AllocationPolicy, rate_grid, n_trials: int,
+                master_seed: int, n_jobs: int = 1) -> tuple:
+    """(tables, packets): the terminal-event tables of `config` at the rate
+    vectors of `rate_grid`, stacked in grid order, and the packets each
+    table counts, for `analytic.throughput_closed` and the other
+    reductions.
+
+    Closed form wherever _coordinated has tables: one analytic.event_table
+    call builds the probability stack (packets 1), each user's resolve
+    table once per distinct rate. Otherwise the Monte Carlo count tables
+    (packets n_trials), each equal to simulate_batch of `config` with that
+    vector as its rates and the same other arguments. Draws are keyed by
+    (seed, trial, slot, band), never by the rates, so the vectors share
+    them (common random numbers), and a chunk runs ceil(min(CHUNK,
+    n_trials) / G) trials of all G vectors (_batch_stats). The vectors are
+    checked as ProtocolConfig checks its rates, each distinct rate once.
+    """
+    grid = [tuple(map(float, rates)) for rates in rate_grid]
+    if not grid:
+        raise ValueError("rate grid is empty")
+    good = {r for r in set().union(*grid) if math.isfinite(r) and r >= 0}
+    for rates in grid:
+        if len(rates) != config.n_users or not good.issuperset(rates):
+            check_rates(rates, config.n_users)  # raises its ConfigurationError
     coordinated = _coordinated(config, policy)
-    if coordinated is None:
-        return None
-    grid = [check_rates(rates, config.n_users) for rates in rate_grid]
-    return analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
-                                config.power, [a for a, _ in grid], [b for _, b in grid],
-                                coordinated=coordinated)
+    if coordinated is not None:
+        return analytic.event_table(config.scheme, config.max_rounds, config.profile.lambdas,
+                                    config.power, *zip(*grid), coordinated=coordinated), 1
+    configs = [replace(config, rates=rates) for rates in grid]
+    return np.array(_batch_stats(configs, policy, [n_trials] * len(configs), master_seed,
+                                 n_jobs)), n_trials
 
 
 def analytic_counterparts(config: ProtocolConfig, policy: AllocationPolicy) -> dict:
     """Closed-form / semi-numerical values matching the estimate() targets:
     `analytic.reduce_table` of the closed-form table, the one-pair case of
-    closed_form_tables.
+    grid_tables.
 
     Available for K = 2 SISO under any policy defined for two users
     (_coordinated); returns {} otherwise, and where the closed form

@@ -15,7 +15,7 @@ from coharq.analytic import (ConsistencyError, cdf_inr_sum, cdf_rtd_sum,
                              packets_per_slot, throughput_closed)
 from coharq.cli import grid_throughputs, optimize_rates, resolve_policy
 from coharq.fading import ConfigurationError, FadingProfile
-from coharq.montecarlo import analytic_counterparts, closed_form_tables
+from coharq.montecarlo import analytic_counterparts, grid_tables
 from coharq.protocol import AllocationPolicy, PolicyKind, ProtocolConfig
 from coharq.rates import Scheme
 from test_acceptance import _hypoexp_cdf_oracle
@@ -415,13 +415,17 @@ def test_cdf_inr_single_copy_closed_form():
 
 
 def test_accumulation_cdf_edges():
-    lam = (1.0, 1.0)
-    assert analytic._accumulated_cdfs(Scheme.RTD, [(0, 0)], lam, 1.0, 0.5) == {(0, 0): 1.0}
-    assert analytic._accumulated_cdfs(Scheme.RTD, [(0, 0)], lam, 1.0, -0.5) == {(0, 0): 0.0}
-    a = analytic._accumulated_cdfs(Scheme.RTD, [(1, 1)], (1.0, 2.0), 1.0, math.log(2))[1, 1]
-    assert a == pytest.approx(cdf_rtd_sum(1, 1, (1.0, 2.0), 1.0, math.log(2)), rel=1e-12)
-    b = analytic._accumulated_cdfs(Scheme.INR, [(1, 1)], (1.0, 2.0), 1.0, 0.8)[1, 1]
-    assert b == pytest.approx(cdf_inr_sum(1, 1, (1.0, 2.0), 1.0, 0.8), rel=1e-12)
+    empty = (0, 0, 1.0, 1.0)
+    assert analytic._accumulated_cdfs(Scheme.RTD, [empty], 1.0, 0.5) == {empty: 1.0}
+    assert analytic._accumulated_cdfs(Scheme.RTD, [empty], 1.0, -0.5) == {empty: 0.0}
+    a = analytic._accumulated_cdfs(Scheme.RTD, [(1, 1, 1.0, 2.0)], 1.0, math.log(2))
+    assert a[1, 1, 1.0, 2.0] == pytest.approx(cdf_rtd_sum(1, 1, (1.0, 2.0), 1.0, math.log(2)),
+                                              rel=1e-12)
+    b = analytic._accumulated_cdfs(Scheme.INR, [(1, 1, 1.0, 2.0)], 1.0, 0.8)
+    assert b[1, 1, 1.0, 2.0] == pytest.approx(cdf_inr_sum(1, 1, (1.0, 2.0), 1.0, 0.8), rel=1e-12)
+    # both fading orders in one call: each key its own CDF
+    both = analytic._accumulated_cdfs(Scheme.RTD, [(2, 1, 1.0, 2.0), (2, 1, 2.0, 1.0)], 1.0, 1.5)
+    assert both == {key: cdf_rtd_sum(2, 1, key[2:], 1.0, 1.5) for key in both}
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +529,7 @@ def test_noncoordinated_table_is_product_of_marginals(scheme, max_rounds):
 
 
 def _clear_closed_form_caches():
-    analytic._resolve_given.cache_clear()
-    analytic._resolve_both.cache_clear()
+    analytic._resolve_pair.cache_clear()
     analytic._INR_CACHE.clear()
 
 
@@ -539,12 +542,30 @@ def test_event_table_cold_equals_warm(scheme):
         warm = event_table(*args, *pair)
     _clear_closed_form_caches()
     cold = event_table(*args, 1.0, 1.5)
-    assert analytic._resolve_given.cache_info().misses == 2
+    assert analytic._resolve_pair.cache_info().misses == 2
     assert cold.tobytes() == warm.tobytes()
     # the cached per-user tables are shared, so callers cannot write them
-    q = analytic._resolve_given(scheme, 3, False, (1.0, 2.0), 4.0, 1.0)
-    with pytest.raises(ValueError):
-        q[0, 0] = 0.5
+    for lambdas in ((1.0, 2.0), (1.0, 1.0)):
+        for q in analytic._resolve_pair(scheme, 3, False, lambdas, 4.0, 1.0):
+            with pytest.raises(ValueError):
+                q[0, 0] = 0.5
+
+
+@pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
+def test_disjoint_rate_sets_stack_like_single_pairs(scheme):
+    """A grid whose users hold no rate in common: each stacked table equals
+    the one-pair call's, with the caches cold and warm."""
+    args = (scheme, 3, (1.0, 2.0), 4.0)
+    grid = np.array(list(itertools.product((0.5, 1.0), (1.5, 2.0))))
+    _clear_closed_form_caches()
+    cold = event_table(*args, grid[:, 0], grid[:, 1])
+    assert analytic._resolve_pair.cache_info().misses == 4
+    warm = event_table(*args, grid[:, 0], grid[:, 1])
+    assert cold.shape == (len(grid), 4, 4) and cold.tobytes() == warm.tobytes()
+    for pair, table in zip(grid, cold):
+        _clear_closed_form_caches()
+        for _ in range(2):  # cold, then warm
+            assert table.tobytes() == event_table(*args, *pair).tobytes()
 
 
 def test_cold_inr_table_leaves_no_cyclic_garbage():
@@ -626,14 +647,28 @@ def test_rate_search_builds_one_resolve_table_per_user_and_rate():
                              power=3.0, scheme=scheme, max_rounds=3)
         _clear_closed_form_caches()
         optimize_rates(cfg, resolve_policy("coord", 2), list(itertools.product(rates, rates)))
-        assert analytic._resolve_given.cache_info().misses == 2 * len(rates)
+        # one miss per rate, which builds both users' tables at that rate
+        assert analytic._resolve_pair.cache_info().misses == len(rates)
+
+
+def _resolve_oracle(max_rounds, lambdas, power, rate):
+    """One user's resolve table, each CDF of its copy counts evaluated cold
+    and on its own: the user holds c own copies after round c, and as many
+    of the other band's as the other user, resolved at round j, donated."""
+    def short(own, donated):
+        analytic._INR_CACHE.clear()
+        return 1.0 if own == donated == 0 else cdf_inr_sum(own, donated, lambdas, power, rate)
+
+    rounds = range(max_rounds + 1)
+    g = [[short(c, max(c - j, 0) if j else 0) for j in rounds] for c in rounds]
+    return np.array([g[-1]] + [[a - b for a, b in zip(x, y)] for x, y in zip(g, g[1:])])
 
 
 def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
     """With unequal fading the two users' INR copy counts differ; at each
     rate of a search both users' counts go through one coarse and one fine
-    convolution pass, and each user's resolve table equals the one its own
-    pass builds."""
+    convolution pass, and each user's resolve table equals one built from
+    its own counts, each evaluated on its own."""
     calls = []
     grids = analytic._inr_cdf_grids
 
@@ -647,15 +682,32 @@ def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
                          power=power, scheme=Scheme.INR, max_rounds=3)
     grid = list(itertools.product(rates, rates))
     _clear_closed_form_caches()
-    tables = closed_form_tables(cfg, resolve_policy("coord", 2), grid)
+    tables, packets = grid_tables(cfg, resolve_policy("coord", 2), grid, 1, 1)
+    assert packets == 1
     assert sorted(calls) == sorted((x, n) for x in rates
                                    for n in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N))
     for (rate_a, rate_b), table in zip(grid, tables):
-        _clear_closed_form_caches()
-        q_a = analytic._resolve_given(Scheme.INR, 3, True, (1.0, 2.0), power, rate_a)
-        _clear_closed_form_caches()
-        q_b = analytic._resolve_given(Scheme.INR, 3, True, (2.0, 1.0), power, rate_b)
+        q_a = _resolve_oracle(3, (1.0, 2.0), power, rate_a)
+        q_b = _resolve_oracle(3, (2.0, 1.0), power, rate_b)
         assert table.tobytes() == (q_a * q_b.T).tobytes()
+
+
+def test_a_refused_user_refuses_only_where_it_holds_the_rate():
+    """At M = 5, lambda = (1, 100) and P = 0.5 the INR closed form refuses
+    B's copy counts at 1.1 nats (five copies at lambda = 100 span under 10
+    steps of the grid) but not A's (four donated ones, 8 steps): a table in
+    which only A holds 1.1 stands, cold and warm, equal to one built from
+    each user's own counts, and one in which B holds it is refused."""
+    args = (Scheme.INR, 5, (1.0, 100.0), 0.5)
+    want = (_resolve_oracle(5, (1.0, 100.0), 0.5, 1.1)
+            * _resolve_oracle(5, (100.0, 1.0), 0.5, 0.5).T)
+    _clear_closed_form_caches()
+    for _ in range(2):
+        assert event_table(*args, 1.1, 0.5).tobytes() == want.tobytes()
+        assert event_table(*args, [1.1, 0.5], [0.5, 0.5])[0].tobytes() == want.tobytes()
+        for rates in ((0.5, 1.1), ([1.1, 0.5], [0.5, 1.1])):
+            with pytest.raises(analytic.ClosedFormRangeError, match="under 10 steps"):
+                event_table(*args, *rates)
 
 
 def _table_sums_oracle(table):

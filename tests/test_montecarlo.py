@@ -6,16 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from coharq import montecarlo
+from coharq import analytic, montecarlo
 from coharq.analytic import packets_per_slot
+from coharq.cli import grid_throughputs
 from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, gain_block,
                            matrix_block, uniform_block)
 from coharq.montecarlo import (EstimateWithCI, FitWindowError, RangeError, SweepResult, _assignment_matrix,
                                _first_copies, _grid_rounds, analytic_counterparts,
-                               closed_form_tables, db_to_linear,
-                               energy_gain_at_outage, estimate, estimate_grid,
+                               db_to_linear, energy_gain_at_outage, estimate,
                                estimates_from_stats,
-                               fit_diversity_slope, simulate_batch,
+                               fit_diversity_slope, grid_tables, simulate_batch,
                                simulate_rounds, snr_at_outage, sweep)
 from coharq.protocol import (AllocationPolicy, PolicyKind, ProtocolConfig,
                              policy_allocate, run_packet)
@@ -304,17 +304,36 @@ GRID_CASES = [
 ]
 
 
-@pytest.mark.parametrize("policy,cfg", GRID_CASES)
+@pytest.mark.parametrize("policy,cfg", GRID_CASES + [
+    pytest.param(policy, mimo_config(tx, 2, scheme, max_rounds=m),
+                 id=f"mimo{tx}x2-{scheme.value}-{name}-m{m}")
+    for tx, m in ((1, 3), (3, 2)) for scheme in (Scheme.RTD, Scheme.INR)
+    for name, policy in (("coord", COORD), ("noncoord", NONCOORD))])
 def test_estimate_grid_equals_per_vector_estimates(policy, cfg):
+    """A rate grid's tables and throughputs equal those of each vector on
+    its own, bit for bit: the Monte Carlo count tables equal
+    simulate_batch and the throughputs the estimates with the same trials
+    and seed; the closed-form tables equal the one-pair event tables and
+    the throughputs the counterparts."""
     grid = rate_grid(cfg.n_users, min(cfg.profile.tx_antennas, cfg.profile.rx_antennas))
     n = 3000 if cfg.profile.is_siso else 1000
-    ests = estimate_grid(cfg, policy, grid, n, SEED)
-    assert len(ests) == len(grid)
-    for rates, est in zip(grid, ests):
-        assert_same_estimates(est, estimate(replace(cfg, rates=rates), policy, n, SEED))
+    tables, packets = grid_tables(cfg, policy, grid, n, SEED)
+    etas = grid_throughputs(cfg, policy, grid, n, SEED)
+    assert len(tables) == len(etas) == len(grid)
+    coordinated = montecarlo._coordinated(cfg, policy)
+    assert packets == (n if coordinated is None else 1)
+    for rates, table, eta in zip(grid, tables, etas):
+        vector = replace(cfg, rates=rates)
+        if coordinated is not None:
+            want = analytic.event_table(cfg.scheme, cfg.max_rounds, cfg.profile.lambdas,
+                                        cfg.power, *rates, coordinated=coordinated)
+            assert eta == analytic_counterparts(vector, policy)["throughput"]
+        else:
+            want = simulate_batch(vector, policy, n, SEED)
+            assert eta == estimate(vector, policy, n, SEED)["throughput"].point
+        assert table.dtype == want.dtype and table.tobytes() == want.tobytes()
     # the 50-nat vector never decodes its first user; the zero rate always does
-    assert ests[3]["outage_packet_user0"].point == 1.0
-    assert ests[1]["outage_packet_user0"].point == 0.0
+    assert tables[3][1:].sum() == 0 and tables[1][0].sum() == 0
 
 
 @pytest.mark.parametrize("policy,cfg", [
@@ -379,14 +398,17 @@ def test_distinct_flags_or_sorts_alike():
     assert np.array_equal(values, want) and np.array_equal(position, inverse)
 
 
-def test_estimate_grid_rejects_bad_input():
-    cfg = make_config()
+def test_grid_tables_rejects_bad_input():
+    for cfg, policy in ((make_config(), COORD), (K3_SPLIT, SPLIT)):
+        vector = cfg.rates
+        with pytest.raises(ValueError):
+            grid_tables(cfg, policy, [], 100, SEED)
+        for bad in (vector[:-1], vector + (1.0,), (-0.5,) + vector[1:], (math.nan,) + vector[1:],
+                    vector[:-1] + (math.inf,)):
+            with pytest.raises(ConfigurationError):
+                grid_tables(cfg, policy, [vector, bad, vector], 100, SEED)
     with pytest.raises(ValueError):
-        estimate_grid(cfg, COORD, [], 100, SEED)
-    with pytest.raises(ValueError):
-        estimate_grid(cfg, COORD, [(1.0, 1.0)], 0, SEED)
-    with pytest.raises(ConfigurationError):
-        estimate_grid(cfg, COORD, [(1.0, 1.0), (1.0, math.inf)], 100, SEED)
+        grid_tables(K3_SPLIT, SPLIT, [K3_SPLIT.rates], 0, SEED)
 
 
 @pytest.mark.parametrize("policy,cfg", [
@@ -410,16 +432,24 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg, monkeypatch):
     serial = simulate_batch(cfg, policy, n, SEED)
     assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, n_jobs=2))
     assert_same_stats(whole, serial)
-    # a rate grid splits its chunks by the grid size: still invisible
+    # a rate grid splits its chunks by the grid size: still invisible.
+    # grid_tables takes the closed form where there is one, so there the
+    # grid's count tables come from its chunk plan directly
     n = 1000
     grid = [cfg.rates, *rate_grid(cfg.n_users)[1:]]
+
+    def grid_counts(n_jobs):
+        if montecarlo._coordinated(cfg, policy) is None:
+            return grid_tables(cfg, policy, grid, n, SEED, n_jobs=n_jobs)[0]
+        configs = [replace(cfg, rates=rates) for rates in grid]
+        return np.array(montecarlo._batch_stats(configs, policy, [n] * len(grid), SEED, n_jobs))
+
     monkeypatch.setattr(montecarlo, "CHUNK", n)
-    ests = estimate_grid(cfg, policy, grid, n, SEED)
-    assert_same_estimates(ests[0], estimate(cfg, policy, n, SEED))
+    tables = grid_counts(1)
+    assert_same_stats(tables[0], simulate_batch(cfg, policy, n, SEED))
     for chunk, n_jobs in ((1, 1), (7, 1), (140, 2)):
         monkeypatch.setattr(montecarlo, "CHUNK", chunk)
-        for a, b in zip(ests, estimate_grid(cfg, policy, grid, n, SEED, n_jobs=n_jobs)):
-            assert_same_estimates(a, b)
+        assert_same_stats(tables, grid_counts(n_jobs))
 
 
 def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
@@ -718,7 +748,7 @@ def test_sweep_equals_per_point_estimates(policy, cfg, monkeypatch):
             point = replace(cfg, power=db_to_linear(snr))
             assert_same_estimates(res.estimates[i], estimate(point, policy, t, SEED))
             assert res.analytic[i] == analytic_counterparts(point, policy)
-    assert bool(res.analytic[0]) == (closed_form_tables(cfg, policy, []) is not None)
+    assert bool(res.analytic[0]) == (montecarlo._coordinated(cfg, policy) is not None)
 
 
 def test_db_to_linear():
