@@ -38,9 +38,10 @@ _INR_GRID_N = 2048
 
 # Fewest base-grid steps that the width of a band's per-copy density may
 # span in the INR convolution (_check_inr_grid), two per copy past four
-# copies. At 8 steps the error grows with the copies (3.4e-7 at four,
-# 1.9e-6 at seven, 8.8e-5 at 24) and falls as steps^-4; at the floor it
-# stays within 4e-7 of a 2^16-step grid for 2 to 24 copies.
+# copies. At 8 steps the error grows with the copies on the band (2.5e-7
+# at four, 7.6e-7 at seven, 7.9e-5 at 24; with one copy of a wider band
+# beside them 3.4e-7, 1.9e-6 and 8.8e-5) and falls as steps^-4; at the
+# floor it stays within 3.4e-7 of a 2^16-step grid for 2 to 24 copies.
 _INR_MIN_STEPS = 8
 
 
@@ -191,42 +192,74 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _inr_cdf_grids(copies, power: float, x: float, n_intervals: int) -> dict:
-    """{copy tuple: trapezoid CDF at x} for each tuple of per-copy fading
-    parameters (at least two copies each), on n_intervals steps over [0, x].
+def _trapezoids(y: np.ndarray, h: float) -> np.ndarray:
+    """The trapezoid areas h (y[i] + y[i+1]) / 2 of samples y at step h, in
+    np.trapezoid's float operations: their sum is its rule, their running
+    sum scipy's cumulative_trapezoid."""
+    area = y[1:] + y[:-1]
+    area *= h
+    area /= 2.0
+    return area
 
-    Each prefix the tuples share is convolved once, shortest first, and each
-    density's spectrum is taken once, so every tuple goes through the float
-    operations of its own convolution chain.
+
+def _inr_cdf_grids(keys, power: float, x: float, n_intervals: int) -> dict:
+    """{(n, m, l1, l2): trapezoid CDF at x} for each copy count of at least
+    two copies, on n_intervals steps over [0, x].
+
+    Each count is one product integral, int_0^x dens(s) G(x - s) ds: dens
+    the density of the band with more copies (band 1 on a tie) and G the
+    CDF of the other band's copies; copies all at one fading parameter a,
+    a^k, take dens(a^(k-1)) and G the one-copy CDF. G of one copy is its
+    closed form, of more the cumulative trapezoid of their density. The
+    densities come from one chain per fading parameter, dens(a^k) the
+    trapezoid-corrected convolution of dens(a^(k-1)) with dens(a), taken as
+    far as the counts need, so a value does not depend on the other keys.
     """
     h = x / n_intervals
     z = np.linspace(0.0, x, n_intervals + 1)
     length = _fft_length(2 * n_intervals + 1)
-    # conv[p]: density of the sum of the copies in prefix p; spec[p]: its
-    # spectrum, taken when a longer prefix first extends p
-    conv = {(lam,): _mi_density(z, lam, power) for lam in {lam for t in copies for lam in t}}
-    spec = {p: np.fft.rfft(f, length) for p, f in conv.items()}
-    for p in sorted({t[:k] for t in copies for k in range(2, len(t) + 1)}, key=len):
-        c, f = conv[p[:-1]], conv[p[-1:]]
-        if p[:-1] not in spec:
-            spec[p[:-1]] = np.fft.rfft(c, length)
-        full = np.fft.irfft(spec[p[:-1]] * spec[p[-1:]], length)[: n_intervals + 1]
-        # trapezoid-corrected discrete convolution on [0, x], in place:
-        # h * (full - 0.5 * (c[0] * f + c * f[0]))
-        ends = c * f[0]
-        ends += c[0] * f
-        ends *= 0.5
-        full -= ends
-        full *= h
-        conv[p] = full
-    out = {}
-    for t in copies:
-        # np.trapezoid(conv[t], dx=h): its float operations, in place
-        area = conv[t][1:] + conv[t][:-1]
-        area *= h
-        area /= 2.0
-        out[t] = float(area.sum())
-    return out
+    # each count as ((a, p), (b, q)): dens(a^p) against G(b^q)
+    splits = {}
+    for key in keys:
+        n, m, lam1, lam2 = key
+        if lam1 == lam2 or not (n and m):
+            lam = lam1 if n else lam2
+            splits[key] = (lam, n + m - 1), (lam, 1)
+        else:
+            splits[key] = ((lam1, n), (lam2, m)) if n >= m else ((lam2, m), (lam1, n))
+    depth = {}  # copies each chain must reach
+    for (a, p), (b, q) in splits.values():
+        depth[a] = max(depth.get(a, 1), p)
+        if q > 1:
+            depth[b] = max(depth.get(b, 1), q)
+    dens = {}  # dens[lam][k - 1]: density of k copies at lam
+    for lam, k in depth.items():
+        f = _mi_density(z, lam, power)
+        chain = [f]
+        spec_f = np.fft.rfft(f, length) if k > 1 else None
+        while len(chain) < k:
+            c = chain[-1]
+            spec_c = spec_f if c is f else np.fft.rfft(c, length)
+            full = np.fft.irfft(spec_c * spec_f, length)[: n_intervals + 1]
+            # trapezoid-corrected discrete convolution on [0, x], in place:
+            # h * (full - 0.5 * (c[0] * f + c * f[0]))
+            ends = c * f[0]
+            ends += c[0] * f
+            ends *= 0.5
+            full -= ends
+            full *= h
+            chain.append(full)
+        dens[lam] = chain
+    cdfs = {}  # G(b^q) on the grid
+    for _, (b, q) in splits.values():
+        if (b, q) not in cdfs:
+            if q == 1:
+                cdfs[b, q] = -np.expm1(-(b / power) * np.expm1(z))
+            else:
+                g = cdfs[b, q] = np.zeros(n_intervals + 1)
+                np.cumsum(_trapezoids(dens[b][q - 1], h), out=g[1:])
+    return {key: float(_trapezoids(dens[a][p - 1] * cdfs[b, q][::-1], h).sum())
+            for key, ((a, p), (b, q)) in splits.items()}
 
 
 def _check_inr_grid(n: int, m: int, lam1: float, lam2: float, power: float,
@@ -261,12 +294,12 @@ def _cdf_inr_counts(keys, power: float, x: float) -> dict:
     """{(n, m, l1, l2): cdf_inr_sum(n, m, (l1, l2), power, x)} for every key.
 
     The keys not cached are evaluated together, whatever their fading
-    parameters: one convolution pass over all their copy tuples on the
-    base grid and one on the doubled grid, then Richardson extrapolation
-    of each. Saturated and one-copy counts are exact, and counts whose
-    lower-tail bound (_inr_lower_tail) underflows to 0 are 0; the others,
-    however small, are refused where the grid is too coarse
-    (_check_inr_grid).
+    parameters: one density chain per fading parameter and one product
+    integral per count (_inr_cdf_grids) on the base grid and on the doubled
+    grid, then Richardson extrapolation of each. Saturated and one-copy
+    counts are exact, and counts whose lower-tail bound (_inr_lower_tail)
+    underflows to 0 are 0; the others, however small, are refused where the
+    grid is too coarse (_check_inr_grid).
     """
     for n, m, *_ in keys:
         if n < 0 or m < 0 or n + m < 1:
@@ -274,7 +307,7 @@ def _cdf_inr_counts(keys, power: float, x: float) -> dict:
     if x <= 0.0:
         return dict.fromkeys(keys, 0.0)
     power, x = float(power), float(x)
-    out, missing = {}, {}
+    out, missing = {}, []
     for key in keys:
         n, m, lam1, lam2 = key
         cached = key + (power, x)
@@ -289,12 +322,12 @@ def _cdf_inr_counts(keys, power: float, x: float) -> dict:
             out[key] = _INR_CACHE[cached]
         else:
             _check_inr_grid(n, m, lam1, lam2, power, x)
-            missing[key] = (lam1,) * n + (lam2,) * m
+            missing.append(key)
     if missing:
-        coarse = _inr_cdf_grids(missing.values(), power, x, _INR_GRID_N)
-        fine = _inr_cdf_grids(missing.values(), power, x, 2 * _INR_GRID_N)
-        for key, rates in missing.items():
-            val = (4.0 * fine[rates] - coarse[rates]) / 3.0
+        coarse = _inr_cdf_grids(missing, power, x, _INR_GRID_N)
+        fine = _inr_cdf_grids(missing, power, x, 2 * _INR_GRID_N)
+        for key in missing:
+            val = (4.0 * fine[key] - coarse[key]) / 3.0
             out[key] = _INR_CACHE[key + (power, x)] = float(min(max(val, 0.0), 1.0))
         while len(_INR_CACHE) > _INR_CACHE_SIZE:
             _INR_CACHE.popitem(last=False)
@@ -305,8 +338,10 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     """CDF at x of the sum of n + m independent per-copy mutual informations
     log(1 + g*P), with n copies at rate l1 and m at rate l2.
 
-    Evaluated by iterated numerical convolution of the single-copy densities
-    on [0, x] with Richardson extrapolation; absolute accuracy ~1e-6. A
+    Evaluated on a grid over [0, x]: the density of the band with more
+    copies, by iterated numerical convolution of the one-copy density,
+    integrated against the CDF of the other band's copies (_inr_cdf_grids),
+    with Richardson extrapolation; absolute accuracy ~1e-6. A
     ClosedFormRangeError refuses a band whose copies are too narrow for the
     grid (_check_inr_grid).
     """
@@ -354,9 +389,10 @@ def _resolve_pair(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: t
     index 0 meaning outage, and Q_B the same with the users swapped. A
     user's Q depends on its own rate alone, so a rate search builds it once
     per rate, not once per rate pair. Both users' copy counts are evaluated
-    in one _accumulated_cdfs call: under INR one convolution pass per grid,
-    the one-copy densities and spectra taken once; with equal fading
-    parameters both users hold the same one Q. Cached, and read-only.
+    in one _accumulated_cdfs call: under INR one density chain per fading
+    parameter on each grid, shared by both users' counts, and one product
+    integral per count; with equal fading parameters both users hold the
+    same one Q. Cached, and read-only.
 
     Where the closed form refuses a user's counts at the rate, that user's
     Q is its ClosedFormRangeError, which event_table raises only where the

@@ -310,8 +310,9 @@ def test_cdf_inr_grid_boundary(n, m, power, x):
     check admits, P / (P + lambda) = max(8, 2n) x / _INR_GRID_N,
     stay within 1e-6 of quadrature; 1% fewer steps are refused, naming both
     fading parameters and the power. A band without copies is not checked,
-    and one copy stays exact. Seven copies at 8 steps, 1.9e-6 off a
-    2^16-step grid, are refused: the floor grows with the copies."""
+    and one copy stays exact. Seven copies at 8 steps, 7.6e-7 off a
+    2^16-step grid (eight, 1.9e-6), are refused: the floor grows with the
+    copies."""
     steps = max(analytic._INR_MIN_STEPS, 2 * n)
     lam = power * (analytic._INR_GRID_N / (steps * x) - 1)
     lambdas = (lam * (1 - 1e-9), 1.0)
@@ -366,32 +367,86 @@ def test_inr_density_stays_finite_up_to_the_admitted_target():
 
 
 @lru_cache(maxsize=None)
-def _inr_cdf_grid_fftconvolve(rates, power, x, n_intervals):
-    # the convolution as scipy's fftconvolve computes it, one density per copy
+def _inr_chain_fftconvolve(lam, copies, power, x, n_intervals):
+    # the densities of 1..copies copies at lam, each step as scipy's
+    # fftconvolve computes the trapezoid-corrected convolution
+    h = x / n_intervals
+    f = analytic._mi_density(np.linspace(0.0, x, n_intervals + 1), lam, power)
+    chain = [f]
+    while len(chain) < copies:
+        c = chain[-1]
+        full = signal.fftconvolve(c, f)[: n_intervals + 1]
+        chain.append(h * (full - 0.5 * (c[0] * f + c * f[0])))
+    return tuple(chain)
+
+
+def _inr_split_oracle(dens_side, cdf_side, power, x, n_intervals):
+    """int_0^x dens(a^p)(s) G(b^q)(x - s) ds by the trapezoid rule, for
+    dens_side (a, p) and cdf_side (b, q): G(b^1) in closed form, G(b^q) the
+    cumulative trapezoid of dens(b^q)."""
+    (a, p), (b, q) = dens_side, cdf_side
     h = x / n_intervals
     z = np.linspace(0.0, x, n_intervals + 1)
-    dens = [analytic._mi_density(z, lam, power) for lam in rates]
-    c = dens[0]
-    for f in dens[1:]:
-        full = signal.fftconvolve(c, f)[: n_intervals + 1]
-        c = h * (full - 0.5 * (c[0] * f + c * f[0]))
-    return float(np.trapezoid(c, dx=h))
+    dens = _inr_chain_fftconvolve(a, p, power, x, n_intervals)[-1]
+    if q == 1:
+        g = -np.expm1(-(b / power) * np.expm1(z))
+    else:
+        g = integrate.cumulative_trapezoid(_inr_chain_fftconvolve(b, q, power, x, n_intervals)[-1],
+                                           dx=h, initial=0)
+    return float(np.trapezoid(dens * g[::-1], dx=h))
+
+
+def _inr_split(n, m, lam1, lam2):
+    # the decomposition _inr_cdf_grids takes: copies at one fading parameter
+    # a as dens(a^(k-1)) against the one-copy CDF, else the band with more
+    # copies (band 1 on a tie) as the density, the other as the CDF
+    if lam1 == lam2 or not (n and m):
+        lam = lam1 if n else lam2
+        return (lam, n + m - 1), (lam, 1)
+    return ((lam1, n), (lam2, m)) if n >= m else ((lam2, m), (lam1, n))
 
 
 @pytest.mark.parametrize("copies", range(2, 7))
 def test_inr_grid_equals_fftconvolve(copies):
-    # one batched pass over every (n, m) with 2 <= n + m <= copies shares
-    # prefixes such as (1.0, 1.0) between tuples, yet each entry equals its
-    # own tuple's convolution exactly
-    tuples = [(1.0,) * n + (2.5,) * (total - n)
-              for total in range(2, copies + 1) for n in range(total + 1)]
+    # one batched pass over every count with 2 <= n + m <= copies, at unequal
+    # and equal fading parameters, shares the per-lambda density chains and
+    # the CDFs between counts, yet each entry equals its own count's chain
+    # and product integral exactly
+    keys = [(n, total - n, lam1, lam2) for total in range(2, copies + 1)
+            for n in range(total + 1) for lam1, lam2 in ((1.0, 2.5), (2.5, 1.0), (1.0, 1.0))]
     for power in (1.0, 10.0, 100.0):
         for x in (0.5, 2.0, 5.0):
             for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N):
-                got = analytic._inr_cdf_grids(tuples, power, x, grid)
-                assert got.keys() == set(tuples)
-                for rates in tuples:
-                    assert got[rates] == _inr_cdf_grid_fftconvolve(rates, power, x, grid)
+                got = analytic._inr_cdf_grids(keys, power, x, grid)
+                assert got.keys() == set(keys)
+                for key in keys:
+                    assert got[key] == _inr_split_oracle(*_inr_split(*key), power, x, grid)
+
+
+def _richardson(values):
+    coarse, fine = values
+    return (4.0 * fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("lambdas", [(1.0, 2.0), (0.5, 3.0), (1.0, 1.001)])
+def test_cdf_inr_four_and_five_copies(lambdas):
+    """The counts an M = 3 coordinated search reads past nested quadrature's
+    reach: both splits of a mixed count, dens(a^n) G(b^m) and
+    dens(b^m) G(a^n), agree within 1e-9, and each value within 1e-7 of a
+    2^15-step grid (Richardson from 2^14 steps)."""
+    for (n, m), order, power, x in itertools.product(
+            ((2, 1), (3, 1), (3, 2)), (lambdas, lambdas[::-1]), (1.0, 10.0, 100.0),
+            (0.5, 1.5, 3.0)):
+        key = (n, m, *order)
+        got = cdf_inr_sum(n, m, order, power, x)
+        splits = ((order[0], n), (order[1], m)), ((order[1], m), (order[0], n))
+        for split in splits:
+            other = _richardson([_inr_split_oracle(*split, power, x, grid)
+                                 for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N)])
+            assert got == pytest.approx(other, abs=1e-9), (key, power, x, split)
+        fine = _richardson([analytic._inr_cdf_grids([key], power, x, grid)[key]
+                            for grid in (2 ** 14, 2 ** 15)])
+        assert got == pytest.approx(fine, abs=1e-7), (key, power, x)
 
 
 def test_fft_length_is_the_next_5_smooth_length():
@@ -672,9 +727,9 @@ def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
     calls = []
     grids = analytic._inr_cdf_grids
 
-    def counted(copies, power, x, n_intervals):
+    def counted(keys, power, x, n_intervals):
         calls.append((x, n_intervals))
-        return grids(copies, power, x, n_intervals)
+        return grids(keys, power, x, n_intervals)
 
     monkeypatch.setattr(analytic, "_inr_cdf_grids", counted)
     rates, power = (0.5, 1.0, 1.5), 5.5  # a power no other test uses

@@ -140,6 +140,35 @@ def test_optimize_symmetric_setup_symmetric_optimum():
     assert eta > 1.0
 
 
+# The SISO INR searches of the benchmark's rate_optimize workload, on its
+# 8x8 grid: (lambdas, M, SNR dB, policy, chosen pair, throughput), recorded
+# from the prefix-chain convolution that the per-lambda density chains
+# replaced.
+INR_SEARCHES = [
+    ((1.0, 1.0), 2, 5.0, "coord", (1.5, 2.0), 1.3806101240933384),
+    ((1.0, 1.0), 2, 5.0, "noncoord", (2.0, 2.0), 1.286138550080483),
+    ((1.0, 1.0), 2, 15.0, "coord", (4.0, 4.0), 3.714495475640534),
+    ((1.0, 1.0), 2, 15.0, "noncoord", (4.0, 4.0), 3.640499724581411),
+    ((1.0, 2.0), 3, 5.0, "coord", (2.5, 1.5), 1.3027464051120214),
+    ((1.0, 2.0), 3, 5.0, "noncoord", (2.5, 1.5), 1.1876342249297906),
+    ((1.0, 2.0), 3, 15.0, "coord", (4.0, 4.0), 3.461504993533224),
+    ((1.0, 2.0), 3, 15.0, "noncoord", (4.0, 4.0), 3.3248620285503034),
+    ((1.0, 1.001), 3, 5.0, "coord", (2.5, 2.5), 1.5732290029406306),
+    ((1.0, 1.001), 3, 5.0, "noncoord", (2.5, 2.5), 1.4454724628231292),
+    ((1.0, 1.001), 3, 15.0, "coord", (4.0, 4.0), 3.753697774493698),
+    ((1.0, 1.001), 3, 15.0, "noncoord", (4.0, 4.0), 3.670883969715585),
+]
+
+
+@pytest.mark.parametrize("lambdas,max_rounds,snr_db,policy,pair,eta", INR_SEARCHES)
+def test_optimize_inr_golden(lambdas, max_rounds, snr_db, policy, pair, eta):
+    grid = [(0.5 * a, 0.5 * b) for a in range(1, 9) for b in range(1, 9)]
+    cfg = build_config("inr", 2, max_rounds, lambdas, (1.0, 1.0), snr_db)
+    got_pair, got_eta = optimize_rates(cfg, resolve_policy(policy, 2), grid)
+    assert got_pair == pair
+    assert got_eta == pytest.approx(eta, rel=1e-9, abs=0.0)
+
+
 def per_pair_optimum(cfg, pol, grid, n_trials, seed):
     """The rate search written out: one estimate per pair, ties to the
     smaller R_A + R_B."""

@@ -26,6 +26,9 @@ cfg = cli.build_config("inr", 2, 2, (1.0, 1.0), (1.0, 1.0), 10.0)
 montecarlo.simulate_batch(cfg, cli.resolve_policy("coord", 2), 1, 1)
 analytic.event_table(cfg.scheme, cfg.max_rounds, cfg.profile.lambdas, cfg.power, 1.0, 1.0)
 cli.optimize_rates(cfg, cli.resolve_policy("noncoord", 2), [(1.0, 1.0), (1.0, 2.0)])
+# the INR density chains and product integrals of an M = 3 coordinated
+# table at unequal fading
+analytic.event_table(cfg.scheme, 3, (1.0, 2.0), cfg.power, 1.0, 1.5, coordinated=True)
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 assert not loaded, loaded
 # the pool is imported only where a run starts one
