@@ -161,19 +161,25 @@ def grid_throughputs(config_template: ProtocolConfig, policy: AllocationPolicy,
     return analytic.throughput_closed(tables, *zip(*rate_grid), packets=packets).tolist()
 
 
+# Relative throughput gap below which optimize_rates takes two pairs as tied.
+_TIE = 1e-12
+
+
 def optimize_rates(config_template: ProtocolConfig, policy: AllocationPolicy,
                    rate_grid, n_trials: int = 100_000, master_seed: int = 1,
                    n_jobs: int = 1):
     """Exhaustive throughput maximization over (R_A, R_B) pairs at fixed SNR:
-    the best pair of grid_throughputs and its throughput. Ties go to the
-    smaller R_A + R_B."""
+    the best pair of grid_throughputs and its own throughput. Pairs within
+    _TIE of the largest throughput, relative to it, tie: a closed form
+    evaluates mirror pairs of a symmetric setup to within an ulp or two,
+    and rounding must not pick among them. Ties go to the smaller
+    R_A + R_B, then to the pair listed first."""
     rate_grid = [tuple(pair) for pair in rate_grid]
     etas = grid_throughputs(config_template, policy, rate_grid, n_trials, master_seed, n_jobs)
-    best_pair, best_eta = None, -1.0
-    for pair, eta in zip(rate_grid, etas):
-        if eta > best_eta or (eta == best_eta and sum(pair) < sum(best_pair)):
-            best_pair, best_eta = pair, eta
-    return best_pair, best_eta
+    best = max(etas)
+    _, i = min((sum(pair), i) for i, (pair, eta) in enumerate(zip(rate_grid, etas))
+               if best - eta <= _TIE * best)
+    return rate_grid[i], etas[i]
 
 
 # ---------------------------------------------------------------------------

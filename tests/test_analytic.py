@@ -3,10 +3,11 @@ import itertools
 import math
 from dataclasses import replace
 from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy import fft, integrate, signal, special
 
 from coharq import analytic
@@ -449,6 +450,69 @@ def test_cdf_inr_four_and_five_copies(lambdas):
         assert got == pytest.approx(fine, abs=1e-7), (key, power, x)
 
 
+def _inr_cdf_or_refusal(n, m, lambdas, power, x):
+    # evaluated cold: the cache key does not name the grid
+    analytic._INR_CACHE.clear()
+    try:
+        return cdf_inr_sum(n, m, lambdas, power, x)
+    except analytic.ClosedFormRangeError:
+        return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(copies=st.integers(2, 24), share=st.floats(0.0, 1.0),
+       lam1=st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       ratio=st.one_of(st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e),
+                       st.floats(-1e-3, 1e-3).map(lambda d: 1.0 + d)),
+       power_db=st.floats(-20.0, 80.0), spread=st.floats(0.05, 3.0))
+@example(copies=5, share=0.6, lam1=1.0, ratio=2.0, power_db=5.0, spread=1.0)
+@example(copies=4, share=0.5, lam1=1.0, ratio=1.001, power_db=15.0, spread=0.7)
+@example(copies=24, share=1.0, lam1=1.0, ratio=1.0, power_db=20.0, spread=1.0)
+@example(copies=16, share=0.25, lam1=0.01, ratio=1e6, power_db=-20.0, spread=0.5)
+def test_inr_cdf_on_its_grid_matches_the_finest_grid(copies, share, lam1, ratio, power_db,
+                                                      spread):
+    """Each copy count on the coarsest grid that resolves it (_inr_grid) lies
+    within 1e-9 of Richardson from the _INR_GRID_N and 2 _INR_GRID_N step
+    grids, for 2 to 24 copies, fading ratios from near 1 to 1e6 and -20 to
+    80 dB, at targets from 0.05 to 3 times the copies' mean mutual
+    information, up to 255 nats; and it is refused exactly where the finest
+    grid is."""
+    n = round(share * copies)
+    lambdas, power = (lam1, lam1 * ratio), 10.0 ** (power_db / 10.0)
+    # E log(1 + gP) = e^a E1(a), a = lam / P, about 1 / a for large a
+    mean = sum(c * (math.exp(a) * special.exp1(a) if a < 500.0 else 1.0 / a)
+               for c, a in ((n, lambdas[0] / power), (copies - n, lambdas[1] / power)))
+    x = min(float(spread * mean), 255.0)
+    got = _inr_cdf_or_refusal(n, copies - n, lambdas, power, x)
+    with mock.patch.object(analytic, "_INR_GRID_MIN", analytic._INR_GRID_N):
+        want = _inr_cdf_or_refusal(n, copies - n, lambdas, power, x)
+    if want is None:
+        assert got is None
+    else:
+        assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_inr_cdf_does_not_depend_on_its_batch():
+    """A count's value is the same, bit for bit, evaluated alone or with
+    counts that take other grids (256 to 2048 steps against its 128), cold
+    or from the cache."""
+    power, x = 10.0, 1.5
+    key = (2, 1, 1.0, 2.0)
+    others = [(3, 3, 2.0, 2.0), (12, 0, 1.0, 2.0), (20, 4, 1.0, 2.0), (2, 2, 1e-3, 1e3)]
+    grids = {analytic._inr_grid(*k, power, x) for k in [key] + others}
+    assert len(grids) == len(others) + 1
+    alone = {}
+    for k in [key] + others:
+        analytic._INR_CACHE.clear()
+        alone[k] = analytic._cdf_inr_counts([k], power, x)[k]
+    analytic._INR_CACHE.clear()
+    cold = analytic._cdf_inr_counts(others + [key], power, x)
+    warm = analytic._cdf_inr_counts([key] + others[:1], power, x)
+    assert cold == alone
+    assert warm == {k: alone[k] for k in warm}
+    assert cdf_inr_sum(2, 1, (1.0, 2.0), power, x) == alone[key]
+
+
 def test_fft_length_is_the_next_5_smooth_length():
     for n in range(1, 20001):
         length = analytic._fft_length(n)
@@ -722,13 +786,14 @@ def _resolve_oracle(max_rounds, lambdas, power, rate):
 def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
     """With unequal fading the two users' INR copy counts differ; at each
     rate of a search both users' counts go through one coarse and one fine
-    convolution pass, and each user's resolve table equals one built from
-    its own counts, each evaluated on its own."""
+    convolution pass per base grid that _inr_grid gives them, each count in
+    the pass of its own grid, and each user's resolve table equals one built
+    from its own counts, each evaluated on its own."""
     calls = []
     grids = analytic._inr_cdf_grids
 
     def counted(keys, power, x, n_intervals):
-        calls.append((x, n_intervals))
+        calls.append((x, n_intervals, frozenset(keys)))
         return grids(keys, power, x, n_intervals)
 
     monkeypatch.setattr(analytic, "_inr_cdf_grids", counted)
@@ -739,8 +804,22 @@ def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
     _clear_closed_form_caches()
     tables, packets = grid_tables(cfg, resolve_policy("coord", 2), grid, 1, 1)
     assert packets == 1
-    assert sorted(calls) == sorted((x, n) for x in rates
-                                   for n in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N))
+    counts = analytic._donated(3, True)[1]
+    want = []
+    for x in rates:
+        by_grid = {}
+        for lam in ((1.0, 2.0), (2.0, 1.0)):
+            for count in counts:
+                if any(count) and _convolved(count, lam, power, x):
+                    key = count + lam
+                    by_grid.setdefault(analytic._inr_grid(*key, power, x), set()).add(key)
+        want += [(x, n, frozenset(keys)) for base, keys in by_grid.items()
+                 for n in (base, 2 * base)]
+    assert sorted(calls, key=str) == sorted(want, key=str)
+    # here every count's grid is coarser than the finest, and at 1.5 nats the
+    # counts take two
+    assert max(n for _, n, _ in calls) < analytic._INR_GRID_N
+    assert len({(x, n) for x, n, _ in calls}) > 2 * len(rates)
     for (rate_a, rate_b), table in zip(grid, tables):
         q_a = _resolve_oracle(3, (1.0, 2.0), power, rate_a)
         q_b = _resolve_oracle(3, (2.0, 1.0), power, rate_b)

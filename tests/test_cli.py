@@ -169,6 +169,28 @@ def test_optimize_inr_golden(lambdas, max_rounds, snr_db, policy, pair, eta):
     assert got_eta == pytest.approx(eta, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("ulps", [-1, 1])
+def test_optimize_ties_within_rounding(monkeypatch, ulps):
+    """Mirror pairs one ulp apart, either way, tie: the first listed wins
+    with its own throughput. Within 1e-12 of the best, relative, the smaller
+    R_A + R_B wins; 1e-9 below it does not."""
+    eta = 1.380610124093339
+    mirror = eta + ulps * math.ulp(eta)
+    cfg = build_config("inr", 2, 2, (1.0, 1.0), (1.0, 1.0), 5.0)
+    pol = resolve_policy("coord", 2)
+
+    def search(grid, etas):
+        monkeypatch.setattr(cli, "grid_throughputs", lambda *args: etas)
+        return optimize_rates(cfg, pol, grid)
+
+    pairs = [(1.0, 1.0), (1.5, 2.0), (2.0, 1.5), (2.0, 2.0)]
+    assert search(pairs, [1.0, eta, mirror, 1.2]) == ((1.5, 2.0), eta)
+    assert search(pairs[::-1], [1.2, mirror, eta, 1.0]) == ((2.0, 1.5), mirror)
+    assert search(pairs, [eta * (1 - 5e-13), eta, mirror, 1.2]) == ((1.0, 1.0),
+                                                                   eta * (1 - 5e-13))
+    assert search(pairs, [eta * (1 - 1e-9), eta, mirror, 1.2]) == ((1.5, 2.0), eta)
+
+
 def per_pair_optimum(cfg, pol, grid, n_trials, seed):
     """The rate search written out: one estimate per pair, ties to the
     smaller R_A + R_B."""
