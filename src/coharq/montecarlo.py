@@ -14,6 +14,7 @@ closed-form expressions.
 """
 
 import math
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
@@ -45,7 +46,7 @@ class RangeError(RuntimeError):
 # vectorized protocol engine
 
 
-class _DrawMemo:
+class _DrawMemo(threading.local):
     """Whole draw blocks of one master seed, in buffers the memo owns, and
     the slot-0 outcomes decided from them.
 
@@ -78,9 +79,8 @@ class _DrawMemo:
       for reads of rows, which take them at once. Scratch grows to the
       largest such block and lives for one chunk plan (`plan`).
 
-    Worker processes fill their own memo, which ends with the call's pool,
-    and the scalar oracle reads one-trial blocks of `fading` and never
-    reads the memo.
+    Each thread fills a memo of its own (a worker's ends with the call's
+    pool); the scalar oracle reads one-trial blocks of `fading`, never the memo.
     """
 
     CAP_BYTES = 32 << 20
@@ -395,6 +395,7 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     accumulator adds its copies in the scalar oracle's order.
     """
     config = configs[0]
+    _check_shape(config)
     profile = config.profile
     k, m_max = config.n_users, config.max_rounds
     rtd = config.scheme is Scheme.RTD
@@ -537,7 +538,6 @@ def _grid_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     every column it leaves out filled in as resolved at round 1. Refuses
     the shapes the count tables refuse (_check_shape).
     """
-    _check_shape(configs[0])
     with _DRAWS.plan():
         cols, live = _live_rounds(configs, policy, n_trials, master_seed, start_trial)
     k = configs[0].n_users
@@ -561,7 +561,8 @@ def simulate_rounds(config: ProtocolConfig, policy: AllocationPolicy,
     return _grid_rounds([config], policy, n_trials, master_seed, start_trial)[0]
 
 
-def _chunk_stats(task) -> list:
+def _chunk_stats(configs, policy: AllocationPolicy, start: int, count: int,
+                 master_seed: int) -> list:
     """The count tables of one chunk's trials, one per configuration.
 
     A table has shape (M+1,)*K: cell [r_0, ..., r_{K-1}] counts the packets
@@ -573,7 +574,6 @@ def _chunk_stats(task) -> list:
     configuration as the top digit; the other packets go to each table's
     [1, ..., 1] cell.
     """
-    configs, policy, start, count, master_seed = task
     cols, rounds = _live_rounds(configs, policy, count, master_seed, start_trial=start)
     k, radix, n_cfg = configs[0].n_users, configs[0].max_rounds + 1, len(configs)
     code = cols // count
@@ -594,11 +594,11 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
     fewer where one of them reaches it and so leaves the plan: it holds
     about as many columns as a one-configuration chunk. Tables add integer
     counts, so any chunk size or worker count gives identical tables."""
-    for name, value in (*(("n_trials", n) for n in n_trials), ("n_jobs", n_jobs)):
+    for name, value in (("the number of configurations", len(configs)),
+                        *(("n_trials", n) for n in n_trials), ("n_jobs", n_jobs)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    _check_shape(configs[0])
-    per_chunk = min(CHUNK, max(n_trials, default=0))
+    per_chunk = min(CHUNK, max(n_trials))
     plan, tasks, start = [], [], 0
     live = list(range(len(configs)))
     while live:
@@ -610,14 +610,12 @@ def _batch_stats(configs, policy: AllocationPolicy, n_trials, master_seed: int,
     totals = [None] * len(configs)
     with _DRAWS.plan():
         if n_jobs > 1 and len(tasks) > 1:
-            # imported here: the pool's modules (multiprocessing, socket,
-            # logging) cost every run that never starts one
-            from concurrent.futures import ProcessPoolExecutor
-            # the pool starts all its workers at once: no more than the chunks
-            with ProcessPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
-                results = list(pool.map(_chunk_stats, tasks))
+            # imported here so runs without a pool skip it; each thread fills its own memo
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=min(n_jobs, len(tasks))) as pool:
+                results = list(pool.map(_chunk_stats, *zip(*tasks)))
         else:
-            results = map(_chunk_stats, tasks)
+            results = map(_chunk_stats, *zip(*tasks))
         for live, tables in zip(plan, results):
             for g, t in zip(live, tables):
                 totals[g] = t if totals[g] is None else totals[g] + t
@@ -808,6 +806,8 @@ def sweep(config_template: ProtocolConfig, policy: AllocationPolicy, snr_points_
     count and the other arguments. Draws are keyed by (seed, trial, slot,
     band), never by the power, so a trial is drawn once for every point."""
     snr_points_db = list(snr_points_db)
+    if not snr_points_db:
+        raise ValueError("SNR axis is empty")
     if any(b <= a for a, b in zip(snr_points_db, snr_points_db[1:])):
         raise ValueError("SNR axis must be strictly increasing")
     n_trials = [int(n_trials)] * len(snr_points_db) if np.isscalar(n_trials) else list(n_trials)

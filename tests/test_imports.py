@@ -17,7 +17,7 @@ from coharq import analytic, cli, montecarlo
 
 
 def pool_modules(names):
-    # the process pool's modules, and multiprocessing's
+    # the named modules and their submodules, and multiprocessing's
     return sorted(m for m in sys.modules if m.split(".")[0] == "multiprocessing"
                   or any(m == n or m.startswith(n + ".") for n in names))
 
@@ -40,6 +40,14 @@ counts = montecarlo.simulate_batch(mimo, cli.resolve_policy("coord", 2), 16, 1)
 assert counts.sum() == 16
 # MIMO draws import scipy.special, which loads concurrent.futures' base
 # module but not the pool's
+loaded = pool_modules(["concurrent.futures.process", "concurrent.futures.thread"])
+assert not loaded, loaded
+
+# a pooled SISO run (3 chunks on 2 threads) starts no process
+montecarlo.CHUNK = 6
+counts = montecarlo.simulate_batch(cfg, cli.resolve_policy("coord", 2), 16, 1, n_jobs=2)
+assert counts.sum() == 16
+assert "concurrent.futures.thread" in sys.modules
 loaded = pool_modules(["concurrent.futures.process"])
 assert not loaded, loaded
 """

@@ -1,6 +1,7 @@
 import concurrent.futures
 import itertools
 import math
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -432,6 +433,21 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg, monkeypatch):
     serial = simulate_batch(cfg, policy, n, SEED)
     assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, n_jobs=2))
     assert_same_stats(whole, serial)
+    # a pooled call on a fresh seed leaves this thread's memo as it was
+    kept = memo_state(montecarlo._DRAWS)
+    assert kept[0] == SEED and kept[1]
+    simulate_batch(cfg, policy, n, SEED + 1, n_jobs=2)
+    assert memo_state(montecarlo._DRAWS) == kept
+    if policy is SPLIT or cfg.profile.tx_antennas == 2:
+        # with no room to keep a block, each of the 8 chunks draws into its
+        # thread's scratch: a scratch two threads shared would mix their
+        # draws (the K=3 split's coins, 2x2 MIMO's Grams), and a memo they
+        # shared would hold no block to serve them once cleared
+        montecarlo._DRAWS.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(montecarlo._DrawMemo, "CAP_BYTES", 0)
+            for n_jobs in (2, 3):
+                assert_same_stats(serial, simulate_batch(cfg, policy, n, SEED, n_jobs=n_jobs))
     # a rate grid splits its chunks by the grid size: still invisible.
     # grid_tables takes the closed form where there is one, so there the
     # grid's count tables come from its chunk plan directly
@@ -453,34 +469,34 @@ def test_chunk_size_and_worker_count_are_invisible(policy, cfg, monkeypatch):
 
 
 def test_worker_pool_is_capped_at_the_chunk_count(monkeypatch):
-    """A process pool starts all its workers at once, so _batch_stats asks
-    for no more workers than it has chunks. A recording stand-in runs the
-    chunks in this process: no worker is started. _batch_stats imports
-    the pool where it starts one, so the stand-in replaces it there."""
-    opened = []
+    """_batch_stats asks its thread pool for no more workers than it has
+    chunks, and the pool starts no more threads than it is asked for, so
+    n_jobs=5000 starts at most 4 here. A recording pool notes the count
+    and which threads ran chunks; _batch_stats imports the pool where it
+    starts one, so the recording pool replaces it there."""
+    opened, ran = [], set()
 
-    class RecordingPool:
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, max_workers):
             opened.append(max_workers)
+            super().__init__(max_workers)
 
-        def __enter__(self):
-            return self
+    def chunk_stats(*args, _real=montecarlo._chunk_stats):
+        ran.add(threading.get_ident())
+        return _real(*args)
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(montecarlo, "CHUNK", 300)
     cfg = make_config()
     serial = simulate_batch(cfg, COORD, 1000, SEED)
     for n_jobs in (5000, 4, 2):
         assert_same_stats(serial, simulate_batch(cfg, COORD, 1000, SEED, n_jobs=n_jobs))
     monkeypatch.setattr(montecarlo, "CHUNK", 500)
+    monkeypatch.setattr(montecarlo, "_chunk_stats", chunk_stats)
     sweep(cfg, COORD, [0.0, 10.0], 1000, SEED, n_jobs=5000)
     assert opened == [4, 4, 2, 4]
+    # the chunks ran on at most 4 worker threads, none on this one
+    assert 0 < len(ran) <= 4 and threading.get_ident() not in ran
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -727,6 +743,10 @@ def test_sweep_real_run_and_axis_validation():
             3 * pt["outage_user1"].half_width_95 / 1.96 + 1e-4
     with pytest.raises(ValueError):
         sweep(cfg, COORD, [0.0, 0.0, 5.0], 100, SEED)
+    with pytest.raises(ValueError, match="SNR axis is empty"):
+        sweep(cfg, COORD, [], 100, SEED)
+    with pytest.raises(ValueError):
+        montecarlo._batch_stats([], COORD, [], SEED, 1)
     with pytest.raises(ValueError):
         sweep(cfg, COORD, [0.0, 5.0], [100], SEED)
 
@@ -824,6 +844,12 @@ def assert_memo_accounts_its_blocks(memo):
     assert memo.nbytes <= memo.CAP_BYTES
 
 
+def memo_state(memo):
+    """The memo's seed, kept blocks and kept slot-0 outcomes, as bytes."""
+    return (memo.seed, {key: (n, buf[..., :n].tobytes()) for key, (buf, n) in memo.blocks.items()},
+            {key: (n, t.tobytes(), won.tobytes()) for key, (t, won, n) in memo.outcomes.items()})
+
+
 def served(memo, what, slot, start, n):
     """The memo's read of a kept block whole: it draws nothing."""
     def draw(first, count, out):
@@ -851,7 +877,7 @@ def test_slot0_memo_is_invisible(policy, cfg, memo, monkeypatch):
     for plan in plans:
         memo.clear()
         cold.append(batch(*plan))
-    for fill in plans[:3]:     # worker processes fill their own memo
+    for fill in plans[:3]:     # worker threads fill their own memo
         memo.clear()
         batch(*fill)
         kept = {(what[0], slot) for what, slot, *_ in kept_blocks(memo)}
@@ -948,18 +974,18 @@ def test_kept_slot0_outcome_is_invisible(memo, monkeypatch):
     warm = []
     for configs, policy, start, count, decisions in calls:
         before = len(decided)
-        warm.append(montecarlo._chunk_stats((configs, policy, start, count, SEED)))
+        warm.append(montecarlo._chunk_stats(configs, policy, start, count, SEED))
         assert decided[before:] == decisions, (configs[0].scheme, policy, start, count)
         assert_memo_accounts_its_blocks(memo)
     assert len(memo.outcomes) == 1 + len(grid) - 1 + 4 + len(grid) + 1
     # a seed switch drops every outcome: the first call decides again
     before = len(decided)
-    montecarlo._chunk_stats(([rtd], NONCOORD, 0, n, SEED + 1))
+    montecarlo._chunk_stats([rtd], NONCOORD, 0, n, SEED + 1)
     assert decided[before:] == [(n, 1)] and len(memo.outcomes) == 1
     assert_memo_accounts_its_blocks(memo)
     for (configs, policy, start, count, _), expected in zip(calls, warm):
         memo.clear()
-        got = montecarlo._chunk_stats((configs, policy, start, count, SEED))
+        got = montecarlo._chunk_stats(configs, policy, start, count, SEED)
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert_same_stats(a, b)
