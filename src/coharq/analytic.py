@@ -203,36 +203,45 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _trapezoids(y: np.ndarray, h: float) -> np.ndarray:
-    """The trapezoid areas h (y[i] + y[i+1]) / 2 of samples y at step h, in
-    np.trapezoid's float operations: their sum is its rule, their running
-    sum scipy's cumulative_trapezoid."""
-    area = y[1:] + y[:-1]
+def _trapezoids(y: np.ndarray, h) -> np.ndarray:
+    """The trapezoid areas h (y[i] + y[i+1]) / 2 of samples y at step h,
+    along the last axis, in np.trapezoid's float operations: their sum is
+    its rule, their running sum scipy's cumulative_trapezoid."""
+    area = y[..., 1:] + y[..., :-1]
     area *= h
     area /= 2.0
     return area
 
 
-def _inr_cdf_grids(keys, power: float, x: float, n_intervals: int) -> dict:
-    """{(n, m, l1, l2): trapezoid CDF at x} for each copy count of at least
-    two copies, on n_intervals steps over [0, x].
+def _inr_cdf_grids(keys, power: float, n_intervals: int) -> dict:
+    """{(n, m, l1, l2, x): trapezoid CDF at x} for each copy count of at
+    least two copies at its target x, on n_intervals steps over [0, x].
 
-    Each count is one product integral, int_0^x dens(s) G(x - s) ds: dens
-    the density of the band with more copies (band 1 on a tie) and G the
-    CDF of the other band's copies; copies all at one fading parameter a,
-    a^k, take dens(a^(k-1)) and G the one-copy CDF. G of one copy is its
-    closed form, of more the cumulative trapezoid of their density. The
-    densities come from one chain per fading parameter, dens(a^k) the
-    trapezoid-corrected convolution of dens(a^(k-1)) with dens(a), taken as
-    far as the counts need, so a value does not depend on the other keys.
+    Each distinct target is one row of the pass, on its own grid over
+    [0, x]: the FFTs, densities and CDFs below work on all rows at once, and
+    each row gets the bits a pass over that target alone would give it.
+    Each count is one product integral, int_0^x dens(s) G(x - s) ds, summed
+    on its own row: dens the density of the band with more copies (band 1
+    on a tie) and G the CDF of the other band's copies; copies all at one
+    fading parameter a, a^k, take dens(a^(k-1)) and G the one-copy CDF. G
+    of one copy is its closed form, of more the cumulative trapezoid of
+    their density. The densities come from one chain per fading parameter,
+    dens(a^k) the trapezoid-corrected convolution of dens(a^(k-1)) with
+    dens(a), taken as far as the counts of any row need, so a value does
+    not depend on the other keys.
     """
-    h = x / n_intervals
-    z = np.linspace(0.0, x, n_intervals + 1)
+    targets = list(dict.fromkeys(key[-1] for key in keys))  # a row each
+    row = {x: i for i, x in enumerate(targets)}
+    steps = [x / n_intervals for x in targets]
+    h = np.array(steps)[:, None]
+    # np.linspace(0, x, n_intervals + 1) of each target, float for float
+    z = np.arange(n_intervals + 1.0) * h
+    z[:, -1] = targets
     length = _fft_length(2 * n_intervals + 1)
     # each count as ((a, p), (b, q)): dens(a^p) against G(b^q)
     splits = {}
     for key in keys:
-        n, m, lam1, lam2 = key
+        n, m, lam1, lam2, _ = key
         if lam1 == lam2 or not (n and m):
             lam = lam1 if n else lam2
             splits[key] = (lam, n + m - 1), (lam, 1)
@@ -243,7 +252,7 @@ def _inr_cdf_grids(keys, power: float, x: float, n_intervals: int) -> dict:
         depth[a] = max(depth.get(a, 1), p)
         if q > 1:
             depth[b] = max(depth.get(b, 1), q)
-    dens = {}  # dens[lam][k - 1]: density of k copies at lam
+    dens = {}  # dens[lam][k - 1]: density of k copies at lam, a row per target
     for lam, k in depth.items():
         f = _mi_density(z, lam, power)
         chain = [f]
@@ -251,11 +260,11 @@ def _inr_cdf_grids(keys, power: float, x: float, n_intervals: int) -> dict:
         while len(chain) < k:
             c = chain[-1]
             spec_c = spec_f if c is f else np.fft.rfft(c, length)
-            full = np.fft.irfft(spec_c * spec_f, length)[: n_intervals + 1]
+            full = np.fft.irfft(spec_c * spec_f, length)[:, : n_intervals + 1]
             # trapezoid-corrected discrete convolution on [0, x], in place:
             # h * (full - 0.5 * (c[0] * f + c * f[0]))
-            ends = c * f[0]
-            ends += c[0] * f
+            ends = c * f[:, :1]
+            ends += c[:, :1] * f
             ends *= 0.5
             full -= ends
             full *= h
@@ -267,10 +276,18 @@ def _inr_cdf_grids(keys, power: float, x: float, n_intervals: int) -> dict:
             if q == 1:
                 cdfs[b, q] = -np.expm1(-(b / power) * np.expm1(z))
             else:
-                g = cdfs[b, q] = np.zeros(n_intervals + 1)
-                np.cumsum(_trapezoids(dens[b][q - 1], h), out=g[1:])
-    return {key: float(_trapezoids(dens[a][p - 1] * cdfs[b, q][::-1], h).sum())
-            for key, ((a, p), (b, q)) in splits.items()}
+                g = cdfs[b, q] = np.zeros(z.shape)
+                np.cumsum(_trapezoids(dens[b][q - 1], h), axis=1, out=g[:, 1:])
+    # one product integral per count and target, each row on its own
+    out, done = {}, {}
+    for key, split in splits.items():
+        i = row[key[-1]]
+        if (split, i) not in done:  # copies all at one fading parameter share it
+            (a, p), (b, q) = split
+            area = _trapezoids(dens[a][p - 1][i] * cdfs[b, q][i, ::-1], steps[i])
+            done[split, i] = float(area.sum())
+        out[key] = done[split, i]
+    return out
 
 
 def _check_inr_grid(n: int, m: int, lam1: float, lam2: float, power: float,
@@ -310,55 +327,44 @@ def _inr_grid(n: int, m: int, lam1: float, lam2: float, power: float, x: float) 
     return grid
 
 
-# (n, m, l1, l2, power, x) -> CDF of the grid-evaluated counts, least
-# recently used first
-_INR_CACHE = OrderedDict()
-_INR_CACHE_SIZE = 4096
+def _cdf_inr_counts(keys, power: float) -> dict:
+    """{(n, m, l1, l2, x): cdf_inr_sum(n, m, (l1, l2), power, x)} for every
+    key of at least one copy at a target x > 0, or the key's
+    ClosedFormRangeError where the closed form refuses it.
 
-
-def _cdf_inr_counts(keys, power: float, x: float) -> dict:
-    """{(n, m, l1, l2): cdf_inr_sum(n, m, (l1, l2), power, x)} for every key.
-
-    Each key not cached is evaluated on its own base grid (_inr_grid), which
-    depends on the key, the power and x alone; the keys on one grid are
-    evaluated together, whatever their fading parameters: one density chain
-    per fading parameter and one product integral per count (_inr_cdf_grids)
-    on the base grid and on the doubled grid, then Richardson extrapolation
-    of each. A value is the same whatever else the call evaluates.
     Saturated and one-copy counts are exact, and counts whose lower-tail
-    bound (_inr_lower_tail) underflows to 0 are 0; the others, however small,
-    are refused where the finest grid is too coarse (_check_inr_grid).
+    bound (_inr_lower_tail) underflows to 0 are 0; the others, however
+    small, are refused where the finest grid is too coarse
+    (_check_inr_grid). Each other key is evaluated on its own base grid
+    (_inr_grid), which depends on the key, the power and x alone; the keys
+    on one base grid are evaluated together, whatever their fading
+    parameters and targets: one pass on the base grid and one on its double
+    (_inr_cdf_grids), each with a row per target, then Richardson
+    extrapolation of each. A value is the same whatever else the call
+    evaluates.
     """
-    for n, m, *_ in keys:
-        if n < 0 or m < 0 or n + m < 1:
-            raise ValueError(f"invalid copy counts ({n}, {m})")
-    if x <= 0.0:
-        return dict.fromkeys(keys, 0.0)
-    power, x = float(power), float(x)
     out, missing = {}, {}  # missing: base grid -> its keys
     for key in keys:
-        n, m, lam1, lam2 = key
-        cached = key + (power, x)
+        n, m, lam1, lam2, x = key
         if _saturated(n, m, (lam1, lam2), power, x):
             out[key] = 1.0
         elif n + m == 1:
             out[key] = _mi_cdf_single(lam1 if n else lam2, power, x)
         elif _inr_lower_tail(n, m, lam1, lam2, power, x) == 0.0:
             out[key] = 0.0
-        elif cached in _INR_CACHE:
-            _INR_CACHE.move_to_end(cached)
-            out[key] = _INR_CACHE[cached]
         else:
-            _check_inr_grid(n, m, lam1, lam2, power, x)
+            try:
+                _check_inr_grid(n, m, lam1, lam2, power, x)
+            except ClosedFormRangeError as refusal:
+                out[key] = refusal.with_traceback(None)
+                continue
             missing.setdefault(_inr_grid(n, m, lam1, lam2, power, x), []).append(key)
     for grid, group in missing.items():
-        coarse = _inr_cdf_grids(group, power, x, grid)
-        fine = _inr_cdf_grids(group, power, x, 2 * grid)
+        coarse = _inr_cdf_grids(group, power, grid)
+        fine = _inr_cdf_grids(group, power, 2 * grid)
         for key in group:
             val = (4.0 * fine[key] - coarse[key]) / 3.0
-            out[key] = _INR_CACHE[key + (power, x)] = float(min(max(val, 0.0), 1.0))
-    while len(_INR_CACHE) > _INR_CACHE_SIZE:
-        _INR_CACHE.popitem(last=False)
+            out[key] = float(min(max(val, 0.0), 1.0))
     return out
 
 
@@ -376,24 +382,84 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
     finest grid, _INR_GRID_N, resolves the copies, the error grows towards
     the refusal floor, to at most ~1e-6 (3.4e-7 measured). A
     ClosedFormRangeError refuses a band whose copies are too narrow for the
-    finest grid (_check_inr_grid).
+    finest grid (_check_inr_grid). The one-key case of _accumulated_cdfs,
+    so a rate search and this call share the CDF cache and the bits.
     """
-    key = (n, m, float(lambdas[0]), float(lambdas[1]))
-    return _cdf_inr_counts([key], power, x)[key]
+    if n < 0 or m < 0 or n + m < 1:
+        raise ValueError(f"invalid copy counts ({n}, {m})")
+    key = (n, m, float(lambdas[0]), float(lambdas[1]), float(x))
+    cdf = _accumulated_cdfs(Scheme.INR, [key], float(power))[key]
+    if isinstance(cdf, ClosedFormRangeError):
+        raise cdf
+    return cdf
 
 
-def _accumulated_cdfs(scheme: Scheme, keys, power: float, x: float) -> dict:
-    """{(n, m, l1, l2): CDF at x nats of the accumulated decodable rate
-    from n copies at fading parameter l1 and m at l2} for every key, the
-    INR ones evaluated together whatever their fading parameters. With zero
-    copies nothing has been received, so the user is undecoded at any
-    nonnegative target."""
-    out = {key: 1.0 if x >= 0 else 0.0 for key in keys if key[0] == key[1] == 0}
-    rest = [key for key in keys if key not in out]
+# Entries each closed-form cache keeps, the least recently used dropped
+# first: _CDF_CACHE, (scheme, P, n, m, l1, l2, x) -> the CDF of a copy count
+# (_accumulated_cdfs), and _Q_CACHE, (scheme, M, coordinated, lambdas, P,
+# rate) -> (Q_A, Q_B) (_resolve_pair, event_table).
+_CACHE_SIZE = 4096
+_CDF_CACHE = OrderedDict()
+_Q_CACHE = OrderedDict()
+
+
+def _cached(cache: OrderedDict, keys) -> dict:
+    """{key: value} for each of `keys` that `cache` holds, each marked as
+    just used."""
+    hits = {}
+    for key in keys:
+        if key in cache:
+            cache.move_to_end(key)
+            hits[key] = cache[key]
+    return hits
+
+
+def _keep(cache: OrderedDict, items: dict) -> None:
+    """Add `items` to `cache`, dropping its least recently used entries
+    past _CACHE_SIZE."""
+    cache.update(items)
+    while len(cache) > _CACHE_SIZE:
+        cache.popitem(last=False)
+
+
+def _accumulated_cdfs(scheme: Scheme, keys, power: float) -> dict:
+    """{(n, m, l1, l2, x): CDF at x nats of the accumulated decodable rate
+    from n copies at fading parameter l1 and m at l2} for every key, or the
+    key's ClosedFormRangeError where the closed form refuses it: a refusal
+    is that key's alone. With zero copies nothing has been received, so the
+    user is undecoded at any nonnegative target.
+
+    A key is looked up in _CDF_CACHE before anything is evaluated. Under RTD
+    each key missing is its own cdf_rtd_sum; under INR they all go to one
+    _cdf_inr_counts call, whatever their fading parameters and targets. The
+    values are cached, the refusals not.
+    """
+    out, wanted = {}, {}  # wanted: cache key -> key
+    tag = scheme.value, power
+    for key in keys:
+        n, m, *_, x = key
+        if n == m == 0:
+            out[key] = 1.0 if x >= 0 else 0.0
+        elif x <= 0.0:
+            out[key] = 0.0
+        else:
+            wanted[tag + key] = key
+    hits = _cached(_CDF_CACHE, wanted)
+    out.update((wanted[c], cdf) for c, cdf in hits.items())
+    missing = [key for c, key in wanted.items() if c not in hits]
     if scheme is Scheme.RTD:
-        out.update({(n, m, *lam): cdf_rtd_sum(n, m, lam, power, x) for n, m, *lam in rest})
+        fresh = {}
+        for key in missing:
+            n, m, lam1, lam2, x = key
+            try:
+                fresh[key] = cdf_rtd_sum(n, m, (lam1, lam2), power, x)
+            except ClosedFormRangeError as refusal:
+                fresh[key] = refusal.with_traceback(None)
     else:
-        out.update(_cdf_inr_counts(rest, power, x))
+        fresh = _cdf_inr_counts(missing, power)
+    _keep(_CDF_CACHE, {tag + key: cdf for key, cdf in fresh.items()
+                       if not isinstance(cdf, ClosedFormRangeError)})
+    out.update(fresh)
     return out
 
 
@@ -414,49 +480,47 @@ def _donated(max_rounds: int, coordinated: bool) -> tuple:
     return donated, frozenset((own, d) for own, row in enumerate(donated) for d in row)
 
 
-@lru_cache(maxsize=4096)
 def _resolve_pair(scheme: Scheme, max_rounds: int, coordinated: bool, lambdas: tuple,
-                  power: float, rate: float) -> tuple:
-    """(Q_A, Q_B) at `rate`, lambdas in A's order: Q_A[i, j] is the
-    probability that A resolves at round i when B resolves at round j,
-    index 0 meaning outage, and Q_B the same with the users swapped. A
+                  power: float, rates) -> dict:
+    """{rate: (Q_A, Q_B)} for each of `rates`, lambdas in A's order: Q_A[i, j]
+    is the probability that A resolves at round i when B resolves at round
+    j, index 0 meaning outage, and Q_B the same with the users swapped. A
     user's Q depends on its own rate alone, so a rate search builds it once
-    per rate, not once per rate pair. Both users' copy counts are evaluated
-    in one _accumulated_cdfs call: under INR one density chain per fading
-    parameter on each grid, shared by both users' counts, and one product
-    integral per count; with equal fading parameters both users hold the
-    same one Q. Cached, and read-only.
+    per rate, not once per rate pair. Every copy count of both users at
+    every rate goes to one _accumulated_cdfs call: under INR one pass per
+    base grid and one on its double for all of them, a row per rate, one
+    density chain per fading parameter shared by both users' counts, and
+    one product integral per count; with equal fading parameters both users
+    hold the same one Q. The Qs are read-only, for event_table caches them.
 
-    Where the closed form refuses a user's counts at the rate, that user's
-    Q is its ClosedFormRangeError, which event_table raises only where the
-    user holds the rate: the other user's Q stands.
+    Where the closed form refuses one of a user's counts at a rate, that
+    user's Q there is the refusal, which event_table raises only where the
+    user holds the rate: the other user's Q, and the other rates', stand.
     """
     donated, counts = _donated(max_rounds, coordinated)
     orders = (lambdas,) if lambdas[0] == lambdas[1] else (lambdas, lambdas[::-1])
-    users = [[c + lam for c in counts] for lam in orders]
-    try:
-        # each (own, donated) copy count's CDF at the rate, evaluated once
-        shorts = [_accumulated_cdfs(scheme, sum(users, []), power, rate)] * len(users)
-    except ClosedFormRangeError:
-        shorts = []
-        for keys in users:  # each user alone, to tell which one is refused
-            try:
-                shorts.append(_accumulated_cdfs(scheme, keys, power, rate))
-            except ClosedFormRangeError as refusal:
-                shorts.append(refusal.with_traceback(None))
-    qs = []
-    for lam, short in zip(orders, shorts):
-        if isinstance(short, ClosedFormRangeError):
-            qs.append(short)
-            continue
-        # g[c][j]: still short after round c; outage is short after the last
-        # round, resolving at round i is short after round i-1 but not after i
-        g = [[short[(own, d) + lam] for d in row] for own, row in enumerate(donated)]
-        resolved = [[a - b for a, b in zip(before, after)] for before, after in zip(g, g[1:])]
-        q = np.array([g[-1]] + resolved)
-        q.flags.writeable = False
-        qs.append(q)
-    return qs[0], qs[-1]
+    short = _accumulated_cdfs(
+        scheme, [c + lam + (rate,) for rate in rates for lam in orders for c in counts], power)
+    pairs = {}
+    for rate in rates:
+        qs = []
+        for lam in orders:
+            # each (own, donated) copy count's CDF at the rate
+            cdf = {c: short[c + lam + (rate,)] for c in counts}
+            refusals = [v for v in cdf.values() if isinstance(v, ClosedFormRangeError)]
+            if refusals:
+                qs.append(refusals[0])
+                continue
+            # g[c][j]: still short after round c; outage is short after the
+            # last round, resolving at round i is short after round i-1 but
+            # not after i
+            g = [[cdf[own, d] for d in row] for own, row in enumerate(donated)]
+            resolved = [[a - b for a, b in zip(before, after)] for before, after in zip(g, g[1:])]
+            q = np.array([g[-1]] + resolved)
+            q.flags.writeable = False
+            qs.append(q)
+        pairs[rate] = qs[0], qs[-1]
+    return pairs
 
 
 def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
@@ -471,13 +535,14 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
     round, and the B-side condition only band-2 gains plus band-1 gains from
     later slots (the donated copies), so the two conditions are independent
     and cell [i, j] is Q_A[i, j] Q_B[j, i]. Each user's Q depends on its own
-    rate only, and both users' Qs at a rate are built together, once
-    (_resolve_pair). `coordinated=False` gives independent single-user
-    HARQ on each band.
+    rate only; both users' Qs at a rate are built together, once, and kept
+    in _Q_CACHE. `coordinated=False` gives independent single-user HARQ on
+    each band.
 
     A rate grid passes equal-shaped arrays of rates, and gets one table per
-    rate pair, stacked on the arrays' axes: the Qs are built once per
-    distinct rate, and every table equals the one-pair call's.
+    rate pair, stacked on the arrays' axes: the Qs of every distinct rate
+    not cached are built in one _resolve_pair call, so one pass per INR
+    base grid serves them all, and every table equals the one-pair call's.
     """
     lambdas = tuple(map(float, lambdas))
     power = float(power)
@@ -486,9 +551,14 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
         raise ValueError(f"rate arrays of shapes {rate_a.shape} and {rate_b.shape}")
     wanted_a, wanted_b = rate_a.ravel().tolist(), rate_b.ravel().tolist()
     held = set(wanted_a), set(wanted_b)
-    q = {}
-    for rate in dict.fromkeys(wanted_a + wanted_b):
-        q[rate] = _resolve_pair(scheme, max_rounds, coordinated, lambdas, power, rate)
+    config = (scheme, max_rounds, coordinated, lambdas, power)
+    rates = dict.fromkeys(wanted_a + wanted_b)
+    q = {key[-1]: pair for key, pair in _cached(_Q_CACHE, [config + (r,) for r in rates]).items()}
+    lacking = [rate for rate in rates if rate not in q]
+    if lacking:
+        q.update(_resolve_pair(*config, lacking))
+        _keep(_Q_CACHE, {config + (rate,): q[rate] for rate in lacking})
+    for rate in rates:
         for user, table in enumerate(q[rate]):
             if rate in held[user] and isinstance(table, ClosedFormRangeError):
                 raise table.with_traceback(None)

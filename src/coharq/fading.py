@@ -113,16 +113,17 @@ def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
     """Channel gains (|h|^2) for a range of trials on one (slot, band).
 
     -log1p(-u) / lambda of the draw's uniforms, worked out in place on the
-    n_trials doubles drawn, into `out` when given (as uniform_block), with
-    the same roundings in the same order (negate, log1p, negate, divide).
-    The result holds those doubles and no more.
+    n_trials doubles drawn, into `out` when given (as uniform_block), as
+    log1p(-u) / -lambda: negate, log1p, divide. IEEE division rounds the
+    same whatever the signs, so these are the roundings of negating the
+    log and then dividing by lambda. The result holds those doubles and no
+    more.
     """
     profile.check_band(band)
     u = uniform_block(master_seed, slot, band, start_trial, n_trials, out=out).reshape(n_trials)
     np.negative(u, out=u)
     np.log1p(u, out=u)
-    np.negative(u, out=u)
-    u /= profile.lambdas[band]
+    np.divide(u, -profile.lambdas[band], out=u)
     return u
 
 

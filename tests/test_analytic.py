@@ -361,9 +361,10 @@ def test_inr_density_stays_finite_up_to_the_admitted_target():
     the limit, the (1, 1) and (2, 0) CDFs raise no floating-point error and
     lie in [0, 1]."""
     x = math.nextafter(analytic._INR_GRID_N / analytic._INR_MIN_STEPS, 0.0)
+    keys = [(1, 1, 1.0, 1.0, x), (2, 0, 1.0, 1.0, x)]
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        cdf = analytic._cdf_inr_counts([(1, 1, 1.0, 1.0), (2, 0, 1.0, 1.0)], 1e217, x)
-    assert set(cdf) == {(1, 1, 1.0, 1.0), (2, 0, 1.0, 1.0)}
+        cdf = analytic._cdf_inr_counts(keys, 1e217)
+    assert set(cdf) == set(keys)
     assert all(0.0 <= p <= 1.0 for p in cdf.values())
 
 
@@ -410,18 +411,20 @@ def _inr_split(n, m, lam1, lam2):
 @pytest.mark.parametrize("copies", range(2, 7))
 def test_inr_grid_equals_fftconvolve(copies):
     # one batched pass over every count with 2 <= n + m <= copies, at unequal
-    # and equal fading parameters, shares the per-lambda density chains and
-    # the CDFs between counts, yet each entry equals its own count's chain
-    # and product integral exactly
-    keys = [(n, total - n, lam1, lam2) for total in range(2, copies + 1)
-            for n in range(total + 1) for lam1, lam2 in ((1.0, 2.5), (2.5, 1.0), (1.0, 1.0))]
+    # and equal fading parameters and at three targets, one row each,
+    # shares the per-lambda density chains and the CDFs between counts, yet
+    # each entry equals its own count's chain and product integral on its
+    # own target's grid exactly
+    counts = [(n, total - n, lam1, lam2) for total in range(2, copies + 1)
+              for n in range(total + 1) for lam1, lam2 in ((1.0, 2.5), (2.5, 1.0), (1.0, 1.0))]
+    keys = [count + (x,) for x in (0.5, 2.0, 5.0) for count in counts]
     for power in (1.0, 10.0, 100.0):
-        for x in (0.5, 2.0, 5.0):
-            for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N):
-                got = analytic._inr_cdf_grids(keys, power, x, grid)
-                assert got.keys() == set(keys)
-                for key in keys:
-                    assert got[key] == _inr_split_oracle(*_inr_split(*key), power, x, grid)
+        for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N):
+            got = analytic._inr_cdf_grids(keys, power, grid)
+            assert got.keys() == set(keys)
+            for *count, x in keys:
+                want = _inr_split_oracle(*_inr_split(*count), power, x, grid)
+                assert got[(*count, x)] == want
 
 
 def _richardson(values):
@@ -445,14 +448,14 @@ def test_cdf_inr_four_and_five_copies(lambdas):
             other = _richardson([_inr_split_oracle(*split, power, x, grid)
                                  for grid in (analytic._INR_GRID_N, 2 * analytic._INR_GRID_N)])
             assert got == pytest.approx(other, abs=1e-9), (key, power, x, split)
-        fine = _richardson([analytic._inr_cdf_grids([key], power, x, grid)[key]
+        fine = _richardson([analytic._inr_cdf_grids([key + (x,)], power, grid)[key + (x,)]
                             for grid in (2 ** 14, 2 ** 15)])
         assert got == pytest.approx(fine, abs=1e-7), (key, power, x)
 
 
 def _inr_cdf_or_refusal(n, m, lambdas, power, x):
     # evaluated cold: the cache key does not name the grid
-    analytic._INR_CACHE.clear()
+    analytic._CDF_CACHE.clear()
     try:
         return cdf_inr_sum(n, m, lambdas, power, x)
     except analytic.ClosedFormRangeError:
@@ -492,25 +495,43 @@ def test_inr_cdf_on_its_grid_matches_the_finest_grid(copies, share, lam1, ratio,
         assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_inr_cdf_does_not_depend_on_its_batch():
+def test_inr_cdf_does_not_depend_on_its_batch(monkeypatch):
     """A count's value is the same, bit for bit, evaluated alone or with
-    counts that take other grids (256 to 2048 steps against its 128), cold
-    or from the cache."""
-    power, x = 10.0, 1.5
-    key = (2, 1, 1.0, 2.0)
-    others = [(3, 3, 2.0, 2.0), (12, 0, 1.0, 2.0), (20, 4, 1.0, 2.0), (2, 2, 1e-3, 1e3)]
-    grids = {analytic._inr_grid(*k, power, x) for k in [key] + others}
-    assert len(grids) == len(others) + 1
+    counts that take other grids (256 to 2048 steps against its 128) and
+    with other targets as rows of its passes (three rows in each pass, the
+    1024- and 2048-step base grids among them), cold or from the cache."""
+    passes = []  # (steps, targets) of each pass
+    grids = analytic._inr_cdf_grids
+
+    def counted(keys, power, n_intervals):
+        passes.append((n_intervals, {key[-1] for key in keys}))
+        return grids(keys, power, n_intervals)
+
+    monkeypatch.setattr(analytic, "_inr_cdf_grids", counted)
+    power = 10.0
+    key = (2, 1, 1.0, 2.0, 1.5)
+    counts = [(3, 3, 2.0, 2.0), (12, 0, 1.0, 2.0), (20, 4, 1.0, 2.0), (2, 2, 1e-3, 1e3)]
+    others = [count + (1.5,) for count in counts]
+    assert len({analytic._inr_grid(*k[:4], power, k[4]) for k in [key] + others}) == 5
+    # the same counts at targets that keep each count on its grid at 1.5 nats
+    near = [k[:4] + (x,) for k in [key] + others for x in (1.3, 1.6)]
+    for k in near:
+        assert analytic._inr_grid(*k[:4], power, k[4]) == analytic._inr_grid(*k[:4], power, 1.5)
     alone = {}
-    for k in [key] + others:
-        analytic._INR_CACHE.clear()
-        alone[k] = analytic._cdf_inr_counts([k], power, x)[k]
-    analytic._INR_CACHE.clear()
-    cold = analytic._cdf_inr_counts(others + [key], power, x)
-    warm = analytic._cdf_inr_counts([key] + others[:1], power, x)
+    for k in [key] + others + near:
+        analytic._CDF_CACHE.clear()
+        alone[k] = analytic._accumulated_cdfs(Scheme.INR, [k], power)[k]
+    assert all(isinstance(v, float) for v in alone.values())
+    analytic._CDF_CACHE.clear()
+    passes.clear()
+    cold = analytic._accumulated_cdfs(Scheme.INR, others + near + [key], power)
+    assert sorted(n for n, _ in passes) == sorted(
+        n for base in (128, 256, 512, 1024, 2048) for n in (base, 2 * base))
+    assert all(targets == {1.3, 1.5, 1.6} for _, targets in passes)
+    warm = analytic._accumulated_cdfs(Scheme.INR, [key] + others[:1] + near[:2], power)
     assert cold == alone
     assert warm == {k: alone[k] for k in warm}
-    assert cdf_inr_sum(2, 1, (1.0, 2.0), power, x) == alone[key]
+    assert cdf_inr_sum(2, 1, (1.0, 2.0), power, 1.5) == alone[key]
 
 
 def test_fft_length_is_the_next_5_smooth_length():
@@ -535,16 +556,18 @@ def test_cdf_inr_single_copy_closed_form():
 
 def test_accumulation_cdf_edges():
     empty = (0, 0, 1.0, 1.0)
-    assert analytic._accumulated_cdfs(Scheme.RTD, [empty], 1.0, 0.5) == {empty: 1.0}
-    assert analytic._accumulated_cdfs(Scheme.RTD, [empty], 1.0, -0.5) == {empty: 0.0}
-    a = analytic._accumulated_cdfs(Scheme.RTD, [(1, 1, 1.0, 2.0)], 1.0, math.log(2))
-    assert a[1, 1, 1.0, 2.0] == pytest.approx(cdf_rtd_sum(1, 1, (1.0, 2.0), 1.0, math.log(2)),
-                                              rel=1e-12)
-    b = analytic._accumulated_cdfs(Scheme.INR, [(1, 1, 1.0, 2.0)], 1.0, 0.8)
-    assert b[1, 1, 1.0, 2.0] == pytest.approx(cdf_inr_sum(1, 1, (1.0, 2.0), 1.0, 0.8), rel=1e-12)
-    # both fading orders in one call: each key its own CDF
-    both = analytic._accumulated_cdfs(Scheme.RTD, [(2, 1, 1.0, 2.0), (2, 1, 2.0, 1.0)], 1.0, 1.5)
-    assert both == {key: cdf_rtd_sum(2, 1, key[2:], 1.0, 1.5) for key in both}
+    assert analytic._accumulated_cdfs(Scheme.RTD, [empty + (0.5,)], 1.0) == {empty + (0.5,): 1.0}
+    assert analytic._accumulated_cdfs(Scheme.RTD, [empty + (-0.5,)], 1.0) == {empty + (-0.5,): 0.0}
+    a = analytic._accumulated_cdfs(Scheme.RTD, [(1, 1, 1.0, 2.0, math.log(2))], 1.0)
+    assert a[1, 1, 1.0, 2.0, math.log(2)] == pytest.approx(
+        cdf_rtd_sum(1, 1, (1.0, 2.0), 1.0, math.log(2)), rel=1e-12)
+    b = analytic._accumulated_cdfs(Scheme.INR, [(1, 1, 1.0, 2.0, 0.8)], 1.0)
+    assert b[1, 1, 1.0, 2.0, 0.8] == pytest.approx(cdf_inr_sum(1, 1, (1.0, 2.0), 1.0, 0.8),
+                                                   rel=1e-12)
+    # both fading orders and two targets in one call: each key its own CDF
+    keys = [(2, 1, 1.0, 2.0, 1.5), (2, 1, 2.0, 1.0, 1.5), (2, 1, 1.0, 2.0, 0.5)]
+    both = analytic._accumulated_cdfs(Scheme.RTD, keys, 1.0)
+    assert both == {key: cdf_rtd_sum(2, 1, key[2:4], 1.0, key[4]) for key in keys}
 
 
 # ---------------------------------------------------------------------------
@@ -648,37 +671,54 @@ def test_noncoordinated_table_is_product_of_marginals(scheme, max_rounds):
 
 
 def _clear_closed_form_caches():
-    analytic._resolve_pair.cache_clear()
-    analytic._INR_CACHE.clear()
+    analytic._Q_CACHE.clear()
+    analytic._CDF_CACHE.clear()
+
+
+@pytest.fixture
+def resolve_calls(monkeypatch):
+    """The rates each _resolve_pair call builds, one list per call."""
+    calls = []
+    build = analytic._resolve_pair
+
+    def counted(*args):
+        calls.append(list(args[-1]))
+        return build(*args)
+
+    monkeypatch.setattr(analytic, "_resolve_pair", counted)
+    return calls
 
 
 @pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
-def test_event_table_cold_equals_warm(scheme):
+def test_event_table_cold_equals_warm(scheme, resolve_calls):
     args = (scheme, 3, (1.0, 2.0), 4.0)
     # warm: A's table at 1.0 and B's at 1.5 come from the cache, built for
-    # the earlier rate pairs
+    # the earlier rate pairs, and the last pair builds nothing
     for pair in ((1.0, 0.5), (0.5, 1.5), (1.0, 1.5)):
         warm = event_table(*args, *pair)
+    assert resolve_calls == [[1.0, 0.5], [1.5]]
     _clear_closed_form_caches()
+    resolve_calls.clear()
     cold = event_table(*args, 1.0, 1.5)
-    assert analytic._resolve_pair.cache_info().misses == 2
+    assert resolve_calls == [[1.0, 1.5]]
     assert cold.tobytes() == warm.tobytes()
     # the cached per-user tables are shared, so callers cannot write them
     for lambdas in ((1.0, 2.0), (1.0, 1.0)):
-        for q in analytic._resolve_pair(scheme, 3, False, lambdas, 4.0, 1.0):
+        event_table(scheme, 3, lambdas, 4.0, 1.0, 1.0, coordinated=False)
+        for q in analytic._Q_CACHE[scheme, 3, False, lambdas, 4.0, 1.0]:
             with pytest.raises(ValueError):
                 q[0, 0] = 0.5
 
 
 @pytest.mark.parametrize("scheme", [Scheme.RTD, Scheme.INR])
-def test_disjoint_rate_sets_stack_like_single_pairs(scheme):
+def test_disjoint_rate_sets_stack_like_single_pairs(scheme, resolve_calls):
     """A grid whose users hold no rate in common: each stacked table equals
     the one-pair call's, with the caches cold and warm."""
     args = (scheme, 3, (1.0, 2.0), 4.0)
     grid = np.array(list(itertools.product((0.5, 1.0), (1.5, 2.0))))
     _clear_closed_form_caches()
     cold = event_table(*args, grid[:, 0], grid[:, 1])
-    assert analytic._resolve_pair.cache_info().misses == 4
+    assert resolve_calls == [[0.5, 1.0, 1.5, 2.0]]
     warm = event_table(*args, grid[:, 0], grid[:, 1])
     assert cold.shape == (len(grid), 4, 4) and cold.tobytes() == warm.tobytes()
     for pair, table in zip(grid, cold):
@@ -759,15 +799,44 @@ def test_grid_throughputs_equal_per_pair_counterparts(scheme, policy):
             grid_throughputs(cfg, pol, [(1.0, 1.0), bad])
 
 
-def test_rate_search_builds_one_resolve_table_per_user_and_rate():
+def test_rate_search_builds_one_resolve_table_per_user_and_rate(resolve_calls):
     rates = (0.5, 1.0, 1.5)
     for scheme in Scheme:
         cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0)), rates=(1.0, 1.0),
                              power=3.0, scheme=scheme, max_rounds=3)
         _clear_closed_form_caches()
+        resolve_calls.clear()
         optimize_rates(cfg, resolve_policy("coord", 2), list(itertools.product(rates, rates)))
-        # one miss per rate, which builds both users' tables at that rate
-        assert analytic._resolve_pair.cache_info().misses == len(rates)
+        # one call, which builds both users' tables at each rate once
+        assert resolve_calls == [list(rates)]
+        assert len(analytic._Q_CACHE) == len(rates)
+
+
+@pytest.mark.parametrize("scheme", list(Scheme))
+@pytest.mark.parametrize("policy", ["coord", "noncoord"])
+def test_search_tables_do_not_depend_on_what_warmed_the_caches(scheme, policy):
+    """A search's tables are the same bytes with the caches cold, after the
+    other policy's search warmed them (which shares copy counts with it),
+    and after the other scheme's search did."""
+    grid = [(0.5 * a, 0.5 * b) for a in range(1, 9) for b in range(1, 9)]
+
+    def tables(scheme, policy):
+        cfg = ProtocolConfig(profile=FadingProfile(lambdas=(1.0, 2.0)), rates=(1.0, 1.0),
+                             power=10.0, scheme=scheme, max_rounds=3)
+        return grid_tables(cfg, resolve_policy(policy, 2), grid, 1, 1)[0].tobytes()
+
+    other_policy = "noncoord" if policy == "coord" else "coord"
+    other_scheme = Scheme.INR if scheme is Scheme.RTD else Scheme.RTD
+    _clear_closed_form_caches()
+    cold = tables(scheme, policy)
+    built_cold = len(analytic._CDF_CACHE)
+    for warm_scheme, warm_policy in ((scheme, other_policy), (other_scheme, policy)):
+        _clear_closed_form_caches()
+        tables(warm_scheme, warm_policy)
+        warmed = len(analytic._CDF_CACHE)
+        assert tables(scheme, policy) == cold
+        if warm_scheme is scheme:  # the warming search served some counts
+            assert len(analytic._CDF_CACHE) - warmed < built_cold
 
 
 def _resolve_oracle(max_rounds, lambdas, power, rate):
@@ -775,7 +844,7 @@ def _resolve_oracle(max_rounds, lambdas, power, rate):
     and on its own: the user holds c own copies after round c, and as many
     of the other band's as the other user, resolved at round j, donated."""
     def short(own, donated):
-        analytic._INR_CACHE.clear()
+        analytic._CDF_CACHE.clear()
         return 1.0 if own == donated == 0 else cdf_inr_sum(own, donated, lambdas, power, rate)
 
     rounds = range(max_rounds + 1)
@@ -783,18 +852,19 @@ def _resolve_oracle(max_rounds, lambdas, power, rate):
     return np.array([g[-1]] + [[a - b for a, b in zip(x, y)] for x, y in zip(g, g[1:])])
 
 
-def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
-    """With unequal fading the two users' INR copy counts differ; at each
-    rate of a search both users' counts go through one coarse and one fine
-    convolution pass per base grid that _inr_grid gives them, each count in
-    the pass of its own grid, and each user's resolve table equals one built
-    from its own counts, each evaluated on its own."""
+def test_inr_rate_search_takes_one_pass_per_base_grid(monkeypatch):
+    """With unequal fading the two users' INR copy counts differ; a search
+    sends both users' counts at all its rates through one coarse and one
+    fine convolution pass per base grid that _inr_grid gives them, each
+    count in the pass of its own grid, on the row of its rate; and each
+    user's resolve table equals one built from its own counts, each
+    evaluated on its own."""
     calls = []
     grids = analytic._inr_cdf_grids
 
-    def counted(keys, power, x, n_intervals):
-        calls.append((x, n_intervals, frozenset(keys)))
-        return grids(keys, power, x, n_intervals)
+    def counted(keys, power, n_intervals):
+        calls.append((n_intervals, frozenset(keys)))
+        return grids(keys, power, n_intervals)
 
     monkeypatch.setattr(analytic, "_inr_cdf_grids", counted)
     rates, power = (0.5, 1.0, 1.5), 5.5  # a power no other test uses
@@ -805,21 +875,20 @@ def test_inr_rate_search_takes_one_pass_per_rate(monkeypatch):
     tables, packets = grid_tables(cfg, resolve_policy("coord", 2), grid, 1, 1)
     assert packets == 1
     counts = analytic._donated(3, True)[1]
-    want = []
+    by_grid = {}
     for x in rates:
-        by_grid = {}
         for lam in ((1.0, 2.0), (2.0, 1.0)):
             for count in counts:
                 if any(count) and _convolved(count, lam, power, x):
-                    key = count + lam
-                    by_grid.setdefault(analytic._inr_grid(*key, power, x), set()).add(key)
-        want += [(x, n, frozenset(keys)) for base, keys in by_grid.items()
-                 for n in (base, 2 * base)]
+                    by_grid.setdefault(analytic._inr_grid(*count, *lam, power, x),
+                                       set()).add(count + lam + (x,))
+    want = [(n, frozenset(keys)) for base, keys in by_grid.items() for n in (base, 2 * base)]
     assert sorted(calls, key=str) == sorted(want, key=str)
-    # here every count's grid is coarser than the finest, and at 1.5 nats the
-    # counts take two
-    assert max(n for _, n, _ in calls) < analytic._INR_GRID_N
-    assert len({(x, n) for x, n, _ in calls}) > 2 * len(rates)
+    # here every count's grid is coarser than the finest, at 1.5 nats the
+    # counts take two, and a pass serves several rates
+    assert max(n for n, _ in calls) < analytic._INR_GRID_N
+    assert sum(any(key[-1] == 1.5 for key in keys) for keys in by_grid.values()) == 2
+    assert any(len({key[-1] for key in keys}) > 1 for keys in by_grid.values())
     for (rate_a, rate_b), table in zip(grid, tables):
         q_a = _resolve_oracle(3, (1.0, 2.0), power, rate_a)
         q_b = _resolve_oracle(3, (2.0, 1.0), power, rate_b)

@@ -169,6 +169,31 @@ def test_optimize_inr_golden(lambdas, max_rounds, snr_db, policy, pair, eta):
     assert got_eta == pytest.approx(eta, rel=1e-9, abs=0.0)
 
 
+# the same searches under RTD, recorded before the closed forms shared one
+# CDF cache between schemes and policies: each pair and throughput exact
+RTD_SEARCHES = [
+    ((1.0, 1.0), 2, 5.0, "coord", (1.5, 1.5), 1.215745083798282),
+    ((1.0, 1.0), 2, 5.0, "noncoord", (1.5, 1.5), 1.1093257672451007),
+    ((1.0, 1.0), 2, 15.0, "coord", (3.0, 3.0), 3.285504222631053),
+    ((1.0, 1.0), 2, 15.0, "noncoord", (2.5, 2.5), 3.153396399992066),
+    ((1.0, 2.0), 3, 5.0, "coord", (1.5, 1.0), 1.0539612734497008),
+    ((1.0, 2.0), 3, 5.0, "noncoord", (1.5, 1.0), 0.9404610723369927),
+    ((1.0, 2.0), 3, 15.0, "coord", (3.0, 2.5), 2.9146385970584245),
+    ((1.0, 2.0), 3, 15.0, "noncoord", (2.5, 2.0), 2.724717521408214),
+    ((1.0, 1.001), 3, 5.0, "coord", (1.5, 1.5), 1.2681694357408868),
+    ((1.0, 1.001), 3, 5.0, "noncoord", (1.5, 1.5), 1.1243333844338852),
+    ((1.0, 1.001), 3, 15.0, "coord", (3.0, 3.0), 3.276765943894897),
+    ((1.0, 1.001), 3, 15.0, "noncoord", (2.5, 2.5), 3.0996465665716464),
+]
+
+
+@pytest.mark.parametrize("lambdas,max_rounds,snr_db,policy,pair,eta", RTD_SEARCHES)
+def test_optimize_rtd_golden(lambdas, max_rounds, snr_db, policy, pair, eta):
+    grid = [(0.5 * a, 0.5 * b) for a in range(1, 9) for b in range(1, 9)]
+    cfg = build_config("rtd", 2, max_rounds, lambdas, (1.0, 1.0), snr_db)
+    assert optimize_rates(cfg, resolve_policy(policy, 2), grid) == (pair, eta)
+
+
 @pytest.mark.parametrize("ulps", [-1, 1])
 def test_optimize_ties_within_rounding(monkeypatch, ulps):
     """Mirror pairs one ulp apart, either way, tie: the first listed wins
