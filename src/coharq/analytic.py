@@ -397,21 +397,11 @@ def cdf_inr_sum(n: int, m: int, lambdas, power: float, x: float) -> float:
 # Entries each closed-form cache keeps, the least recently used dropped
 # first: _CDF_CACHE, (scheme, P, n, m, l1, l2, x) -> the CDF of a copy count
 # (_accumulated_cdfs), and _Q_CACHE, (scheme, M, coordinated, lambdas, P,
-# rate) -> (Q_A, Q_B) (_resolve_pair, event_table).
+# rate) -> (Q_A, Q_B) (_resolve_pair, event_table). Schemes are keyed by
+# their value, whose hash is cheaper than the enum's.
 _CACHE_SIZE = 4096
 _CDF_CACHE = OrderedDict()
 _Q_CACHE = OrderedDict()
-
-
-def _cached(cache: OrderedDict, keys) -> dict:
-    """{key: value} for each of `keys` that `cache` holds, each marked as
-    just used."""
-    hits = {}
-    for key in keys:
-        if key in cache:
-            cache.move_to_end(key)
-            hits[key] = cache[key]
-    return hits
 
 
 def _keep(cache: OrderedDict, items: dict) -> None:
@@ -434,19 +424,19 @@ def _accumulated_cdfs(scheme: Scheme, keys, power: float) -> dict:
     _cdf_inr_counts call, whatever their fading parameters and targets. The
     values are cached, the refusals not.
     """
-    out, wanted = {}, {}  # wanted: cache key -> key
+    out, missing = {}, []
     tag = scheme.value, power
     for key in keys:
-        n, m, *_, x = key
+        n, m, _, _, x = key
         if n == m == 0:
             out[key] = 1.0 if x >= 0 else 0.0
         elif x <= 0.0:
             out[key] = 0.0
+        elif (cached := _CDF_CACHE.get(tag + key)) is not None:
+            _CDF_CACHE.move_to_end(tag + key)
+            out[key] = cached
         else:
-            wanted[tag + key] = key
-    hits = _cached(_CDF_CACHE, wanted)
-    out.update((wanted[c], cdf) for c, cdf in hits.items())
-    missing = [key for c, key in wanted.items() if c not in hits]
+            missing.append(key)
     if scheme is Scheme.RTD:
         fresh = {}
         for key in missing:
@@ -551,13 +541,18 @@ def event_table(scheme: Scheme, max_rounds: int, lambdas, power: float,
         raise ValueError(f"rate arrays of shapes {rate_a.shape} and {rate_b.shape}")
     wanted_a, wanted_b = rate_a.ravel().tolist(), rate_b.ravel().tolist()
     held = set(wanted_a), set(wanted_b)
-    config = (scheme, max_rounds, coordinated, lambdas, power)
+    tag = scheme.value, max_rounds, coordinated, lambdas, power
     rates = dict.fromkeys(wanted_a + wanted_b)
-    q = {key[-1]: pair for key, pair in _cached(_Q_CACHE, [config + (r,) for r in rates]).items()}
-    lacking = [rate for rate in rates if rate not in q]
+    q, lacking = {}, []
+    for rate in rates:
+        if (pair := _Q_CACHE.get(tag + (rate,))) is None:
+            lacking.append(rate)
+        else:
+            _Q_CACHE.move_to_end(tag + (rate,))
+            q[rate] = pair
     if lacking:
-        q.update(_resolve_pair(*config, lacking))
-        _keep(_Q_CACHE, {config + (rate,): q[rate] for rate in lacking})
+        q.update(_resolve_pair(scheme, max_rounds, coordinated, lambdas, power, lacking))
+        _keep(_Q_CACHE, {tag + (rate,): q[rate] for rate in lacking})
     for rate in rates:
         for user, table in enumerate(q[rate]):
             if rate in held[user] and isinstance(table, ClosedFormRangeError):

@@ -705,7 +705,7 @@ def test_event_table_cold_equals_warm(scheme, resolve_calls):
     # the cached per-user tables are shared, so callers cannot write them
     for lambdas in ((1.0, 2.0), (1.0, 1.0)):
         event_table(scheme, 3, lambdas, 4.0, 1.0, 1.0, coordinated=False)
-        for q in analytic._Q_CACHE[scheme, 3, False, lambdas, 4.0, 1.0]:
+        for q in analytic._Q_CACHE[scheme.value, 3, False, lambdas, 4.0, 1.0]:
             with pytest.raises(ValueError):
                 q[0, 0] = 0.5
 
