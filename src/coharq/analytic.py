@@ -13,8 +13,9 @@ Conventions: rates in nats per channel use, natural logs, power linear.
 """
 
 import math
+import operator
 from collections import OrderedDict
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -602,18 +603,20 @@ def table_sums(table: np.ndarray, n_users: int | None = None) -> tuple:
     The table's last `n_users` axes are its users (all of them by default),
     and any leading axes stack tables, which give arrays of sums. Each
     table's per-user masses are one matrix-vector product, in the order the
-    BLAS takes; its slots are summed one cell at a time, in `table_cells`
-    order. A stack takes the same products and sums table by table, so each
-    of its sums equals that table's own, bit for bit.
+    BLAS takes; its slots are added one cell at a time, left to right, in
+    `table_cells` order: the builtin sum compensates float sums from Python
+    3.12 on, so its bits would depend on the version. A stack takes the
+    same products and adds table by table (a cumulative sum along each
+    one), so each of its sums equals that table's own, bit for bit.
     """
     n_users = table.ndim if n_users is None else n_users
     flat, decodes, slots = table_cells(table.shape[-1] - 1, n_users)
     if table.ndim == n_users:  # one table: the lean form of the stack's arithmetic
         cells = table.ravel()[flat]
-        return ~decodes @ cells, decodes @ cells, sum((slots * cells).tolist())
+        return ~decodes @ cells, decodes @ cells, reduce(operator.add, (slots * cells).tolist(), 0)
     stack = table.shape[:table.ndim - n_users]
     cells = table.reshape(-1, flat.size)[:, flat, None]  # a column per table
-    held = [sum(row) for row in (slots * cells[..., 0]).tolist()]
+    held = np.cumsum(slots * cells[..., 0], axis=1)[:, -1]
     return (np.matmul(~decodes, cells).reshape(stack + (n_users,)),
             np.matmul(decodes, cells).reshape(stack + (n_users,)), np.reshape(held, stack))
 

@@ -223,8 +223,7 @@ def _coin(slot: int, master_seed: int, start_trial: int, n_trials: int,
 
 def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationPolicy,
                        slot: int, master_seed: int, start_trial: int, n_trials: int):
-    """Band -> user map, shape (K, len(rows)), -1 marking an idle band, and
-    for each band the users it goes to in some column, ascending.
+    """Band -> user map, shape (K, len(rows)), -1 marking an idle band.
 
     `active` is (K, len(rows)): user u is still active in column j, trial
     offset rows[j] in [0, n_trials); every column has an active user. Each
@@ -235,17 +234,14 @@ def _assignment_matrix(active: np.ndarray, rows: np.ndarray, policy: AllocationP
 
     A column's code is its activity code (_activity_code) with bit K set by
     the coin; one np.take reads every column's map from a table of every
-    code's map (_band_maps).
+    code's map (_band_maps). The engine asks for it only where some band
+    moves: a band that stays with its owner lands where the owner is active.
     """
     k, n = active.shape
     code = _activity_code(active)
     if policy.kind is PolicyKind.RANDOM_SPLIT_K3:
         code |= _coin(slot - 1, master_seed, start_trial, n_trials, rows).astype(np.uint16) << k
-    table = _band_maps(policy, k)
-    seen = np.zeros(table.shape[1], dtype=bool)
-    seen[code] = True
-    receivers = [sorted(set(row) - {-1}) for row in table[:, seen].tolist()]
-    return np.take(table, code, axis=1), receivers
+    return np.take(_band_maps(policy, k)[0], code, axis=1)
 
 
 def _activity_code(active: np.ndarray) -> np.ndarray:
@@ -260,9 +256,12 @@ def _activity_code(active: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _band_maps(policy: AllocationPolicy, k: int) -> np.ndarray:
-    """Every activity code's band map (_assignment_matrix) under `policy`
-    at K = k, shape (K, codes), -1 marking an idle band; read-only."""
+def _band_maps(policy: AllocationPolicy, k: int) -> tuple:
+    """(table, still): every activity code's band map (_assignment_matrix)
+    under `policy` at K = k, shape (K, codes), -1 marking an idle band,
+    read-only; and the bands that never move, a frozenset: those no map
+    deals to a user other than their owner. A failed user keeps its own
+    band, so such a band lands exactly where its owner is active."""
     split = policy.kind is PolicyKind.RANDOM_SPLIT_K3
     table = np.empty((k, 1 << (k + split)), dtype=np.min_scalar_type(-k))
     for c in range(table.shape[1]):
@@ -271,7 +270,7 @@ def _band_maps(policy: AllocationPolicy, k: int) -> np.ndarray:
                                   coin=bool(c >> k & 1) if split else None)
         table[:, c] = [mapping[b] if mapping[b] in failed else -1 for b in range(k)]
     table.flags.writeable = False
-    return table
+    return table, frozenset(b for b, row in enumerate(table.tolist()) if set(row) <= {b, -1})
 
 
 def _distinct(index: np.ndarray, size: int):
@@ -342,12 +341,14 @@ def _first_log_dets(grams, rates: np.ndarray, powers: np.ndarray) -> list:
     """MIMO slot 0 as _first_copies gives SISO's: user u decodes its first
     copy, packed Gram grams[u][..., t], when log_det_eye_plus(P / u, G) >= R,
     as RTD and INR both read one copy. Each log-det is taken once a power,
-    and one compare decides the group: won[g, u, t]."""
+    and one compare decides the group: won[g, u, t]. Returns the outcomes
+    and the log-dets, {P: nats[u, t]} over the distinct powers, which are
+    INR's slot-0 copies."""
     at = {p: i for i, p in enumerate(dict.fromkeys(powers.tolist()))}
     nats = np.array([[log_det_eye_plus(p / len(grams[0]), x) for x in grams] for p in at])
     won = (nats if len(at) == 1 else nats[[at[p] for p in powers.tolist()]]) >= rates.T[:, :, None]
     live = [np.flatnonzero(w) for w in ~won.all(axis=1)]
-    return [(t, np.take(w, t, axis=1)) for t, w in zip(live, won)]
+    return [(t, np.take(w, t, axis=1)) for t, w in zip(live, won)], dict(zip(at, nats))
 
 
 def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: int,
@@ -386,13 +387,22 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     2-vCPU Xeon, 2x2 MIMO INR grid chunks ran 5-19% slower with rows).
     Each (slot, band) read takes each pair's trial from the block and its
     copy is worked out once per pair. With one power the pairs are the
-    trials and the power stays a float.
+    trials and the power stays a float. MIMO INR's slot-0 copies are the
+    log-dets that decided slot 0 when this call decided every trial at
+    each of its powers; otherwise they are worked out for the live rows.
 
-    Each slot from 1 on reads its band maps and, for each band, the users
-    it goes to in some row from _assignment_matrix. Band b's copy is added
-    only into those users' accumulators, zero in the rows where another
-    user or nobody gets it; bands go in ascending order, so every
-    accumulator adds its copies in the scalar oracle's order.
+    Each slot from 1 on sends each band's copy only where it lands. A band
+    that no band map ever deals to a user other than its owner
+    (_band_maps' still bands: every band without coordination) lands on
+    the rows where its owner is active, and a slot whose bands are all
+    still reads no band map. Any other band's rows and receivers come from
+    the slot's band maps (_assignment_matrix). The copy is read and worked
+    out for the landing rows alone (where rows share a pair, once per pair
+    of the slot) and added by one scatter-add into the receivers'
+    accumulators (_scatter_add): within a band each (receiver, row) cell
+    is distinct, so the add is exact, and rows it does not reach are not
+    touched. Bands go in ascending order, so every accumulator adds its
+    copies in the scalar oracle's order.
     """
     config = configs[0]
     _check_shape(config)
@@ -431,11 +441,11 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         return pairs % n_trials, powers[pairs // n_trials], to_row
 
     def copies(b, s, planned):
-        # what band b's copy at slot s adds to the accumulator of each row,
-        # worked out once per pair
-        rows, power, to_row = planned
+        # what band b's copy at slot s adds to the accumulator of each row
+        # `planned` holds, worked out once per pair
+        trials, power, to_row = planned
         # slot 0's block is in hand, also when the memo had no room to keep it
-        x = np.take(first[b], rows, axis=-1) if s == 0 else draw(b, s, rows)
+        x = np.take(first[b], trials, axis=-1) if s == 0 else draw(b, s, trials)
         if siso:    # a gathered array of its own, worked out in place
             np.multiply(x, power, out=x)
             x = x if rtd else np.log1p(x, out=x)
@@ -445,12 +455,17 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
 
     # slot 0: every user sends its first copy on its own band
     first = [draw(b, 0, None) for b in range(k)]
-    decide_first = _first_copies if siso else _first_log_dets
+    dets = {}   # MIMO: each power's slot-0 log-dets of all trials, where decided here
 
     def decide(group, start):
         # the outcomes of trials [start, n_trials) of configs[group]
-        return decide_first([x[..., start:] for x in first], rates[:, group],
-                            powers[power_of[group]])
+        grams, group_powers = [x[..., start:] for x in first], powers[power_of[group]]
+        if siso:
+            return _first_copies(grams, rates[:, group], group_powers)
+        outcome, nats = _first_log_dets(grams, rates[:, group], group_powers)
+        if start == 0:
+            dets.update(nats)
+        return outcome
     keys = [(profile, c.rates, c.power) for c in configs]
     outcome = _DRAWS.first_outcome(keys, master_seed, start_trial, n_trials, decide)
     cols = np.concatenate([t + g * n_trials for g, (t, _) in enumerate(outcome)])
@@ -471,9 +486,16 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
     planned = plan(pairs)
     # acc is user-major; RTD sums each MIMO user's Grams in a (u, u, K, ...)
     # array, packed as fading.matrix_block packs them
-    acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (len(pairs),))
-    for b in range(k):
-        acc[..., b, :] = copies(b, 0, planned)
+    if not siso and not rtd and len(dets) == n_pow:
+        # INR's slot-0 copies are the log-dets that decided slot 0
+        acc = np.take(np.concatenate([dets[p] for p in powers.tolist()], axis=-1), pairs,
+                      axis=-1)
+    else:
+        acc = np.empty(((k,) if siso or not rtd else (u_tx, u_tx, k)) + (len(pairs),))
+        for b in range(k):
+            acc[..., b, :] = copies(b, 0, planned)
+    dets.clear()
+    still = _band_maps(policy, k)[1]
     at = None     # where the working columns sit in rounds, when not all of them
     for s in range(1, m_max):
         working = active.any(axis=0)
@@ -500,13 +522,31 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
             pairs, acc = pairs[old], np.take(acc, old, axis=-1)
             planned = plan(pairs)
             row_active = np.take((codes & (1 << np.arange(k))[:, None]) != 0, which, axis=1)
-        assign, receivers = _assignment_matrix(row_active, pairs % n_trials if n_pow > 1 else pairs,
-                                               policy, s, master_seed, start_trial, n_trials)
-        for b, to in enumerate(receivers):
-            if to:
-                x = copies(b, s, planned)
-                for u in to:
-                    acc[..., u, :] += np.where(assign[b] == u, x, 0.0)
+        if len(still) < k:
+            assign = _assignment_matrix(row_active, pairs % n_trials if n_pow > 1 else pairs,
+                                        policy, s, master_seed, start_trial, n_trials)
+        # a view of acc, always a fresh array, as (entries, K * rows): cell
+        # u * rows + r holds user u's sum in row r
+        flat = acc.reshape(-1, k * len(pairs))
+        for b in range(k):
+            # the rows band b lands on and each one's receiver
+            if b in still:
+                got, to = np.flatnonzero(row_active[b]), b
+            else:
+                got = np.flatnonzero(assign[b] >= 0)
+                to = np.take(assign[b], got)
+            if len(got) == 0:
+                continue
+            trials, power, to_row = planned
+            if len(got) < len(pairs):
+                # the plan's part for these rows: where rows share pairs, every
+                # pair's copy once, taken for the rows
+                if to_row is None:
+                    trials, power = trials[got], power if n_pow == 1 else power[got]
+                else:
+                    to_row = to_row[got]
+            got += to * np.intp(len(pairs))     # now each landing row's cell
+            _scatter_add(flat, got, copies(b, s, (trials, power, to_row)))
         nats = acc
         if rtd:     # decoded on the summed gains or Grams
             row_power = config.power if n_pow == 1 else powers[pairs // n_trials]
@@ -518,6 +558,14 @@ def _live_rounds(configs, policy: AllocationPolicy, n_trials: int, master_seed: 
         rounds[:, slice(None) if at is None else at] += won * np.int16(s + 1)
         active &= ~won
     return cols, rounds
+
+
+def _scatter_add(flat: np.ndarray, cells: np.ndarray, x: np.ndarray) -> None:
+    """flat[e, cells[i]] += x[..., i] for each entry e of the accumulators
+    `flat`, shape (entries, cells). The cells are distinct, so each cell
+    takes one add, exactly as `+=` would."""
+    for entry, add in zip(flat, x.reshape(len(flat), -1)):
+        np.add.at(entry, cells, add)
 
 
 def _check_shape(config: ProtocolConfig) -> None:

@@ -69,10 +69,23 @@ def deep_cases():
     return [pytest.param(p.values[0], make_config(**p.values[1]), id=p.id) for p in DEEP_SNR]
 
 
+# INR setups whose slots >= 1 deal bands in the two ways the engine tells
+# apart: K=3 non-coordinated, where no band ever moves, and K=4 round-robin
+# at M=4, where one band reaches several receivers in one slot
+MOVES = [
+    pytest.param(NONCOORD, dict(scheme=Scheme.INR, rates=(1.0, 0.7, 1.3), lambdas=(1.0, 2.0, 0.5),
+                                power=1.5, max_rounds=3), id="k3-inr-noncoord-m3"),
+    pytest.param(ROBIN, dict(scheme=Scheme.INR, rates=(1.0, 0.6, 1.2, 0.9),
+                             lambdas=(1.0, 2.0, 0.5, 1.0), power=2.0, max_rounds=4),
+                 id="k4-inr-robin-m4"),
+]
+
+
 @pytest.mark.parametrize("policy,cfg_kwargs", [
     (COORD, dict(scheme=Scheme.RTD, max_rounds=2, lambdas=(1.0, 2.0), power=2.0)),
     (NONCOORD, dict(scheme=Scheme.INR, max_rounds=3, rates=(0.8, 1.4))),
     (ROBIN, dict(scheme=Scheme.RTD, max_rounds=3)),
+    *MOVES,
     *DEEP_SNR,
 ])
 def test_vectorized_matches_scalar(policy, cfg_kwargs):
@@ -108,7 +121,7 @@ def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(memo, monkeypatc
     active = np.array(patterns * 4).T
     n = DEEP_TRIALS
     rows = np.random.default_rng(SEED).choice(n, size=active.shape[1])
-    assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)[0]
+    assign = _assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)
     assert list(memo.blocks) == [(("coin",), 1, 5)]
     coins = uniform_block(SEED, 1, POLICY_BAND, 5, n)[rows, 0] < 0.5
     for j, coin in enumerate(coins.tolist()):
@@ -119,7 +132,7 @@ def test_split_coin_of_a_later_slot_is_drawn_for_its_rows_alone(memo, monkeypatc
     assert coins.any() and not coins.all()
     memo.clear()
     monkeypatch.setattr(memo, "CAP_BYTES", 0)
-    assert np.array_equal(_assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n)[0], assign)
+    assert np.array_equal(_assignment_matrix(active, rows, SPLIT, 2, SEED, 5, n), assign)
     assert not memo.blocks
 
 
@@ -219,11 +232,10 @@ def test_assignment_matrix_matches_policy_allocate(policy, k, memo):
             _assignment_matrix(np.ones((other_k, 1), dtype=bool), np.zeros(1, dtype=int),
                                other, slot, SEED, 5, 1)
         assert montecarlo._band_maps.cache_info().currsize == len(others)
-        assign, receivers = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
+        assign = _assignment_matrix(active, rows, policy, slot, SEED, 5, n)
         cached = montecarlo._band_maps.cache_info()
         assert cached.currsize == cached.misses == len(others) + 1
-        assert not montecarlo._band_maps(policy, k).flags.writeable
-        assert receivers == [sorted(set(row) - {-1}) for row in assign.tolist()]
+        assert not montecarlo._band_maps(policy, k)[0].flags.writeable
         for j in range(n):
             failed = set(np.flatnonzero(active[:, j]).tolist())
             mapping = policy_allocate(failed, set(range(k)) - failed, policy, k,
@@ -234,6 +246,30 @@ def test_assignment_matrix_matches_policy_allocate(policy, k, memo):
         # the two-user patterns see the coin land both ways
         pairs = uniforms[active.sum(axis=0) == 2]
         assert (pairs < 0.5).any() and (pairs >= 0.5).any()
+
+
+@pytest.mark.parametrize("policy,k", ASSIGNMENT_CASES,
+                         ids=["coord-k2", "noncoord-k2", "split-k3", "robin-k5",
+                              "noncoord-k3", "robin-k3", "robin-k4"])
+def test_band_maps_name_the_bands_that_never_move(policy, k):
+    """_band_maps' still bands are those policy_allocate never deals to a
+    failed user other than their owner, under any activity pattern and
+    coin: every band without coordination, none with it. Each lands in
+    exactly the columns where its owner is active."""
+    table, still = montecarlo._band_maps(policy, k)
+    moved = set()
+    for failed in itertools.chain.from_iterable(
+            itertools.combinations(range(k), n) for n in range(k + 1)):
+        for coin in (False, True):
+            mapping = policy_allocate(set(failed), set(range(k)) - set(failed), policy, k,
+                                      coin=coin)
+            moved |= {b for b, u in mapping.items() if u in failed and u != b}
+    assert still == frozenset(range(k)) - moved
+    assert still == (frozenset(range(k)) if policy is NONCOORD else frozenset())
+    codes = np.arange(table.shape[1])
+    for b in still:
+        assert np.array_equal(table[b] == b, (codes >> b & 1) == 1)
+        assert set(table[b].tolist()) == {b, -1}
 
 
 def mimo_config(tx, rx, scheme, rates=(1.0, 1.0), lambdas=(1.0, 1.0), power=3.0,
@@ -419,9 +455,10 @@ def test_grid_tables_rejects_bad_input():
     (NONCOORD, mimo_config(2, 2, Scheme.INR, rates=(3.0, 3.0))),
     (COORD, mimo_config(3, 2, Scheme.RTD, rates=(2.5, 3.0), max_rounds=3)),
     (ROBIN, K4_ROBIN),
+    *[(p.values[0], make_config(**p.values[1])) for p in MOVES],
     *deep_cases(),
 ], ids=["k2-rtd-coord", "k3-inr-split", "mimo2x2-rtd-coord", "mimo2x2-inr-noncoord",
-        "mimo3x2-rtd-coord", "k4-rtd-robin", *(p.id for p in DEEP_SNR)])
+        "mimo3x2-rtd-coord", "k4-rtd-robin", *(p.id for p in MOVES), *(p.id for p in DEEP_SNR)])
 def test_chunk_size_and_worker_count_are_invisible(policy, cfg, monkeypatch):
     n = 5000
     monkeypatch.setattr(montecarlo, "CHUNK", n)
@@ -989,6 +1026,40 @@ def test_kept_slot0_outcome_is_invisible(memo, monkeypatch):
         assert len(got) == len(expected)
         for a, b in zip(got, expected):
             assert_same_stats(a, b)
+
+
+def test_mimo_inr_slot0_log_dets_are_taken_once(memo, monkeypatch):
+    """A MIMO INR call that decides slot 0 fills its slot-0 accumulators
+    with the log-dets that decided it: each user's at each power over all
+    trials, and no other slot-0 log-det. A call that reads the kept
+    outcome takes one log-det per band for the live rows in their place,
+    and both take the same later ones. Rounds equal the oracle's, and
+    those of calls that read the kept outcomes, with two powers and a
+    shared one."""
+    n = 400
+    cfg = mimo_config(2, 2, Scheme.INR, rates=(2.0, 2.4), lambdas=(1.0, 2.0), max_rounds=3)
+    configs = [replace(cfg, power=1.5), cfg, replace(cfg, rates=(1.0, 1.2))]
+    sizes = []
+
+    def counted(q, gram, _real=montecarlo.log_det_eye_plus):
+        sizes.append(np.shape(gram)[-1])
+        return _real(q, gram)
+    monkeypatch.setattr(montecarlo, "log_det_eye_plus", counted)
+    for policy in (NONCOORD, COORD):
+        memo.clear()
+        sizes.clear()
+        rounds = assert_engine_matches_oracle(cfg, policy, n)
+        decided, sizes[:] = sizes[:], []
+        assert len(np.unique(rounds)) >= 3
+        assert np.array_equal(simulate_rounds(cfg, policy, n, SEED), rounds)
+        assert decided[:2] == [n, n] and max(sizes) < n
+        assert len(decided) == len(sizes) and decided[2:] == sizes[2:]
+        memo.clear()
+        sizes.clear()
+        fresh = _grid_rounds(configs, policy, n, SEED)
+        assert sizes[:4] == [n] * 4
+        assert np.array_equal(fresh[1], rounds)
+        assert np.array_equal(_grid_rounds(configs, policy, n, SEED), fresh)
 
 
 def test_kept_slot0_outcomes_are_read_only_counted_and_capped(memo, monkeypatch):
