@@ -913,12 +913,35 @@ def test_a_refused_user_refuses_only_where_it_holds_the_rate():
                 event_table(*args, *rates)
 
 
+def _left_to_right(terms):
+    # plain float addition in list order: the builtin sum compensates float
+    # sums from Python 3.12 on
+    total = 0
+    for x in terms:
+        total += x
+    return total
+
+
 def _table_sums_oracle(table):
     # one table's reduction: each user mass one matrix-vector product, the
-    # slots summed one cell at a time in table_cells order
+    # slots added one cell at a time, left to right, in table_cells order
     flat, decodes, slots = analytic.table_cells(table.shape[0] - 1, table.ndim)
     cells = table.ravel()[flat]
-    return ~decodes @ cells, decodes @ cells, sum((slots * cells).tolist())
+    return ~decodes @ cells, decodes @ cells, _left_to_right((slots * cells).tolist())
+
+
+def test_table_sums_adds_slots_left_to_right():
+    """A table's slots are added left to right, one table or a stack, so
+    their bits do not hang on the Python version. Some of these slot lists
+    are ones math.fsum rounds otherwise, as does the builtin sum, which
+    compensates float sums from Python 3.12 on."""
+    tables = np.random.default_rng(11).uniform(size=(16, 4, 4)) / 16.0
+    flat, _, slots = analytic.table_cells(3, 2)
+    terms = [(slots * t.ravel()[flat]).tolist() for t in tables]
+    want = [_left_to_right(x) for x in terms]
+    assert sum(w != math.fsum(x) for w, x in zip(want, terms)) >= 4
+    assert [analytic.table_sums(t)[2] for t in tables] == want
+    assert analytic.table_sums(tables, 2)[2].tolist() == want
 
 
 def _assert_stack_reduces_per_table(tables, rates, packets):
@@ -957,7 +980,7 @@ def test_stacked_reductions_equal_per_table():
         flat, decodes, _ = analytic.table_cells(m, 2)
         cells = tables.reshape(len(grid), -1)[:, flat]
         per_table = analytic.table_sums(tables, 2)[1]
-        sequential = np.array([[sum(c[d].tolist()) for d in decodes] for c in cells])
+        sequential = np.array([[_left_to_right(c[d].tolist()) for d in decodes] for c in cells])
         naive_differs += ((cells @ decodes.T != per_table).any(axis=1)
                           | (sequential != per_table).any(axis=1)).sum()
     assert naive_differs > 0
