@@ -207,7 +207,7 @@ def _fft_length(n: int) -> int:
 def _trapezoids(y: np.ndarray, h) -> np.ndarray:
     """The trapezoid areas h (y[i] + y[i+1]) / 2 of samples y at step h,
     along the last axis, in np.trapezoid's float operations: their sum is
-    its rule, their running sum scipy's cumulative_trapezoid."""
+    its rule, their running sum the cumulative trapezoid rule's."""
     area = y[..., 1:] + y[..., :-1]
     area *= h
     area /= 2.0

@@ -1,19 +1,17 @@
 """Rayleigh block-fading samplers with counter-based, partition-independent RNG.
 
 Every random draw is a pure function of (master_seed, trial, slot, band):
-each (master_seed, slot, band) triple keys its own Philox stream, and a
-draw of w words per trial gives trial t the words [t*w, (t+1)*w) of that
-stream, packed with no padding. Two runs with the same master seed
-therefore produce bit-identical draws no matter how trials are partitioned
-across workers, and paired-seed experiments see literally the same channel
-realizations.
-
-A draw is always a block of consecutive trials of one (seed, slot, band),
-drawn with numpy's native Philox4x64-10; a caller that needs some trials
-of a range takes them from the block, and the scalar oracle reads
-one-trial blocks.
+each (master_seed, slot, band) triple keys its own Philox4x64-10 stream, and
+a draw of w words per trial gives trial t the words [t*w, (t+1)*w) of that
+stream, packed with no padding, so draws do not depend on how trials are
+split across workers. A draw is a block of consecutive trials; a caller that
+needs some trials takes them from the block, and the scalar oracle reads
+one-trial blocks. SISO copies are exponential gains, MIMO copies complex
+Wishart Grams H*H.
 """
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -81,15 +79,13 @@ def _philox_key(master_seed: int, slot: int, band: int) -> int:
 
 def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
                   n_trials: int, words: int = 1, out=None) -> np.ndarray:
-    """Uniform(0,1) draws for trials [start_trial, start_trial + n_trials).
-
-    Returns shape (n_trials, words): row t - start_trial holds words
-    [t*words, (t+1)*words) of the (master_seed, slot, band) Philox stream,
-    so the result depends only on (master_seed, slot, band, trial), never
-    on how calls are chunked. A range that starts inside a Philox block
-    consumes that block's leading words raw; then exactly n_trials * words
-    doubles are drawn, into `out` when given (a C-contiguous float64 array
-    of that many values, returned reshaped).
+    """Uniform(0,1) draws for trials [start_trial, start_trial + n_trials),
+    shape (n_trials, words): row t - start_trial holds words [t*words,
+    (t+1)*words) of the (master_seed, slot, band) Philox stream, whatever
+    the chunking. A range that starts inside a Philox block consumes that
+    block's leading words raw; then exactly n_trials * words doubles are
+    drawn, into `out` when given (a C-contiguous float64 array of that many
+    values, returned reshaped).
     """
     size = n_trials * words
     if out is not None and not (out.dtype == np.float64 and out.size == size
@@ -110,14 +106,12 @@ def uniform_block(master_seed: int, slot: int, band: int, start_trial: int,
 
 def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
                start_trial: int, n_trials: int, out=None) -> np.ndarray:
-    """Channel gains (|h|^2) for a range of trials on one (slot, band).
-
+    """Channel gains (|h|^2) for a range of trials on one (slot, band):
     -log1p(-u) / lambda of the draw's uniforms, worked out in place on the
     n_trials doubles drawn, into `out` when given (as uniform_block), as
     log1p(-u) / -lambda: negate, log1p, divide. IEEE division rounds the
-    same whatever the signs, so these are the roundings of negating the
-    log and then dividing by lambda. The result holds those doubles and no
-    more.
+    same whatever the signs, so these are the roundings of negating the log
+    and then dividing by lambda. The result holds those doubles and no more.
     """
     profile.check_band(band)
     u = uniform_block(master_seed, slot, band, start_trial, n_trials, out=out).reshape(n_trials)
@@ -129,44 +123,50 @@ def gain_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
 
 def matrix_block(profile: FadingProfile, band: int, slot: int, master_seed: int,
                  start_trial: int, n_trials: int, out=None) -> np.ndarray:
-    """Packed channel Grams H*H (_packed_gram) for a range of trials on one
-    (slot, band), shape (tx, tx, n_trials), built in `out` when given.
+    """Packed channel Grams G = H*H for a range of trials on one (slot, band),
+    shape (tx, tx, n_trials), into `out` when given: out[i, j] is Re G[i, j]
+    for i <= j and out[j, i] is Im G[i, j] for i < j. H (rx x tx, entries
+    CN(0, 1/lambda)) is not drawn: G = R*R for H = QR, R's min(tx, rx) rows
+    of independent entries (Bartlett; Edelman & Rao 2005). A trial's words
+    are gains -log1p(-u) / lambda, rx - k summed into each |R_kk|^2, then one
+    |R_kj|^2 for each k < j row by row, then the phases 2 pi u of those
+    R_kj = sqrt(|R_kj|^2) e^{i phase}. G[i, j] sums conj(R_ki) R_kj over k
+    in order (|R_kj|^2 as drawn): no Gram depends on its block.
 
-    H is rx x tx with CN(0, 1/lambda) entries: a trial's 2 rx tx uniforms,
-    as normal quantiles times sqrt(1 / (2 lambda)) worked out in place on
-    the draw's buffer, are Re H row by row, then Im H.
+        tx x rx          1x1  2x1  1x2  2x2  3x2  2x3  3x3
+        words per trial    1    3    2    5    9    7   12
     """
-    # imported here so that SISO and closed-form runs load numpy alone
-    from scipy.special import ndtri
-
     profile.check_band(band)
-    v, u_tx = profile.rx_antennas, profile.tx_antennas
-    shape = (u_tx, u_tx, n_trials)
+    v, u = profile.rx_antennas, profile.tx_antennas
+    shape = (u, u, n_trials)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape or out.dtype != np.float64:
         raise ValueError(f"out must be float64 of shape {shape}, got {out.shape} {out.dtype}")
-    z = uniform_block(master_seed, slot, band, start_trial, n_trials, words=2 * v * u_tx)
-    ndtri(z, out=z)
-    z *= np.sqrt(0.5 / profile.lambdas[band])
-    return _packed_gram(*z.T.reshape(2, v, u_tx, n_trials), out)
-
-
-def _packed_gram(re, im, out) -> np.ndarray:
-    """The Grams G = H*H of v x u matrices H = re + i im, packed real into
-    `out`: re and im have shape (v, u, ...), out (u, u, ...), the batch last.
-    out[i, j] is Re G[i, j] for i <= j and out[j, i] is Im G[i, j] for i < j.
-    Entries are summed over the v rows in order, so a batch and a single
-    matrix give bit-identical Grams.
-    """
-    v, u = re.shape[:2]
-    out[...] = 0.0
-    for i in range(u):
-        for j in range(i, u):
-            for k in range(v):
-                out[i, j] += re[k, i] * re[k, j] + im[k, i] * im[k, j]
-                if j > i:
-                    out[j, i] += re[k, i] * im[k, j] - im[k, i] * re[k, j]
+    rows = min(u, v)
+    upper = [(k, j) for k in range(rows) for j in range(k + 1, u)]
+    n_diag = sum(v - k for k in range(rows))
+    w = np.negative(uniform_block(master_seed, slot, band, start_trial, n_trials,
+                                  words=n_diag + 2 * len(upper)).T, order="C")
+    gains, phases = np.split(w, [n_diag + len(upper)])
+    np.log1p(gains, out=gains)
+    np.divide(gains, -profile.lambdas[band], out=gains)
+    phases *= -2 * math.pi
+    r = {}      # (k, j): |R_kj|^2, Re R_kj, Im R_kj (None on the real diagonal)
+    for k, end in enumerate(itertools.accumulate(range(v, v - rows, -1))):
+        gain = functools.reduce(np.add, gains[end - v + k:end])
+        r[k, k] = (gain, np.sqrt(gain), None)
+    for (k, j), gain, phase in zip(upper, gains[n_diag:], phases):
+        m = np.sqrt(gain)
+        r[k, j] = (gain, m * np.cos(phase), np.multiply(m, np.sin(phase, out=phase)))
+    for j in range(u):
+        out[j, j] = functools.reduce(np.add, [r[k, j][0] for k in range(min(j + 1, rows))])
+    for i, j in itertools.combinations(range(u), 2):
+        terms = [r[k, i][1:] + r[k, j][1:] for k in range(min(i + 1, rows))]
+        out[i, j] = functools.reduce(np.add, [xr * yr if xi is None else xr * yr + xi * yi
+                                              for xr, xi, yr, yi in terms])
+        out[j, i] = functools.reduce(np.add, [xr * yi if xi is None else xr * yi - xi * yr
+                                              for xr, xi, yr, yi in terms])
     return out
 
 

@@ -63,7 +63,7 @@ def _copies(snr_terms) -> list:
 def log_det_eye_plus(q: float, gram) -> np.ndarray:
     """log det(I_u + q G) for a batch of Hermitian PSD Grams G, in nats.
 
-    `gram` holds the Grams in the packed form of fading._packed_gram, shape
+    `gram` holds the Grams in the packed form of fading.matrix_block, shape
     (u, u, ...). An unrolled LDL* factorization of I + qG: each step takes
     pivot 1 + d_k and forms the Schur complement of the rest, one numpy
     pass over the batch per entry. The product of the pivots is carried as

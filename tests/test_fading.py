@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
-from scipy.special import ndtri
 
-from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, _packed_gram,
-                           _philox_key, gain_block, matrix_block, uniform_block)
+from coharq.fading import (POLICY_BAND, ConfigurationError, FadingProfile, _philox_key,
+                           gain_block, matrix_block, uniform_block)
 
 SEED = 20260826
 
@@ -104,11 +103,13 @@ def test_gain_block_in_place_equals_the_expression():
 
 
 def test_mimo_siso_reduction():
-    """With u = v = 1 the Gram |h|^2 follows the gain law."""
+    """With u = v = 1 the Gram |h|^2 follows the gain law: it is the gain
+    gain_block draws, bit for bit."""
     prof = FadingProfile(lambdas=(1.0,), tx_antennas=1, rx_antennas=1)
     g = matrix_block(prof, 0, 0, SEED, 0, 500_000)[0, 0]
     _, pvalue = stats.kstest(g, "expon")
     assert pvalue > 0.01
+    assert np.array_equal(g, gain_block(prof, 0, 0, SEED, 0, 500_000))
 
 
 def test_mimo_entry_second_moments():
@@ -149,37 +150,70 @@ def packed_gram(h) -> np.ndarray:
 
 @pytest.mark.parametrize("tx, rx", [(1, 1), (2, 2), (3, 2), (2, 3)])
 def test_matrix_block_is_the_packed_gram_of_the_documented_draw(tx, rx):
-    """Built here from the uniforms alone: a trial's 2 rx tx words, as
-    normal quantiles scaled by sqrt(1 / (2 lambda)), are Re H row by row,
-    then Im H. matrix_block holds H*H packed, at two fading parameters and
-    from trial 0 and trial 5 (whose first word, for 1x1, sits inside a
-    Philox block). Entry (i, j) is held to 1e-14 of sqrt(G_ii G_jj), which
-    bounds the sum of its terms' magnitudes: an entry the terms nearly
-    cancel in has no relative precision in either sum."""
-    n = 257
+    """Built here from the uniforms alone: R is upper trapezoidal with
+    min(tx, rx) rows; a trial's words are the gains -log1p(-u) / lambda,
+    rx - k of them summed into |R_kk|^2 for each row k, then one |R_kj|^2
+    for each k < j row by row, then the phases 2 pi u of those R_kj.
+    matrix_block holds R*R packed, at two fading parameters and from
+    trial 0 and trial 5 (whose first word sits inside a Philox block).
+    Entry (i, j) is held to 1e-14 of sqrt(G_ii G_jj), which bounds the sum
+    of its terms' magnitudes: an entry the terms nearly cancel in has no
+    relative precision in either sum."""
+    n, rows = 257, min(tx, rx)
+    upper = [(k, j) for k in range(rows) for j in range(k + 1, tx)]
+    n_diag = sum(rx - k for k in range(rows))
     prof = FadingProfile(lambdas=(1.0, 0.37), tx_antennas=tx, rx_antennas=rx)
     for band, lam in enumerate(prof.lambdas):
         for start in (0, 5):
-            z = ndtri(uniform_block(SEED, 3, band, start, n, words=2 * rx * tx))
-            z *= math.sqrt(0.5 / lam)
-            h = (z[:, :rx * tx] + 1j * z[:, rx * tx:]).reshape(n, rx, tx)
-            got, want = matrix_block(prof, band, 3, SEED, start, n), packed_gram(h)
+            words = uniform_block(SEED, 3, band, start, n, words=n_diag + 2 * len(upper))
+            gains = -np.log1p(-words[:, :n_diag + len(upper)]) / lam
+            phases = words[:, n_diag + len(upper):]
+            r = np.zeros((n, rows, tx), dtype=complex)
+            ends = np.cumsum([rx - k for k in range(rows)])
+            for k, end in enumerate(ends):
+                r[:, k, k] = np.sqrt(gains[:, end - (rx - k):end].sum(axis=1))
+            for c, (k, j) in enumerate(upper):
+                r[:, k, j] = np.sqrt(gains[:, n_diag + c]) * np.exp(2j * math.pi * phases[:, c])
+            got, want = matrix_block(prof, band, 3, SEED, start, n), packed_gram(r)
             d = np.sqrt(np.diagonal(want)).T
             scale = d[:, None] * d[None, :]
             assert got.shape == want.shape and np.all(np.abs(got - want) <= 1e-14 * scale), \
                 (band, start)
 
 
-def test_gram_packing_matches_complex_matmul():
-    """On seeded 3x2 matrices the packing holds each entry of H*H, real part
-    on and above the diagonal and imaginary part below it, at rtol 1e-14."""
-    rng = np.random.default_rng(5)
-    h = rng.normal(size=(50, 3, 2)) + 1j * rng.normal(size=(50, 3, 2))
-    gram = _packed_gram(np.moveaxis(h.real, 0, -1), np.moveaxis(h.imag, 0, -1), np.empty((2, 2, 50)))
-    full = np.swapaxes(h.conj(), -1, -2) @ h
-    np.testing.assert_allclose(gram[0, 0], full[:, 0, 0].real, rtol=1e-14)
-    np.testing.assert_allclose(gram[1, 1], full[:, 1, 1].real, rtol=1e-14)
-    np.testing.assert_allclose(gram[0, 1] + 1j * gram[1, 0], full[:, 0, 1], rtol=1e-14)
+@pytest.mark.parametrize("tx, rx", [(1, 1), (2, 2), (3, 2), (2, 3), (2, 1)])
+def test_gram_follows_the_complex_wishart_law(tx, rx):
+    """At one fixed seed, 20000 Grams at lambda = 0.37 pass one-sample KS
+    tests of their exact marginals: each G_jj is Gamma(rx, 1/lambda), and
+    for tx > 1 |G_01|^2 / G_00 = |R_01|^2 is Exp(1/lambda) and arg G_01 is
+    U(-pi, pi). log det(I + q G) at three q passes a two-sample KS test
+    against 20000 Grams H*H of H with independent CN(0, 1/lambda) entries
+    from numpy's default_rng. The five cases hold 33 tests; each fails at
+    p < 1e-4, so a correct sampler at a random seed fails one with
+    probability at most 0.33%."""
+    n, lam, alpha = 20_000, 0.37, 1e-4
+    prof = FadingProfile(lambdas=(lam,), tx_antennas=tx, rx_antennas=rx)
+    got = matrix_block(prof, 0, 4, SEED, 0, n)
+    pvalues = {f"G{j}{j}": stats.kstest(got[j, j], "gamma", args=(rx, 0, 1 / lam)).pvalue
+               for j in range(tx)}
+    if tx > 1:
+        pvalues["|G01|^2/G00"] = stats.kstest((got[0, 1] ** 2 + got[1, 0] ** 2) / got[0, 0],
+                                              "expon", args=(0, 1 / lam)).pvalue
+        pvalues["arg G01"] = stats.kstest(np.arctan2(got[1, 0], got[0, 1]), "uniform",
+                                          args=(-math.pi, 2 * math.pi)).pvalue
+    rng = np.random.default_rng([SEED, tx, rx])
+    h = (rng.standard_normal((n, rx, tx)) + 1j * rng.standard_normal((n, rx, tx))) \
+        * math.sqrt(0.5 / lam)
+    full = np.zeros((n, tx, tx), dtype=complex)
+    for i, j in itertools.combinations_with_replacement(range(tx), 2):
+        full[:, i, j] = got[i, j] + 1j * (got[j, i] if j > i else 0.0)
+        full[:, j, i] = full[:, i, j].conj()
+    reference = np.swapaxes(h.conj(), -1, -2) @ h
+    for q in (0.3, 3.0, 30.0):
+        eye = np.eye(tx)
+        logdet = [np.linalg.slogdet(eye + q * g)[1] for g in (full, reference)]
+        pvalues[f"logdet q={q}"] = stats.ks_2samp(*logdet).pvalue
+    assert min(pvalues.values()) > alpha, pvalues
 
 
 def test_uniform_block_is_pure_function_of_key():
